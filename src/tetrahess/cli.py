@@ -19,10 +19,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AlphaSequence, leading_principal, tetra_from_alphas
+from .core import leading_principal, tetra_from_alphas
 from .darboux import (
     akv_sign_checks,
     alphas_from_polynomials,
@@ -41,7 +40,7 @@ from .families import (
     jp_sign_report,
 )
 from .polynomials import char_poly_truncation, second_kind_sequences, type1_sequences, type2_sequence
-from .scalars import COMPARE_RTOL, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .serialize import dump_alphas, dump_matrix, load_alphas, load_matrix
 from .tncheck import POWER_ORACLE_CAP, is_oscillatory_power_oracle, is_totally_nonnegative
 
@@ -67,14 +66,6 @@ class InputError(Exception):
 
 class VerificationFailure(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "exact"
-    float_tolerance: float = COMPARE_RTOL
-    output_format: str = "json"
-    seed: int = 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,8 +127,8 @@ def _jp_params(args, mode):
         raise InputError(str(exc)) from exc
 
 
-def _cmd_jp(args, config):
-    params = _jp_params(args, config.mode)
+def _cmd_jp(args, mode):
+    params = _jp_params(args, mode)
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     seq = jp_alphas(params, Variant(args.variant), args.count)
@@ -154,8 +145,8 @@ def _cmd_jp(args, config):
     return EXIT_OK
 
 
-def _cmd_jp_scan(args, config):
-    gamma = _parse_flag_scalar(args.gamma, config.mode, "--gamma")
+def _cmd_jp_scan(args, mode):
+    gamma = _parse_flag_scalar(args.gamma, mode, "--gamma")
     bases = list(dict.fromkeys((p.alpha, p.beta) for p in JP_VERIFICATION_GRID))
     lines = ["alpha,beta,region,pbf_flag,oscillatory_flag"]
     for alpha, beta in bases:
@@ -174,9 +165,9 @@ def _cmd_jp_scan(args, config):
     return EXIT_OK
 
 
-def _cmd_factor(args, config):
-    t = _load_matrix_file(args.input, config.mode)
-    alpha2 = _parse_flag_scalar(args.alpha2, config.mode, "--alpha2")
+def _cmd_factor(args, mode):
+    t = _load_matrix_file(args.input, mode)
+    alpha2 = _parse_flag_scalar(args.alpha2, mode, "--alpha2")
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     seq = bidiagonal_factor(t, args.n, alpha2)
@@ -191,8 +182,8 @@ def _cmd_factor(args, config):
     return {"PBF": 0, "TN": 1, "INDEFINITE": 2}[str(cls)]
 
 
-def _cmd_polys(args, config):
-    t = _load_matrix_file(args.input, config.mode)
+def _cmd_polys(args, mode):
+    t = _load_matrix_file(args.input, mode)
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     if args.kind == "type2":
@@ -200,7 +191,7 @@ def _cmd_polys(args, config):
     else:
         if args.nu is None:
             raise UsageError(f"--kind {args.kind} requires --nu")
-        nu = _parse_flag_scalar(args.nu, config.mode, "--nu")
+        nu = _parse_flag_scalar(args.nu, mode, "--nu")
         if args.kind == "type1":
             a1, a2 = type1_sequences(t, args.n, nu)
             named = {"A1": a1, "A2": a2}
@@ -208,7 +199,7 @@ def _cmd_polys(args, config):
             b1, b2, small = second_kind_sequences(t, args.n, nu)
             named = {"B1": b1, "B2": b2, "b1": small}
     if args.at is not None:
-        x = _parse_flag_scalar(args.at, config.mode, "--at")
+        x = _parse_flag_scalar(args.at, mode, "--at")
         body = {k: [format_scalar(p(x)) for p in seq] for k, seq in named.items()}
     else:
         body = {k: [[format_scalar(c) for c in p.coeffs] for p in seq] for k, seq in named.items()}
@@ -220,8 +211,8 @@ def _cmd_polys(args, config):
     return EXIT_OK
 
 
-def _cmd_darboux(args, config):
-    alphas = _load_alphas_file(args.alphas, config.mode)
+def _cmd_darboux(args, mode):
+    alphas = _load_alphas_file(args.alphas, mode)
     pair = darboux_transforms(alphas)
     t = pair.hat if args.which == "hat" else pair.hathat
     body = dump_matrix(t)
@@ -235,10 +226,9 @@ def _cmd_darboux(args, config):
 
 def _suite_charpoly(t, n):
     checked = 0
+    b = type2_sequence(t, n + 1)
     for k in range(n + 1):
-        recurrence = type2_sequence(t, k + 1)[k + 1]
-        dense = leading_principal(t, k).char_poly()
-        if recurrence != dense:
+        if b[k + 1] != leading_principal(t, k).char_poly():
             raise VerificationFailure(f"charpoly: B_{k + 1} differs from the dense oracle")
         checked += 1
     nu = Fraction(-1)
@@ -252,7 +242,7 @@ def _suite_charpoly(t, n):
     return {"suite": "charpoly", "checked": checked}
 
 
-def _suite_tn(t, n, seed):
+def _suite_tn(t, n):
     depth = min(n, POWER_ORACLE_CAP - 1)
     checked = 0
     for k in range(1, depth + 1):
@@ -317,8 +307,8 @@ def _suite_jp_consistency():
     return {"suite": "jp-consistency", "points": len(JP_VERIFICATION_GRID)}
 
 
-def _cmd_verify(args, config):
-    if config.mode != "exact":
+def _cmd_verify(args, mode):
+    if mode != "exact":
         raise UsageError("verification suites run in exact mode only")
     if args.n < 0:
         raise UsageError("--n must be >= 0")
@@ -348,7 +338,7 @@ def _cmd_verify(args, config):
             if suite == "charpoly":
                 results.append(_suite_charpoly(need_matrix(), args.n))
             elif suite == "tn":
-                results.append(_suite_tn(need_matrix(), args.n, config.seed))
+                results.append(_suite_tn(need_matrix(), args.n))
             elif suite == "roundtrip":
                 seq = need_alphas()
                 alpha2 = (
@@ -381,8 +371,6 @@ def _cmd_verify(args, config):
 def build_parser() -> _Parser:
     parser = _Parser(prog="tetrahess", description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=("exact", "float"), default=None)
-    parser.add_argument("--float-tolerance", type=float, default=COMPARE_RTOL)
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("jp", help="generate Jacobi-Pineiro alphas")
@@ -444,13 +432,7 @@ def main(argv=None) -> int:
         mode = args.mode or os.environ.get("TETRA_MODE", "exact")
         if mode not in ("exact", "float"):
             raise UsageError(f"TETRA_MODE must be exact or float, got {mode!r}")
-        config = RunConfig(
-            mode=mode,
-            float_tolerance=args.float_tolerance,
-            output_format="csv" if args.command == "jp-scan" else "json",
-            seed=args.seed,
-        )
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args, mode)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveSubSubDiagonal,
 )
 from .poly import Poly
-from .scalars import is_exact, one_like, scalars_equal, zero_like
+from .scalars import is_exact, one_like, zero_like
 
 
 class Band:
@@ -248,10 +248,7 @@ class DenseMatrix:
 
     @staticmethod
     def identity(n, one=Fraction(1)):
-        zero = zero_like(one)
-        return DenseMatrix(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        return _banded(n, {0: lambda i: one}, zero_like(one))
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.n != other.n:
@@ -351,20 +348,25 @@ class DenseMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def approx_equal(self, other: "DenseMatrix") -> bool:
-        if self.n != other.n:
-            return False
-        return all(
-            scalars_equal(u, v)
-            for r1, r2 in zip(self.rows, other.rows)
-            for u, v in zip(r1, r2)
-        )
-
     def __repr__(self):
         return f"DenseMatrix({self.to_lists()!r})"
 
 
 # -- constructors and truncations ----------------------------------------
+
+
+def _banded(size, bands, zero) -> DenseMatrix:
+    """size x size matrix holding bands[d](i) at (i, i + d) for each
+    diagonal offset d and zero elsewhere; entries are evaluated row by row,
+    in the order of ``bands`` within a row."""
+    rows = []
+    for i in range(size):
+        row = [zero] * size
+        for offset, entry in bands.items():
+            if 0 <= i + offset < size:
+                row[i + offset] = entry(i)
+        rows.append(row)
+    return DenseMatrix(rows)
 
 
 def tetra_from_bands(a, b, c) -> TetraHessenberg:
@@ -375,28 +377,56 @@ def tetra_from_bands(a, b, c) -> TetraHessenberg:
     )
 
 
+def _alpha_bands(at, length=None):
+    """Bands (c, b, a) given by the alpha product formulas read through the
+    accessor ``at`` (j -> alpha_j), each limited to the rows that the first
+    ``length`` alphas determine (None: unbounded)."""
+
+    def c(n):
+        return at(3 * n + 1) + at(3 * n) + at(3 * n - 1)
+
+    def b(n):
+        return (
+            at(3 * n) * at(3 * n - 2)
+            + at(3 * n - 1) * at(3 * n - 2)
+            + at(3 * n - 1) * at(3 * n - 3)
+        )
+
+    def a(n):
+        return at(3 * n - 1) * at(3 * n - 3) * at(3 * n - 5)
+
+    def limit(need):
+        # last row whose entries read no alpha past alpha_length, when row n
+        # reads up to alpha_{3n+need}
+        return None if length is None else (length - need) // 3
+
+    return (
+        Band("c", 0, func=c, limit=limit(1)),
+        Band("b", 1, func=b, limit=limit(0)),
+        Band("a", 2, func=a, limit=limit(-1)),
+    )
+
+
+def _tetra_from_accessor(at, length) -> TetraHessenberg:
+    """Validated matrix with the alpha product bands read through ``at``;
+    with a finite ``length`` every a_n is checked eagerly, otherwise on
+    access."""
+    c, b, a = _alpha_bands(at, length)
+    t = TetraHessenberg(a, b, c)
+    if a.limit is not None:
+        for n in range(2, a.limit + 1):
+            t.a(n)  # raises NonPositiveSubSubDiagonal on a violation
+    return t
+
+
 def bands_from_alphas(alphas: AlphaSequence):
-    """Raw band value functions induced by an alpha sequence.
+    """Raw band value functions (c, b, a) induced by an alpha sequence.
 
     No positivity is enforced here; this is the arithmetic layer used both
     by tetra_from_alphas and by sign studies of parameter families whose
     induced a_n may go negative.
     """
-
-    def c(n):
-        return alphas.at(3 * n + 1) + alphas.at(3 * n) + alphas.at(3 * n - 1)
-
-    def b(n):
-        return (
-            alphas.at(3 * n) * alphas.at(3 * n - 2)
-            + alphas.at(3 * n - 1) * alphas.at(3 * n - 2)
-            + alphas.at(3 * n - 1) * alphas.at(3 * n - 3)
-        )
-
-    def a(n):
-        return alphas.at(3 * n - 1) * alphas.at(3 * n - 3) * alphas.at(3 * n - 5)
-
-    return c, b, a
+    return tuple(band.func for band in _alpha_bands(alphas.at))
 
 
 def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:
@@ -410,23 +440,7 @@ def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:
     (alpha_j = 0 for j <= 0).  Finite alpha arrays are validated eagerly;
     generator-backed ones on access.
     """
-    c, b, a = bands_from_alphas(alphas)
-    k = alphas.length
-    if k is None:
-        c_limit = b_limit = a_limit = None
-    else:
-        c_limit = (k - 1) // 3
-        b_limit = k // 3
-        a_limit = (k + 1) // 3
-    t = TetraHessenberg(
-        Band("a", 2, func=a, limit=a_limit),
-        Band("b", 1, func=b, limit=b_limit),
-        Band("c", 0, func=c, limit=c_limit),
-    )
-    if k is not None and a_limit is not None:
-        for n in range(2, a_limit + 1):
-            t.a(n)  # raises NonPositiveSubSubDiagonal on a violation
-    return t
+    return _tetra_from_accessor(alphas.at, alphas.length)
 
 
 def leading_principal(t: TetraHessenberg, n: int) -> DenseMatrix:
@@ -434,19 +448,7 @@ def leading_principal(t: TetraHessenberg, n: int) -> DenseMatrix:
     if n < 0:
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
     one = one_like(t.c(0))
-    zero = zero_like(one)
-    rows = []
-    for i in range(n + 1):
-        row = [zero] * (n + 1)
-        row[i] = t.c(i)
-        if i + 1 <= n:
-            row[i + 1] = one
-        if i >= 1:
-            row[i - 1] = t.b(i)
-        if i >= 2:
-            row[i - 2] = t.a(i)
-        rows.append(row)
-    return DenseMatrix(rows)
+    return _banded(n + 1, {0: t.c, 1: lambda i: one, -1: t.b, -2: t.a}, zero_like(one))
 
 
 def trailing_truncation(t: TetraHessenberg, n: int, k: int) -> DenseMatrix:
@@ -472,28 +474,16 @@ def alpha_factor_matrices(alphas: AlphaSequence, n: int):
     """
     if n < 0:
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
-    one = one_like(alphas.at(1))
+    at = alphas.at
+    one = one_like(at(1))
     zero = zero_like(one)
     size = n + 1
 
-    def unit_lower(sub):
-        rows = []
-        for i in range(size):
-            row = [zero] * size
-            row[i] = one
-            if i >= 1:
-                row[i - 1] = sub(i - 1)
-            rows.append(row)
-        return DenseMatrix(rows)
+    def unit(i):
+        return one
 
-    l1 = unit_lower(lambda k: alphas.at(3 * k + 2))
-    l2 = unit_lower(lambda k: alphas.at(3 * k + 3))
-    rows = []
-    for i in range(size):
-        row = [zero] * size
-        row[i] = alphas.at(3 * i + 1)
-        if i + 1 < size:
-            row[i + 1] = one
-        rows.append(row)
-    u = DenseMatrix(rows)
+    # entry functions take the row i; subdiagonal entry k sits in row k + 1
+    l1 = _banded(size, {0: unit, -1: lambda i: at(3 * i - 1)}, zero)
+    l2 = _banded(size, {0: unit, -1: lambda i: at(3 * i)}, zero)
+    u = _banded(size, {0: lambda i: at(3 * i + 1), 1: unit}, zero)
     return l1, l2, u

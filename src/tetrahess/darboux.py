@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .core import (
     AlphaSequence,
-    Band,
     Classification,
     TetraHessenberg,
+    _tetra_from_accessor,
     alpha_factor_matrices,
     leading_principal,
 )
@@ -101,64 +101,28 @@ def _forced_nu(alphas: AlphaSequence):
 
 
 def darboux_transforms(alphas: AlphaSequence) -> DarbouxPair:
-    """Both Darboux transforms, built from the closed-form band products
+    """Both Darboux transforms.  Their bands are the alpha product formulas
+    of tetra_from_alphas read one and two alphas further up (writing a for
+    alpha):
 
-        hat:    c_n = a_{3n+2}+a_{3n+1}+a_{3n}   (writing a for alpha)
-                b_n = a_{3n}a_{3n-1}+a_{3n+1}a_{3n-1}+a_{3n}a_{3n-2}
+        hat:    c_n = a_{3n+2}+a_{3n+1}+a_{3n}
+                b_n = a_{3n+1}a_{3n-1}+a_{3n}a_{3n-1}+a_{3n}a_{3n-2}
                 a_n = a_{3n}a_{3n-2}a_{3n-4}
         hathat: the same pattern shifted one more alpha up.
 
+    The shifted accessor j -> alpha_{j+1} (alpha_{j+2}) is deliberately not
+    an AlphaSequence: at j = 0 it must read alpha_1 (alpha_2), not zero.
     Positivity of the transformed lowest bands is enforced exactly as for
     any other TetraHessenberg (guaranteed when the alphas are PBF).
     """
-    at = alphas.at
-
-    def c_hat(n):
-        return at(3 * n + 2) + at(3 * n + 1) + at(3 * n)
-
-    def b_hat(n):
-        return (
-            at(3 * n) * at(3 * n - 1)
-            + at(3 * n + 1) * at(3 * n - 1)
-            + at(3 * n) * at(3 * n - 2)
-        )
-
-    def a_hat(n):
-        return at(3 * n) * at(3 * n - 2) * at(3 * n - 4)
-
-    def c_hathat(n):
-        return at(3 * n + 3) + at(3 * n + 2) + at(3 * n + 1)
-
-    def b_hathat(n):
-        return (
-            at(3 * n + 1) * at(3 * n)
-            + at(3 * n + 2) * at(3 * n)
-            + at(3 * n + 1) * at(3 * n - 1)
-        )
-
-    def a_hathat(n):
-        return at(3 * n + 1) * at(3 * n - 1) * at(3 * n - 3)
-
     k = alphas.length
 
-    def build(c, b, a, c_need, b_need, a_need):
-        if k is None:
-            limits = (None, None, None)
-        else:
-            limits = ((k - c_need) // 3, (k - b_need) // 3, (k - a_need) // 3)
-        t = TetraHessenberg(
-            Band("a", 2, func=a, limit=limits[2]),
-            Band("b", 1, func=b, limit=limits[1]),
-            Band("c", 0, func=c, limit=limits[0]),
+    def transform(shift):
+        return _tetra_from_accessor(
+            lambda j: alphas.at(j + shift), None if k is None else k - shift
         )
-        if limits[2] is not None:
-            for n in range(2, limits[2] + 1):
-                t.a(n)  # NonPositiveSubSubDiagonal unless PBF-compatible
-        return t
 
-    hat = build(c_hat, b_hat, a_hat, 2, 1, 0)
-    hathat = build(c_hathat, b_hathat, a_hathat, 3, 2, 1)
-    return DarbouxPair(hat=hat, hathat=hathat, source_alphas=alphas)
+    return DarbouxPair(hat=transform(1), hathat=transform(2), source_alphas=alphas)
 
 
 def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
@@ -190,6 +154,20 @@ def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
     return out
 
 
+def _hat_bracket(v, at, k):
+    """v_{k+1} + (a_{3k+1}+a_{3k}) v_k + a_{3k} a_{3k-2} v_{k-1}, the bracket
+    sending B_k to x tildeB_k (a = alpha, read through ``at``)."""
+    out = v[k + 1] + v[k].scale(at(3 * k + 1) + at(3 * k))
+    if k >= 1:
+        out = out + v[k - 1].scale(at(3 * k) * at(3 * k - 2))
+    return out
+
+
+def _hathat_bracket(v, at, k):
+    """v_{k+1} + a_{3k+1} v_k, the bracket sending B_k to x tildetildeB_k."""
+    return v[k + 1] + v[k].scale(at(3 * k + 1))
+
+
 def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
     """The transformed type II sequences (tildeB, tildetildeB), indices 0..N:
 
@@ -207,13 +185,8 @@ def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
     tilde = []
     tildetilde = []
     for k in range(n + 1):
-        bracket = b[k + 1] + b[k].scale(at(3 * k + 1) + at(3 * k))
-        if k >= 1:
-            bracket = bracket + b[k - 1].scale(at(3 * k) * at(3 * k - 2))
-        tilde.append(bracket.exact_div_x(context=f"tildeB_{k}"))
-        tildetilde.append(
-            (b[k + 1] + b[k].scale(at(3 * k + 1))).exact_div_x(context=f"tildetildeB_{k}")
-        )
+        tilde.append(_hat_bracket(b, at, k).exact_div_x(context=f"tildeB_{k}"))
+        tildetilde.append(_hathat_bracket(b, at, k).exact_div_x(context=f"tildetildeB_{k}"))
     return (
         PolySequence(PolyKind.TRANSFORMED, tuple(tilde), label="tildeB"),
         PolySequence(PolyKind.TRANSFORMED, tuple(tildetilde), label="tildetildeB"),
@@ -470,20 +443,10 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     sk1, sk2, _ = second_kind_sequences(t, n + 2, nu)
     base = (tuple(type2_sequence(t, n + 2)), tuple(sk1), tuple(sk2))
     at = alphas.at
-
-    def hat_image(v, k):
-        out = v[k + 1] + v[k].scale(at(3 * k + 1) + at(3 * k))
-        if k >= 1:
-            out = out + v[k - 1].scale(at(3 * k) * at(3 * k - 2))
-        return out
-
-    def hathat_image(v, k):
-        return v[k + 1] + v[k].scale(at(3 * k + 1))
-
     families = (
         base,
-        tuple(tuple(hat_image(v, k) for k in range(n + 2)) for v in base),
-        tuple(tuple(hathat_image(v, k) for k in range(n + 2)) for v in base),
+        tuple(tuple(_hat_bracket(v, at, k) for k in range(n + 2)) for v in base),
+        tuple(tuple(_hathat_bracket(v, at, k) for k in range(n + 2)) for v in base),
     )
 
     max_value = None

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AlphaSequence, Classification, DenseMatrix, TetraHessenberg
+from .core import AlphaSequence, DenseMatrix, TetraHessenberg, _banded
 from .errors import ExactArithmeticRequired, SingularLeadingMinor, ZeroAlpha3n
 from .scalars import is_exact, is_zero, one_like, zero_like
 
@@ -46,32 +46,14 @@ class GaussBorelFactors:
         return len(self.delta) - 1
 
     def lower_matrix(self) -> DenseMatrix:
-        n = self.order
         one = one_like(self.delta[0])
-        zero = zero_like(one)
-        rows = []
-        for i in range(n + 1):
-            row = [zero] * (n + 1)
-            row[i] = one
-            if i >= 1:
-                row[i - 1] = self.m[i - 1]
-            if i >= 2:
-                row[i - 2] = self.ell[i - 2]
-            rows.append(row)
-        return DenseMatrix(rows)
+        bands = {0: lambda i: one, -1: lambda i: self.m[i - 1], -2: lambda i: self.ell[i - 2]}
+        return _banded(self.order + 1, bands, zero_like(one))
 
     def upper_matrix(self) -> DenseMatrix:
-        n = self.order
-        zero = zero_like(self.delta[0])
-        one = one_like(zero)
-        rows = []
-        for i in range(n + 1):
-            row = [zero] * (n + 1)
-            row[i] = self.u_diag[i]
-            if i + 1 <= n:
-                row[i + 1] = one
-            rows.append(row)
-        return DenseMatrix(rows)
+        one = one_like(self.delta[0])
+        bands = {0: lambda i: self.u_diag[i], 1: lambda i: one}
+        return _banded(self.order + 1, bands, zero_like(one))
 
 
 def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
@@ -119,12 +101,6 @@ def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
             alpha[3 * k + 2] = gb.ell[k - 1] / alpha[3 * k]
             alpha[3 * k + 3] = gb.m[k] - alpha[3 * k + 2]
     return AlphaSequence(values=alpha[1:])
-
-
-def is_pbf(alphas: AlphaSequence, count=None, start=1) -> Classification:
-    """Classify an alpha prefix: PBF (all > 0), TN (>= 0 with a zero), or
-    INDEFINITE (some entry < 0)."""
-    return alphas.classify(count=count, start=start)
 
 
 def lm_from_alphas(alphas: AlphaSequence, n: int):

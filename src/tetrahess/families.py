@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AlphaSequence, DenseMatrix, bands_from_alphas, tetra_from_alphas
+from .core import AlphaSequence, _banded, bands_from_alphas, tetra_from_alphas
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .factorization import lm_from_alphas
 
@@ -150,21 +150,8 @@ def jp_dense_truncation(p: JPParams, n: int):
     the raw band products so it exists in every region (outside the strip
     some a_n are negative and TetraHessenberg would refuse them)."""
     count = 3 * (n + 1) + 1
-    alphas = jp_alphas(p, Variant.FIRST, count)
-    c, b, a = bands_from_alphas(alphas)
-    size = n + 1
-    rows = []
-    for i in range(size):
-        row = [Fraction(0)] * size
-        row[i] = c(i)
-        if i + 1 < size:
-            row[i + 1] = Fraction(1)
-        if i >= 1:
-            row[i - 1] = b(i)
-        if i >= 2:
-            row[i - 2] = a(i)
-        rows.append(row)
-    return DenseMatrix(rows)
+    c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, count))
+    return _banded(n + 1, {0: c, 1: lambda i: Fraction(1), -1: b, -2: a}, Fraction(0))
 
 
 # Region sign table for the first period layers; the fixed grids used for

@@ -9,7 +9,7 @@ two must not be mixed within one computation.
 from __future__ import annotations
 
 from .errors import InexactDivision
-from .scalars import scalars_equal, zero_like
+from .scalars import zero_like
 
 
 def _strip(coeffs):
@@ -115,13 +115,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def approx_equal(self, other) -> bool:
-        """Coefficientwise comparison with the float-mode tolerance."""
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(
-            scalars_equal(self.coefficient(k), other.coefficient(k)) for k in range(n)
-        )
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"

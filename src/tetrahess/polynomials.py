@@ -9,19 +9,20 @@ Hessenberg matrix.
   which are characteristic polynomials of trailing truncations
   (B^(1)_{N+1} = det(xI - T^[N,1]), b^(1)_{N+1} = det(xI - T^[N,2])).
 
-All sequences satisfy four-term recurrences touching only the three bands,
-so the cost is O(N) polynomial operations.
+All sequences come from one four-term recurrence touching only the three
+bands (type I from its transpose), so the cost is O(N) polynomial
+operations.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import TetraHessenberg
 from .errors import ExactArithmeticRequired, IndexOutOfRange, ZeroNu
-from .poly import Poly, constant_poly, x_poly
-from .scalars import is_exact, is_zero, one_like, zero_like
+from .poly import Poly, constant_poly
+from .scalars import is_exact, is_zero, one_like
 
 
 class PolyKind(enum.Enum):
@@ -31,7 +32,6 @@ class PolyKind(enum.Enum):
     SECOND_KIND_B1 = "second_kind_b1"
     SECOND_KIND_B2 = "second_kind_b2"
     SECOND_KIND_SMALL_B1 = "second_kind_small_b1"
-    TRUNCATED_CHAR = "truncated_char"
     TRANSFORMED = "transformed"
 
 
@@ -53,17 +53,6 @@ class PolySequence:
     def __iter__(self):
         return iter(self.polys)
 
-    def at_origin(self):
-        return tuple(p.constant for p in self.polys)
-
-    def eval_at(self, x):
-        return tuple(p(x) for p in self.polys)
-
-
-def eval_sequence_at(seq: PolySequence, x):
-    """Values (P_0(x), ..., P_N(x))."""
-    return seq.eval_at(x)
-
 
 def _check_nu(t: TetraHessenberg, nu):
     if t.is_exact and not is_exact(nu):
@@ -75,6 +64,44 @@ def _check_nu(t: TetraHessenberg, nu):
     return nu
 
 
+def _x_minus(c, p: Poly) -> Poly:
+    """(x - c) p in O(deg p)."""
+    return p.times_x() - p.scale(c)
+
+
+def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False):
+    """The four-term recurrence, run from the window of constant seeds
+    (y_{start-2}, y_{start-1}, y_start) up to y_stop; returns the whole list
+    y_{start-2} .. y_stop.
+
+    Row form (type II and second kind), row m of (xI - T) y = 0:
+
+        y_{m+1} = (x - c_m) y_m - b_m y_{m-1} - a_m y_{m-2}
+
+    with the boundary coefficients b_0 = a_0 = a_1 = -1.  Column form
+    (``transpose``, type I), column m-1 of y (T - xI) = 0:
+
+        a_{m+1} y_{m+1} = (x - c_{m-1}) y_{m-1} - b_m y_m - y_{m-2}
+    """
+    out = [constant_poly(s) for s in seeds]
+    for m in range(start, stop):
+        w0, w1, w2 = out[-3:]
+        if transpose:
+            inv_a = 1 / t.a(m + 1)
+            new = (_x_minus(t.c(m - 1), w1) - w2.scale(t.b(m)) - w0).scale(inv_a)
+        else:
+            new = _x_minus(t.c(m), w2)
+            new = new - w1.scale(t.b(m) if m >= 1 else -1)
+            new = new - w0.scale(t.a(m) if m >= 2 else -1)
+        out.append(new)
+    return out
+
+
+def _type2_polys(t: TetraHessenberg, n: int, one):
+    """B_0 .. B_N: the row recurrence from the seeds (0, 0, 1)."""
+    return _recur(t, (0, 0, one), 0, n)[2:]
+
+
 def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
     """Monic B_0 .. B_N via
 
@@ -83,17 +110,7 @@ def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
     seeded by B_0 = 1, B_1 = x - c_0, B_2 = (x - c_1) B_1 - b_1."""
     if n < 0:
         raise ValueError("sequence length must be >= 0")
-    one = one_like(t.c(0))
-    x = x_poly(one)
-    polys = [constant_poly(one)]
-    if n >= 1:
-        polys.append(x - constant_poly(t.c(0)))
-    for k in range(1, n):
-        new = (x - constant_poly(t.c(k))) * polys[k] - polys[k - 1].scale(t.b(k))
-        if k >= 2:
-            new = new - polys[k - 2].scale(t.a(k))
-        polys.append(new)
-    return PolySequence(PolyKind.TYPE2, tuple(polys))
+    return PolySequence(PolyKind.TYPE2, tuple(_type2_polys(t, n, one_like(t.c(0)))))
 
 
 def type1_sequences(t: TetraHessenberg, n: int, nu):
@@ -110,20 +127,11 @@ def type1_sequences(t: TetraHessenberg, n: int, nu):
         raise ValueError("sequence length must be >= 0")
     nu = _check_nu(t, nu)
     one = one_like(t.c(0))
-    zero = zero_like(one)
-    x = x_poly(one)
-    a1 = [constant_poly(one), constant_poly(nu * one)]
-    a2 = [Poly(), constant_poly(one)]
-    for k in range(2, n + 1):
-        inv_a = one / t.a(k)
-        for seq in (a1, a2):
-            acc = (x - constant_poly(t.c(k - 2))) * seq[k - 2] - seq[k - 1].scale(t.b(k - 1))
-            if k >= 3:
-                acc = acc - seq[k - 3]
-            seq.append(acc.scale(inv_a))
+    a1 = _recur(t, (0, one, nu * one), 1, n, transpose=True)
+    a2 = _recur(t, (0, 0, one), 1, n, transpose=True)
     return (
-        PolySequence(PolyKind.TYPE1_A1, tuple(a1[: n + 1]), nu=nu),
-        PolySequence(PolyKind.TYPE1_A2, tuple(a2[: n + 1]), nu=nu),
+        PolySequence(PolyKind.TYPE1_A1, tuple(a1[1 : n + 2]), nu=nu),
+        PolySequence(PolyKind.TYPE1_A2, tuple(a2[1 : n + 2]), nu=nu),
     )
 
 
@@ -141,27 +149,8 @@ def second_kind_sequences(t: TetraHessenberg, n: int, nu):
         raise ValueError("sequence length must be >= 0")
     nu = _check_nu(t, nu)
     one = one_like(t.c(0))
-    x = x_poly(one)
-
-    def run(seed_m2, seed_m1):
-        window = [constant_poly(seed_m2), constant_poly(seed_m1), Poly()]
-        out = [window[2]]
-        for k in range(n):
-            new = (x - constant_poly(t.c(k))) * window[2]
-            if k >= 1:
-                new = new - window[1].scale(t.b(k))
-            else:
-                new = new + window[1]  # b_0 = -1
-            if k >= 2:
-                new = new - window[0].scale(t.a(k))
-            else:
-                new = new + window[0]  # a_0 = a_1 = -1
-            window = [window[1], window[2], new]
-            out.append(new)
-        return out
-
-    b1 = run(one, zero_like(one))
-    b2 = run(-one - nu, one)
+    b1 = _recur(t, (one, 0, 0), 0, n)[2:]
+    b2 = _recur(t, (-one - nu, one, 0), 0, n)[2:]
     small = [q + p.scale(nu) for p, q in zip(b1, b2)]
     return (
         PolySequence(PolyKind.SECOND_KIND_B1, tuple(b1), nu=nu),
@@ -174,22 +163,10 @@ def char_poly_truncation(t: TetraHessenberg, n: int, k: int) -> Poly:
     """det(xI - T^[N,k]) by banded expansion along the last row: O(N)
     polynomial operations, never materializing the dense truncation.
 
-    Seeds D_k = 1, D_{k+1} = x - c_k; then the four-term recurrence runs on
-    the bands shifted by k.  k = N gives x - c_N; k = N+1 (the empty
-    truncation) gives the constant 1, honouring det(empty) = 1.
+    This is B_{N-k+1} of the matrix with its first k rows and columns
+    deleted.  k = N gives x - c_N; k = N+1 (the empty truncation) gives the
+    constant 1, honouring det(empty) = 1 without reading past row N.
     """
     if not 0 <= k <= n + 1:
         raise IndexOutOfRange(f"char poly truncation index {k} not in [0, {n + 1}]")
-    one = one_like(t.c(0))
-    x = x_poly(one)
-    d_prev2 = Poly()            # D_{k-1}
-    d_prev = Poly()             # unused until the window fills
-    d_cur = constant_poly(one)  # D_k
-    for m in range(k, n + 1):
-        new = (x - constant_poly(t.c(m))) * d_cur
-        if m >= k + 1:
-            new = new - d_prev.scale(t.b(m))
-        if m >= k + 2:
-            new = new - d_prev2.scale(t.a(m))
-        d_prev2, d_prev, d_cur = d_prev, d_cur, new
-    return d_cur
+    return _type2_polys(t.shifted(k), n - k + 1, one_like(t.c(0)))[-1]

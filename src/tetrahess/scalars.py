@@ -3,17 +3,14 @@
 Two scalar regimes are supported.  The default is exact arithmetic over
 ``fractions.Fraction`` (ints are absorbed transparently); every identity in
 this package is then checked with ``==``.  Floating point is an explicit
-opt-in for throughput: comparisons then use a relative tolerance and zero
-tests use ``ZERO_TOLERANCE`` scaled by the magnitude of the quantities that
-produced the value.  Exact mode never consults either tolerance.
+opt-in for throughput: zero tests then use ``ZERO_TOLERANCE`` scaled by the
+magnitude of the quantities that produced the value.  Exact mode never
+consults the tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-#: Relative tolerance for float-mode equality of matrix / polynomial entries.
-COMPARE_RTOL = 1e-10
 
 #: |v| < ZERO_TOLERANCE * scale is treated as zero in float mode.
 ZERO_TOLERANCE = 1e-12
@@ -48,15 +45,6 @@ def zero_like(value):
 
 def one_like(value):
     return Fraction(1) if is_exact(value) else 1.0
-
-
-def scalars_equal(u, v) -> bool:
-    """Equality test honouring the float-mode relative tolerance."""
-    if is_exact(u) and is_exact(v):
-        return u == v
-    u = float(u)
-    v = float(v)
-    return abs(u - v) <= COMPARE_RTOL * max(1.0, abs(u), abs(v))
 
 
 def is_zero(value, scale=1) -> bool:

@@ -33,11 +33,20 @@ def _check_start_index(payload, expected):
         raise ValueError(f"start_index {declared!r} does not match the fixed convention {expected!r}")
 
 
+def _scalar_array(payload, key, mode):
+    values = payload[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{key!r} must be a JSON array, got {type(values).__name__}")
+    return tuple(parse_scalar(str(v), mode) for v in values)
+
+
 def _generator_alphas(spec, mode):
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec.get("name")
     count = int(spec.get("count", DEFAULT_GENERATOR_COUNT))
+    if count < 1:
+        raise ValueError(f"generator count must be >= 1, got {count}")
     if name == "ones":
         one = Fraction(1) if mode == "exact" else 1.0
         return AlphaSequence(values=(one,) * count)
@@ -58,7 +67,7 @@ def load_alphas(payload: dict, mode: str = "exact") -> AlphaSequence:
     if "alpha" not in payload:
         raise ValueError('alpha payload needs an "alpha" array or a "generator"')
     _check_start_index(payload, {"alpha": 1})
-    values = tuple(parse_scalar(str(v), mode) for v in payload["alpha"])
+    values = _scalar_array(payload, "alpha", mode)
     if not values:
         raise ValueError("alpha array is empty")
     return AlphaSequence(values=values)
@@ -82,9 +91,7 @@ def load_matrix(payload: dict, mode: str = "exact") -> TetraHessenberg:
     if missing:
         raise ValueError(f"matrix payload lacks band(s) {missing}")
     _check_start_index(payload, BAND_STARTS)
-    bands = {
-        k: tuple(parse_scalar(str(v), mode) for v in payload[k]) for k in ("a", "b", "c")
-    }
+    bands = {k: _scalar_array(payload, k, mode) for k in ("a", "b", "c")}
     if not bands["c"]:
         raise ValueError("band c is empty")
     return tetra_from_bands(a=bands["a"], b=bands["b"], c=bands["c"])

@@ -93,9 +93,11 @@ def _neighbors_positive(m: DenseMatrix) -> bool:
     return all(m.entry(i, i + 1) > 0 and m.entry(i + 1, i) > 0 for i in range(m.n - 1))
 
 
-def _full_scan(m: DenseMatrix):
-    """(first negative witness or None, minors checked).  Enumeration order:
-    minor order ascending, then row subsets lexicographic, then columns."""
+def _full_scan(m: DenseMatrix, violates=lambda value: value < 0):
+    """(first witness of a minor that ``violates``, or None; minors checked).
+    The default test finds negative minors; ``value <= 0`` tests total
+    positivity.  Enumeration order: minor order ascending, then row subsets
+    lexicographic, then columns."""
     table = _MinorTable(m)
     indices = range(m.n)
     checked = 0
@@ -104,7 +106,7 @@ def _full_scan(m: DenseMatrix):
             for cols in combinations(indices, order):
                 value = table.det(rows, cols)
                 checked += 1
-                if value < 0:
+                if violates(value):
                     witness = (
                         tuple(i + 1 for i in rows),
                         tuple(j + 1 for j in cols),
@@ -188,17 +190,6 @@ def is_oscillatory(m: DenseMatrix, cap: int = DEFAULT_CAP) -> TNReport:
     return is_totally_nonnegative(m, cap=cap)
 
 
-def _all_minors_positive(m: DenseMatrix) -> bool:
-    table = _MinorTable(m)
-    indices = range(m.n)
-    for order in range(1, m.n + 1):
-        for rows in combinations(indices, order):
-            for cols in combinations(indices, order):
-                if not table.det(rows, cols) > 0:
-                    return False
-    return True
-
-
 def is_oscillatory_power_oracle(m: DenseMatrix, cap: int = POWER_ORACLE_CAP) -> bool:
     """Definition-based oracle: m is oscillatory iff it is TN and some power
     m^k (1 <= k <= max(1, dim-1)) is totally positive.
@@ -212,7 +203,7 @@ def is_oscillatory_power_oracle(m: DenseMatrix, cap: int = POWER_ORACLE_CAP) -> 
         return False
     power = m
     for _ in range(max(1, dim - 1)):
-        if _all_minors_positive(power):
+        if _full_scan(power, violates=lambda value: value <= 0)[0] is None:
             return True
         power = power.mul(m)
     return False

@@ -204,3 +204,27 @@ class TestErrorMapping:
     def test_unknown_subcommand(self):
         code, _, _ = run(["frobnicate"])
         assert code == 64
+
+    def test_removed_global_flags(self, ones_file):
+        for flag in (["--seed", "3"], ["--float-tolerance", "1e-9"]):
+            code, _, _ = run(flag + ["darboux", "--alphas", ones_file, "--which", "hat"])
+            assert code == 64
+
+    @pytest.mark.parametrize(
+        "payload, argv",
+        [
+            ({"alpha": "1234"}, ["darboux", "--which", "hat", "--alphas"]),
+            ({"a": "12", "b": "34", "c": "567"},
+             ["polys", "--n", "2", "--kind", "type2", "--at", "0", "--input"]),
+            ({"generator": {"name": "ones", "count": 0}}, ["darboux", "--which", "hat", "--alphas"]),
+            ({"generator": {"name": "ones", "count": 0}},
+             ["polys", "--n", "2", "--kind", "type2", "--input"]),
+        ],
+    )
+    def test_malformed_payload_is_input_error(self, tmp_path, payload, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(argv + [str(path)])
+        assert code == 65
+        assert out == ""
+        assert "input error" in err

@@ -13,7 +13,6 @@ from tetrahess import (
     ZeroAlpha3n,
     bidiagonal_factor,
     gauss_borel,
-    is_pbf,
     leading_principal,
     lm_from_alphas,
     tetra_from_alphas,
@@ -101,13 +100,6 @@ def test_lu_product_reproduces_truncation(seed, n):
     except SingularLeadingMinor:
         return  # factorization legitimately absent
     assert gb.lower_matrix().mul(gb.upper_matrix()) == leading_principal(t, n)
-
-
-def test_is_pbf_wraps_classify():
-    from tetrahess import AlphaSequence
-
-    assert is_pbf(AlphaSequence(values=(F(1), F(2)))) is Classification.PBF
-    assert is_pbf(AlphaSequence(values=(F(1), F(0), F(1)))) is Classification.TN
 
 
 def test_lm_from_alphas_matches_gauss_borel(t_ones, ones_alphas):

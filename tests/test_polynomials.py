@@ -16,6 +16,7 @@ from tetrahess import (
     leading_principal,
     second_kind_sequences,
     tetra_from_alphas,
+    tetra_from_bands,
     trailing_truncation,
     type1_sequences,
     type2_sequence,
@@ -152,6 +153,28 @@ def test_char_poly_truncation_guards(t_ones):
         char_poly_truncation(t_ones, 3, 5)
     with pytest.raises(IndexOutOfRange):
         char_poly_truncation(t_ones, 3, -1)
+
+
+def test_char_poly_truncation_empty_reads_no_band_past_n():
+    # the c band ends at N = 3, so finding the unit of the empty trailing
+    # truncation must not read c_4
+    t = tetra_from_bands(a=[F(1), F(2)], b=[F(2), F(3), F(1)], c=[F(1), F(3), F(2), F(5)])
+    assert char_poly_truncation(t, 3, 4) == Poly((F(1),))
+    assert char_poly_truncation(t, 3, 3) == Poly((F(-5), F(1)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_type1_left_null_vector_random(seed):
+    """Against the dense matrix, not the recurrence: for every column
+    j <= N-2 of T^[N], sum_i A_i (T - xI)_{ij} = 0 for both type I strands."""
+    t, n = matrix_corpus(seed, 1, n_lo=3, n_hi=8)[0]
+    m = leading_principal(t, n)
+    for strand in type1_sequences(t, n, F(-2, 3) + seed):
+        for j in range(n - 1):
+            total = -strand[j].times_x()
+            for i in range(n + 1):
+                total = total + strand[i].scale(m.entry(i, j))
+            assert total.is_zero(), (seed, j)
 
 
 @settings(max_examples=20, derandomize=True)

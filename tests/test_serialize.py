@@ -116,6 +116,31 @@ def test_load_matrix_requires_bands():
         load_matrix({"a": [], "b": [], "c": []})
 
 
+def test_load_alphas_rejects_string_array():
+    # a string is iterable, but "1234" is not the alphas (1, 2, 3, 4)
+    with pytest.raises(ValueError):
+        load_alphas({"alpha": "1234"})
+    with pytest.raises(ValueError):
+        load_alphas({"alpha": {"1": "2"}})
+
+
+def test_load_matrix_rejects_string_bands():
+    with pytest.raises(ValueError):
+        load_matrix({"a": "12", "b": "34", "c": "567"})
+    with pytest.raises(ValueError):
+        load_matrix({"a": ["1"], "b": ["2"], "c": "56"})
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_generator_count_must_be_positive(count):
+    for name in ("ones", "jacobi-pineiro"):
+        spec = {"name": name, "count": count, "alpha": "0", "beta": "1/2", "gamma": "0"}
+        with pytest.raises(ValueError):
+            load_alphas({"generator": spec})
+        with pytest.raises(ValueError):
+            load_matrix({"generator": spec})
+
+
 def test_float_mode_parsing():
     alphas = load_alphas({"alpha": ["0.5", "2"]}, mode="float")
     assert alphas.at(1) == 0.5
