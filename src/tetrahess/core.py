@@ -340,6 +340,33 @@ class DenseMatrix:
                 m = am.add_scaled_identity(ck)
         return Poly(tuple(reversed(descending)))
 
+    def leading_char_polys(self) -> list:
+        """[det(xI - M_k) for k = 0..n], M_k the leading k x k block of this
+        lower Hessenberg matrix, in one pass of the cofactor recurrence
+
+            p_{k+1} = (x - m_kk) p_k - sum_{j<k} m_kj (m_{j,j+1} ... m_{k-1,k}) p_j
+
+        (expansion of det(xI - M_{k+1}) along its last row; Wilkinson 1965,
+        section 7.11).  It reads the dense entries only, superdiagonal
+        included, and skips exactly-zero entries, so a banded input costs
+        one polynomial term per nonzero subdiagonal entry.  Raises ValueError
+        if an entry above the superdiagonal is nonzero."""
+        rows = self.rows
+        one = one_like(rows[0][0]) if rows else Fraction(1)
+        polys = [Poly((one,))]
+        for k, row in enumerate(rows):
+            if any(v != 0 for v in row[k + 2 :]):
+                raise ValueError(f"row {k} has a nonzero entry above the superdiagonal")
+            p = polys[k]
+            new = p.times_x() - p.scale(row[k])
+            chain = one  # m_{j,j+1} ... m_{k-1,k}
+            for j in range(k - 1, -1, -1):
+                chain = chain * rows[j][j + 1]
+                if row[j] != 0:
+                    new = new - polys[j].scale(row[j] * chain)
+            polys.append(new)
+        return polys
+
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented

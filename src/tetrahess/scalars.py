@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-#: |v| < ZERO_TOLERANCE * scale is treated as zero in float mode.
+#: |v| <= ZERO_TOLERANCE * |scale| is treated as zero in float mode.
 ZERO_TOLERANCE = 1e-12
 
 EXACT_TYPES = (Fraction, int)
@@ -49,7 +49,8 @@ def one_like(value):
 
 def is_zero(value, scale=1) -> bool:
     """Zero test; ``scale`` conveys the magnitude of the computation that
-    produced ``value`` so the float tolerance is relative, not absolute."""
+    produced ``value`` so the float tolerance is relative, not absolute
+    (an exact 0.0 at scale 0 still counts as zero)."""
     if is_exact(value):
         return value == 0
-    return abs(value) < ZERO_TOLERANCE * max(1.0, abs(float(scale)))
+    return abs(value) <= ZERO_TOLERANCE * abs(float(scale))

@@ -48,17 +48,19 @@ def _generator_alphas(spec, mode):
     if count < 1:
         raise ValueError(f"generator count must be >= 1, got {count}")
     if name == "ones":
-        one = Fraction(1) if mode == "exact" else 1.0
-        return AlphaSequence(values=(one,) * count)
-    if name == "jacobi-pineiro":
+        seq = AlphaSequence(values=(Fraction(1),) * count)
+    elif name == "jacobi-pineiro":
         params = JPParams(
             alpha=parse_scalar(str(spec["alpha"])),
             beta=parse_scalar(str(spec["beta"])),
             gamma=parse_scalar(str(spec["gamma"])),
         )
-        variant = Variant(spec.get("variant", "first"))
-        return jp_alphas(params, variant, count)
-    raise ValueError(f"unknown generator {name!r}")
+        seq = jp_alphas(params, Variant(spec.get("variant", "first")), count)
+    else:
+        raise ValueError(f"unknown generator {name!r}")
+    if mode == "float":
+        return AlphaSequence(values=tuple(float(v) for v in seq.values))
+    return seq
 
 
 def load_alphas(payload: dict, mode: str = "exact") -> AlphaSequence:

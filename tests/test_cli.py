@@ -6,7 +6,9 @@ import contextlib
 
 import pytest
 
+from tetrahess import cli
 from tetrahess.cli import main
+from tetrahess.poly import Poly
 
 
 def run(argv):
@@ -20,6 +22,15 @@ def run(argv):
 def ones_file(tmp_path):
     path = tmp_path / "ones.json"
     path.write_text(json.dumps({"generator": "ones"}))
+    return str(path)
+
+
+@pytest.fixture()
+def jp_r3_file(tmp_path):
+    path = tmp_path / "jp.json"
+    path.write_text(json.dumps({"generator": {
+        "name": "jacobi-pineiro", "variant": "akv",
+        "alpha": "0", "beta": "1/2", "gamma": "0", "count": 70}}))
     return str(path)
 
 
@@ -88,6 +99,15 @@ class TestFactor:
                             "--alpha2", "1"])
         assert code == 0
         assert json.loads(out)["classification"] == "PBF"
+
+    def test_float_mode_jacobi_pineiro_generator(self, jp_r3_file):
+        code, out, err = run(["--mode", "float", "factor", "--input", jp_r3_file,
+                              "--n", "5", "--alpha2", "0.5"])
+        body = json.loads(out)
+        assert code == {"PBF": 0, "TN": 1, "INDEFINITE": 2}[body["classification"]], err
+        assert len(body["alpha"]) == 16
+        assert all("/" not in v and "." in v for v in body["alpha"])
+        assert float(body["alpha"][0]) == 0.5
 
     def test_breakdown_maps_to_compute_error(self, tsym_file):
         code, _, err = run(["factor", "--input", tsym_file, "--n", "2",
@@ -181,6 +201,60 @@ class TestVerify:
         code, _, _ = run(["verify", "--suite", "akv", "--alphas", str(bad),
                           "--n", "4"])
         assert code == 70  # negative band surfaces as a compute error
+
+
+def _perturbed(seq, index):
+    """seq with the constant coefficient of entry ``index`` raised by one."""
+    polys = list(seq)
+    p = polys[index]
+    polys[index] = Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
+    return polys
+
+
+class TestVerifyCharpolyCanFail:
+    @pytest.mark.parametrize("index", [1, 4, 6])
+    def test_wrong_type2_entry(self, monkeypatch, ones_file, index):
+        original = cli.type2_sequence
+        monkeypatch.setattr(cli, "type2_sequence", lambda t, n: _perturbed(original(t, n), index))
+        code, out, err = run(["verify", "--suite", "charpoly", "--alphas", ones_file, "--n", "5"])
+        assert code == 1, err
+        assert json.loads(out)["error"] == f"charpoly: B_{index} differs from the dense oracle"
+
+    @pytest.mark.parametrize("which, label, index", [
+        (0, "B^(1)", 2), (0, "B^(1)", 6), (2, "b^(1)", 2), (2, "b^(1)", 6),
+    ])
+    def test_wrong_second_kind_entry(self, monkeypatch, ones_file, which, label, index):
+        original = cli.second_kind_sequences
+
+        def fake(t, n, nu):
+            seqs = list(original(t, n, nu))
+            seqs[which] = _perturbed(seqs[which], index)
+            return tuple(seqs)
+
+        monkeypatch.setattr(cli, "second_kind_sequences", fake)
+        code, out, err = run(["verify", "--suite", "charpoly", "--alphas", ones_file, "--n", "5"])
+        assert code == 1, err
+        error = json.loads(out)["error"]
+        assert error.startswith(f"charpoly: {label}_{index} differs from the k=")
+        assert f"verification failure: {error}" in err
+
+
+class TestVerifyDataShortfall:
+    @pytest.mark.parametrize("suite", ["charpoly", "tn"])
+    def test_too_few_rows_is_input_error(self, tsym_file, suite):
+        code, out, err = run(["verify", "--suite", suite, "--input", tsym_file, "--n", "50"])
+        assert code == 65
+        assert out == ""
+        assert err.startswith(f"input error: {suite}: band 'c' holds 3 entries")
+
+    def test_identity_failure_still_exits_1(self, tmp_path, ones_file):
+        # an unrelated matrix against the ones alphas breaks a Christoffel identity
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"a": ["2"] * 8, "b": ["1"] * 9, "c": ["3"] * 10}))
+        code, out, _ = run(["verify", "--suite", "christoffel", "--alphas", ones_file,
+                            "--input", str(other), "--n", "2"])
+        assert code == 1
+        assert json.loads(out)["error"].startswith("christoffel: identity ")
 
 
 class TestErrorMapping:

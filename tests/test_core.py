@@ -13,12 +13,14 @@ from tetrahess import (
     DenseMatrix,
     IndexOutOfRange,
     NonPositiveSubSubDiagonal,
+    Poly,
     alpha_factor_matrices,
     bands_from_alphas,
     leading_principal,
     tetra_from_alphas,
     tetra_from_bands,
     trailing_truncation,
+    type2_sequence,
 )
 from tetrahess.core import Band
 
@@ -189,6 +191,60 @@ class TestDenseMatrix:
             m = DenseMatrix(rows)
             sm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
             assert sympy.Rational(m.det().numerator, m.det().denominator) == sm.det()
+
+
+def random_lower_hessenberg(rng, n):
+    """Dense n x n lower Hessenberg Fraction matrix; about a third of the
+    entries on and below the superdiagonal are zero, and the superdiagonal
+    is not unit."""
+
+    def entry():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-5, 5), rng.randint(1, 3))
+
+    return DenseMatrix([[entry() if j <= i + 1 else F(0) for j in range(n)] for i in range(n)])
+
+
+class TestLeadingCharPolys:
+    def test_every_leading_block_matches_faddeev_leverrier(self):
+        rng = random.Random(11)
+        for n in range(9):
+            for _ in range(6):
+                m = random_lower_hessenberg(rng, n)
+                polys = m.leading_char_polys()
+                assert len(polys) == n + 1
+                for k, p in enumerate(polys):
+                    block = m.submatrix(range(k), range(k))
+                    assert p == block.char_poly(), (n, k, m)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(12)
+        for n in range(9):
+            m = random_lower_hessenberg(rng, n)
+            sm = sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator) for r in m.rows for v in r])
+            want = sympy.Poly(sm.charpoly(x).as_expr(), x).all_coeffs()[::-1]
+            got = m.leading_char_polys()[-1].coeffs
+            assert [sympy.Rational(v.numerator, v.denominator) for v in got] == want
+
+    def test_reads_a_zero_and_a_non_unit_superdiagonal(self):
+        # det(xI - M) = (x - 1)(x - 2) - 3 * 5 for the 2 x 2 block
+        m = DenseMatrix([[F(1), F(3), F(0)], [F(5), F(2), F(0)], [F(7), F(1), F(4)]])
+        polys = m.leading_char_polys()
+        assert polys[2].coeffs == (F(-13), F(-3), F(1))
+        # the zero superdiagonal entry cuts row 2 off from the block above it
+        assert polys[3] == polys[2] * Poly((F(-4), F(1)))
+
+    def test_tetradiagonal_truncations_give_type2(self, t_ones):
+        polys = leading_principal(t_ones, 6).leading_char_polys()
+        assert polys == list(type2_sequence(t_ones, 7))
+
+    def test_rejects_entry_above_superdiagonal(self):
+        m = DenseMatrix([[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]])
+        assert len(m.leading_char_polys()) == 4
+        bad = DenseMatrix([[F(1), F(1), F(2)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]])
+        with pytest.raises(ValueError, match="above the superdiagonal"):
+            bad.leading_char_polys()
 
 
 @settings(max_examples=30, derandomize=True)
