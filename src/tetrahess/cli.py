@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import re
+import signal
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .darboux import (
     darboux_transforms,
     verify_christoffel,
 )
-from .errors import BandExhausted, TetraError
+from .errors import BandExhausted, OutsideNaturalRegion, TetraError
 from .factorization import bidiagonal_factor, gauss_borel
 from .families import (
     JP_VERIFICATION_GRID,
@@ -95,17 +96,10 @@ def _read_json(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_alphas_file(path, mode):
+def _load_file(load, path, mode):
     try:
-        return load_alphas(_read_json(path), mode)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_matrix_file(path, mode):
-    try:
-        return load_matrix(_read_json(path), mode)
-    except (ValueError, KeyError, TypeError) as exc:
+        return load(_read_json(path), mode)
+    except (ValueError, KeyError, TypeError, OutsideNaturalRegion) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -116,19 +110,12 @@ def _parse_flag_scalar(text, mode, flag):
         raise UsageError(f"{flag}: cannot parse {text!r}") from exc
 
 
-def _jp_params(args, mode):
-    try:
-        return JPParams(
-            alpha=_parse_flag_scalar(args.alpha, mode, "--alpha"),
-            beta=_parse_flag_scalar(args.beta, mode, "--beta"),
-            gamma=_parse_flag_scalar(args.gamma, mode, "--gamma"),
-        )
-    except TetraError as exc:  # outside the natural region
-        raise InputError(str(exc)) from exc
-
-
 def _cmd_jp(args, mode):
-    params = _jp_params(args, mode)
+    params = JPParams(
+        alpha=_parse_flag_scalar(args.alpha, mode, "--alpha"),
+        beta=_parse_flag_scalar(args.beta, mode, "--beta"),
+        gamma=_parse_flag_scalar(args.gamma, mode, "--gamma"),
+    )
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     seq = jp_alphas(params, Variant(args.variant), args.count)
@@ -146,14 +133,13 @@ def _cmd_jp(args, mode):
 
 
 def _cmd_jp_scan(args, mode):
+    if mode != "exact":
+        raise UsageError("jp-scan runs in exact mode only")
     gamma = _parse_flag_scalar(args.gamma, mode, "--gamma")
     bases = list(dict.fromkeys((p.alpha, p.beta) for p in JP_VERIFICATION_GRID))
     lines = ["alpha,beta,region,pbf_flag,oscillatory_flag"]
     for alpha, beta in bases:
-        try:
-            params = JPParams(alpha=alpha, beta=beta, gamma=gamma)
-        except TetraError as exc:
-            raise InputError(str(exc)) from exc
+        params = JPParams(alpha=alpha, beta=beta, gamma=gamma)
         akv = jp_alphas(params, Variant.AKV, 24)
         pbf = akv.classify(24).value == "PBF"
         osc = is_totally_nonnegative(jp_dense_truncation(params, 4)).is_oscillatory_gk
@@ -166,7 +152,7 @@ def _cmd_jp_scan(args, mode):
 
 
 def _cmd_factor(args, mode):
-    t = _load_matrix_file(args.input, mode)
+    t = _load_file(load_matrix, args.input, mode)
     alpha2 = _parse_flag_scalar(args.alpha2, mode, "--alpha2")
     if args.n < 0:
         raise UsageError("--n must be >= 0")
@@ -183,7 +169,7 @@ def _cmd_factor(args, mode):
 
 
 def _cmd_polys(args, mode):
-    t = _load_matrix_file(args.input, mode)
+    t = _load_file(load_matrix, args.input, mode)
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     if args.kind == "type2":
@@ -212,7 +198,7 @@ def _cmd_polys(args, mode):
 
 
 def _cmd_darboux(args, mode):
-    alphas = _load_alphas_file(args.alphas, mode)
+    alphas = _load_file(load_alphas, args.alphas, mode)
     pair = darboux_transforms(alphas)
     t = pair.hat if args.which == "hat" else pair.hathat
     body = dump_matrix(t)
@@ -318,9 +304,9 @@ def _cmd_verify(args, mode):
         raise UsageError("--n must be >= 0")
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
 
-    alphas = _load_alphas_file(args.alphas, "exact") if args.alphas else None
+    alphas = _load_file(load_alphas, args.alphas, "exact") if args.alphas else None
     if args.input:
-        t = _load_matrix_file(args.input, "exact")
+        t = _load_file(load_matrix, args.input, "exact")
     elif alphas is not None:
         t = tetra_from_alphas(alphas)
     else:
@@ -443,7 +429,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InputError as exc:
+    except (InputError, BandExhausted, OutsideNaturalRegion) as exc:
+        # --n past the rows or alphas supplied, and Jacobi-Pineiro parameters
+        # outside the natural region, are bad input like a malformed file
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationFailure as exc:
@@ -456,6 +444,10 @@ def main(argv=None) -> int:
 
 
 def entry():
+    """Console-script entry point.  A closed stdout (``tetrahess ... | head``)
+    ends the process quietly, as it does any Unix filter."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

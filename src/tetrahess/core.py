@@ -271,17 +271,6 @@ class DenseMatrix:
             )
         )
 
-    def sub(self, other: "DenseMatrix") -> "DenseMatrix":
-        return DenseMatrix(
-            tuple(
-                tuple(u - v for u, v in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(tuple(zip(*self.rows)))
-
     def trace(self):
         return sum(self.rows[i][i] for i in range(self.n))
 

@@ -29,7 +29,6 @@ from .core import (
 from .errors import (
     ExactArithmeticRequired,
     IdentityViolation,
-    InexactDivision,
     SignViolation,
     SingularQuasiDetSystem,
     TetraError,
@@ -50,11 +49,10 @@ from .scalars import is_zero
 
 @dataclass(frozen=True)
 class DarbouxPair:
-    """The two transformed matrices together with the alphas producing them."""
+    """The two transformed matrices."""
 
     hat: TetraHessenberg
     hathat: TetraHessenberg
-    source_alphas: AlphaSequence
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def darboux_transforms(alphas: AlphaSequence) -> DarbouxPair:
             lambda j: alphas.at(j + shift), None if k is None else k - shift
         )
 
-    return DarbouxPair(hat=transform(1), hathat=transform(2), source_alphas=alphas)
+    return DarbouxPair(hat=transform(1), hathat=transform(2))
 
 
 def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
@@ -188,8 +186,8 @@ def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
         tilde.append(_hat_bracket(b, at, k).exact_div_x(context=f"tildeB_{k}"))
         tildetilde.append(_hathat_bracket(b, at, k).exact_div_x(context=f"tildetildeB_{k}"))
     return (
-        PolySequence(PolyKind.TRANSFORMED, tuple(tilde), label="tildeB"),
-        PolySequence(PolyKind.TRANSFORMED, tuple(tildetilde), label="tildetildeB"),
+        PolySequence(PolyKind.TRANSFORMED, tuple(tilde)),
+        PolySequence(PolyKind.TRANSFORMED, tuple(tildetilde)),
     )
 
 
@@ -206,6 +204,19 @@ def transformed_char_polys(pair: DarbouxPair, n: int, k: int, nu):
     first = char_poly_truncation(pair.hat, n, 1)
     second = char_poly_truncation(pair.hat, n, 2) - first.scale(nu)
     return main, first, second
+
+
+def _hat_a_bracket(v, at, k):
+    """v_k + a_{3k+2} v_{k+1}, the bracket sending A2 to hatA1 and A1 to
+    x tildeA2 (a = alpha, read through ``at``)."""
+    return v[k] + v[k + 1].scale(at(3 * k + 2))
+
+
+def _hathat_a_bracket(v, at, k):
+    """v_k + (a_{3k+2}+a_{3k+3}) v_{k+1} + a_{3k+5} a_{3k+3} v_{k+2}, the
+    bracket sending A1 (A2) to x tildetildeA1 (x tildetildeA2)."""
+    s = at(3 * k + 2) + at(3 * k + 3)
+    return v[k] + v[k + 1].scale(s) + v[k + 2].scale(at(3 * k + 5) * at(3 * k + 3))
 
 
 def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> TransformedPolys:
@@ -230,31 +241,20 @@ def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tran
     tt_a1 = []
     tt_a2 = []
     for k in range(n + 1):
-        w = at(3 * k + 2)
-        hat_a1.append(a2[k] + a2[k + 1].scale(w))
-        tilde_a2.append((a1[k] + a1[k + 1].scale(w)).exact_div_x(context=f"tildeA2_{k}"))
-        s = at(3 * k + 2) + at(3 * k + 3)
-        p = at(3 * k + 5) * at(3 * k + 3)
-        tt_a1.append(
-            (a1[k] + a1[k + 1].scale(s) + a1[k + 2].scale(p)).exact_div_x(
-                context=f"tildetildeA1_{k}"
-            )
-        )
-        tt_a2.append(
-            (a2[k] + a2[k + 1].scale(s) + a2[k + 2].scale(p)).exact_div_x(
-                context=f"tildetildeA2_{k}"
-            )
-        )
+        hat_a1.append(_hat_a_bracket(a2, at, k))
+        tilde_a2.append(_hat_a_bracket(a1, at, k).exact_div_x(context=f"tildeA2_{k}"))
+        tt_a1.append(_hathat_a_bracket(a1, at, k).exact_div_x(context=f"tildetildeA1_{k}"))
+        tt_a2.append(_hathat_a_bracket(a2, at, k).exact_div_x(context=f"tildetildeA2_{k}"))
 
-    def seq(polys, label):
-        return PolySequence(PolyKind.TRANSFORMED, tuple(polys), nu=nu, label=label)
+    def seq(polys):
+        return PolySequence(PolyKind.TRANSFORMED, tuple(polys), nu=nu)
 
     return TransformedPolys(
         nu=nu,
-        hatA1=seq(hat_a1, "hatA1"),
-        tildeA2=seq(tilde_a2, "tildeA2"),
-        tildetildeA1=seq(tt_a1, "tildetildeA1"),
-        tildetildeA2=seq(tt_a2, "tildetildeA2"),
+        hatA1=seq(hat_a1),
+        tildeA2=seq(tilde_a2),
+        tildetildeA1=seq(tt_a1),
+        tildetildeA2=seq(tt_a2),
     )
 
 
@@ -271,6 +271,17 @@ def darboux_polynomials(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tr
         tildetildeA1=tp.tildetildeA1,
         tildetildeA2=tp.tildetildeA2,
     )
+
+
+def _origin_system(a10, a20, k):
+    """[s1, s2] = [A1_k(0), A2_k(0)] M_k^{-1}, with M_k the 2x2 matrix whose
+    rows are the origin values (A1(0), A2(0)) at indices k+1 and k+2."""
+    det = a10[k + 1] * a20[k + 2] - a20[k + 1] * a10[k + 2]
+    if det == 0:
+        raise SingularQuasiDetSystem(k)
+    s1 = (a10[k] * a20[k + 2] - a20[k] * a10[k + 2]) / det
+    s2 = (a20[k] * a10[k + 1] - a10[k] * a20[k + 1]) / det
+    return s1, s2
 
 
 def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
@@ -305,12 +316,8 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
             raise ZeroAtOrigin(k + 1, "A1")
         alpha[3 * k + 2] = -a10[k] / a10[k + 1]
     for k in range(n):
-        det = a10[k + 1] * a20[k + 2] - a20[k + 1] * a10[k + 2]
-        if det == 0:
-            raise SingularQuasiDetSystem(k)
-        # first component of -[A1_k(0), A2_k(0)] M^{-1}
-        total = -(a10[k] * a20[k + 2] - a20[k] * a10[k + 2]) / det
-        alpha[3 * k + 3] = total - alpha[3 * k + 2]
+        s1, _ = _origin_system(a10, a20, k)
+        alpha[3 * k + 3] = -s1 - alpha[3 * k + 2]
     return AlphaSequence(values=alpha[1:])
 
 
@@ -318,6 +325,17 @@ def _check_pbf(alphas: AlphaSequence, count: int, op: str):
     needed = count if alphas.length is None else min(count, alphas.length)
     if alphas.classify(count=needed) is not Classification.PBF:
         raise TetraError(f"{op} requires a PBF alpha sequence (positive entries)")
+
+
+def _check_identity(name, k, lhs, rhs, over_x=True):
+    """Check lhs = rhs.  With ``over_x``, lhs is a bracket of the base
+    sequences standing for x times a transformed polynomial, so it must
+    also be divisible by x."""
+    if over_x and lhs.constant != 0:
+        raise IdentityViolation(name, k, lhs.constant)
+    residual = lhs - rhs
+    if not residual.is_zero():
+        raise IdentityViolation(name, k, residual)
 
 
 def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> ChristoffelReport:
@@ -335,67 +353,46 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
                      x tildetildeA{a}_k = A{a}_k - s1 A{a}_{k+1} - s2 A{a}_{k+2}
                      with [s1, s2] = [A1_k(0), A2_k(0)] M_k^{-1}.
 
-    Raises IdentityViolation at the first failure, in (k, identity) order.
+    Each left side is formed from one build of B and of (A1, A2) by the
+    brackets of transformed_type2 and transformed_type1; a left side that
+    is not divisible by x fails its identity with the constant term as
+    residual.  Raises IdentityViolation at the first failure, in
+    (k, identity) order.
     """
     _require_exact(t, "verify_christoffel")
     _check_pbf(alphas, 3 * n + 5, "verify_christoffel")
+    if n < 1:
+        raise ValueError("transformed sequences need N >= 1")
     b = type2_sequence(t, n + 1)
-    try:
-        polys = darboux_polynomials(t, alphas, n)
-    except InexactDivision as exc:
-        # a failed x-division while building the transforms already refutes
-        # the correspondence; surface it under the verifier's contract
-        name, _, idx = exc.context.rpartition("_")
-        raise IdentityViolation(name, int(idx) if idx.isdigit() else idx,
-                                exc.constant) from exc
-    a1, a2 = type1_sequences(t, n + 2, polys.nu)
+    a1, a2 = type1_sequences(t, n + 2, _forced_nu(alphas))
+    at = alphas.at
     b0 = [p.constant for p in b]
     a10 = [p.constant for p in a1]
     a20 = [p.constant for p in a2]
     names = ("tilde_b", "tildetilde_b", "hat_a1", "tilde_a2", "tildetilde_a1", "tildetilde_a2")
-    checked = 0
     for k in range(n + 1):
         if a10[k] == 0 or a10[k + 1] == 0:
             raise ZeroAtOrigin(k if a10[k] == 0 else k + 1, "A1")
         if b0[k] == 0:
             raise ZeroAtOrigin(k, "B")
-        # tilde_b
         rhs = b[k + 1] + b[k].scale((a10[k - 1] if k >= 1 else 0) / a10[k] + t.c(k))
         if k >= 1:
             rhs = rhs - b[k - 1].scale(a10[k + 1] / a10[k] * t.a(k + 1))
-        residual = polys.tildeB[k].times_x() - rhs
-        if not residual.is_zero():
-            raise IdentityViolation("tilde_b", k, residual)
-        # tildetilde_b; the ratio multiplies B_k (monicity forces this
-        # orientation -- the two readings coincide only when the ratio is -1)
+        _check_identity("tilde_b", k, _hat_bracket(b, at, k), rhs)
+        # the ratio multiplies B_k (monicity forces this orientation -- the
+        # two readings coincide only when the ratio is -1)
         rhs = b[k + 1] - b[k].scale(b0[k + 1] / b0[k])
-        residual = polys.tildetildeB[k].times_x() - rhs
-        if not residual.is_zero():
-            raise IdentityViolation("tildetilde_b", k, residual)
-        # hat_a1 / tilde_a2 share the ratio A1_k(0)/A1_{k+1}(0)
+        _check_identity("tildetilde_b", k, _hathat_bracket(b, at, k), rhs)
         ratio = a10[k] / a10[k + 1]
-        residual = polys.hatA1[k] - (a2[k] - a2[k + 1].scale(ratio))
-        if not residual.is_zero():
-            raise IdentityViolation("hat_a1", k, residual)
-        residual = polys.tildeA2[k].times_x() - (a1[k] - a1[k + 1].scale(ratio))
-        if not residual.is_zero():
-            raise IdentityViolation("tilde_a2", k, residual)
-        # the 2x2-inverse pair
-        det = a10[k + 1] * a20[k + 2] - a20[k + 1] * a10[k + 2]
-        if det == 0:
-            raise SingularQuasiDetSystem(k)
-        s1 = (a10[k] * a20[k + 2] - a20[k] * a10[k + 2]) / det
-        s2 = (-a10[k] * a20[k + 1] + a20[k] * a10[k + 1]) / det
-        for name, seq, aseq in (
-            ("tildetilde_a1", polys.tildetildeA1, a1),
-            ("tildetilde_a2", polys.tildetildeA2, a2),
-        ):
-            rhs = aseq[k] - aseq[k + 1].scale(s1) - aseq[k + 2].scale(s2)
-            residual = seq[k].times_x() - rhs
-            if not residual.is_zero():
-                raise IdentityViolation(name, k, residual)
-        checked += len(names)
-    return ChristoffelReport(n_max=n, identities=names, checked=checked)
+        rhs = a2[k] - a2[k + 1].scale(ratio)
+        _check_identity("hat_a1", k, _hat_a_bracket(a2, at, k), rhs, over_x=False)
+        rhs = a1[k] - a1[k + 1].scale(ratio)
+        _check_identity("tilde_a2", k, _hat_a_bracket(a1, at, k), rhs)
+        s1, s2 = _origin_system(a10, a20, k)
+        for name, v in (("tildetilde_a1", a1), ("tildetilde_a2", a2)):
+            rhs = v[k] - v[k + 1].scale(s1) - v[k + 2].scale(s2)
+            _check_identity(name, k, _hathat_a_bracket(v, at, k), rhs)
+    return ChristoffelReport(n_max=n, identities=names, checked=len(names) * (n + 1))
 
 
 #: The twelve sign-definite 2x2 pairings: (top family, top index shift,

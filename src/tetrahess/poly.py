@@ -45,12 +45,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coefficient(self, power: int):
-        return self.coeffs[power] if 0 <= power < len(self.coeffs) else 0
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):

@@ -42,7 +42,6 @@ class PolySequence:
     kind: PolyKind
     polys: tuple
     nu: object = None
-    label: str = ""
 
     def __len__(self):
         return len(self.polys)

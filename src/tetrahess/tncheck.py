@@ -36,9 +36,7 @@ class TNReport:
     witness: tuple = None
     minors_checked: int = 0
     is_nonsingular: bool = None
-    is_irreducible: bool = None
     is_oscillatory_gk: bool = None
-    is_oscillatory_power: bool = None
 
 
 class _MinorTable:
@@ -65,28 +63,6 @@ class _MinorTable:
             value = value + entry * sub if pos % 2 == 0 else value - entry * sub
         self.cache[key] = value
         return value
-
-
-def _is_irreducible(m: DenseMatrix) -> bool:
-    """Strong connectivity of the nonzero-pattern digraph."""
-    n = m.n
-    if n == 1:
-        return True
-
-    def reaches_all(edges):
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in edges[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
-    fwd = [[j for j in range(n) if m.entry(i, j) != 0] for i in range(n)]
-    bwd = [[j for j in range(n) if m.entry(j, i) != 0] for i in range(n)]
-    return reaches_all(fwd) and reaches_all(bwd)
 
 
 def _neighbors_positive(m: DenseMatrix) -> bool:
@@ -139,13 +115,12 @@ def is_totally_nonnegative(
     """Check every minor >= 0 by full enumeration (dim <= cap) or, past the
     cap, by random sampling with an explicit inconclusive verdict.
 
-    The report also carries nonsingularity, irreducibility and the
+    The report also carries nonsingularity and the
     Gantmacher-Krein oscillation verdict (TN + nonsingular + positive
     first sub/superdiagonal neighbours) when they are determined.
     """
     dim = m.n
     nonsingular = m.det() != 0
-    irreducible = _is_irreducible(m)
     if dim > cap:
         if sample <= 0:
             raise DimensionCapExceeded(dim, cap)
@@ -158,7 +133,6 @@ def is_totally_nonnegative(
                 witness=witness,
                 minors_checked=sample,
                 is_nonsingular=nonsingular,
-                is_irreducible=irreducible,
                 is_oscillatory_gk=False,
             )
         return TNReport(
@@ -167,7 +141,6 @@ def is_totally_nonnegative(
             conclusive=False,
             minors_checked=sample,
             is_nonsingular=nonsingular,
-            is_irreducible=irreducible,
         )
     witness, checked = _full_scan(m)
     is_tn = witness is None
@@ -179,7 +152,6 @@ def is_totally_nonnegative(
         witness=witness,
         minors_checked=checked,
         is_nonsingular=nonsingular,
-        is_irreducible=irreducible,
         is_oscillatory_gk=gk,
     )
 

@@ -3,9 +3,14 @@
 import io
 import json
 import contextlib
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import tetrahess
 from tetrahess import cli
 from tetrahess.cli import main
 from tetrahess.poly import Poly
@@ -83,6 +88,24 @@ class TestJPScan:
             _, _, region, pbf, osc = line.split(",")
             assert osc == ("true" if region in ("R2", "R3") else "false")
             assert pbf == ("true" if region == "R3" else "false")
+
+    def test_float_mode_refused(self):
+        # a TN verdict computed in floats is not a certificate
+        code, out, err = run(["--mode", "float", "jp-scan"])
+        assert code == 64
+        assert out == ""
+        assert "exact mode only" in err
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_closed_stdout_ends_quietly(self):
+        src = os.path.dirname(os.path.dirname(tetrahess.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-m", "tetrahess", "jp-scan"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader is gone before anything is written
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == -signal.SIGPIPE
 
 
 class TestFactor:
@@ -255,6 +278,39 @@ class TestVerifyDataShortfall:
                             "--input", str(other), "--n", "2"])
         assert code == 1
         assert json.loads(out)["error"].startswith("christoffel: identity ")
+
+
+OUTSIDE_REGION = {"generator": {"name": "jacobi-pineiro",
+                                 "alpha": "1", "beta": "0", "gamma": "0"}}
+
+
+class TestInputErrorEverySubcommand:
+    """Missing data and generator parameters outside the natural region are
+    bad input (exit 65, nothing on stdout) whatever the subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        ["polys", "--n", "30", "--kind", "type2", "--input"],
+        ["factor", "--n", "30", "--alpha2", "1", "--input"],
+    ])
+    def test_n_past_the_rows(self, tmp_path, argv):
+        path = tmp_path / "ones70.json"
+        path.write_text(json.dumps({"generator": {"name": "ones", "count": 70}}))
+        code, out, err = run(argv + [str(path)])
+        assert (code, out) == (65, "")
+        assert err.startswith("input error: band ")
+
+    @pytest.mark.parametrize("argv", [
+        ["polys", "--n", "2", "--kind", "type2", "--input"],
+        ["factor", "--n", "2", "--alpha2", "1", "--input"],
+        ["darboux", "--which", "hat", "--alphas"],
+        ["verify", "--suite", "christoffel", "--alphas"],
+    ])
+    def test_generator_outside_natural_region(self, tmp_path, argv):
+        path = tmp_path / "jp.json"
+        path.write_text(json.dumps(OUTSIDE_REGION))
+        code, out, err = run(argv + [str(path)])
+        assert (code, out) == (65, "")
+        assert err.startswith(f"input error: {path}: parameters outside the natural region")
 
 
 class TestErrorMapping:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tetrahess import (
     AlphaSequence,
     ExactArithmeticRequired,
+    IdentityViolation,
     SignViolation,
     TetraError,
     akv_sign_checks,
@@ -24,9 +25,11 @@ from tetrahess import (
     transformed_type1,
     transformed_type2,
     truncation_mismatch,
+    type1_sequences,
     type2_sequence,
     verify_christoffel,
 )
+from tetrahess import darboux
 
 from conftest import pbf_corpus
 
@@ -257,16 +260,101 @@ def test_akv_sign_checks_random_pbf(seed):
 
 
 def test_verify_christoffel_perturbed_band(ones_alphas):
-    """Any band perturbation refutes the correspondence at the first index
-    it touches."""
-    from tetrahess import IdentityViolation
-
+    """Any band perturbation refutes the correspondence at the first
+    (k, identity) it touches: b_1 enters A1_2, hence tildetilde_a1 at k = 0."""
     tbad = tetra_from_bands(
         a=[F(1)] * 4, b=[F(5, 2)] + [F(3)] * 4, c=[F(1)] + [F(3)] * 5
     )
     with pytest.raises(IdentityViolation) as exc:
         verify_christoffel(tbad, ones_alphas, 1)
-    assert exc.value.n == 1
+    assert (exc.value.name, exc.value.n) == ("tildetilde_a1", 0)
+
+
+def _first_christoffel_failure(t, alphas, n):
+    """Reference search for the first failing (identity, k), k <= n, in
+    (k, identity) order.  Each identity compares x times a transformed
+    polynomial, written as its alpha bracket of B or (A1, A2), with the
+    origin-value expression; a bracket with a nonzero constant term is not
+    x times a polynomial."""
+    at = alphas.at
+    b = type2_sequence(t, n + 1)
+    a1, a2 = type1_sequences(t, n + 2, -1 / at(2))
+
+    def fails(over_x, lhs, rhs):
+        return (over_x and lhs.constant != 0) or lhs != rhs
+
+    for k in range(n + 1):
+        u = [p.constant for p in a1[k : k + 3]]
+        w = [p.constant for p in a2[k : k + 3]]
+        lhs = b[k + 1] + b[k].scale(at(3 * k + 1) + at(3 * k))
+        rhs = b[k + 1] + b[k].scale((a1[k - 1].constant if k else 0) / u[0] + t.c(k))
+        if k:
+            lhs = lhs + b[k - 1].scale(at(3 * k) * at(3 * k - 2))
+            rhs = rhs - b[k - 1].scale(u[1] / u[0] * t.a(k + 1))
+        if fails(True, lhs, rhs):
+            return "tilde_b", k
+        if fails(True, b[k + 1] + b[k].scale(at(3 * k + 1)),
+                 b[k + 1] - b[k].scale(b[k + 1].constant / b[k].constant)):
+            return "tildetilde_b", k
+        if fails(False, a2[k] + a2[k + 1].scale(at(3 * k + 2)),
+                 a2[k] - a2[k + 1].scale(u[0] / u[1])):
+            return "hat_a1", k
+        if fails(True, a1[k] + a1[k + 1].scale(at(3 * k + 2)),
+                 a1[k] - a1[k + 1].scale(u[0] / u[1])):
+            return "tilde_a2", k
+        det = u[1] * w[2] - w[1] * u[2]
+        s1, s2 = (u[0] * w[2] - w[0] * u[2]) / det, (u[1] * w[0] - w[1] * u[0]) / det
+        for name, v in (("tildetilde_a1", a1), ("tildetilde_a2", a2)):
+            lhs = (v[k] + v[k + 1].scale(at(3 * k + 2) + at(3 * k + 3))
+                   + v[k + 2].scale(at(3 * k + 5) * at(3 * k + 3)))
+            if fails(True, lhs, v[k] - v[k + 1].scale(s1) - v[k + 2].scale(s2)):
+                return name, k
+    return None
+
+
+def _ones_bands_perturbed(t_ones, band, index):
+    """Explicit all-ones bands with entry ``index`` of ``band`` raised by 1/2."""
+    starts = {"a": 2, "b": 1, "c": 0}
+    bands = {
+        name: [getattr(t_ones, name)(j) for j in range(start, start + 12)]
+        for name, start in starts.items()
+    }
+    bands[band][index - starts[band]] += F(1, 2)
+    return tetra_from_bands(**bands)
+
+
+@pytest.mark.parametrize(
+    "band, index",
+    [("a", j) for j in range(2, 7)] + [("b", j) for j in range(1, 6)] + [("c", j) for j in range(5)],
+)
+def test_verify_christoffel_reports_first_failure(t_ones, ones_alphas, band, index):
+    """A refuted correspondence is reported under the failing identity's own
+    name, at the first failure in (k, identity) order."""
+    tbad = _ones_bands_perturbed(t_ones, band, index)
+    with pytest.raises(IdentityViolation) as exc:
+        verify_christoffel(tbad, ones_alphas, 4)
+    found = (exc.value.name, exc.value.n)
+    assert found == _first_christoffel_failure(tbad, ones_alphas, 4)
+    assert found[0] in verify_christoffel(t_ones, ones_alphas, 1).identities
+    if band == "c":
+        assert found == ("tilde_b", index)
+    if (band, index) == ("a", 2):
+        assert found == ("tildetilde_a1", 0)
+
+
+def test_verify_christoffel_builds_each_family_once(monkeypatch, t_ones, ones_alphas):
+    calls = {"type2": 0, "type1": 0}
+
+    def counting(key, build):
+        def wrapper(*args):
+            calls[key] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(darboux, "type2_sequence", counting("type2", darboux.type2_sequence))
+    monkeypatch.setattr(darboux, "type1_sequences", counting("type1", darboux.type1_sequences))
+    verify_christoffel(t_ones, ones_alphas, 4)
+    assert calls == {"type2": 1, "type1": 1}
 
 
 def test_akv_rejects_negative_sample(t_ones, ones_alphas):
