@@ -84,7 +84,9 @@ def _emit(payload: str, out_path, summary: str):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
-        print(payload)
+        # flushed before the summary, so a closed stdout ends the process
+        # (SIGPIPE from entry()) before anything reaches stderr
+        print(payload, flush=True)
     print(summary, file=sys.stderr)
 
 

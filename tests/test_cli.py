@@ -97,9 +97,13 @@ class TestJPScan:
         assert "exact mode only" in err
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
-    def test_closed_stdout_ends_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
         src = os.path.dirname(os.path.dirname(tetrahess.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen([sys.executable, "-m", "tetrahess", "jp-scan"],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         proc.stdout.close()  # the reader is gone before anything is written
