@@ -66,7 +66,7 @@ class InputError(Exception):
 
 
 class VerificationFailure(Exception):
-    pass
+    """A verify suite's check failed; _cmd_verify prefixes the suite name."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,14 +79,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(payload: str, out_path, summary: str):
+def _write(payload: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
-        # flushed before the summary, so a closed stdout ends the process
+        # flushed before any summary, so a closed stdout ends the process
         # (SIGPIPE from entry()) before anything reaches stderr
         print(payload, flush=True)
+
+
+def _emit(payload: str, out_path, summary: str):
+    _write(payload, out_path)
     print(summary, file=sys.stderr)
 
 
@@ -180,6 +184,8 @@ def _cmd_polys(args, mode):
         if args.nu is None:
             raise UsageError(f"--kind {args.kind} requires --nu")
         nu = _parse_flag_scalar(args.nu, mode, "--nu")
+        if nu == 0:
+            raise UsageError("--nu must be nonzero")
         if args.kind == "type1":
             a1, a2 = type1_sequences(t, args.n, nu)
             named = {"A1": a1, "A2": a2}
@@ -218,7 +224,7 @@ def _suite_charpoly(t, n):
     dense = leading_principal(t, n).leading_char_polys()
     for k in range(n + 1):
         if b[k + 1] != dense[k + 1]:
-            raise VerificationFailure(f"charpoly: B_{k + 1} differs from the dense oracle")
+            raise VerificationFailure(f"B_{k + 1} differs from the dense oracle")
         checked += 1
     if n >= 1:
         b1, _, small = second_kind_sequences(t, n + 1, Fraction(-1))
@@ -227,9 +233,9 @@ def _suite_charpoly(t, n):
         dense2 = trailing_truncation(t, n, 2).leading_char_polys()
         for k in range(1, n + 1):
             if b1[k + 1] != dense1[k]:
-                raise VerificationFailure(f"charpoly: B^(1)_{k + 1} differs from the k=1 trailing oracle")
+                raise VerificationFailure(f"B^(1)_{k + 1} differs from the k=1 trailing oracle")
             if small[k + 1] != dense2[k - 1]:
-                raise VerificationFailure(f"charpoly: b^(1)_{k + 1} differs from the k=2 trailing oracle")
+                raise VerificationFailure(f"b^(1)_{k + 1} differs from the k=2 trailing oracle")
             checked += 2
     return {"suite": "charpoly", "checked": checked}
 
@@ -243,7 +249,7 @@ def _suite_tn(t, n):
         oracle = is_oscillatory_power_oracle(m)
         if report.is_oscillatory_gk != oracle:
             raise VerificationFailure(
-                f"tn: GK verdict {report.is_oscillatory_gk} disagrees with power oracle {oracle} at N={k}"
+                f"GK verdict {report.is_oscillatory_gk} disagrees with power oracle {oracle} at N={k}"
             )
         checked += 1
     return {"suite": "tn", "checked": checked}
@@ -255,16 +261,16 @@ def _suite_roundtrip(t, alphas, n, alpha2):
     recovered = bidiagonal_factor(t, n, alpha2)
     want = alphas.prefix(recovered.length)
     if recovered.prefix(recovered.length) != want:
-        raise VerificationFailure("roundtrip: bidiagonal_factor did not reproduce the alphas")
+        raise VerificationFailure("bidiagonal_factor did not reproduce the alphas")
     gb = gauss_borel(t, n)
     if gb.lower_matrix().mul(gb.upper_matrix()) != leading_principal(t, n):
-        raise VerificationFailure("roundtrip: L*U does not reproduce the truncation")
+        raise VerificationFailure("L*U does not reproduce the truncation")
     # the polynomial-valued reconstruction needs nu = -1/alpha_2
     if alpha2 != 0:
         n_rec = n if alphas.length is None else min(n, (alphas.length - 2) // 3)
         reconstructed = alphas_from_polynomials(t, n_rec, alpha2)
         if reconstructed.prefix(reconstructed.length) != alphas.prefix(reconstructed.length):
-            raise VerificationFailure("roundtrip: alphas_from_polynomials did not reproduce the alphas")
+            raise VerificationFailure("alphas_from_polynomials did not reproduce the alphas")
     return {"suite": "roundtrip", "n": n, "recovered": recovered.length}
 
 
@@ -348,19 +354,18 @@ def _cmd_verify(args, mode):
         except BandExhausted as exc:
             # too few rows or alphas for --n is missing data, not a failed identity
             raise InputError(f"{suite}: {exc}") from exc
-        except TetraError as exc:
+        except (VerificationFailure, TetraError) as exc:
             # identity/sign/prediction violations are verification results,
             # not computation errors
-            raise VerificationFailure(f"{suite}: {exc}") from exc
+            error = f"{suite}: {exc}"
+            print(f"verification failure: {error}", file=sys.stderr)
+            body = {"status": "fail", "error": error}
+            break
         print(f"verify {suite}: pass", file=sys.stderr)
-    body = {"status": "pass", "n": args.n, "suites": results}
-    payload = json.dumps(body, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
     else:
-        print(payload)
-    return EXIT_OK
+        body = {"status": "pass", "n": args.n, "suites": results}
+    _write(json.dumps(body, indent=2), args.out)
+    return EXIT_OK if body["status"] == "pass" else EXIT_VERIFICATION
 
 
 def build_parser() -> _Parser:
@@ -436,10 +441,6 @@ def main(argv=None) -> int:
         # outside the natural region, are bad input like a malformed file
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        print(json.dumps({"status": "fail", "error": str(exc)}, indent=2))
-        return EXIT_VERIFICATION
     except TetraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -37,7 +37,6 @@ from .errors import (
     ZeroNu,
 )
 from .polynomials import (
-    PolyKind,
     PolySequence,
     char_poly_truncation,
     second_kind_sequences,
@@ -186,8 +185,8 @@ def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
         tilde.append(_hat_bracket(b, at, k).exact_div_x(context=f"tildeB_{k}"))
         tildetilde.append(_hathat_bracket(b, at, k).exact_div_x(context=f"tildetildeB_{k}"))
     return (
-        PolySequence(PolyKind.TRANSFORMED, tuple(tilde)),
-        PolySequence(PolyKind.TRANSFORMED, tuple(tildetilde)),
+        PolySequence(tuple(tilde)),
+        PolySequence(tuple(tildetilde)),
     )
 
 
@@ -245,16 +244,12 @@ def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tran
         tilde_a2.append(_hat_a_bracket(a1, at, k).exact_div_x(context=f"tildeA2_{k}"))
         tt_a1.append(_hathat_a_bracket(a1, at, k).exact_div_x(context=f"tildetildeA1_{k}"))
         tt_a2.append(_hathat_a_bracket(a2, at, k).exact_div_x(context=f"tildetildeA2_{k}"))
-
-    def seq(polys):
-        return PolySequence(PolyKind.TRANSFORMED, tuple(polys), nu=nu)
-
     return TransformedPolys(
         nu=nu,
-        hatA1=seq(hat_a1),
-        tildeA2=seq(tilde_a2),
-        tildetildeA1=seq(tt_a1),
-        tildetildeA2=seq(tt_a2),
+        hatA1=PolySequence(tuple(hat_a1)),
+        tildeA2=PolySequence(tuple(tilde_a2)),
+        tildetildeA1=PolySequence(tuple(tt_a1)),
+        tildetildeA2=PolySequence(tuple(tt_a2)),
     )
 
 

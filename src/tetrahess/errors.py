@@ -133,14 +133,14 @@ class SignViolation(TetraError):
 
 
 class DimensionCapExceeded(TetraError):
-    """Full minor enumeration was requested past the guardrail dimension."""
+    """Full minor enumeration was requested past its fixed dimension cap."""
 
     def __init__(self, dim, cap):
         self.dim = dim
         self.cap = cap
         super().__init__(
             f"matrix dimension {dim} exceeds the enumeration cap {cap}; "
-            f"use sampling or raise the cap explicitly"
+            f"no total-nonnegativity certificate is available past it"
         )
 
 

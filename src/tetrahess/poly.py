@@ -114,10 +114,5 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def x_poly(one=1) -> Poly:
-    """The monomial x with the given multiplicative identity (1 or 1.0)."""
-    return Poly((zero_like(one), one))
-
-
 def constant_poly(value) -> Poly:
     return Poly((value,))

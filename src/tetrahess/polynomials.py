@@ -16,7 +16,6 @@ operations.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .core import TetraHessenberg
@@ -25,23 +24,11 @@ from .poly import Poly, constant_poly
 from .scalars import is_exact, is_zero, one_like
 
 
-class PolyKind(enum.Enum):
-    TYPE2 = "type2"
-    TYPE1_A1 = "type1_a1"
-    TYPE1_A2 = "type1_a2"
-    SECOND_KIND_B1 = "second_kind_b1"
-    SECOND_KIND_B2 = "second_kind_b2"
-    SECOND_KIND_SMALL_B1 = "second_kind_small_b1"
-    TRANSFORMED = "transformed"
-
-
 @dataclass(frozen=True)
 class PolySequence:
-    """A finite run of polynomials indexed 0..N, tagged with its kind."""
+    """A finite run of polynomials indexed 0..N."""
 
-    kind: PolyKind
     polys: tuple
-    nu: object = None
 
     def __len__(self):
         return len(self.polys)
@@ -109,7 +96,7 @@ def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
     seeded by B_0 = 1, B_1 = x - c_0, B_2 = (x - c_1) B_1 - b_1."""
     if n < 0:
         raise ValueError("sequence length must be >= 0")
-    return PolySequence(PolyKind.TYPE2, tuple(_type2_polys(t, n, one_like(t.c(0)))))
+    return PolySequence(tuple(_type2_polys(t, n, one_like(t.c(0)))))
 
 
 def type1_sequences(t: TetraHessenberg, n: int, nu):
@@ -129,8 +116,8 @@ def type1_sequences(t: TetraHessenberg, n: int, nu):
     a1 = _recur(t, (0, one, nu * one), 1, n, transpose=True)
     a2 = _recur(t, (0, 0, one), 1, n, transpose=True)
     return (
-        PolySequence(PolyKind.TYPE1_A1, tuple(a1[1 : n + 2]), nu=nu),
-        PolySequence(PolyKind.TYPE1_A2, tuple(a2[1 : n + 2]), nu=nu),
+        PolySequence(tuple(a1[1 : n + 2])),
+        PolySequence(tuple(a2[1 : n + 2])),
     )
 
 
@@ -152,9 +139,9 @@ def second_kind_sequences(t: TetraHessenberg, n: int, nu):
     b2 = _recur(t, (-one - nu, one, 0), 0, n)[2:]
     small = [q + p.scale(nu) for p, q in zip(b1, b2)]
     return (
-        PolySequence(PolyKind.SECOND_KIND_B1, tuple(b1), nu=nu),
-        PolySequence(PolyKind.SECOND_KIND_B2, tuple(b2), nu=nu),
-        PolySequence(PolyKind.SECOND_KIND_SMALL_B1, tuple(small), nu=nu),
+        PolySequence(tuple(b1)),
+        PolySequence(tuple(b2)),
+        PolySequence(tuple(small)),
     )
 
 

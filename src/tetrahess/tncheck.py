@@ -1,16 +1,16 @@
 """Total nonnegativity and oscillation checks by exact minor enumeration.
 
-Minor enumeration is exponential, so full checks are guarded by a dimension
-cap (default 8).  Beyond the cap a sampling mode is available which can
-only falsify (a negative sampled minor) or report "inconclusive", never
-certify.  Minors are evaluated with a memoized first-row expansion, so all
-2^n x 2^n pairs cost O(4^n) ring operations total rather than one
-elimination each.
+Every verdict is a certificate: all minors are enumerated, so a TN verdict
+is proved and a refutation carries the lexicographically first negative
+minor.  Enumeration is exponential, so it is guarded by fixed dimension caps
+(DEFAULT_CAP for the TN scan, POWER_ORACLE_CAP for the power oracle); a
+larger matrix raises DimensionCapExceeded.  Minors are evaluated with a
+memoized first-row expansion, so all 2^n x 2^n pairs cost O(4^n) ring
+operations total rather than one elimination each.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,18 +25,17 @@ POWER_ORACLE_CAP = 6
 class TNReport:
     """Outcome of a total-nonnegativity / oscillation analysis.
 
-    is_tn is None when a sampled check found no violation (inconclusive);
     witness is the lexicographically first negative minor as 1-based
-    (rows, cols, value), present whenever is_tn is False.
+    (rows, cols, value), present exactly when is_tn is False.  conclusive
+    is always True: every verdict comes from the full enumeration.
     """
 
-    dim: int
-    is_tn: object  # True / False / None
+    is_tn: bool
     conclusive: bool
-    witness: tuple = None
-    minors_checked: int = 0
-    is_nonsingular: bool = None
-    is_oscillatory_gk: bool = None
+    witness: tuple | None
+    minors_checked: int
+    is_nonsingular: bool
+    is_oscillatory_gk: bool
 
 
 class _MinorTable:
@@ -92,86 +91,44 @@ def _full_scan(m: DenseMatrix, violates=lambda value: value < 0):
     return None, checked
 
 
-def _sample_scan(m: DenseMatrix, sample: int, seed: int):
-    rng = random.Random(seed)
-    indices = range(m.n)
-    for _ in range(sample):
-        order = rng.randint(1, m.n)
-        rows = tuple(sorted(rng.sample(indices, order)))
-        cols = tuple(sorted(rng.sample(indices, order)))
-        value = m.minor(rows, cols)
-        if value < 0:
-            return (
-                tuple(i + 1 for i in rows),
-                tuple(j + 1 for j in cols),
-                value,
-            )
-    return None
+def is_totally_nonnegative(m: DenseMatrix) -> TNReport:
+    """Check every minor >= 0 by full enumeration (dim <= DEFAULT_CAP).
 
-
-def is_totally_nonnegative(
-    m: DenseMatrix, cap: int = DEFAULT_CAP, sample: int = 0, seed: int = 0
-) -> TNReport:
-    """Check every minor >= 0 by full enumeration (dim <= cap) or, past the
-    cap, by random sampling with an explicit inconclusive verdict.
-
-    The report also carries nonsingularity and the
-    Gantmacher-Krein oscillation verdict (TN + nonsingular + positive
-    first sub/superdiagonal neighbours) when they are determined.
+    The report also carries nonsingularity and the Gantmacher-Krein
+    oscillation verdict (TN + nonsingular + positive first
+    sub/superdiagonal neighbours).
     """
-    dim = m.n
+    if m.n > DEFAULT_CAP:
+        raise DimensionCapExceeded(m.n, DEFAULT_CAP)
     nonsingular = m.det() != 0
-    if dim > cap:
-        if sample <= 0:
-            raise DimensionCapExceeded(dim, cap)
-        witness = _sample_scan(m, sample, seed)
-        if witness is not None:
-            return TNReport(
-                dim=dim,
-                is_tn=False,
-                conclusive=True,
-                witness=witness,
-                minors_checked=sample,
-                is_nonsingular=nonsingular,
-                is_oscillatory_gk=False,
-            )
-        return TNReport(
-            dim=dim,
-            is_tn=None,
-            conclusive=False,
-            minors_checked=sample,
-            is_nonsingular=nonsingular,
-        )
     witness, checked = _full_scan(m)
     is_tn = witness is None
-    gk = bool(is_tn and nonsingular and _neighbors_positive(m))
     return TNReport(
-        dim=dim,
         is_tn=is_tn,
         conclusive=True,
         witness=witness,
         minors_checked=checked,
         is_nonsingular=nonsingular,
-        is_oscillatory_gk=gk,
+        is_oscillatory_gk=is_tn and nonsingular and _neighbors_positive(m),
     )
 
 
-def is_oscillatory(m: DenseMatrix, cap: int = DEFAULT_CAP) -> TNReport:
-    """Gantmacher-Krein verdict: TN, nonsingular, and positive neighbours.
-    Full enumeration only (no sampling: a certificate is required)."""
-    return is_totally_nonnegative(m, cap=cap)
+def is_oscillatory(m: DenseMatrix) -> TNReport:
+    """Gantmacher-Krein verdict: TN, nonsingular, and positive neighbours."""
+    return is_totally_nonnegative(m)
 
 
-def is_oscillatory_power_oracle(m: DenseMatrix, cap: int = POWER_ORACLE_CAP) -> bool:
+def is_oscillatory_power_oracle(m: DenseMatrix) -> bool:
     """Definition-based oracle: m is oscillatory iff it is TN and some power
     m^k (1 <= k <= max(1, dim-1)) is totally positive.
 
     Exponentially more minors than the Gantmacher-Krein route, hence the
-    lower cap; exists to cross-check is_oscillatory, not to replace it."""
+    lower cap (POWER_ORACLE_CAP); exists to cross-check is_oscillatory, not
+    to replace it."""
     dim = m.n
-    if dim > cap:
-        raise DimensionCapExceeded(dim, cap)
-    if not is_totally_nonnegative(m, cap=cap).is_tn:
+    if dim > POWER_ORACLE_CAP:
+        raise DimensionCapExceeded(dim, POWER_ORACLE_CAP)
+    if not is_totally_nonnegative(m).is_tn:
         return False
     power = m
     for _ in range(max(1, dim - 1)):

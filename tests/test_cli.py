@@ -157,6 +157,13 @@ class TestPolys:
                           "--kind", "type1"])
         assert code == 64
 
+    @pytest.mark.parametrize("kind", ["type1", "second"])
+    def test_zero_nu_is_usage_error(self, ones_file, kind):
+        code, out, err = run(["polys", "--input", ones_file, "--n", "3",
+                              "--kind", kind, "--nu", "0"])
+        assert (code, out) == (64, "")
+        assert err == "usage error: --nu must be nonzero\n"
+
     def test_type1_at_origin(self, ones_file):
         code, out, _ = run(["polys", "--input", ones_file, "--n", "4",
                             "--kind", "type1", "--nu", "-1", "--at", "0"])
@@ -266,6 +273,15 @@ class TestVerifyCharpolyCanFail:
         assert f"verification failure: {error}" in err
 
 
+def test_verify_tn_disagreement_fails(monkeypatch, ones_file):
+    monkeypatch.setattr(cli, "is_oscillatory_power_oracle", lambda m: False)
+    code, out, err = run(["verify", "--suite", "tn", "--alphas", ones_file, "--n", "3"])
+    assert code == 1
+    error = "tn: GK verdict True disagrees with power oracle False at N=1"
+    assert json.loads(out) == {"status": "fail", "error": error}
+    assert err == f"verification failure: {error}\n"
+
+
 class TestVerifyDataShortfall:
     @pytest.mark.parametrize("suite", ["charpoly", "tn"])
     def test_too_few_rows_is_input_error(self, tsym_file, suite):
@@ -282,6 +298,17 @@ class TestVerifyDataShortfall:
                             "--input", str(other), "--n", "2"])
         assert code == 1
         assert json.loads(out)["error"].startswith("christoffel: identity ")
+
+    def test_failure_report_goes_to_out_file(self, tmp_path, ones_file):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"a": ["2"] * 8, "b": ["1"] * 9, "c": ["3"] * 10}))
+        dest = tmp_path / "report.json"
+        code, out, err = run(["verify", "--suite", "christoffel", "--alphas", ones_file,
+                              "--input", str(other), "--n", "2", "--out", str(dest)])
+        assert (code, out) == (1, "")
+        body = json.loads(dest.read_text())
+        assert body["status"] == "fail"
+        assert err == f"verification failure: {body['error']}\n"
 
 
 OUTSIDE_REGION = {"generator": {"name": "jacobi-pineiro",

@@ -1,6 +1,5 @@
 """Total nonnegativity scans and the two oscillation criteria."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -77,33 +76,17 @@ def test_minors_checked_counts_all_orders():
     assert rep.conclusive
 
 
-def test_sampled_scan_is_inconclusive_when_partial():
-    # sampling engages only past the full-enumeration cap
-    m = DenseMatrix.identity(9)
-    rep = is_totally_nonnegative(m, sample=10, seed=3)
-    assert rep.is_tn is None
-    assert rep.conclusive is False
-    assert rep.minors_checked == 10
-
-
-def test_sampled_scan_can_find_witness(t_sym):
-    m = leading_principal(t_sym, 2)
-    hits = 0
-    for seed in range(40):
-        rep = is_totally_nonnegative(m, cap=2, sample=8, seed=seed)
-        if rep.is_tn is False:
-            hits += 1
-            rows, cols, value = rep.witness
-            assert m.minor(tuple(r - 1 for r in rows), tuple(c - 1 for c in cols)) == value < 0
-    assert hits > 0
-
-
 def test_dimension_cap():
-    m = DenseMatrix.identity(9)
+    # the caps are fixed: the TN scan (and is_oscillatory) runs through
+    # dimension 8, the power oracle through dimension 6
+    assert is_totally_nonnegative(DenseMatrix.identity(8)).is_tn is True
     with pytest.raises(DimensionCapExceeded):
-        is_totally_nonnegative(m)
-    # explicit cap raise is allowed
-    assert is_totally_nonnegative(m, cap=9).is_tn is True
+        is_totally_nonnegative(DenseMatrix.identity(9))
+    with pytest.raises(DimensionCapExceeded):
+        is_oscillatory(DenseMatrix.identity(9))
+    assert is_oscillatory_power_oracle(DenseMatrix.identity(6)) is False
+    with pytest.raises(DimensionCapExceeded):
+        is_oscillatory_power_oracle(DenseMatrix.identity(7))
 
 
 def test_singular_tn_is_not_oscillatory():
