@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import signal
 import sys
@@ -29,7 +28,7 @@ from .darboux import (
     darboux_transforms,
     verify_christoffel,
 )
-from .errors import BandExhausted, OutsideNaturalRegion, TetraError
+from .errors import BandExhausted, NonPositiveSubSubDiagonal, OutsideNaturalRegion, TetraError
 from .factorization import bidiagonal_factor, gauss_borel
 from .families import (
     JP_VERIFICATION_GRID,
@@ -43,7 +42,7 @@ from .families import (
 from .polynomials import second_kind_sequences, type1_sequences, type2_sequence
 from .scalars import format_scalar, parse_scalar
 from .serialize import dump_alphas, dump_matrix, load_alphas, load_matrix
-from .tncheck import POWER_ORACLE_CAP, is_oscillatory_power_oracle, is_totally_nonnegative
+from .tncheck import POWER_ORACLE_CAP, _some_power_totally_positive, is_totally_nonnegative
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -102,25 +101,31 @@ def _read_json(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_file(load, path, mode):
+#: Raised by loading when the file is at fault: a malformed payload, a "1/0"
+#: entry, parameters outside the natural region or a non-positive a_n.
+_BAD_INPUT = (ValueError, KeyError, TypeError, ZeroDivisionError,
+              OutsideNaturalRegion, NonPositiveSubSubDiagonal)
+
+
+def _load_file(load, path):
     try:
-        return load(_read_json(path), mode)
-    except (ValueError, KeyError, TypeError, OutsideNaturalRegion) as exc:
+        return load(_read_json(path))
+    except _BAD_INPUT as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _parse_flag_scalar(text, mode, flag):
+def _parse_flag_scalar(text, flag):
     try:
-        return parse_scalar(text, mode)
+        return parse_scalar(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{flag}: cannot parse {text!r}") from exc
 
 
-def _cmd_jp(args, mode):
+def _cmd_jp(args):
     params = JPParams(
-        alpha=_parse_flag_scalar(args.alpha, mode, "--alpha"),
-        beta=_parse_flag_scalar(args.beta, mode, "--beta"),
-        gamma=_parse_flag_scalar(args.gamma, mode, "--gamma"),
+        alpha=_parse_flag_scalar(args.alpha, "--alpha"),
+        beta=_parse_flag_scalar(args.beta, "--beta"),
+        gamma=_parse_flag_scalar(args.gamma, "--gamma"),
     )
     if args.count < 1:
         raise UsageError("--count must be >= 1")
@@ -138,10 +143,8 @@ def _cmd_jp(args, mode):
     return EXIT_OK
 
 
-def _cmd_jp_scan(args, mode):
-    if mode != "exact":
-        raise UsageError("jp-scan runs in exact mode only")
-    gamma = _parse_flag_scalar(args.gamma, mode, "--gamma")
+def _cmd_jp_scan(args):
+    gamma = _parse_flag_scalar(args.gamma, "--gamma")
     bases = list(dict.fromkeys((p.alpha, p.beta) for p in JP_VERIFICATION_GRID))
     lines = ["alpha,beta,region,pbf_flag,oscillatory_flag"]
     for alpha, beta in bases:
@@ -157,9 +160,9 @@ def _cmd_jp_scan(args, mode):
     return EXIT_OK
 
 
-def _cmd_factor(args, mode):
-    t = _load_file(load_matrix, args.input, mode)
-    alpha2 = _parse_flag_scalar(args.alpha2, mode, "--alpha2")
+def _cmd_factor(args):
+    t = _load_file(load_matrix, args.input)
+    alpha2 = _parse_flag_scalar(args.alpha2, "--alpha2")
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     seq = bidiagonal_factor(t, args.n, alpha2)
@@ -174,8 +177,8 @@ def _cmd_factor(args, mode):
     return {"PBF": 0, "TN": 1, "INDEFINITE": 2}[str(cls)]
 
 
-def _cmd_polys(args, mode):
-    t = _load_file(load_matrix, args.input, mode)
+def _cmd_polys(args):
+    t = _load_file(load_matrix, args.input)
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     if args.kind == "type2":
@@ -183,7 +186,7 @@ def _cmd_polys(args, mode):
     else:
         if args.nu is None:
             raise UsageError(f"--kind {args.kind} requires --nu")
-        nu = _parse_flag_scalar(args.nu, mode, "--nu")
+        nu = _parse_flag_scalar(args.nu, "--nu")
         if nu == 0:
             raise UsageError("--nu must be nonzero")
         if args.kind == "type1":
@@ -193,7 +196,7 @@ def _cmd_polys(args, mode):
             b1, b2, small = second_kind_sequences(t, args.n, nu)
             named = {"B1": b1, "B2": b2, "b1": small}
     if args.at is not None:
-        x = _parse_flag_scalar(args.at, mode, "--at")
+        x = _parse_flag_scalar(args.at, "--at")
         body = {k: [format_scalar(p(x)) for p in seq] for k, seq in named.items()}
     else:
         body = {k: [[format_scalar(c) for c in p.coeffs] for p in seq] for k, seq in named.items()}
@@ -205,8 +208,8 @@ def _cmd_polys(args, mode):
     return EXIT_OK
 
 
-def _cmd_darboux(args, mode):
-    alphas = _load_file(load_alphas, args.alphas, mode)
+def _cmd_darboux(args):
+    alphas = _load_file(load_alphas, args.alphas)
     pair = darboux_transforms(alphas)
     t = pair.hat if args.which == "hat" else pair.hathat
     body = dump_matrix(t)
@@ -246,7 +249,8 @@ def _suite_tn(t, n):
     for k in range(1, depth + 1):
         m = leading_principal(t, k)
         report = is_totally_nonnegative(m)
-        oracle = is_oscillatory_power_oracle(m)
+        # the power oracle, gated on the scan just made rather than a second one
+        oracle = report.is_tn and _some_power_totally_positive(m)
         if report.is_oscillatory_gk != oracle:
             raise VerificationFailure(
                 f"GK verdict {report.is_oscillatory_gk} disagrees with power oracle {oracle} at N={k}"
@@ -305,18 +309,19 @@ def _suite_jp_consistency():
     return {"suite": "jp-consistency", "points": len(JP_VERIFICATION_GRID)}
 
 
-def _cmd_verify(args, mode):
-    if mode != "exact":
-        raise UsageError("verification suites run in exact mode only")
+def _cmd_verify(args):
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
 
-    alphas = _load_file(load_alphas, args.alphas, "exact") if args.alphas else None
+    alphas = _load_file(load_alphas, args.alphas) if args.alphas else None
     if args.input:
-        t = _load_file(load_matrix, args.input, "exact")
+        t = _load_file(load_matrix, args.input)
     elif alphas is not None:
-        t = tetra_from_alphas(alphas)
+        try:
+            t = tetra_from_alphas(alphas)
+        except NonPositiveSubSubDiagonal as exc:
+            raise InputError(f"{args.alphas}: {exc}") from exc
     else:
         t = None
 
@@ -340,7 +345,7 @@ def _cmd_verify(args, mode):
             elif suite == "roundtrip":
                 seq = need_alphas()
                 alpha2 = (
-                    _parse_flag_scalar(args.alpha2, "exact", "--alpha2")
+                    _parse_flag_scalar(args.alpha2, "--alpha2")
                     if args.alpha2
                     else seq.at(2)
                 )
@@ -370,7 +375,6 @@ def _cmd_verify(args, mode):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tetrahess", description=__doc__.splitlines()[0])
-    parser.add_argument("--mode", choices=("exact", "float"), default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("jp", help="generate Jacobi-Pineiro alphas")
@@ -429,10 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        mode = args.mode or os.environ.get("TETRA_MODE", "exact")
-        if mode not in ("exact", "float"):
-            raise UsageError(f"TETRA_MODE must be exact or float, got {mode!r}")
-        return _COMMANDS[args.command](args, mode)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,16 +23,16 @@ from .errors import (
     NonPositiveSubSubDiagonal,
 )
 from .poly import Poly
-from .scalars import is_exact, one_like, zero_like
 
 
 class Band:
     """One band of a semi-infinite matrix, explicit or generator-backed.
 
     ``start`` is the first meaningful row index of the band.  An explicit
-    band stores a tuple of values; a generator-backed band stores a pure
-    function of the row index (optionally with a last valid index), so the
-    type stays immutable and shareable.
+    band stores a tuple of int or Fraction values (anything else raises
+    TypeError); a generator-backed band stores a pure function of the row
+    index (optionally with a last valid index), so the type stays immutable
+    and shareable.
     """
 
     __slots__ = ("name", "start", "values", "func", "limit")
@@ -42,7 +42,7 @@ class Band:
             raise ValueError("exactly one of values/func must be given")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "values", tuple(values) if values is not None else None)
+        object.__setattr__(self, "values", _exact_tuple(values, f"band {name!r}"))
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "limit", limit)
 
@@ -95,19 +95,18 @@ class AlphaSequence:
     """1-based sequence of factorization parameters alpha_1, alpha_2, ...
 
     ``at(j)`` returns 0 for j <= 0 by convention.  Explicit sequences are
-    finite tuples; generator-backed ones are pure functions of j >= 1.
+    finite tuples of int or Fraction values (anything else raises
+    TypeError); generator-backed ones are pure functions of j >= 1.
     """
 
-    __slots__ = ("values", "func", "limit", "_zero")
+    __slots__ = ("values", "func", "limit")
 
     def __init__(self, values=None, func=None, limit=None):
         if (values is None) == (func is None):
             raise ValueError("exactly one of values/func must be given")
-        object.__setattr__(self, "values", tuple(values) if values is not None else None)
+        object.__setattr__(self, "values", _exact_tuple(values, "alpha"))
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "limit", limit)
-        sample = self.values[0] if self.values else (func(1) if func else Fraction(0))
-        object.__setattr__(self, "_zero", zero_like(sample))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlphaSequence is immutable")
@@ -121,7 +120,7 @@ class AlphaSequence:
 
     def at(self, j):
         if j <= 0:
-            return self._zero
+            return Fraction(0)
         if self.values is not None:
             if j > len(self.values):
                 raise BandExhausted("alpha", j, len(self.values))
@@ -189,10 +188,6 @@ class TetraHessenberg:
             raise NonPositiveSubSubDiagonal(n, v)
         return v
 
-    @property
-    def is_exact(self) -> bool:
-        return is_exact(self.c(0))
-
     def materializable_n(self):
         """Largest N with leading_principal(self, N) available (None = any)."""
         limits = [band.last_index for band in (self.a_band, self.b_band, self.c_band)]
@@ -203,14 +198,14 @@ class TetraHessenberg:
         if i < 0 or j < 0:
             raise ValueError("negative matrix index")
         if j == i + 1:
-            return one_like(self.c(0))
+            return Fraction(1)
         if j == i:
             return self.c(i)
         if j == i - 1:
             return self.b(i)
         if j == i - 2:
             return self.a(i)
-        return zero_like(self.c(0))
+        return Fraction(0)
 
     def shifted(self, k):
         """Matrix with the first k rows and columns deleted (band shift)."""
@@ -222,7 +217,7 @@ class TetraHessenberg:
 
 
 class DenseMatrix:
-    """Immutable square matrix over exact or float scalars."""
+    """Immutable square matrix of exact (int or Fraction) scalars."""
 
     __slots__ = ("rows",)
 
@@ -247,8 +242,8 @@ class DenseMatrix:
         return [list(r) for r in self.rows]
 
     @staticmethod
-    def identity(n, one=Fraction(1)):
-        return _banded(n, {0: lambda i: one}, zero_like(one))
+    def identity(n):
+        return _banded(n, {0: lambda i: Fraction(1)})
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.n != other.n:
@@ -278,23 +273,16 @@ class DenseMatrix:
         return DenseMatrix(tuple(tuple(self.rows[i][j] for j in cols) for i in rows))
 
     def det(self):
-        """Determinant by Gaussian elimination (exact over Fractions;
-        partial pivoting over floats)."""
+        """Determinant by exact Gaussian elimination."""
         n = self.n
         if n == 0:
             return Fraction(1)
         work = [list(r) for r in self.rows]
-        exact = is_exact(work[0][0])
-        det = one_like(work[0][0])
+        det = Fraction(1)
         for col in range(n):
-            if exact:
-                pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-            else:
-                pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
-                if work[pivot_row][col] == 0:
-                    pivot_row = None
+            pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
             if pivot_row is None:
-                return zero_like(det)
+                return Fraction(0)
             if pivot_row != col:
                 work[col], work[pivot_row] = work[pivot_row], work[col]
                 det = -det
@@ -303,7 +291,7 @@ class DenseMatrix:
             for r in range(col + 1, n):
                 if work[r][col] == 0:
                     continue
-                factor = work[r][col] / pivot
+                factor = Fraction(work[r][col], pivot)  # exact for int entries too
                 work[r] = [u - factor * v for u, v in zip(work[r], work[col])]
         return det
 
@@ -316,11 +304,10 @@ class DenseMatrix:
         Uses only ring operations plus division by integers, so it is exact
         over Fractions and independent of any banded recurrence."""
         n = self.n
-        one = one_like(self.rows[0][0]) if n else Fraction(1)
         if n == 0:
-            return Poly((one,))
-        descending = [one]
-        m = DenseMatrix.identity(n, one)
+            return Poly((Fraction(1),))
+        descending = [Fraction(1)]
+        m = DenseMatrix.identity(n)
         for k in range(1, n + 1):
             am = self.mul(m)
             ck = -am.trace() / k
@@ -341,14 +328,13 @@ class DenseMatrix:
         one polynomial term per nonzero subdiagonal entry.  Raises ValueError
         if an entry above the superdiagonal is nonzero."""
         rows = self.rows
-        one = one_like(rows[0][0]) if rows else Fraction(1)
-        polys = [Poly((one,))]
+        polys = [Poly((Fraction(1),))]
         for k, row in enumerate(rows):
             if any(v != 0 for v in row[k + 2 :]):
                 raise ValueError(f"row {k} has a nonzero entry above the superdiagonal")
             p = polys[k]
             new = p.times_x() - p.scale(row[k])
-            chain = one  # m_{j,j+1} ... m_{k-1,k}
+            chain = Fraction(1)  # m_{j,j+1} ... m_{k-1,k}
             for j in range(k - 1, -1, -1):
                 chain = chain * rows[j][j + 1]
                 if row[j] != 0:
@@ -371,13 +357,25 @@ class DenseMatrix:
 # -- constructors and truncations ----------------------------------------
 
 
-def _banded(size, bands, zero) -> DenseMatrix:
+def _exact_tuple(values, what):
+    """``values`` as a tuple (None stays None), refusing any entry that is
+    not an int or a Fraction: every scalar in the package is exact."""
+    if values is None:
+        return None
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{what} entries must be int or Fraction, got {type(v).__name__} {v!r}")
+    return values
+
+
+def _banded(size, bands) -> DenseMatrix:
     """size x size matrix holding bands[d](i) at (i, i + d) for each
     diagonal offset d and zero elsewhere; entries are evaluated row by row,
     in the order of ``bands`` within a row."""
     rows = []
     for i in range(size):
-        row = [zero] * size
+        row = [Fraction(0)] * size
         for offset, entry in bands.items():
             if 0 <= i + offset < size:
                 row[i + offset] = entry(i)
@@ -463,8 +461,7 @@ def leading_principal(t: TetraHessenberg, n: int) -> DenseMatrix:
     """The (N+1) x (N+1) leading principal truncation T^[N]."""
     if n < 0:
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
-    one = one_like(t.c(0))
-    return _banded(n + 1, {0: t.c, 1: lambda i: one, -1: t.b, -2: t.a}, zero_like(one))
+    return _banded(n + 1, {0: t.c, 1: lambda i: Fraction(1), -1: t.b, -2: t.a})
 
 
 def trailing_truncation(t: TetraHessenberg, n: int, k: int) -> DenseMatrix:
@@ -491,15 +488,13 @@ def alpha_factor_matrices(alphas: AlphaSequence, n: int):
     if n < 0:
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
     at = alphas.at
-    one = one_like(at(1))
-    zero = zero_like(one)
     size = n + 1
 
     def unit(i):
-        return one
+        return Fraction(1)
 
     # entry functions take the row i; subdiagonal entry k sits in row k + 1
-    l1 = _banded(size, {0: unit, -1: lambda i: at(3 * i - 1)}, zero)
-    l2 = _banded(size, {0: unit, -1: lambda i: at(3 * i)}, zero)
-    u = _banded(size, {0: lambda i: at(3 * i + 1), 1: unit}, zero)
+    l1 = _banded(size, {0: unit, -1: lambda i: at(3 * i - 1)})
+    l2 = _banded(size, {0: unit, -1: lambda i: at(3 * i)})
+    u = _banded(size, {0: lambda i: at(3 * i + 1), 1: unit})
     return l1, l2, u

@@ -10,13 +10,14 @@ With T = L1 L2 U, the two Darboux transforms are the cyclic reorderings
 which are again tetradiagonal lower Hessenberg with unit superdiagonal.
 Throughout this module the free type I constant is forced to nu = -1/alpha_2
 (the divisibility results underlying every transformed type I family need
-1 + nu alpha_2 = 0), and all operations require exact scalars: they hinge
-on polynomials being exactly divisible by x.
+1 + nu alpha_2 = 0).  Every check is exact: they hinge on polynomials
+being exactly divisible by x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     AlphaSequence,
@@ -27,7 +28,6 @@ from .core import (
     leading_principal,
 )
 from .errors import (
-    ExactArithmeticRequired,
     IdentityViolation,
     SignViolation,
     SingularQuasiDetSystem,
@@ -43,7 +43,6 @@ from .polynomials import (
     type1_sequences,
     type2_sequence,
 )
-from .scalars import is_zero
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,11 @@ class AkvReport:
     zeros_at_origin: int
 
 
-def _require_exact(t, op):
-    if not t.is_exact:
-        raise ExactArithmeticRequired(op)
-
-
-def _forced_nu(alphas: AlphaSequence):
-    alpha2 = alphas.at(2)
-    if is_zero(alpha2):
+def _forced_nu(alpha2):
+    """nu = -1/alpha_2, exact for an int alpha_2 too."""
+    if alpha2 == 0:
         raise ZeroAlphaTwo()
-    return -1 / alpha2
+    return Fraction(-1) / alpha2
 
 
 def darboux_transforms(alphas: AlphaSequence) -> DarbouxPair:
@@ -174,7 +168,6 @@ def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
     The division by x is asserted by checking the constant term vanishes,
     which fails (InexactDivision) whenever alphas do not factor T.
     """
-    _require_exact(t, "transformed_type2")
     if n < 1:
         raise ValueError("transformed sequences need N >= 1")
     b = type2_sequence(t, n + 1)
@@ -197,7 +190,7 @@ def transformed_char_polys(pair: DarbouxPair, n: int, k: int, nu):
         tildeB^(1)_{N+1} = tildeB^[1]_{N+1}
         tildeB^(2)_{N+1} = tildeB^[2]_{N+1} - nu tildeB^[1]_{N+1}.
     """
-    if is_zero(nu):
+    if nu == 0:
         raise ZeroNu()
     main = char_poly_truncation(pair.hat, n, k)
     first = char_poly_truncation(pair.hat, n, 1)
@@ -231,8 +224,7 @@ def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tran
     Requires alphas materializable to index 3N+5 and the matrix bands to
     a_{N+2} (the A sequences run to index N+2).
     """
-    _require_exact(t, "transformed_type1")
-    nu = _forced_nu(alphas)
+    nu = _forced_nu(alphas.at(2))
     a1, a2 = type1_sequences(t, n + 2, nu)
     at = alphas.at
     hat_a1 = []
@@ -292,10 +284,7 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
     the third strand is alpha_{3k+3} = (first component) - alpha_{3k+2}.
     Needs the matrix bands up to a_{N+1}.
     """
-    _require_exact(t, "alphas_from_polynomials")
-    if is_zero(alpha2):
-        raise ZeroAlphaTwo()
-    nu = -1 / alpha2
+    nu = _forced_nu(alpha2)
     b = type2_sequence(t, n + 1)
     a1, a2 = type1_sequences(t, n + 1, nu)
     b0 = [p.constant for p in b]
@@ -354,12 +343,11 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
     residual.  Raises IdentityViolation at the first failure, in
     (k, identity) order.
     """
-    _require_exact(t, "verify_christoffel")
     _check_pbf(alphas, 3 * n + 5, "verify_christoffel")
     if n < 1:
         raise ValueError("transformed sequences need N >= 1")
     b = type2_sequence(t, n + 1)
-    a1, a2 = type1_sequences(t, n + 2, _forced_nu(alphas))
+    a1, a2 = type1_sequences(t, n + 2, _forced_nu(alphas.at(2)))
     at = alphas.at
     b0 = [p.constant for p in b]
     a10 = [p.constant for p in a1]
@@ -423,7 +411,6 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     second-kind strands they are not, and the undivided polynomials are the
     ones entering the determinants.
     """
-    _require_exact(t, "akv_sign_checks")
     xs = tuple(xs)
     if not xs:
         raise ValueError("at least one sample point is required")
@@ -431,7 +418,7 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
         if x < 0:
             raise ValueError(f"sample x = {x} violates x >= 0")
     _check_pbf(alphas, 3 * n + 4, "akv_sign_checks")
-    nu = _forced_nu(alphas)
+    nu = _forced_nu(alphas.at(2))
     sk1, sk2, _ = second_kind_sequences(t, n + 2, nu)
     base = (tuple(type2_sequence(t, n + 2)), tuple(sk1), tuple(sk2))
     at = alphas.at

@@ -83,14 +83,6 @@ class InexactDivision(TetraError):
         super().__init__(f"polynomial has nonzero constant term {constant}{where}; not divisible by x")
 
 
-class ExactArithmeticRequired(TetraError):
-    """The requested operation is only defined in exact (rational) mode."""
-
-    def __init__(self, op):
-        self.op = op
-        super().__init__(f"{op} requires exact rational scalars, not floats")
-
-
 class ZeroAtOrigin(TetraError):
     """A polynomial value at the origin that must be nonzero vanishes."""
 

@@ -20,10 +20,10 @@ where m_n, l_n are the two subdiagonals of the unit lower factor L.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import AlphaSequence, DenseMatrix, TetraHessenberg, _banded
-from .errors import ExactArithmeticRequired, SingularLeadingMinor, ZeroAlpha3n
-from .scalars import is_exact, is_zero, one_like, zero_like
+from .errors import SingularLeadingMinor, ZeroAlpha3n
 
 
 @dataclass(frozen=True)
@@ -46,29 +46,27 @@ class GaussBorelFactors:
         return len(self.delta) - 1
 
     def lower_matrix(self) -> DenseMatrix:
-        one = one_like(self.delta[0])
+        one = Fraction(1)
         bands = {0: lambda i: one, -1: lambda i: self.m[i - 1], -2: lambda i: self.ell[i - 2]}
-        return _banded(self.order + 1, bands, zero_like(one))
+        return _banded(self.order + 1, bands)
 
     def upper_matrix(self) -> DenseMatrix:
-        one = one_like(self.delta[0])
-        bands = {0: lambda i: self.u_diag[i], 1: lambda i: one}
-        return _banded(self.order + 1, bands, zero_like(one))
+        bands = {0: lambda i: self.u_diag[i], 1: lambda i: Fraction(1)}
+        return _banded(self.order + 1, bands)
 
 
 def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
     """LU data of T^[N]; raises SingularLeadingMinor at the first vanishing
-    delta^[n] (float mode treats |delta| < tol * scale as vanishing)."""
+    delta^[n]."""
     if n < 0:
         raise ValueError("truncation order must be >= 0")
-    one = one_like(t.c(0))
-    deltas = [one]  # deltas[i] = delta^[i-1]
+    deltas = [Fraction(1)]  # deltas[i] = delta^[i-1]
     for k in range(n + 1):
         term_c = t.c(k) * deltas[k]
-        term_b = t.b(k) * deltas[k - 1] if k >= 1 else zero_like(one)
-        term_a = t.a(k) * deltas[k - 2] if k >= 2 else zero_like(one)
+        term_b = t.b(k) * deltas[k - 1] if k >= 1 else 0
+        term_a = t.a(k) * deltas[k - 2] if k >= 2 else 0
         value = term_c - term_b + term_a
-        if is_zero(value, scale=abs(term_c) + abs(term_b) + abs(term_a)):
+        if value == 0:
             raise SingularLeadingMinor(k)
         deltas.append(value)
     u_diag = tuple(deltas[k + 1] / deltas[k] for k in range(n + 1))
@@ -84,10 +82,6 @@ def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
     Raises ZeroAlpha3n(k) when alpha_{3k} = 0 makes the division for
     alpha_{3k+2} impossible (k = 1 .. N-1; a zero alpha_{3N} is harmless
     because nothing is divided by it)."""
-    if t.is_exact and not is_exact(alpha2):
-        raise ExactArithmeticRequired("bidiagonal_factor with a float alpha2 on an exact matrix")
-    if not t.is_exact:
-        alpha2 = float(alpha2)
     gb = gauss_borel(t, n)
     alpha = [None] * (3 * n + 2)  # 1-based
     for k in range(n + 1):
@@ -96,7 +90,7 @@ def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
         alpha[2] = alpha2
         alpha[3] = gb.m[0] - alpha2
         for k in range(1, n):
-            if is_zero(alpha[3 * k], scale=abs(gb.m[k - 1])):
+            if alpha[3 * k] == 0:
                 raise ZeroAlpha3n(k)
             alpha[3 * k + 2] = gb.ell[k - 1] / alpha[3 * k]
             alpha[3 * k + 3] = gb.m[k] - alpha[3 * k + 2]

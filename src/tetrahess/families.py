@@ -39,21 +39,13 @@ class Region(enum.Enum):
         return self.value
 
 
-def _is_integer(value) -> bool:
-    if isinstance(value, int):
-        return True
-    if isinstance(value, Fraction):
-        return value.denominator == 1
-    return float(value).is_integer()
-
-
 def jp_region(alpha, beta) -> Region:
     """Strict-inequality region of (alpha, beta); boundaries (integer
     alpha - beta) and points outside alpha, beta > -1 return OUTSIDE."""
     if not (alpha > -1 and beta > -1):
         return Region.OUTSIDE
     d = alpha - beta
-    if _is_integer(d):
+    if d.denominator == 1:  # an integer alpha - beta is a region boundary
         return Region.OUTSIDE
     if d > 1:
         return Region.R1
@@ -78,7 +70,7 @@ class JPParams:
             raise OutsideNaturalRegion(f"alpha = {a}, beta = {b} must both exceed -1")
         if not g > -1:
             raise OutsideNaturalRegion(f"gamma = {g} must exceed -1")
-        if _is_integer(a - b):
+        if (a - b).denominator == 1:
             raise OutsideNaturalRegion(f"alpha - beta = {a - b} is an integer")
         # the closed forms divide by (k + alpha + gamma) and (k + beta + gamma),
         # k >= 1; with parameters > -1 only k = 1 can vanish
@@ -151,7 +143,7 @@ def jp_dense_truncation(p: JPParams, n: int):
     some a_n are negative and TetraHessenberg would refuse them)."""
     count = 3 * (n + 1) + 1
     c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, count))
-    return _banded(n + 1, {0: c, 1: lambda i: Fraction(1), -1: b, -2: a}, Fraction(0))
+    return _banded(n + 1, {0: c, 1: lambda i: Fraction(1), -1: b, -2: a})
 
 
 # Region sign table for the first period layers; the fixed grids used for

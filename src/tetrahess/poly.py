@@ -2,14 +2,14 @@
 
 Coefficients are stored ascending (index = power) in a tuple with no
 trailing zeros, so the zero polynomial is the empty tuple and ``degree``
-is -1 for it.  Coefficients can be Fractions (exact mode) or floats; the
-two must not be mixed within one computation.
+is -1 for it.  Coefficients are exact: ints or Fractions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InexactDivision
-from .scalars import zero_like
 
 
 def _strip(coeffs):
@@ -82,7 +82,7 @@ class Poly:
         return Poly(tuple(v * scalar for v in self.coeffs))
 
     def __call__(self, x):
-        acc = zero_like(x)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -90,7 +90,7 @@ class Poly:
     def times_x(self):
         if not self.coeffs:
             return self
-        return Poly((zero_like(self.coeffs[0]),) + self.coeffs)
+        return Poly((Fraction(0),) + self.coeffs)
 
     def exact_div_x(self, context=""):
         """Divide by x, insisting on a zero constant term."""

@@ -17,11 +17,11 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import TetraHessenberg
-from .errors import ExactArithmeticRequired, IndexOutOfRange, ZeroNu
+from .errors import IndexOutOfRange, ZeroNu
 from .poly import Poly, constant_poly
-from .scalars import is_exact, is_zero, one_like
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,6 @@ class PolySequence:
 
     def __iter__(self):
         return iter(self.polys)
-
-
-def _check_nu(t: TetraHessenberg, nu):
-    if t.is_exact and not is_exact(nu):
-        raise ExactArithmeticRequired("type I sequences with a float nu on an exact matrix")
-    if not t.is_exact:
-        nu = float(nu)
-    if is_zero(nu):
-        raise ZeroNu()
-    return nu
 
 
 def _x_minus(c, p: Poly) -> Poly:
@@ -73,7 +63,7 @@ def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False):
     for m in range(start, stop):
         w0, w1, w2 = out[-3:]
         if transpose:
-            inv_a = 1 / t.a(m + 1)
+            inv_a = Fraction(1) / t.a(m + 1)  # exact for an int a_{m+1} too
             new = (_x_minus(t.c(m - 1), w1) - w2.scale(t.b(m)) - w0).scale(inv_a)
         else:
             new = _x_minus(t.c(m), w2)
@@ -83,9 +73,9 @@ def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False):
     return out
 
 
-def _type2_polys(t: TetraHessenberg, n: int, one):
+def _type2_polys(t: TetraHessenberg, n: int):
     """B_0 .. B_N: the row recurrence from the seeds (0, 0, 1)."""
-    return _recur(t, (0, 0, one), 0, n)[2:]
+    return _recur(t, (0, 0, Fraction(1)), 0, n)[2:]
 
 
 def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
@@ -96,7 +86,7 @@ def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
     seeded by B_0 = 1, B_1 = x - c_0, B_2 = (x - c_1) B_1 - b_1."""
     if n < 0:
         raise ValueError("sequence length must be >= 0")
-    return PolySequence(tuple(_type2_polys(t, n, one_like(t.c(0)))))
+    return PolySequence(tuple(_type2_polys(t, n)))
 
 
 def type1_sequences(t: TetraHessenberg, n: int, nu):
@@ -111,8 +101,9 @@ def type1_sequences(t: TetraHessenberg, n: int, nu):
     """
     if n < 0:
         raise ValueError("sequence length must be >= 0")
-    nu = _check_nu(t, nu)
-    one = one_like(t.c(0))
+    if nu == 0:
+        raise ZeroNu()
+    one = Fraction(1)
     a1 = _recur(t, (0, one, nu * one), 1, n, transpose=True)
     a2 = _recur(t, (0, 0, one), 1, n, transpose=True)
     return (
@@ -133,8 +124,9 @@ def second_kind_sequences(t: TetraHessenberg, n: int, nu):
     """
     if n < 0:
         raise ValueError("sequence length must be >= 0")
-    nu = _check_nu(t, nu)
-    one = one_like(t.c(0))
+    if nu == 0:
+        raise ZeroNu()
+    one = Fraction(1)
     b1 = _recur(t, (one, 0, 0), 0, n)[2:]
     b2 = _recur(t, (-one - nu, one, 0), 0, n)[2:]
     small = [q + p.scale(nu) for p, q in zip(b1, b2)]
@@ -155,4 +147,4 @@ def char_poly_truncation(t: TetraHessenberg, n: int, k: int) -> Poly:
     """
     if not 0 <= k <= n + 1:
         raise IndexOutOfRange(f"char poly truncation index {k} not in [0, {n + 1}]")
-    return _type2_polys(t.shifted(k), n - k + 1, one_like(t.c(0)))[-1]
+    return _type2_polys(t.shifted(k), n - k + 1)[-1]

@@ -1,12 +1,14 @@
 """JSON payloads for band matrices and factorization sequences.
 
 A matrix is {"a": [str], "b": [str], "c": [str]} with rationals encoded as
-"p/q" strings; an alpha sequence is {"alpha": [str]}.  Writers add an
-explicit "start_index" block (a from 2, b from 1, c from 0, alpha from 1)
-and readers validate it when present, so the index conventions can never
-drift silently through a file.  Either payload may instead carry a
-"generator" field naming a built-in family ("ones", or a jacobi-pineiro
-object) in place of explicit arrays.
+"p/q" strings; an alpha sequence is {"alpha": [str]}.  Entries may also be
+JSON numbers, read exactly (0.1 is 1/10).  Writers add an explicit
+"start_index" block (a from 2, b from 1, c from 0, alpha from 1) and readers
+validate it when present, so the index conventions can never drift silently
+through a file.  Either payload may instead carry a "generator" field naming
+a built-in family ("ones", or a jacobi-pineiro object) in place of explicit
+arrays.  A payload of the wrong shape raises ValueError, KeyError or
+TypeError.
 """
 
 from __future__ import annotations
@@ -23,53 +25,59 @@ BAND_STARTS = {"a": 2, "b": 1, "c": 0}
 DEFAULT_GENERATOR_COUNT = 31
 
 
+def _require_object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+
+
 def _check_start_index(payload, expected):
-    declared = payload.get("start_index")
-    if declared is None:
+    if "start_index" not in payload:
         return
-    if isinstance(declared, int) and len(expected) == 1:
+    declared = payload["start_index"]
+    if len(expected) == 1 and not isinstance(declared, dict):
         declared = {next(iter(expected)): declared}
-    if declared != expected:
+    # type(v) is int: JSON true or 1.0 is not an index
+    if declared != expected or any(type(v) is not int for v in declared.values()):
         raise ValueError(f"start_index {declared!r} does not match the fixed convention {expected!r}")
 
 
-def _scalar_array(payload, key, mode):
+def _scalar_array(payload, key):
     values = payload[key]
     if not isinstance(values, list):
         raise ValueError(f"{key!r} must be a JSON array, got {type(values).__name__}")
-    return tuple(parse_scalar(str(v), mode) for v in values)
+    return tuple(parse_scalar(str(v)) for v in values)
 
 
-def _generator_alphas(spec, mode):
+def _generator_alphas(spec):
     if isinstance(spec, str):
         spec = {"name": spec}
+    _require_object(spec, "generator")
     name = spec.get("name")
-    count = int(spec.get("count", DEFAULT_GENERATOR_COUNT))
+    count = spec.get("count", DEFAULT_GENERATOR_COUNT)
+    if type(count) is not int:  # JSON 2.5 or true is no count
+        raise ValueError(f"generator count must be a JSON integer, got {count!r}")
     if count < 1:
         raise ValueError(f"generator count must be >= 1, got {count}")
     if name == "ones":
-        seq = AlphaSequence(values=(Fraction(1),) * count)
-    elif name == "jacobi-pineiro":
+        return AlphaSequence(values=(Fraction(1),) * count)
+    if name == "jacobi-pineiro":
         params = JPParams(
             alpha=parse_scalar(str(spec["alpha"])),
             beta=parse_scalar(str(spec["beta"])),
             gamma=parse_scalar(str(spec["gamma"])),
         )
-        seq = jp_alphas(params, Variant(spec.get("variant", "first")), count)
-    else:
-        raise ValueError(f"unknown generator {name!r}")
-    if mode == "float":
-        return AlphaSequence(values=tuple(float(v) for v in seq.values))
-    return seq
+        return jp_alphas(params, Variant(spec.get("variant", "first")), count)
+    raise ValueError(f"unknown generator {name!r}")
 
 
-def load_alphas(payload: dict, mode: str = "exact") -> AlphaSequence:
+def load_alphas(payload: dict) -> AlphaSequence:
+    _require_object(payload, "alpha payload")
     if "generator" in payload:
-        return _generator_alphas(payload["generator"], mode)
+        return _generator_alphas(payload["generator"])
     if "alpha" not in payload:
         raise ValueError('alpha payload needs an "alpha" array or a "generator"')
     _check_start_index(payload, {"alpha": 1})
-    values = _scalar_array(payload, "alpha", mode)
+    values = _scalar_array(payload, "alpha")
     if not values:
         raise ValueError("alpha array is empty")
     return AlphaSequence(values=values)
@@ -86,14 +94,15 @@ def dump_alphas(alphas: AlphaSequence, count=None) -> dict:
     }
 
 
-def load_matrix(payload: dict, mode: str = "exact") -> TetraHessenberg:
+def load_matrix(payload: dict) -> TetraHessenberg:
+    _require_object(payload, "matrix payload")
     if "generator" in payload:
-        return tetra_from_alphas(_generator_alphas(payload["generator"], mode))
+        return tetra_from_alphas(_generator_alphas(payload["generator"]))
     missing = [k for k in ("a", "b", "c") if k not in payload]
     if missing:
         raise ValueError(f"matrix payload lacks band(s) {missing}")
     _check_start_index(payload, BAND_STARTS)
-    bands = {k: _scalar_array(payload, k, mode) for k in ("a", "b", "c")}
+    bands = {k: _scalar_array(payload, k) for k in ("a", "b", "c")}
     if not bands["c"]:
         raise ValueError("band c is empty")
     return tetra_from_bands(a=bands["a"], b=bands["b"], c=bands["c"])

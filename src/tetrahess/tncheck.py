@@ -64,6 +64,11 @@ class _MinorTable:
         return value
 
 
+def _check_cap(m: DenseMatrix, cap: int):
+    if m.n > cap:
+        raise DimensionCapExceeded(m.n, cap)
+
+
 def _neighbors_positive(m: DenseMatrix) -> bool:
     return all(m.entry(i, i + 1) > 0 and m.entry(i + 1, i) > 0 for i in range(m.n - 1))
 
@@ -98,8 +103,7 @@ def is_totally_nonnegative(m: DenseMatrix) -> TNReport:
     oscillation verdict (TN + nonsingular + positive first
     sub/superdiagonal neighbours).
     """
-    if m.n > DEFAULT_CAP:
-        raise DimensionCapExceeded(m.n, DEFAULT_CAP)
+    _check_cap(m, DEFAULT_CAP)
     nonsingular = m.det() != 0
     witness, checked = _full_scan(m)
     is_tn = witness is None
@@ -125,13 +129,17 @@ def is_oscillatory_power_oracle(m: DenseMatrix) -> bool:
     Exponentially more minors than the Gantmacher-Krein route, hence the
     lower cap (POWER_ORACLE_CAP); exists to cross-check is_oscillatory, not
     to replace it."""
-    dim = m.n
-    if dim > POWER_ORACLE_CAP:
-        raise DimensionCapExceeded(dim, POWER_ORACLE_CAP)
-    if not is_totally_nonnegative(m).is_tn:
-        return False
+    _check_cap(m, POWER_ORACLE_CAP)
+    return is_totally_nonnegative(m).is_tn and _some_power_totally_positive(m)
+
+
+def _some_power_totally_positive(m: DenseMatrix) -> bool:
+    """The power oracle after its TN gate: is some m^k, 1 <= k <= max(1,
+    dim-1), totally positive?  For a caller that already holds the TN
+    verdict of m (dim <= POWER_ORACLE_CAP)."""
+    _check_cap(m, POWER_ORACLE_CAP)
     power = m
-    for _ in range(max(1, dim - 1)):
+    for _ in range(max(1, m.n - 1)):
         if _full_scan(power, violates=lambda value: value <= 0)[0] is None:
             return True
         power = power.mul(m)

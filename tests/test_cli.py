@@ -9,9 +9,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tetrahess
-from tetrahess import cli
+from tetrahess import cli, tncheck
 from tetrahess.cli import main
 from tetrahess.poly import Poly
 
@@ -89,13 +91,6 @@ class TestJPScan:
             assert osc == ("true" if region in ("R2", "R3") else "false")
             assert pbf == ("true" if region == "R3" else "false")
 
-    def test_float_mode_refused(self):
-        # a TN verdict computed in floats is not a certificate
-        code, out, err = run(["--mode", "float", "jp-scan"])
-        assert code == 64
-        assert out == ""
-        assert "exact mode only" in err
-
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_ends_quietly(self, unbuffered):
@@ -126,15 +121,6 @@ class TestFactor:
                             "--alpha2", "1"])
         assert code == 0
         assert json.loads(out)["classification"] == "PBF"
-
-    def test_float_mode_jacobi_pineiro_generator(self, jp_r3_file):
-        code, out, err = run(["--mode", "float", "factor", "--input", jp_r3_file,
-                              "--n", "5", "--alpha2", "0.5"])
-        body = json.loads(out)
-        assert code == {"PBF": 0, "TN": 1, "INDEFINITE": 2}[body["classification"]], err
-        assert len(body["alpha"]) == 16
-        assert all("/" not in v and "." in v for v in body["alpha"])
-        assert float(body["alpha"][0]) == 0.5
 
     def test_breakdown_maps_to_compute_error(self, tsym_file):
         code, _, err = run(["factor", "--input", tsym_file, "--n", "2",
@@ -224,17 +210,15 @@ class TestVerify:
                             tsym_file, "--n", "2"])
         assert code == 65
 
-    def test_float_mode_refused(self, ones_file):
-        code, _, _ = run(["--mode", "float", "verify", "--suite", "tn",
-                          "--alphas", ones_file])
-        assert code == 64
-
     def test_tampered_alphas_fail(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"alpha": ["1"] * 10 + ["-1"] + ["1"] * 10}))
-        code, _, _ = run(["verify", "--suite", "akv", "--alphas", str(bad),
-                          "--n", "4"])
-        assert code == 70  # negative band surfaces as a compute error
+        code, out, err = run(["verify", "--suite", "akv", "--alphas", str(bad),
+                              "--n", "4"])
+        # alpha_11 = -1 makes a_4 = alpha_11 alpha_9 alpha_7 negative: the
+        # alphas file cannot define a matrix, so it is bad input
+        assert (code, out) == (65, "")
+        assert err == f"input error: {bad}: a_4 = -1 must be positive\n"
 
 
 def _perturbed(seq, index):
@@ -274,12 +258,27 @@ class TestVerifyCharpolyCanFail:
 
 
 def test_verify_tn_disagreement_fails(monkeypatch, ones_file):
-    monkeypatch.setattr(cli, "is_oscillatory_power_oracle", lambda m: False)
+    monkeypatch.setattr(cli, "_some_power_totally_positive", lambda m: False)
     code, out, err = run(["verify", "--suite", "tn", "--alphas", ones_file, "--n", "3"])
     assert code == 1
     error = "tn: GK verdict True disagrees with power oracle False at N=1"
     assert json.loads(out) == {"status": "fail", "error": error}
     assert err == f"verification failure: {error}\n"
+
+
+def test_tn_suite_scans_each_truncation_once(monkeypatch, ones_file):
+    dims = []
+    original = tncheck.is_totally_nonnegative
+
+    def counting(m):
+        dims.append(m.n)
+        return original(m)
+
+    monkeypatch.setattr(cli, "is_totally_nonnegative", counting)
+    monkeypatch.setattr(tncheck, "is_totally_nonnegative", counting)
+    code, _, err = run(["verify", "--suite", "tn", "--alphas", ones_file, "--n", "5"])
+    assert code == 0, err
+    assert dims == [2, 3, 4, 5, 6]
 
 
 class TestVerifyDataShortfall:
@@ -313,6 +312,9 @@ class TestVerifyDataShortfall:
 
 OUTSIDE_REGION = {"generator": {"name": "jacobi-pineiro",
                                  "alpha": "1", "beta": "0", "gamma": "0"}}
+NEGATIVE_A = {"a": ["-1"], "b": ["1", "1"], "c": ["1", "1", "1"]}
+# (alpha, beta, gamma) = (3/2, 0, 0) lies in R1, where a_3 = -7/5720
+JP_R1 = {"generator": {"name": "jacobi-pineiro", "alpha": "3/2", "beta": "0", "gamma": "0"}}
 
 
 class TestInputErrorEverySubcommand:
@@ -343,6 +345,28 @@ class TestInputErrorEverySubcommand:
         assert (code, out) == (65, "")
         assert err.startswith(f"input error: {path}: parameters outside the natural region")
 
+    @pytest.mark.parametrize("payload, argv, message", [
+        (NEGATIVE_A, ["polys", "--n", "2", "--kind", "type2", "--input"], "a_2 = -1"),
+        (NEGATIVE_A, ["factor", "--n", "2", "--alpha2", "1", "--input"], "a_2 = -1"),
+        (JP_R1, ["polys", "--n", "2", "--kind", "type2", "--input"], "a_3 = -7/5720"),
+        (JP_R1, ["factor", "--n", "2", "--alpha2", "1", "--input"], "a_3 = -7/5720"),
+        (JP_R1, ["verify", "--suite", "tn", "--n", "2", "--alphas"], "a_3 = -7/5720"),
+    ])
+    def test_nonpositive_lowest_band(self, tmp_path, payload, argv, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(argv + [str(path)])
+        assert (code, out) == (65, "")
+        assert err == f"input error: {path}: {message} must be positive\n"
+
+    def test_nonpositive_transformed_band_is_compute_error(self, tmp_path):
+        # the R1 alphas are valid input; the hat transform built from them is
+        # what breaks a_n > 0, a precondition of the computation
+        path = tmp_path / "r1.json"
+        path.write_text(json.dumps(JP_R1))
+        code, out, err = run(["darboux", "--which", "hat", "--alphas", str(path)])
+        assert (code, out, err) == (70, "", "error: a_2 = 0 must be positive\n")
+
 
 class TestErrorMapping:
     def test_missing_required_flag(self, tsym_file):
@@ -367,9 +391,21 @@ class TestErrorMapping:
         assert code == 64
 
     def test_removed_global_flags(self, ones_file):
-        for flag in (["--seed", "3"], ["--float-tolerance", "1e-9"]):
-            code, _, _ = run(flag + ["darboux", "--alphas", ones_file, "--which", "hat"])
-            assert code == 64
+        commands = [
+            ["jp", "--alpha", "0", "--beta", "1/2", "--gamma", "0"],
+            ["jp-scan"],
+            ["factor", "--input", ones_file, "--n", "2", "--alpha2", "1"],
+            ["polys", "--input", ones_file, "--n", "2", "--kind", "type2"],
+            ["darboux", "--alphas", ones_file, "--which", "hat"],
+            ["verify", "--suite", "tn", "--alphas", ones_file, "--n", "2"],
+        ]
+        flags = (["--seed", "3"], ["--float-tolerance", "1e-9"],
+                 ["--mode", "float"], ["--mode", "exact"])
+        for argv in commands:
+            assert run(argv)[0] == 0
+            for flag in flags:
+                code, out, _ = run(flag + argv)
+                assert (code, out) == (64, ""), flag + argv
 
     @pytest.mark.parametrize(
         "payload, argv",
@@ -380,6 +416,23 @@ class TestErrorMapping:
             ({"generator": {"name": "ones", "count": 0}}, ["darboux", "--which", "hat", "--alphas"]),
             ({"generator": {"name": "ones", "count": 0}},
              ["polys", "--n", "2", "--kind", "type2", "--input"]),
+        ] + [
+            (payload, argv)
+            for payload in (
+                {"generator": 5},
+                {"generator": None},
+                {"generator": ["ones"]},
+                {"generator": {"name": "ones", "count": 2.5}},
+                {"generator": {"name": "ones", "count": True}},
+            )
+            for argv in (
+                ["factor", "--n", "0", "--alpha2", "1", "--input"],
+                ["polys", "--n", "0", "--kind", "type2", "--input"],
+                ["darboux", "--which", "hat", "--alphas"],
+            )
+        ] + [
+            (payload, ["darboux", "--which", "hat", "--alphas"])
+            for payload in (["alpha"], {"alpha": ["1/0", "1"]}, {"alpha": ["1"], "start_index": True})
         ],
     )
     def test_malformed_payload_is_input_error(self, tmp_path, payload, argv):
@@ -389,3 +442,92 @@ class TestErrorMapping:
         assert code == 65
         assert out == ""
         assert "input error" in err
+
+
+# -- payload fuzzing: every structurally wrong payload is bad input ---------
+
+_VALID_ENTRY = st.sampled_from(["1", "2/3", 1, 0.5])
+_BAD_ENTRY = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["", "x", "1/0", "1//2", "0x1"]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=2),
+)
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False))
+_NON_OBJECT = st.one_of(_JSON_SCALAR, st.lists(st.sampled_from(["ones", 1]), max_size=2))
+_NON_ARRAY = st.one_of(
+    _JSON_SCALAR, st.text(max_size=3), st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=2),
+)
+_BAD_ARRAY = st.one_of(
+    _NON_ARRAY,
+    st.builds(lambda good, bad: good + [bad], st.lists(_VALID_ENTRY, max_size=3), _BAD_ENTRY),
+)
+_NOT_A_COUNT = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.integers(-100, 0),
+    st.sampled_from(["5", [5], {"n": 5}]),
+)
+_VALID_MATRIX = {"a": ["1"], "b": ["1", "1"], "c": ["2", "2", "2"]}
+_JP_R3 = {"name": "jacobi-pineiro", "variant": "akv", "alpha": "0", "beta": "1/2", "gamma": "0"}
+
+
+def _replace(base, key, value):
+    return {**base, key: value}
+
+
+_ALPHA_PAYLOADS = st.one_of(
+    st.just({}),
+    st.just({"alpha": []}),
+    st.builds(lambda v: {"alpha": v}, _BAD_ARRAY),
+    st.builds(lambda s: {"alpha": ["1"], "start_index": s}, st.one_of(
+        st.none(), st.booleans(), st.integers().filter(lambda i: i != 1),
+        st.floats(allow_nan=False), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+        st.fixed_dictionaries({"alpha": st.sampled_from([0, 2, 1.0, True, "1", None])}),
+    )),
+)
+_MATRIX_PAYLOADS = st.one_of(
+    st.just(_replace(_VALID_MATRIX, "c", [])),
+    st.builds(lambda k: {b: v for b, v in _VALID_MATRIX.items() if b != k}, st.sampled_from("abc")),
+    st.builds(lambda k, v: _replace(_VALID_MATRIX, k, v), st.sampled_from("abc"), _BAD_ARRAY),
+    st.builds(lambda s: _replace(_VALID_MATRIX, "start_index", s), st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+        st.lists(st.integers(), max_size=3),
+        st.fixed_dictionaries({"a": st.just(2), "b": st.just(1),
+                               "c": st.sampled_from([1, 0.0, False, "0", None])}),
+    )),
+)
+_GENERATOR_SPECS = st.one_of(
+    _NON_OBJECT,
+    st.text(max_size=5).filter(lambda name: name != "ones"),
+    st.builds(lambda c: {"name": "ones", "count": c}, _NOT_A_COUNT),
+    st.builds(lambda name, c: {"name": name, "count": c},
+              st.one_of(_NON_OBJECT, st.text(max_size=5).filter(lambda name: name != "ones")),
+              st.integers(1, 100)),
+    st.builds(lambda k, v, c: _replace(_replace(_JP_R3, "count", c), k, v),
+              st.sampled_from(["alpha", "beta", "gamma"]),
+              st.one_of(_BAD_ENTRY, st.sampled_from(["-3", "-1"])), st.integers(1, 100)),
+    st.builds(lambda v, c: _replace(_replace(_JP_R3, "count", c), "variant", v),
+              st.sampled_from([None, 5, "second", "", ["akv"]]), st.integers(1, 100)),
+    st.builds(lambda c: _replace(_JP_R3, "count", c), _NOT_A_COUNT),
+)
+_PAYLOADS = st.one_of(
+    st.tuples(_ALPHA_PAYLOADS, st.just("--alphas")),
+    st.tuples(_MATRIX_PAYLOADS, st.just("--input")),
+    st.tuples(st.builds(lambda spec: {"generator": spec}, _GENERATOR_SPECS),
+              st.sampled_from(["--alphas", "--input"])),
+    st.tuples(st.one_of(_NON_OBJECT, st.text(max_size=5)), st.sampled_from(["--alphas", "--input"])),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=_PAYLOADS)
+def test_structurally_wrong_payload_is_input_error(tmp_path_factory, case):
+    payload, verify_flag = case
+    path = str(tmp_path_factory.mktemp("fuzz") / "payload.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    for argv in (
+        ["factor", "--n", "2", "--alpha2", "1", "--input", path],
+        ["polys", "--n", "2", "--kind", "type2", "--input", path],
+        ["darboux", "--which", "hat", "--alphas", path],
+        ["verify", "--suite", "charpoly", "--n", "2", verify_flag, path],
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (65, ""), (payload, argv, err)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tetrahess import (
     AlphaSequence,
-    ExactArithmeticRequired,
     IdentityViolation,
     SignViolation,
     TetraError,
@@ -371,8 +370,18 @@ def test_akv_sign_checks_requires_pbf(t_ones):
         akv_sign_checks(t_ones, alphas, 3, (F(0),))
 
 
-def test_transformed_ops_reject_float_matrix():
-    t = tetra_from_bands(a=[1.0], b=[1.0, 1.0], c=[2.0, 2.0, 2.0])
-    alphas = AlphaSequence(func=lambda j: F(1))
-    with pytest.raises(ExactArithmeticRequired):
-        transformed_type2(t, alphas, 2)
+def test_explicit_scalars_must_be_exact():
+    # floats are refused where explicit values enter, so no operation sees one
+    with pytest.raises(TypeError):
+        tetra_from_bands(a=[1.0], b=[F(1), F(1)], c=[F(2), F(2), F(2)])
+    with pytest.raises(TypeError):
+        tetra_from_bands(a=[F(1)], b=[F(1), F(1)], c=[F(2), 2.0, F(2)])
+    with pytest.raises(TypeError):
+        AlphaSequence(values=(F(1), 0.5))
+    # ints are exact, and int inputs give exact results
+    t = tetra_from_bands(a=[1], b=[1, 1], c=[2, 2, 2])
+    alphas = AlphaSequence(values=(1,) * 10)
+    a1, a2 = type1_sequences(t, 2, F(1))
+    assert all(isinstance(c, (int, F)) for p in (*a1, *a2) for c in p.coeffs)
+    assert isinstance(transformed_type1(tetra_from_alphas(alphas), alphas, 1).nu, F)
+    assert isinstance(leading_principal(t, 2).det(), F)

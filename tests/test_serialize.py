@@ -141,7 +141,7 @@ def test_generator_count_must_be_positive(count):
             load_matrix({"generator": spec})
 
 
-def test_float_mode_parsing():
-    alphas = load_alphas({"alpha": ["0.5", "2"]}, mode="float")
-    assert alphas.at(1) == 0.5
-    assert isinstance(alphas.at(2), float)
+def test_decimal_literals_stay_exact():
+    alphas = load_alphas({"alpha": ["0.1", 0.1]})
+    assert alphas.prefix(2) == (F(1, 10), F(1, 10))
+    assert all(type(v) is F for v in alphas.prefix(2))
