@@ -91,6 +91,13 @@ class TestJPScan:
             assert osc == ("true" if region in ("R2", "R3") else "false")
             assert pbf == ("true" if region == "R3" else "false")
 
+    def test_float_mode_refused(self):
+        # there is no float mode: the old flag is a usage error, never a scan
+        code, out, err = run(["--mode", "float", "jp-scan"])
+        assert code == 64
+        assert out == ""
+        assert "usage error" in err
+
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_ends_quietly(self, unbuffered):
@@ -209,6 +216,12 @@ class TestVerify:
         code, _, err = run(["verify", "--suite", "christoffel", "--input",
                             tsym_file, "--n", "2"])
         assert code == 65
+
+    def test_float_mode_refused(self, ones_file):
+        code, out, _ = run(["--mode", "float", "verify", "--suite", "tn",
+                            "--alphas", ones_file])
+        assert code == 64
+        assert out == ""
 
     def test_tampered_alphas_fail(self, tmp_path):
         bad = tmp_path / "bad.json"
