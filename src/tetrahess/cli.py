@@ -28,7 +28,8 @@ from .darboux import (
     darboux_transforms,
     verify_christoffel,
 )
-from .errors import BandExhausted, NonPositiveSubSubDiagonal, OutsideNaturalRegion, TetraError
+from .errors import (BandExhausted, ConsistencyViolation, IdentityViolation, NonPositiveSubSubDiagonal,
+                     OutsideNaturalRegion, PredictionMismatch, SignViolation, TetraError)
 from .factorization import bidiagonal_factor, gauss_borel
 from .families import (
     JP_VERIFICATION_GRID,
@@ -68,6 +69,12 @@ class VerificationFailure(Exception):
     """A verify suite's check failed; _cmd_verify prefixes the suite name."""
 
 
+#: What a verify suite reports as "fail": an identity, sign, prediction or
+#: consistency check that came out false.
+_VIOLATIONS = (VerificationFailure, IdentityViolation, SignViolation,
+               PredictionMismatch, ConsistencyViolation)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -101,10 +108,9 @@ def _read_json(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-#: Raised by loading when the file is at fault: a malformed payload, a "1/0"
-#: entry, parameters outside the natural region or a non-positive a_n.
-_BAD_INPUT = (ValueError, KeyError, TypeError, ZeroDivisionError,
-              OutsideNaturalRegion, NonPositiveSubSubDiagonal)
+#: Raised by loading when the file is at fault: a malformed payload or entry
+#: ("1/0"), parameters outside the natural region or a non-positive a_n.
+_BAD_INPUT = (ValueError, KeyError, TypeError, OutsideNaturalRegion, NonPositiveSubSubDiagonal)
 
 
 def _load_file(load, path):
@@ -212,6 +218,7 @@ def _cmd_darboux(args):
     alphas = _load_file(load_alphas, args.alphas)
     pair = darboux_transforms(alphas)
     t = pair.hat if args.which == "hat" else pair.hathat
+    t.c(0)  # raises BandExhausted when the alphas do not reach row 0
     body = dump_matrix(t)
     _emit(
         json.dumps(body, indent=2),
@@ -259,39 +266,28 @@ def _suite_tn(t, n):
     return {"suite": "tn", "checked": checked}
 
 
-def _suite_roundtrip(t, alphas, n, alpha2):
-    if alphas.length is not None:
-        n = min(n, (alphas.length - 1) // 3)
+def _suite_roundtrip(t, alphas, n):
+    alpha2 = alphas.at(2)
     recovered = bidiagonal_factor(t, n, alpha2)
-    want = alphas.prefix(recovered.length)
-    if recovered.prefix(recovered.length) != want:
+    if recovered.prefix(recovered.length) != alphas.prefix(recovered.length):
         raise VerificationFailure("bidiagonal_factor did not reproduce the alphas")
     gb = gauss_borel(t, n)
     if gb.lower_matrix().mul(gb.upper_matrix()) != leading_principal(t, n):
         raise VerificationFailure("L*U does not reproduce the truncation")
     # the polynomial-valued reconstruction needs nu = -1/alpha_2
     if alpha2 != 0:
-        n_rec = n if alphas.length is None else min(n, (alphas.length - 2) // 3)
-        reconstructed = alphas_from_polynomials(t, n_rec, alpha2)
+        reconstructed = alphas_from_polynomials(t, n, alpha2)
         if reconstructed.prefix(reconstructed.length) != alphas.prefix(reconstructed.length):
             raise VerificationFailure("alphas_from_polynomials did not reproduce the alphas")
     return {"suite": "roundtrip", "n": n, "recovered": recovered.length}
 
 
 def _suite_christoffel(t, alphas, n):
-    if alphas.length is not None:
-        n = min(n, (alphas.length - 5) // 3)
-    if n < 1:
-        raise InputError("christoffel: need alphas through index 8 (N >= 1)")
     report = verify_christoffel(t, alphas, n)
     return {"suite": "christoffel", "n": n, "checked": report.checked}
 
 
 def _suite_akv(t, alphas, n):
-    if alphas.length is not None:
-        n = min(n, (alphas.length - 4) // 3)
-    if n < 0:
-        raise InputError("akv: need alphas through index 4")
     report = akv_sign_checks(t, alphas, n, AKV_XS)
     return {
         "suite": "akv",
@@ -313,6 +309,8 @@ def _cmd_verify(args):
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    if args.n == 0 and "christoffel" in suites:
+        raise UsageError("--n must be >= 1 for the christoffel suite")
 
     alphas = _load_file(load_alphas, args.alphas) if args.alphas else None
     if args.input:
@@ -343,29 +341,25 @@ def _cmd_verify(args):
             elif suite == "tn":
                 results.append(_suite_tn(need_matrix(), args.n))
             elif suite == "roundtrip":
-                seq = need_alphas()
-                alpha2 = (
-                    _parse_flag_scalar(args.alpha2, "--alpha2")
-                    if args.alpha2
-                    else seq.at(2)
-                )
-                results.append(_suite_roundtrip(need_matrix(), seq, args.n, alpha2))
+                results.append(_suite_roundtrip(need_matrix(), need_alphas(), args.n))
             elif suite == "christoffel":
                 results.append(_suite_christoffel(need_matrix(), need_alphas(), args.n))
             elif suite == "akv":
                 results.append(_suite_akv(need_matrix(), need_alphas(), args.n))
             else:
                 results.append(_suite_jp_consistency())
-        except BandExhausted as exc:
-            # too few rows or alphas for --n is missing data, not a failed identity
-            raise InputError(f"{suite}: {exc}") from exc
-        except (VerificationFailure, TetraError) as exc:
-            # identity/sign/prediction violations are verification results,
-            # not computation errors
+        except _VIOLATIONS as exc:
             error = f"{suite}: {exc}"
             print(f"verification failure: {error}", file=sys.stderr)
             body = {"status": "fail", "error": error}
             break
+        except BandExhausted as exc:
+            # too few rows or alphas for --n is missing data, not a failed identity
+            raise InputError(f"{suite}: {exc}") from exc
+        except TetraError as exc:
+            # an unmet precondition (non-PBF alphas, a zero origin value, a
+            # singular minor) is a computation error, not a failed identity
+            raise TetraError(f"{suite}: {exc}") from exc
         print(f"verify {suite}: pass", file=sys.stderr)
     else:
         body = {"status": "pass", "n": args.n, "suites": results}
@@ -413,7 +407,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alphas")
     p.add_argument("--input")
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--alpha2")
     p.add_argument("--out")
 
     return parser

@@ -306,8 +306,7 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
 
 
 def _check_pbf(alphas: AlphaSequence, count: int, op: str):
-    needed = count if alphas.length is None else min(count, alphas.length)
-    if alphas.classify(count=needed) is not Classification.PBF:
+    if alphas.classify(count=count) is not Classification.PBF:
         raise TetraError(f"{op} requires a PBF alpha sequence (positive entries)")
 
 

@@ -41,11 +41,18 @@ def _check_start_index(payload, expected):
         raise ValueError(f"start_index {declared!r} does not match the fixed convention {expected!r}")
 
 
+def _scalar(value, name):
+    try:
+        return parse_scalar(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} = {str(value)!r} is not a rational") from None
+
+
 def _scalar_array(payload, key):
     values = payload[key]
     if not isinstance(values, list):
         raise ValueError(f"{key!r} must be a JSON array, got {type(values).__name__}")
-    return tuple(parse_scalar(str(v)) for v in values)
+    return tuple(_scalar(v, f"{key}[{i}]") for i, v in enumerate(values))
 
 
 def _generator_alphas(spec):
@@ -62,9 +69,9 @@ def _generator_alphas(spec):
         return AlphaSequence(values=(Fraction(1),) * count)
     if name == "jacobi-pineiro":
         params = JPParams(
-            alpha=parse_scalar(str(spec["alpha"])),
-            beta=parse_scalar(str(spec["beta"])),
-            gamma=parse_scalar(str(spec["gamma"])),
+            alpha=_scalar(spec["alpha"], "generator alpha"),
+            beta=_scalar(spec["beta"], "generator beta"),
+            gamma=_scalar(spec["gamma"], "generator gamma"),
         )
         return jp_alphas(params, Variant(spec.get("variant", "first")), count)
     raise ValueError(f"unknown generator {name!r}")

@@ -32,7 +32,6 @@ from tetrahess import (
     leading_principal,
     second_kind_sequences,
     tetra_from_alphas,
-    tetra_from_bands,
     trailing_truncation,
     transformed_type2,
     truncation_mismatch,

@@ -175,6 +175,22 @@ class TestPolys:
 
 
 class TestDarboux:
+    @pytest.mark.parametrize("alphas, which", [(["1"], "hat"), (["1", "1"], "hathat")])
+    def test_too_few_alphas_for_row_0(self, tmp_path, alphas, which):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"alpha": alphas}))
+        code, out, err = run(["darboux", "--which", which, "--alphas", str(path)])
+        assert (code, out) == (65, "")
+        assert err == "input error: band 'c' holds 0 entries; index 0 is out of range\n"
+
+    def test_two_alphas_give_row_0_of_hat(self, tmp_path):
+        alphas, hat = tmp_path / "two.json", tmp_path / "hat.json"
+        alphas.write_text(json.dumps({"alpha": ["1", "1"]}))
+        assert run(["darboux", "--which", "hat", "--alphas", str(alphas), "--out", str(hat)])[0] == 0
+        code, out, _ = run(["polys", "--input", str(hat), "--n", "0", "--kind", "type2"])
+        assert code == 0
+        assert json.loads(out) == {"B": [["1"]]}
+
     def test_hat_bands(self, ones_file):
         code, out, _ = run(["darboux", "--alphas", ones_file, "--which", "hat"])
         assert code == 0
@@ -222,6 +238,18 @@ class TestVerify:
                             "--alphas", ones_file])
         assert code == 64
         assert out == ""
+
+    def test_alpha2_flag_is_gone(self, ones_file):
+        # roundtrip reads alpha_2 from the alphas
+        code, out, _ = run(["verify", "--suite", "roundtrip", "--alphas", ones_file,
+                            "--alpha2", "1"])
+        assert (code, out) == (64, "")
+
+    @pytest.mark.parametrize("suite", ["christoffel", "all"])
+    def test_christoffel_needs_n_at_least_1(self, ones_file, suite):
+        code, out, err = run(["verify", "--suite", suite, "--alphas", ones_file, "--n", "0"])
+        assert (code, out) == (64, "")
+        assert err == "usage error: --n must be >= 1 for the christoffel suite\n"
 
     def test_tampered_alphas_fail(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -294,13 +322,56 @@ def test_tn_suite_scans_each_truncation_once(monkeypatch, ones_file):
     assert dims == [2, 3, 4, 5, 6]
 
 
+#: An alpha-reading suite at --n N needs alphas through index 3N + this.
+ALPHAS_PAST_3N = {"christoffel": 5, "akv": 4, "roundtrip": 2}
+
+
+def _ones_file(tmp_path, count):
+    path = tmp_path / f"ones{count}.json"
+    path.write_text(json.dumps({"generator": {"name": "ones", "count": count}}))
+    return str(path)
+
+
 class TestVerifyDataShortfall:
-    @pytest.mark.parametrize("suite", ["charpoly", "tn"])
-    def test_too_few_rows_is_input_error(self, tsym_file, suite):
-        code, out, err = run(["verify", "--suite", suite, "--input", tsym_file, "--n", "50"])
+    @pytest.mark.parametrize("suite, flag, shortfall", [
+        pytest.param("charpoly", "--input", "band 'c' holds 3 entries", id="charpoly"),
+        pytest.param("tn", "--input", "band 'c' holds 3 entries", id="tn"),
+        # 31 ones alphas against --n 20: no suite shrinks --n to fit the file
+        pytest.param("christoffel", "--alphas", "band 'alpha' holds 31 entries; index 32 ",
+                     id="christoffel"),
+        pytest.param("akv", "--alphas", "band 'alpha' holds 31 entries; index 32 ", id="akv"),
+        pytest.param("roundtrip", "--alphas", "band 'c' holds 11 entries; index 11 ",
+                     id="roundtrip"),
+    ])
+    def test_too_few_rows_is_input_error(self, tsym_file, ones_file, suite, flag, shortfall):
+        path = tsym_file if flag == "--input" else ones_file
+        n = "50" if flag == "--input" else "20"
+        code, out, err = run(["verify", "--suite", suite, flag, path, "--n", n])
         assert code == 65
         assert out == ""
-        assert err.startswith(f"input error: {suite}: band 'c' holds 3 entries")
+        assert err.startswith(f"input error: {suite}: {shortfall}")
+
+    @pytest.mark.parametrize("suite", sorted(ALPHAS_PAST_3N))
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_alpha_counts_are_exact(self, tmp_path, suite, n):
+        needed = 3 * n + ALPHAS_PAST_3N[suite]
+        argv = ["verify", "--suite", suite, "--n", str(n), "--alphas"]
+        code, out, err = run(argv + [_ones_file(tmp_path, needed - 1)])
+        assert (code, out) == (65, ""), err
+        code, out, err = run(argv + [_ones_file(tmp_path, needed)])
+        assert code == 0, err
+        assert json.loads(out)["suites"][0]["n"] == n
+
+    @pytest.mark.parametrize("suite", ["christoffel", "akv"])
+    def test_non_pbf_alphas_are_compute_error(self, tmp_path, suite):
+        # the first JP variant at (0, 1/2, 0) has alpha_2 = 0: an unmet
+        # precondition of the suite, not a failed identity or sign
+        path = tmp_path / "jp-first.json"
+        path.write_text(json.dumps({"generator": {
+            "name": "jacobi-pineiro", "alpha": "0", "beta": "1/2", "gamma": "0"}}))
+        code, out, err = run(["verify", "--suite", suite, "--alphas", str(path), "--n", "4"])
+        assert (code, out) == (70, "")
+        assert err.startswith(f"error: {suite}: ")
 
     def test_identity_failure_still_exits_1(self, tmp_path, ones_file):
         # an unrelated matrix against the ones alphas breaks a Christoffel identity
@@ -455,6 +526,8 @@ class TestErrorMapping:
         assert code == 65
         assert out == ""
         assert "input error" in err
+        if payload == {"alpha": ["1/0", "1"]}:
+            assert err == f"input error: {path}: alpha[0] = '1/0' is not a rational\n"
 
 
 # -- payload fuzzing: every structurally wrong payload is bad input ---------

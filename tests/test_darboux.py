@@ -1,7 +1,6 @@
 """Darboux transformations: band formulas, transformed polynomial families,
 the Christoffel identity battery, and the sign-definite determinant checks."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from tetrahess import (
     AlphaSequence,
     IdentityViolation,
-    SignViolation,
     TetraError,
     akv_sign_checks,
     alphas_from_polynomials,

@@ -1,7 +1,6 @@
 """Recursion polynomials of both types, second-kind solutions, and the
 characteristic-polynomial oracles they must reproduce."""
 
-import random
 from fractions import Fraction as F
 
 import pytest

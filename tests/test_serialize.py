@@ -145,3 +145,15 @@ def test_decimal_literals_stay_exact():
     alphas = load_alphas({"alpha": ["0.1", 0.1]})
     assert alphas.prefix(2) == (F(1, 10), F(1, 10))
     assert all(type(v) is F for v in alphas.prefix(2))
+
+
+@pytest.mark.parametrize("load, payload, message", [
+    (load_alphas, {"alpha": ["1", "1/0"]}, "alpha[1] = '1/0' is not a rational"),
+    (load_matrix, {"a": ["1"], "b": ["1", "x"], "c": ["2", "2", "2"]}, "b[1] = 'x' is not a rational"),
+    (load_alphas, {"generator": {"name": "jacobi-pineiro", "alpha": "0", "beta": "1/0", "gamma": "0"}},
+     "generator beta = '1/0' is not a rational"),
+], ids=["alpha-entry", "band-entry", "jp-parameter"])
+def test_unparsable_entry_is_named(load, payload, message):
+    with pytest.raises(ValueError) as info:
+        load(payload)
+    assert str(info.value) == message
