@@ -40,7 +40,7 @@ from .families import (
     jp_dense_truncation,
     jp_sign_report,
 )
-from .polynomials import second_kind_sequences, type1_sequences, type2_sequence
+from .polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
 from .scalars import format_scalar, parse_scalar
 from .serialize import dump_alphas, dump_matrix, load_alphas, load_matrix
 from .tncheck import POWER_ORACLE_CAP, _some_power_totally_positive, is_totally_nonnegative
@@ -187,24 +187,29 @@ def _cmd_polys(args):
     t = _load_file(load_matrix, args.input)
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    if args.kind == "type2":
-        named = {"B": type2_sequence(t, args.n)}
-    else:
+    nu = None
+    if args.kind != "type2":
         if args.nu is None:
             raise UsageError(f"--kind {args.kind} requires --nu")
         nu = _parse_flag_scalar(args.nu, "--nu")
         if nu == 0:
             raise UsageError("--nu must be nonzero")
-        if args.kind == "type1":
-            a1, a2 = type1_sequences(t, args.n, nu)
-            named = {"A1": a1, "A2": a2}
-        else:
-            b1, b2, small = second_kind_sequences(t, args.n, nu)
-            named = {"B1": b1, "B2": b2, "b1": small}
     if args.at is not None:
-        x = _parse_flag_scalar(args.at, "--at")
-        body = {k: [format_scalar(p(x)) for p in seq] for k, seq in named.items()}
+        try:
+            x = _parse_flag_scalar(args.at, "--at")
+        except UsageError:
+            # --n past the rows supplied is reported before a bad --at
+            sequence_values(t, args.kind, args.n, 0, nu)
+            raise
+        values = sequence_values(t, args.kind, args.n, x, nu)
+        body = {k: [format_scalar(v) for v in vals] for k, vals in values.items()}
     else:
+        if args.kind == "type2":
+            named = {"B": type2_sequence(t, args.n)}
+        elif args.kind == "type1":
+            named = dict(zip(("A1", "A2"), type1_sequences(t, args.n, nu)))
+        else:
+            named = dict(zip(("B1", "B2", "b1"), second_kind_sequences(t, args.n, nu)))
         body = {k: [[format_scalar(c) for c in p.coeffs] for p in seq] for k, seq in named.items()}
     _emit(
         json.dumps(body, indent=2),
@@ -300,8 +305,9 @@ def _suite_akv(t, alphas, n):
 
 def _suite_jp_consistency():
     for params in JP_VERIFICATION_GRID:
-        jp_cross_consistency(params, 24)
-        jp_sign_report(params, 24)
+        variants = (jp_alphas(params, Variant.FIRST, 24), jp_alphas(params, Variant.AKV, 24))
+        jp_cross_consistency(params, 24, variants)
+        jp_sign_report(params, 24, variants)
     return {"suite": "jp-consistency", "points": len(JP_VERIFICATION_GRID)}
 
 
@@ -309,8 +315,9 @@ def _cmd_verify(args):
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    if args.n == 0 and "christoffel" in suites:
-        raise UsageError("--n must be >= 1 for the christoffel suite")
+    for suite in ("christoffel", "tn"):
+        if args.n == 0 and suite in suites:
+            raise UsageError(f"--n must be >= 1 for the {suite} suite")
 
     alphas = _load_file(load_alphas, args.alphas) if args.alphas else None
     if args.input:

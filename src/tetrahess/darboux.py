@@ -39,7 +39,7 @@ from .errors import (
 from .polynomials import (
     PolySequence,
     char_poly_truncation,
-    second_kind_sequences,
+    sequence_values,
     type1_sequences,
     type2_sequence,
 )
@@ -147,16 +147,18 @@ def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
 
 def _hat_bracket(v, at, k):
     """v_{k+1} + (a_{3k+1}+a_{3k}) v_k + a_{3k} a_{3k-2} v_{k-1}, the bracket
-    sending B_k to x tildeB_k (a = alpha, read through ``at``)."""
-    out = v[k + 1] + v[k].scale(at(3 * k + 1) + at(3 * k))
+    sending B_k to x tildeB_k (a = alpha, read through ``at``).  Here and in
+    the three brackets below, v holds polynomials or their values at one
+    point: evaluation at x commutes with every bracket."""
+    out = v[k + 1] + v[k] * (at(3 * k + 1) + at(3 * k))
     if k >= 1:
-        out = out + v[k - 1].scale(at(3 * k) * at(3 * k - 2))
+        out = out + v[k - 1] * (at(3 * k) * at(3 * k - 2))
     return out
 
 
 def _hathat_bracket(v, at, k):
     """v_{k+1} + a_{3k+1} v_k, the bracket sending B_k to x tildetildeB_k."""
-    return v[k + 1] + v[k].scale(at(3 * k + 1))
+    return v[k + 1] + v[k] * at(3 * k + 1)
 
 
 def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
@@ -201,14 +203,14 @@ def transformed_char_polys(pair: DarbouxPair, n: int, k: int, nu):
 def _hat_a_bracket(v, at, k):
     """v_k + a_{3k+2} v_{k+1}, the bracket sending A2 to hatA1 and A1 to
     x tildeA2 (a = alpha, read through ``at``)."""
-    return v[k] + v[k + 1].scale(at(3 * k + 2))
+    return v[k] + v[k + 1] * at(3 * k + 2)
 
 
 def _hathat_a_bracket(v, at, k):
     """v_k + (a_{3k+2}+a_{3k+3}) v_{k+1} + a_{3k+5} a_{3k+3} v_{k+2}, the
     bracket sending A1 (A2) to x tildetildeA1 (x tildetildeA2)."""
     s = at(3 * k + 2) + at(3 * k + 3)
-    return v[k] + v[k + 1].scale(s) + v[k + 2].scale(at(3 * k + 5) * at(3 * k + 3))
+    return v[k] + v[k + 1] * s + v[k + 2] * (at(3 * k + 5) * at(3 * k + 3))
 
 
 def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> TransformedPolys:
@@ -282,14 +284,13 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
 
     with M_k the 2x2 matrix of (A1, A2) values at 0 at indices k+1, k+2;
     the third strand is alpha_{3k+3} = (first component) - alpha_{3k+2}.
-    Needs the matrix bands up to a_{N+1}.
+    The values at 0 come from the recurrences run at x = 0, O(N) scalar
+    steps; no polynomial is built.  Needs the matrix bands up to a_{N+1}.
     """
     nu = _forced_nu(alpha2)
-    b = type2_sequence(t, n + 1)
-    a1, a2 = type1_sequences(t, n + 1, nu)
-    b0 = [p.constant for p in b]
-    a10 = [p.constant for p in a1]
-    a20 = [p.constant for p in a2]
+    b0 = sequence_values(t, "type2", n + 1, 0)["B"]
+    origin = sequence_values(t, "type1", n + 1, 0, nu)
+    a10, a20 = origin["A1"], origin["A2"]
     alpha = [None] * (3 * n + 2)  # 1-based
     for k in range(n + 1):
         if b0[k] == 0:
@@ -407,8 +408,13 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
         hathat: v_{n+1} + a_{3n+1} v_n
 
     For the main strand these are divisible by x (eigen-relation); for the
-    second-kind strands they are not, and the undivided polynomials are the
+    second-kind strands they are not, and the undivided brackets are the
     ones entering the determinants.
+
+    Nothing here is a polynomial: at each sample x the recurrences run over
+    the exact scalars (sequence_values, O(N) steps) and the brackets act on
+    those values, so the cost is O(N) per sample point.  Each value equals
+    the polynomial bracket evaluated at x.
     """
     xs = tuple(xs)
     if not xs:
@@ -418,23 +424,21 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
             raise ValueError(f"sample x = {x} violates x >= 0")
     _check_pbf(alphas, 3 * n + 4, "akv_sign_checks")
     nu = _forced_nu(alphas.at(2))
-    sk1, sk2, _ = second_kind_sequences(t, n + 2, nu)
-    base = (tuple(type2_sequence(t, n + 2)), tuple(sk1), tuple(sk2))
-    at = alphas.at
-    families = (
-        base,
-        tuple(tuple(_hat_bracket(v, at, k) for k in range(n + 2)) for v in base),
-        tuple(tuple(_hathat_bracket(v, at, k) for k in range(n + 2)) for v in base),
-    )
+    # alpha_0 .. alpha_{3N+4}, read once for every sample point
+    at = ((Fraction(0),) + alphas.prefix(3 * n + 4)).__getitem__
 
     max_value = None
     max_location = None
     zeros_at_origin = 0
     checked = 0
     for x in xs:
-        vals = [
-            [[p(x) for p in strand] for strand in family] for family in families
-        ]
+        second = sequence_values(t, "second", n + 2, x, nu)
+        base = (sequence_values(t, "type2", n + 2, x)["B"], second["B1"], second["B2"])
+        vals = (
+            base,
+            tuple(tuple(_hat_bracket(v, at, k) for k in range(n + 2)) for v in base),
+            tuple(tuple(_hathat_bracket(v, at, k) for k in range(n + 2)) for v in base),
+        )
         for det_id, (top, shift, bottom, comp) in enumerate(_AKV_DETS, start=1):
             for k in range(n + 1):
                 t_main = vals[top][0][k + shift]

@@ -182,7 +182,7 @@ class JPConsistencyReport:
     subdiagonals_compared: int
 
 
-def jp_sign_report(p: JPParams, count: int) -> JPSignReport:
+def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
     """Record the sign of every alpha_j, j <= count, for both variants and
     check each against the region sign table:
 
@@ -191,14 +191,17 @@ def jp_sign_report(p: JPParams, count: int) -> JPSignReport:
              alpha_8 < 0 in R1
 
     (in particular: FIRST is TN in the strip R2 u R3, AKV is TP in R3).
-    Raises PredictionMismatch on the first disagreement.
+    ``variants`` is the pair (jp_alphas(p, FIRST, count), jp_alphas(p, AKV,
+    count)) when the caller has built it already.  Raises PredictionMismatch
+    on the first disagreement.
     """
     region = p.region
     if region is Region.OUTSIDE:
         raise OutsideNaturalRegion(f"({p.alpha}, {p.beta}) sits on a region boundary")
+    if variants is None:
+        variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
     signs = {}
-    for variant in (Variant.FIRST, Variant.AKV):
-        seq = jp_alphas(p, variant, count)
+    for variant, seq in zip((Variant.FIRST, Variant.AKV), variants):
         out = []
         for j in range(1, count + 1):
             v = seq.at(j)
@@ -215,12 +218,15 @@ def jp_sign_report(p: JPParams, count: int) -> JPSignReport:
     )
 
 
-def jp_cross_consistency(p: JPParams, count: int) -> JPConsistencyReport:
+def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistencyReport:
     """Both parametrizations must induce identical L-subdiagonals
     (m_k = alpha_{3k-1}+alpha_{3k}, l_k = alpha_{3k-1} alpha_{3k-3}) and
-    identical Hessenberg bands, exactly."""
-    first = jp_alphas(p, Variant.FIRST, count)
-    akv = jp_alphas(p, Variant.AKV, count)
+    identical Hessenberg bands, exactly.  ``variants`` is the pair
+    (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
+    has built it already."""
+    if variants is None:
+        variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
+    first, akv = variants
     depth = count // 3
     m_f, l_f = lm_from_alphas(first, depth)
     m_a, l_a = lm_from_alphas(akv, depth)

@@ -11,11 +11,15 @@ Hessenberg matrix.
 
 All sequences come from one four-term recurrence touching only the three
 bands (type I from its transpose), so the cost is O(N) polynomial
-operations.
+operations.  The same recurrence also runs over the exact scalars:
+``sequence_values`` gives the values at a point x in O(N) Fraction
+operations without building any polynomial, and each value is exactly
+p(x) of the polynomial it stands for.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,10 +49,12 @@ def _x_minus(c, p: Poly) -> Poly:
     return p.times_x() - p.scale(c)
 
 
-def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False):
+def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False, x=None):
     """The four-term recurrence, run from the window of constant seeds
     (y_{start-2}, y_{start-1}, y_start) up to y_stop; returns the whole list
-    y_{start-2} .. y_stop.
+    y_{start-2} .. y_stop.  Without ``x`` the y_m are polynomials; given a
+    point ``x`` they are the exact values y_m(x), the same steps run over
+    the scalars.
 
     Row form (type II and second kind), row m of (xI - T) y = 0:
 
@@ -59,23 +65,65 @@ def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False):
 
         a_{m+1} y_{m+1} = (x - c_{m-1}) y_{m-1} - b_m y_m - y_{m-2}
     """
-    out = [constant_poly(s) for s in seeds]
+    if x is None:
+        out = [constant_poly(s) for s in seeds]
+        x_minus, scale = _x_minus, Poly.scale
+    else:
+        out = [Fraction(s) for s in seeds]
+        x_minus, scale = (lambda c, w: (x - c) * w), operator.mul
     for m in range(start, stop):
         w0, w1, w2 = out[-3:]
         if transpose:
             inv_a = Fraction(1) / t.a(m + 1)  # exact for an int a_{m+1} too
-            new = (_x_minus(t.c(m - 1), w1) - w2.scale(t.b(m)) - w0).scale(inv_a)
+            new = scale(x_minus(t.c(m - 1), w1) - scale(w2, t.b(m)) - w0, inv_a)
         else:
-            new = _x_minus(t.c(m), w2)
-            new = new - w1.scale(t.b(m) if m >= 1 else -1)
-            new = new - w0.scale(t.a(m) if m >= 2 else -1)
+            new = x_minus(t.c(m), w2)
+            new = new - scale(w1, t.b(m) if m >= 1 else -1)
+            new = new - scale(w0, t.a(m) if m >= 2 else -1)
         out.append(new)
     return out
 
 
-def _type2_polys(t: TetraHessenberg, n: int):
-    """B_0 .. B_N: the row recurrence from the seeds (0, 0, 1)."""
-    return _recur(t, (0, 0, Fraction(1)), 0, n)[2:]
+def _sequences(t: TetraHessenberg, kind: str, n: int, nu=None, x=None) -> dict:
+    """The sequences of one kind, indices 0..N, by the names the CLI prints:
+    polynomials, or their values at ``x`` when a point is given.  This is
+    the one table of seeds:
+
+        type2:  B  from (0, 0, 1) at index 0 (row form)
+        type1:  A1 from (0, 1, nu), A2 from (0, 0, 1) at index 1 (column form)
+        second: B1 from (1, 0, 0), B2 from (-1 - nu, 1, 0) at index 0
+                (row form), and b1 = B2 + nu B1
+    """
+    if n < 0:
+        raise ValueError("sequence length must be >= 0")
+    one = Fraction(1)
+    if kind == "type2":
+        return {"B": _recur(t, (0, 0, one), 0, n, x=x)[2:]}
+    if kind not in ("type1", "second"):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    if nu == 0:
+        raise ZeroNu()
+    if kind == "type1":
+        return {
+            "A1": _recur(t, (0, one, nu * one), 1, n, True, x)[1 : n + 2],
+            "A2": _recur(t, (0, 0, one), 1, n, True, x)[1 : n + 2],
+        }
+    b1 = _recur(t, (one, 0, 0), 0, n, x=x)[2:]
+    b2 = _recur(t, (-one - nu, one, 0), 0, n, x=x)[2:]
+    return {"B1": b1, "B2": b2, "b1": [q + p * nu for p, q in zip(b1, b2)]}
+
+
+def sequence_values(t: TetraHessenberg, kind: str, n: int, x, nu=None) -> dict:
+    """Values at x of the sequences of ``kind``, indices 0..N, as tuples
+    keyed by name: ``"type2"`` gives B, ``"type1"`` gives A1 and A2,
+    ``"second"`` gives B1, B2 and b1 (the last two kinds need ``nu`` != 0).
+
+    The four-term recurrence runs over the exact scalars, O(N) Fraction
+    operations; no polynomial is built.  Every value equals p(x) for the
+    polynomial p that type2_sequence, type1_sequences or
+    second_kind_sequences returns at the same place.
+    """
+    return {name: tuple(v) for name, v in _sequences(t, kind, n, nu, x).items()}
 
 
 def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
@@ -84,9 +132,7 @@ def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
         B_{k+1} = (x - c_k) B_k - b_k B_{k-1} - a_k B_{k-2}
 
     seeded by B_0 = 1, B_1 = x - c_0, B_2 = (x - c_1) B_1 - b_1."""
-    if n < 0:
-        raise ValueError("sequence length must be >= 0")
-    return PolySequence(tuple(_type2_polys(t, n)))
+    return PolySequence(tuple(_sequences(t, "type2", n)["B"]))
 
 
 def type1_sequences(t: TetraHessenberg, n: int, nu):
@@ -99,17 +145,8 @@ def type1_sequences(t: TetraHessenberg, n: int, nu):
 
     (the A_{-1} term is absent for k = 2), which is why a_k > 0 matters.
     """
-    if n < 0:
-        raise ValueError("sequence length must be >= 0")
-    if nu == 0:
-        raise ZeroNu()
-    one = Fraction(1)
-    a1 = _recur(t, (0, one, nu * one), 1, n, transpose=True)
-    a2 = _recur(t, (0, 0, one), 1, n, transpose=True)
-    return (
-        PolySequence(tuple(a1[1 : n + 2])),
-        PolySequence(tuple(a2[1 : n + 2])),
-    )
+    seqs = _sequences(t, "type1", n, nu)
+    return PolySequence(tuple(seqs["A1"])), PolySequence(tuple(seqs["A2"]))
 
 
 def second_kind_sequences(t: TetraHessenberg, n: int, nu):
@@ -122,19 +159,8 @@ def second_kind_sequences(t: TetraHessenberg, n: int, nu):
 
     b^(1) = B^(2) + nu B^(1) is independent of nu.
     """
-    if n < 0:
-        raise ValueError("sequence length must be >= 0")
-    if nu == 0:
-        raise ZeroNu()
-    one = Fraction(1)
-    b1 = _recur(t, (one, 0, 0), 0, n)[2:]
-    b2 = _recur(t, (-one - nu, one, 0), 0, n)[2:]
-    small = [q + p.scale(nu) for p, q in zip(b1, b2)]
-    return (
-        PolySequence(tuple(b1)),
-        PolySequence(tuple(b2)),
-        PolySequence(tuple(small)),
-    )
+    seqs = _sequences(t, "second", n, nu)
+    return tuple(PolySequence(tuple(seqs[name])) for name in ("B1", "B2", "b1"))
 
 
 def char_poly_truncation(t: TetraHessenberg, n: int, k: int) -> Poly:
@@ -147,4 +173,4 @@ def char_poly_truncation(t: TetraHessenberg, n: int, k: int) -> Poly:
     """
     if not 0 <= k <= n + 1:
         raise IndexOutOfRange(f"char poly truncation index {k} not in [0, {n + 1}]")
-    return _type2_polys(t.shifted(k), n - k + 1)[-1]
+    return _sequences(t.shifted(k), "type2", n - k + 1)["B"][-1]

@@ -8,12 +8,14 @@ import signal
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tetrahess
-from tetrahess import cli, tncheck
+from tetrahess import cli, families, tncheck
 from tetrahess.cli import main
 from tetrahess.poly import Poly
 
@@ -174,6 +176,46 @@ class TestPolys:
         assert body["B1"][2] == ["-3", "1"]
 
 
+    @pytest.mark.parametrize("kind, nu", [
+        ("type2", []), ("type1", ["--nu", "-1"]), ("second", ["--nu", "2/3"])])
+    @pytest.mark.parametrize("x", ["1/3", "-7/2", "0"])
+    def test_at_is_the_coefficients_evaluated(self, jp_r3_file, kind, nu, x):
+        """--at runs the recurrence at x and builds no polynomial; its stdout
+        is byte for byte the coefficient output evaluated at x."""
+        argv = ["polys", "--input", jp_r3_file, "--n", "12", "--kind", kind] + nu
+        code, coeffs, err = run(argv)
+        assert code == 0
+        point = Fraction(x)
+        want = {}
+        for name, polys in json.loads(coeffs).items():
+            want[name] = [str(Poly([Fraction(c) for c in p])(point)) for p in polys]
+        assert run(argv + ["--at", x]) == (0, json.dumps(want, indent=2) + "\n", err)
+
+    @pytest.mark.parametrize("n, flags, code, message", [
+        ("3", ["--kind", "type1", "--nu", "1", "--at", "1/0"], 64, "usage error: --at: cannot parse '1/0'"),
+        ("3", ["--kind", "type2", "--at", "abc"], 64, "usage error: --at: cannot parse 'abc'"),
+        ("3", ["--kind", "type1", "--at", "1/3"], 64, "usage error: --kind type1 requires --nu"),
+        ("3", ["--kind", "second", "--nu", "0", "--at", "1/3"], 64, "usage error: --nu must be nonzero"),
+        # --nu is parsed before --at
+        ("3", ["--kind", "second", "--at", "1/0"], 64, "usage error: --kind second requires --nu"),
+        ("3", ["--kind", "type1", "--nu", "0", "--at", "1/0"], 64, "usage error: --nu must be nonzero"),
+        ("3", ["--kind", "type1", "--nu", "x", "--at", "abc"], 64, "usage error: --nu: cannot parse 'x'"),
+        # --n past the rows supplied, alone and before a bad --at
+        ("30", ["--kind", "type2", "--at", "1/3"], 65,
+         "input error: band 'c' holds 7 entries; index 7 is out of range"),
+        ("30", ["--kind", "type1", "--nu", "1", "--at", "1/3"], 65,
+         "input error: band 'a' holds 6 entries; index 8 is out of range"),
+        ("30", ["--kind", "second", "--nu", "1", "--at", "1/0"], 65,
+         "input error: band 'c' holds 7 entries; index 7 is out of range"),
+        ("30", ["--kind", "type1", "--nu", "1", "--at", "1/0"], 65,
+         "input error: band 'a' holds 6 entries; index 8 is out of range"),
+        ("-1", ["--kind", "type2", "--at", "1/0"], 64, "usage error: --n must be >= 0"),
+    ])
+    def test_at_error_cases(self, tmp_path, n, flags, code, message):
+        path = _ones_file(tmp_path, 20)
+        assert run(["polys", "--input", path, "--n", n] + flags) == (code, "", message + "\n")
+
+
 class TestDarboux:
     @pytest.mark.parametrize("alphas, which", [(["1"], "hat"), (["1", "1"], "hathat")])
     def test_too_few_alphas_for_row_0(self, tmp_path, alphas, which):
@@ -251,6 +293,12 @@ class TestVerify:
         assert (code, out) == (64, "")
         assert err == "usage error: --n must be >= 1 for the christoffel suite\n"
 
+    def test_tn_needs_n_at_least_1(self, ones_file):
+        # the tn suite checks N = 1..min(--n, 5), so --n 0 would check nothing
+        code, out, err = run(["verify", "--suite", "tn", "--alphas", ones_file, "--n", "0"])
+        assert (code, out) == (64, "")
+        assert err == "usage error: --n must be >= 1 for the tn suite\n"
+
     def test_tampered_alphas_fail(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"alpha": ["1"] * 10 + ["-1"] + ["1"] * 10}))
@@ -320,6 +368,24 @@ def test_tn_suite_scans_each_truncation_once(monkeypatch, ones_file):
     code, _, err = run(["verify", "--suite", "tn", "--alphas", ones_file, "--n", "5"])
     assert code == 0, err
     assert dims == [2, 3, 4, 5, 6]
+
+
+def test_jp_consistency_builds_each_variant_once(monkeypatch, ones_file):
+    built = []
+    original = cli.jp_alphas
+
+    def counting(params, variant, count):
+        built.append((params, variant))
+        return original(params, variant, count)
+
+    monkeypatch.setattr(cli, "jp_alphas", counting)
+    monkeypatch.setattr(families, "jp_alphas", counting)
+    code, _, err = run(["verify", "--suite", "jp-consistency", "--alphas", ones_file, "--n", "1"])
+    assert code == 0, err
+    # once per point and variant (the two checks used to build both each)
+    grid = tetrahess.JP_VERIFICATION_GRID
+    assert len(built) == 2 * len(grid)
+    assert set(built) == {(p, v) for p in grid for v in tetrahess.Variant}
 
 
 #: An alpha-reading suite at --n N needs alphas through index 3N + this.

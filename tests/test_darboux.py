@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from tetrahess import (
     AlphaSequence,
     IdentityViolation,
+    SignViolation,
     TetraError,
     akv_sign_checks,
     alphas_from_polynomials,
     darboux_polynomials,
     darboux_transforms,
     leading_principal,
+    second_kind_sequences,
     tetra_from_alphas,
     tetra_from_bands,
     transformed_char_polys,
@@ -254,6 +256,75 @@ def test_akv_sign_checks_random_pbf(seed):
     report = akv_sign_checks(t, alphas, 6, (F(0), F(1), F(7, 2)))
     assert report.max_value <= 0
     assert report.zeros_at_origin >= 1
+
+
+def _akv_oracle(t, alphas, n, xs):
+    """The AKV evaluation with polynomials: B, B^(1), B^(2) and their hat and
+    hathat brackets built as polynomials, then evaluated by Horner at each x.
+    Returns the AkvReport fields, or the fields of the first positive
+    determinant."""
+    nu = F(-1) / alphas.at(2)
+    b1, b2, _ = second_kind_sequences(t, n + 2, nu)
+    base = (tuple(type2_sequence(t, n + 2)), tuple(b1), tuple(b2))
+    a = alphas.at
+
+    def hat(v, k):
+        out = v[k + 1] + v[k].scale(a(3 * k + 1) + a(3 * k))
+        return out + v[k - 1].scale(a(3 * k) * a(3 * k - 2)) if k >= 1 else out
+
+    families = (
+        base,
+        tuple(tuple(hat(v, k) for k in range(n + 2)) for v in base),
+        tuple(tuple(v[k + 1] + v[k].scale(a(3 * k + 1)) for k in range(n + 2)) for v in base),
+    )
+    best, checked, zeros = None, 0, 0
+    for x in xs:
+        vals = [[[p(x) for p in strand] for strand in family] for family in families]
+        for det_id, (top, shift, bottom, comp) in enumerate(darboux._AKV_DETS, start=1):
+            for k in range(n + 1):
+                value = (vals[top][0][k + shift] * vals[bottom][comp][k]
+                         - vals[top][comp][k + shift] * vals[bottom][0][k])
+                checked += 1
+                if value > 0:
+                    return ("violation", det_id, k, x, value)
+                zeros += x == 0 and value == 0
+                if best is None or value > best[0]:
+                    best = (value, (det_id, k, x))
+    return ("report", checked, best[0], best[1], zeros)
+
+
+POSITIVE = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(max_examples=30, derandomize=True)
+@given(
+    st.lists(POSITIVE, min_size=32, max_size=32),
+    st.one_of(st.none(), st.lists(POSITIVE, min_size=32, max_size=32)),
+    st.integers(0, 7),
+    st.lists(st.builds(F, st.integers(0, 20), st.integers(1, 6)), min_size=1, max_size=4),
+)
+def test_akv_sign_checks_match_polynomial_oracle(alpha_values, other, n, xs):
+    """Values at x through the scalar recurrence give the same report as the
+    polynomials evaluated at x; a matrix built from other alphas breaks the
+    signs, and the first violation must agree too."""
+    alphas = AlphaSequence(values=tuple(alpha_values))
+    t = tetra_from_alphas(AlphaSequence(values=tuple(other or alpha_values)))
+    want = _akv_oracle(t, alphas, n, xs)
+    if want[0] == "violation":
+        with pytest.raises(SignViolation) as exc:
+            akv_sign_checks(t, alphas, n, xs)
+        e = exc.value
+        assert ("violation", e.det_id, e.n, e.x, e.value) == want
+    else:
+        r = akv_sign_checks(t, alphas, n, xs)
+        assert ("report", r.checked, r.max_value, r.max_location, r.zeros_at_origin) == want
+
+
+def test_akv_oracle_sees_a_violation(ones_alphas):
+    # the mismatched-matrix branch of the test above is not vacuous
+    alphas = pbf_corpus(3, 1, count=28)[0]
+    want = _akv_oracle(tetra_from_alphas(alphas), ones_alphas, 4, (F(0), F(1)))
+    assert want[0] == "violation"
 
 
 def test_verify_christoffel_perturbed_band(ones_alphas):

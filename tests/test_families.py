@@ -79,6 +79,13 @@ def test_both_variants_induce_same_bands():
     assert report.subdiagonals_compared > 0
 
 
+def test_prebuilt_variants_give_the_same_reports():
+    for p in JP_VERIFICATION_GRID:
+        variants = (jp_alphas(p, Variant.FIRST, 24), jp_alphas(p, Variant.AKV, 24))
+        assert jp_cross_consistency(p, 24, variants) == jp_cross_consistency(p, 24)
+        assert jp_sign_report(p, 24, variants) == jp_sign_report(p, 24)
+
+
 def test_cross_consistency_m_values():
     """m_1 and m_2 agree between the two parameterizations."""
     p = JPParams(F(0), F(-1, 2), F(0))

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrahess import (
+    AlphaSequence,
     IndexOutOfRange,
     Poly,
     ZeroNu,
     char_poly_truncation,
     leading_principal,
     second_kind_sequences,
+    sequence_values,
     tetra_from_alphas,
     tetra_from_bands,
     trailing_truncation,
@@ -194,3 +196,42 @@ def test_poly_helpers():
     assert p(F(3)) == 15
     q = Poly((F(1),))
     assert (p + q).coeffs == (F(1), F(2), F(1))
+
+
+RATIONAL = st.builds(F, st.integers(-12, 12), st.integers(1, 7))
+
+
+@settings(max_examples=40, derandomize=True)
+@given(
+    st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 9)), min_size=40, max_size=40),
+    st.integers(0, 12),
+    RATIONAL,
+    RATIONAL.filter(bool),
+)
+def test_sequence_values_are_the_polynomials_at_x(alphas, n, x, nu):
+    """The recurrence run over the scalars gives p(x) of every polynomial the
+    builders return, entry by entry, and p(0) = constant term at the origin."""
+    t = tetra_from_alphas(AlphaSequence(values=tuple(alphas)))
+    built = {
+        "type2": {"B": type2_sequence(t, n)},
+        "type1": dict(zip(("A1", "A2"), type1_sequences(t, n, nu))),
+        "second": dict(zip(("B1", "B2", "b1"), second_kind_sequences(t, n, nu))),
+    }
+    for kind, named in built.items():
+        at_x = sequence_values(t, kind, n, x, nu)
+        at_0 = sequence_values(t, kind, n, 0, nu)
+        assert list(at_x) == list(named)
+        for name, seq in named.items():
+            assert at_x[name] == tuple(p(x) for p in seq), (kind, name)
+            assert at_0[name] == tuple(p.constant for p in seq), (kind, name)
+            assert all(type(v) is F for v in at_x[name] + at_0[name])
+
+
+def test_sequence_values_guards(t_ones):
+    with pytest.raises(ValueError):
+        sequence_values(t_ones, "type2", -1, F(1))
+    with pytest.raises(ValueError):
+        sequence_values(t_ones, "type3", 2, F(1))
+    for kind in ("type1", "second"):
+        with pytest.raises(ZeroNu):
+            sequence_values(t_ones, kind, 2, F(1), F(0))
