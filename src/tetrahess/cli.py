@@ -188,12 +188,13 @@ def _cmd_polys(args):
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     nu = None
-    if args.kind != "type2":
-        if args.nu is None:
-            raise UsageError(f"--kind {args.kind} requires --nu")
+    if args.nu is not None:
+        # checked for every kind, though type2 does not read it
         nu = _parse_flag_scalar(args.nu, "--nu")
         if nu == 0:
             raise UsageError("--nu must be nonzero")
+    elif args.kind != "type2":
+        raise UsageError(f"--kind {args.kind} requires --nu")
     if args.at is not None:
         try:
             x = _parse_flag_scalar(args.at, "--at")

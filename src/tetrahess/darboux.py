@@ -26,6 +26,7 @@ from .core import (
     _tetra_from_accessor,
     alpha_factor_matrices,
     leading_principal,
+    tetra_from_bands,
 )
 from .errors import (
     IdentityViolation,
@@ -414,7 +415,8 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     Nothing here is a polynomial: at each sample x the recurrences run over
     the exact scalars (sequence_values, O(N) steps) and the brackets act on
     those values, so the cost is O(N) per sample point.  Each value equals
-    the polynomial bracket evaluated at x.
+    the polynomial bracket evaluated at x.  The alphas and the band entries
+    of rows 0..N+1 are read once, before the first sample point.
     """
     xs = tuple(xs)
     if not xs:
@@ -426,6 +428,17 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     nu = _forced_nu(alphas.at(2))
     # alpha_0 .. alpha_{3N+4}, read once for every sample point
     at = ((Fraction(0),) + alphas.prefix(3 * n + 4)).__getitem__
+    # rows 0 .. N+1, the ones the recurrences below read, are read once too:
+    # row by row in the recurrence's own order, so a short matrix fails on
+    # the entry the recurrence would fail on
+    c, b, a = [], [], []
+    for m in range(n + 2):
+        c.append(t.c(m))
+        if m >= 1:
+            b.append(t.b(m))
+        if m >= 2:
+            a.append(t.a(m))
+    t = tetra_from_bands(a, b, c)
 
     max_value = None
     max_location = None

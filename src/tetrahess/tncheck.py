@@ -7,12 +7,22 @@ minor.  Enumeration is exponential, so it is guarded by fixed dimension caps
 larger matrix raises DimensionCapExceeded.  Minors are evaluated with a
 memoized first-row expansion, so all 2^n x 2^n pairs cost O(4^n) ring
 operations total rather than one elimination each.
+
+The ring is the integers, not the rationals (fraction-free, as in Bareiss,
+Math. Comp. 1968).  Row i is scaled once by d_i > 0, the lcm of its
+denominators; a minor on rows R of the scaled matrix is then an int equal
+to prod(d_r, r in R) times the true minor.  The factor is positive, so
+every sign test (< 0 for TN, <= 0 for TP, != 0 for nonsingularity) reads
+the same on the scaled minor, and no operation pays for a gcd.  A witness
+carries the true minor, Fraction(scaled, prod(d_r, r in R)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from .core import DenseMatrix
 from .errors import DimensionCapExceeded
@@ -39,15 +49,22 @@ class TNReport:
 
 
 class _MinorTable:
-    """Memoized minors of one matrix, keyed by (rows, cols) index tuples."""
+    """Memoized integer minors of one matrix, keyed by (rows, cols) index
+    tuples.
+
+    ``det`` is the minor of the row-scaled matrix (row i times d_i, the lcm
+    of its denominators), an int with the sign of the true minor;
+    ``true_minor`` divides the row factors back out."""
 
     def __init__(self, m: DenseMatrix):
-        self.m = m
+        self.scales = tuple(lcm(*(v.denominator for v in row)) for row in m.rows)
+        self.rows = tuple(_scaled(row, d) for row, d in zip(m.rows, self.scales))
         self.cache = {}
 
     def det(self, rows, cols):
+        first = self.rows[rows[0]]
         if len(rows) == 1:
-            return self.m.entry(rows[0], cols[0])
+            return first[cols[0]]
         key = (rows, cols)
         hit = self.cache.get(key)
         if hit is not None:
@@ -55,13 +72,22 @@ class _MinorTable:
         value = 0
         rest = rows[1:]
         for pos, j in enumerate(cols):
-            entry = self.m.entry(rows[0], j)
+            entry = first[j]
             if entry == 0:
                 continue
             sub = self.det(rest, cols[:pos] + cols[pos + 1 :])
             value = value + entry * sub if pos % 2 == 0 else value - entry * sub
         self.cache[key] = value
         return value
+
+    def true_minor(self, rows, scaled) -> Fraction:
+        return Fraction(scaled, prod(self.scales[r] for r in rows))
+
+
+def _scaled(row, d):
+    """The exact scalars of ``row`` times d, a common multiple of their
+    denominators, as ints."""
+    return tuple(v.numerator * (d // v.denominator) for v in row)
 
 
 def _check_cap(m: DenseMatrix, cap: int):
@@ -73,15 +99,15 @@ def _neighbors_positive(m: DenseMatrix) -> bool:
     return all(m.entry(i, i + 1) > 0 and m.entry(i + 1, i) > 0 for i in range(m.n - 1))
 
 
-def _full_scan(m: DenseMatrix, violates=lambda value: value < 0):
+def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
     """(first witness of a minor that ``violates``, or None; minors checked).
     The default test finds negative minors; ``value <= 0`` tests total
-    positivity.  Enumeration order: minor order ascending, then row subsets
-    lexicographic, then columns."""
-    table = _MinorTable(m)
-    indices = range(m.n)
+    positivity.  ``violates`` sees the scaled minor, which has the sign of
+    the true one; the witness carries the true minor.  Enumeration order:
+    minor order ascending, then row subsets lexicographic, then columns."""
+    indices = range(len(table.rows))
     checked = 0
-    for order in range(1, m.n + 1):
+    for order in range(1, len(indices) + 1):
         for rows in combinations(indices, order):
             for cols in combinations(indices, order):
                 value = table.det(rows, cols)
@@ -90,7 +116,7 @@ def _full_scan(m: DenseMatrix, violates=lambda value: value < 0):
                     witness = (
                         tuple(i + 1 for i in rows),
                         tuple(j + 1 for j in cols),
-                        value,
+                        table.true_minor(rows, value),
                     )
                     return witness, checked
     return None, checked
@@ -99,13 +125,16 @@ def _full_scan(m: DenseMatrix, violates=lambda value: value < 0):
 def is_totally_nonnegative(m: DenseMatrix) -> TNReport:
     """Check every minor >= 0 by full enumeration (dim <= DEFAULT_CAP).
 
-    The report also carries nonsingularity and the Gantmacher-Krein
-    oscillation verdict (TN + nonsingular + positive first
+    The report also carries nonsingularity, read off the full n x n minor of
+    the same table (already memoized when the scan completes), and the
+    Gantmacher-Krein oscillation verdict (TN + nonsingular + positive first
     sub/superdiagonal neighbours).
     """
     _check_cap(m, DEFAULT_CAP)
-    nonsingular = m.det() != 0
-    witness, checked = _full_scan(m)
+    table = _MinorTable(m)
+    witness, checked = _full_scan(table)
+    full = tuple(range(m.n))
+    nonsingular = m.n == 0 or table.det(full, full) != 0
     is_tn = witness is None
     return TNReport(
         is_tn=is_tn,
@@ -136,11 +165,17 @@ def is_oscillatory_power_oracle(m: DenseMatrix) -> bool:
 def _some_power_totally_positive(m: DenseMatrix) -> bool:
     """The power oracle after its TN gate: is some m^k, 1 <= k <= max(1,
     dim-1), totally positive?  For a caller that already holds the TN
-    verdict of m (dim <= POWER_ORACLE_CAP)."""
+    verdict of m (dim <= POWER_ORACLE_CAP).
+
+    The powers are taken of L m, L the common denominator of m, so every
+    power and minor is an int; a minor of order r of (L m)^k is L^(k r)
+    times that of m^k, so the TP verdict is the same."""
     _check_cap(m, POWER_ORACLE_CAP)
-    power = m
+    common = lcm(*(v.denominator for row in m.rows for v in row))
+    base = DenseMatrix(_scaled(row, common) for row in m.rows)
+    power = base
     for _ in range(max(1, m.n - 1)):
-        if _full_scan(power, violates=lambda value: value <= 0)[0] is None:
+        if _full_scan(_MinorTable(power), violates=lambda value: value <= 0)[0] is None:
             return True
-        power = power.mul(m)
+        power = power.mul(base)
     return False

@@ -152,12 +152,26 @@ class TestPolys:
                           "--kind", "type1"])
         assert code == 64
 
-    @pytest.mark.parametrize("kind", ["type1", "second"])
+    @pytest.mark.parametrize("kind", ["type1", "second", "type2"])
     def test_zero_nu_is_usage_error(self, ones_file, kind):
         code, out, err = run(["polys", "--input", ones_file, "--n", "3",
                               "--kind", kind, "--nu", "0"])
         assert (code, out) == (64, "")
         assert err == "usage error: --nu must be nonzero\n"
+
+    @pytest.mark.parametrize("kind", ["type1", "second", "type2"])
+    @pytest.mark.parametrize("nu", ["x", "1/0"])
+    def test_unparsable_nu_is_usage_error(self, ones_file, kind, nu):
+        """--nu is checked whenever it is given, also for type2, which does
+        not read it."""
+        code, out, err = run(["polys", "--input", ones_file, "--n", "3",
+                              "--kind", kind, "--nu", nu])
+        assert (code, out, err) == (64, "", f"usage error: --nu: cannot parse '{nu}'\n")
+
+    @pytest.mark.parametrize("at", [[], ["--at", "1/3"]])
+    def test_valid_nu_with_type2_changes_nothing(self, ones_file, at):
+        argv = ["polys", "--input", ones_file, "--n", "3", "--kind", "type2"] + at
+        assert run(argv + ["--nu", "-1"]) == run(argv)
 
     def test_type1_at_origin(self, ones_file):
         code, out, _ = run(["polys", "--input", ones_file, "--n", "4",
