@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveSubSubDiagonal,
 )
 from .poly import Poly
+from .scalars import exact_tuple
 
 
 class Band:
@@ -42,7 +43,7 @@ class Band:
             raise ValueError("exactly one of values/func must be given")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "values", _exact_tuple(values, f"band {name!r}"))
+        object.__setattr__(self, "values", exact_tuple(values, f"band {name!r}"))
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "limit", limit)
 
@@ -104,7 +105,7 @@ class AlphaSequence:
     def __init__(self, values=None, func=None, limit=None):
         if (values is None) == (func is None):
             raise ValueError("exactly one of values/func must be given")
-        object.__setattr__(self, "values", _exact_tuple(values, "alpha"))
+        object.__setattr__(self, "values", exact_tuple(values, "alpha"))
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "limit", limit)
 
@@ -217,12 +218,13 @@ class TetraHessenberg:
 
 
 class DenseMatrix:
-    """Immutable square matrix of exact (int or Fraction) scalars."""
+    """Immutable square matrix of exact scalars: an int or Fraction entry,
+    anything else raises TypeError naming its row."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(exact_tuple(r, f"DenseMatrix row {i}") for i, r in enumerate(rows))
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("DenseMatrix must be square")
@@ -355,18 +357,6 @@ class DenseMatrix:
 
 
 # -- constructors and truncations ----------------------------------------
-
-
-def _exact_tuple(values, what):
-    """``values`` as a tuple (None stays None), refusing any entry that is
-    not an int or a Fraction: every scalar in the package is exact."""
-    if values is None:
-        return None
-    values = tuple(values)
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(f"{what} entries must be int or Fraction, got {type(v).__name__} {v!r}")
-    return values
 
 
 def _banded(size, bands) -> DenseMatrix:

@@ -140,8 +140,10 @@ def jp_alphas(p: JPParams, variant: Variant, count: int) -> AlphaSequence:
 def jp_dense_truncation(p: JPParams, n: int):
     """(N+1) x (N+1) leading truncation of the recursion matrix, built from
     the raw band products so it exists in every region (outside the strip
-    some a_n are negative and TetraHessenberg would refuse them)."""
-    count = 3 * (n + 1) + 1
+    some a_n are negative and TetraHessenberg would refuse them).  Rows
+    0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
+    are built."""
+    count = 3 * n + 1
     c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, count))
     return _banded(n + 1, {0: c, 1: lambda i: Fraction(1), -1: b, -2: a})
 

@@ -1,4 +1,5 @@
-"""Scalar parsing and formatting shared by the whole package.
+"""Scalar parsing, exactness checks and formatting shared by the whole
+package.
 
 Every scalar is exact: an ``int`` or a ``fractions.Fraction``, and every
 identity in this package is checked with ``==``.  Decimal literals parse to
@@ -18,3 +19,15 @@ def parse_scalar(text: str) -> Fraction:
 def format_scalar(value) -> str:
     """Inverse of parse_scalar: "p/q", or "p" when the denominator is 1."""
     return str(value)
+
+
+def exact_tuple(values, what):
+    """``values`` as a tuple (None stays None), refusing any entry that is
+    not an int or a Fraction: every scalar in the package is exact."""
+    if values is None:
+        return None
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{what} entries must be int or Fraction, got {type(v).__name__} {v!r}")
+    return values

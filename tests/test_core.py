@@ -183,6 +183,14 @@ class TestDenseMatrix:
         m = DenseMatrix([[F(1), F(2)], [F(3), F(4)]])
         assert m.mul(DenseMatrix.identity(2)) == m
 
+    def test_inexact_entries_are_refused(self):
+        # the entry is named by its row and value; ints and Fractions pass
+        with pytest.raises(TypeError, match=r"DenseMatrix row 1 .* float 0\.25"):
+            DenseMatrix([[F(1), 2], [0.25, F(1, 3)]])
+        with pytest.raises(TypeError, match="DenseMatrix row 0"):
+            DenseMatrix([["1", 0], [0, 1]])
+        assert DenseMatrix([[1, F(1, 2)], [0, 1]]).det() == 1
+
     def test_det_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(7)

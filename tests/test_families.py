@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from tetrahess import families
 from tetrahess import (
+    AlphaSequence,
     Classification,
     JPParams,
     JP_VERIFICATION_GRID,
@@ -20,6 +22,7 @@ from tetrahess import (
     jp_sign_report,
     lm_from_alphas,
 )
+from tetrahess.core import _banded, bands_from_alphas
 
 
 # Closed-form values for (alpha, beta, gamma) = (0, -1/2, 0), first set.
@@ -146,6 +149,27 @@ def test_dense_truncation_allows_negative_bands():
     assert m.n == 5
     entries = [m.entry(i, j) for i in range(5) for j in range(5)]
     assert any(v < 0 for v in entries)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7])
+def test_dense_truncation_builds_only_the_alphas_it_reads(monkeypatch, n):
+    """Rows 0..N read alpha_1 .. alpha_{3N+1}: exactly that many are built
+    and every one is read, and the truncation is the one built from a
+    longer prefix."""
+    p = JPParams(F(3, 2), F(0), F(1, 2))
+    counts, reads = [], set()
+
+    def recording_jp_alphas(params, variant, count):
+        counts.append(count)
+        seq = jp_alphas(params, variant, count)
+        return AlphaSequence(func=lambda j: reads.add(j) or seq.at(j), limit=count)
+
+    monkeypatch.setattr(families, "jp_alphas", recording_jp_alphas)
+    m = jp_dense_truncation(p, n)
+    assert counts == [3 * n + 1]
+    assert reads == set(range(1, 3 * n + 2))
+    c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 10))
+    assert m == _banded(n + 1, {0: c, 1: lambda i: F(1), -1: b, -2: a})
 
 
 def test_jp_matrix_is_positive_in_strip():

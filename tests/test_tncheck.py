@@ -34,6 +34,13 @@ def test_identity_is_tn_but_not_oscillatory():
     assert rep.is_oscillatory_gk is False
 
 
+def test_inexact_matrix_is_refused_before_the_scan():
+    # a float entry raises a TypeError naming it, never an AttributeError
+    # from the integer minor table
+    with pytest.raises(TypeError, match=r"DenseMatrix row 0 .* float 1\.5"):
+        is_totally_nonnegative(DenseMatrix([[1.5, 0], [0, 1]]))
+
+
 def test_negative_entry_is_order_one_witness():
     rep = is_totally_nonnegative(dense([[1, 2], [3, -1]]))
     assert rep.is_tn is False
