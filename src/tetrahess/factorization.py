@@ -54,6 +54,20 @@ class GaussBorelFactors:
         bands = {0: lambda i: self.u_diag[i], 1: lambda i: Fraction(1)}
         return _banded(self.order + 1, bands)
 
+    def product_bands(self):
+        """(diagonal, first subdiagonal, second subdiagonal) of L U, in
+        O(N): row i of L reaches columns i-2..i and U is upper bidiagonal
+        with unit superdiagonal, so L U vanishes outside columns i-2..i+1
+        and its superdiagonal is 1.  Rows are indexed as c, b and a are:
+        the diagonal from 0, the subdiagonals from 1 and 2."""
+        u, m, ell = self.u_diag, self.m, self.ell
+        diag = (u[0],) + tuple(m[i - 1] + u[i] for i in range(1, self.order + 1))
+        sub1 = tuple(
+            (ell[i - 2] if i >= 2 else 0) + m[i - 1] * u[i - 1] for i in range(1, self.order + 1)
+        )
+        sub2 = tuple(ell[i - 2] * u[i - 2] for i in range(2, self.order + 1))
+        return diag, sub1, sub2
+
 
 def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
     """LU data of T^[N]; raises SingularLeadingMinor at the first vanishing

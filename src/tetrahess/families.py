@@ -7,6 +7,11 @@ The weights are x^alpha (1-x)^gamma and x^beta (1-x)^gamma on [0, 1] with
 alpha, beta, gamma > -1 and alpha - beta not an integer (the natural
 region R).  R splits by d = alpha - beta into
 R1: d > 1, R2: 0 < d < 1, R3: -1 < d < 0, R4: d < -1.
+
+The closed forms are evaluated over the integers: ``jp_alphas`` brings
+(alpha, beta, gamma) to one common denominator once, multiplies the three
+numerator and three denominator factors of each alpha_j as ints and builds
+one Fraction from them, so the only gcd paid per alpha is that Fraction's.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import AlphaSequence, _banded, bands_from_alphas, tetra_from_alphas
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .factorization import lm_from_alphas
+from .scalars import exact_tuple
 
 
 class Variant(enum.Enum):
@@ -58,14 +65,15 @@ def jp_region(alpha, beta) -> Region:
 
 @dataclass(frozen=True)
 class JPParams:
-    """Validated parameter triple in the natural region with gamma > -1."""
+    """Validated parameter triple in the natural region with gamma > -1.
+    Each parameter is an int or a Fraction; anything else raises TypeError."""
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
 
     def __post_init__(self):
-        a, b, g = self.alpha, self.beta, self.gamma
+        a, b, g = exact_tuple((self.alpha, self.beta, self.gamma), "JPParams")
         if not (a > -1 and b > -1):
             raise OutsideNaturalRegion(f"alpha = {a}, beta = {b} must both exceed -1")
         if not g > -1:
@@ -84,57 +92,73 @@ class JPParams:
         return jp_region(self.alpha, self.beta)
 
 
-def _jp_value(p: JPParams, variant: Variant, j: int):
-    """alpha_j (or the AKV tilde value) from the six-periodic closed forms."""
-    n = (j - 1) // 6
-    r = j - 6 * n
+# The closed forms, six-periodic in j = 6n + r (r = 1..6).  alpha_j is the
+# product of three numerator factors over three denominator factors, each
+# linear in n: (k, t, s) stands for k n + t + s, s naming a combination of
+# the parameters (see _jp_rows).  The denominators and residues 1 and 4 are
+# the same in both parametrizations.
+_JP_DENOMINATORS = {
+    1: ((3, 1, "a+g"), (3, 2, "a+g"), (3, 1, "b+g")),
+    2: ((3, 2, "a+g"), (3, 1, "b+g"), (3, 2, "b+g")),
+    3: ((3, 2, "a+g"), (3, 3, "a+g"), (3, 2, "b+g")),
+    4: ((3, 3, "a+g"), (3, 2, "b+g"), (3, 3, "b+g")),
+    5: ((3, 3, "a+g"), (3, 4, "a+g"), (3, 3, "b+g")),
+    6: ((3, 4, "a+g"), (3, 3, "b+g"), (3, 4, "b+g")),
+}
+_JP_SHARED_NUMERATORS = {
+    1: ((1, 1, "a"), (2, 1, "a+g"), (2, 1, "b+g")),
+    4: ((1, 1, "b"), (2, 2, "a+g"), (2, 2, "b+g")),
+}
+_JP_NUMERATORS = {
+    Variant.FIRST: {
+        2: ((1, 0, "0"), (2, 1, "g"), (2, 1, "a+g")),
+        3: ((1, 1, "0"), (2, 1, "g"), (2, 2, "b+g")),
+        5: ((1, 1, "a-b"), (2, 2, "g"), (2, 2, "a+g")),
+        6: ((1, 1, "b-a"), (2, 2, "g"), (2, 3, "b+g")),
+        **_JP_SHARED_NUMERATORS,
+    },
+    Variant.AKV: {
+        2: ((1, 0, "b-a"), (2, 1, "g"), (2, 1, "b+g")),
+        3: ((1, 1, "a-b"), (2, 1, "g"), (2, 2, "a+g")),
+        5: ((1, 1, "0"), (2, 2, "g"), (2, 2, "b+g")),
+        6: ((1, 1, "0"), (2, 2, "g"), (2, 3, "a+g")),
+        **_JP_SHARED_NUMERATORS,
+    },
+}
+
+
+def _jp_rows(p: JPParams, variant: Variant):
+    """The closed forms over the integers: with (alpha, beta, gamma) =
+    (A, B, G) / D, the factor k n + t + s is ((k n + t) D + S) / D, and
+    the D^3 of the numerator cancels that of the denominator.  Row r - 1
+    lists each of its six factors as (k D, t D + S), numerators first, so
+    alpha_{6n+r} = prod(u n + v, numerators) / prod(u n + v, denominators)."""
     a, b, g = p.alpha, p.beta, p.gamma
-    if r == 1:
-        return ((n + 1 + a) * (2 * n + 1 + a + g) * (2 * n + 1 + b + g)) / (
-            (3 * n + 1 + a + g) * (3 * n + 2 + a + g) * (3 * n + 1 + b + g)
-        )
-    if r == 2:
-        if variant is Variant.FIRST:
-            return (n * (2 * n + 1 + g) * (2 * n + 1 + a + g)) / (
-                (3 * n + 2 + a + g) * (3 * n + 1 + b + g) * (3 * n + 2 + b + g)
-            )
-        return ((n - a + b) * (2 * n + 1 + g) * (2 * n + 1 + b + g)) / (
-            (3 * n + 2 + a + g) * (3 * n + 1 + b + g) * (3 * n + 2 + b + g)
-        )
-    if r == 3:
-        if variant is Variant.FIRST:
-            return ((n + 1) * (2 * n + 1 + g) * (2 * n + 2 + b + g)) / (
-                (3 * n + 2 + a + g) * (3 * n + 3 + a + g) * (3 * n + 2 + b + g)
-            )
-        return ((n + 1 + a - b) * (2 * n + 1 + g) * (2 * n + 2 + a + g)) / (
-            (3 * n + 2 + a + g) * (3 * n + 3 + a + g) * (3 * n + 2 + b + g)
-        )
-    if r == 4:
-        return ((n + 1 + b) * (2 * n + 2 + a + g) * (2 * n + 2 + b + g)) / (
-            (3 * n + 3 + a + g) * (3 * n + 2 + b + g) * (3 * n + 3 + b + g)
-        )
-    if r == 5:
-        if variant is Variant.FIRST:
-            return ((n + 1 + a - b) * (2 * n + 2 + g) * (2 * n + 2 + a + g)) / (
-                (3 * n + 3 + a + g) * (3 * n + 4 + a + g) * (3 * n + 3 + b + g)
-            )
-        return ((n + 1) * (2 * n + 2 + g) * (2 * n + 2 + b + g)) / (
-            (3 * n + 3 + a + g) * (3 * n + 4 + a + g) * (3 * n + 3 + b + g)
-        )
-    if variant is Variant.FIRST:
-        return ((n + 1 - a + b) * (2 * n + 2 + g) * (2 * n + 3 + b + g)) / (
-            (3 * n + 4 + a + g) * (3 * n + 3 + b + g) * (3 * n + 4 + b + g)
-        )
-    return ((n + 1) * (2 * n + 2 + g) * (2 * n + 3 + a + g)) / (
-        (3 * n + 4 + a + g) * (3 * n + 3 + b + g) * (3 * n + 4 + b + g)
+    d = lcm(a.denominator, b.denominator, g.denominator)
+    a, b, g = (v.numerator * (d // v.denominator) for v in (a, b, g))
+    combos = {"0": 0, "a": a, "b": b, "g": g, "a+g": a + g, "b+g": b + g, "a-b": a - b, "b-a": b - a}
+    numerators = _JP_NUMERATORS[variant]
+    return tuple(
+        tuple((k * d, t * d + combos[s]) for k, t, s in numerators[r] + _JP_DENOMINATORS[r])
+        for r in range(1, 7)
     )
 
 
 def jp_alphas(p: JPParams, variant: Variant, count: int) -> AlphaSequence:
-    """First `count` entries of the chosen parametrization, exactly."""
+    """First `count` entries of the chosen parametrization, exactly: each
+    one is a single Fraction of two integer products (see _jp_rows)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return AlphaSequence(values=tuple(_jp_value(p, variant, j) for j in range(1, count + 1)))
+    rows = _jp_rows(p, variant)
+    values = []
+    for i in range(count):
+        n, r = divmod(i, 6)
+        (u1, v1), (u2, v2), (u3, v3), (u4, v4), (u5, v5), (u6, v6) = rows[r]
+        values.append(Fraction(
+            (u1 * n + v1) * (u2 * n + v2) * (u3 * n + v3),
+            (u4 * n + v4) * (u5 * n + v5) * (u6 * n + v6),
+        ))
+    return AlphaSequence(values=tuple(values))
 
 
 def jp_dense_truncation(p: JPParams, n: int):

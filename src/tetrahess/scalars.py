@@ -9,6 +9,7 @@ the rational they spell ("0.1" is 1/10), never to a float.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -19,6 +20,15 @@ def parse_scalar(text: str) -> Fraction:
 def format_scalar(value) -> str:
     """Inverse of parse_scalar: "p/q", or "p" when the denominator is 1."""
     return str(value)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_scalar(Fraction(num, den)) for ints num and den > 0, with one
+    gcd and no Fraction built (the coefficients of a Poly are printed so)."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def exact_tuple(values, what):

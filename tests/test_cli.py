@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import dataclasses
 import os
 import signal
 import subprocess
@@ -18,6 +19,9 @@ import tetrahess
 from tetrahess import cli, families, tncheck
 from tetrahess.cli import main
 from tetrahess.poly import Poly
+from tetrahess.polynomials import second_kind_sequences, type1_sequences, type2_sequence
+from tetrahess.scalars import format_scalar
+from tetrahess.serialize import load_matrix
 
 
 def run(argv):
@@ -146,6 +150,25 @@ class TestPolys:
         body = json.loads(out)
         assert body["B"][2] == ["1", "-4", "1"]
         assert body["B"][3] == ["-1", "10", "-7", "1"]
+
+    @pytest.mark.parametrize("kind", ["type2", "type1", "second"])
+    def test_coefficients_print_as_their_fractions(self, jp_r3_file, kind):
+        """Coefficients formatted from (num, den) read as format_scalar
+        prints each Fraction coefficient."""
+        code, out, err = run(["polys", "--input", jp_r3_file, "--n", "12",
+                              "--kind", kind, "--nu", "-3/2"])
+        assert code == 0, err
+        with open(jp_r3_file, encoding="utf-8") as fh:
+            t = load_matrix(json.load(fh))
+        if kind == "type2":
+            seqs = [type2_sequence(t, 12)]
+        elif kind == "type1":
+            seqs = type1_sequences(t, 12, Fraction(-3, 2))
+        else:
+            seqs = second_kind_sequences(t, 12, Fraction(-3, 2))
+        want = [[[format_scalar(c) for c in p.coeffs] for p in seq] for seq in seqs]
+        assert list(json.loads(out).values()) == want
+        assert any("/" in c for seq in want for p in seq for c in p)
 
     def test_type1_needs_nu(self, ones_file):
         code, _, _ = run(["polys", "--input", ones_file, "--n", "3",
@@ -358,6 +381,25 @@ class TestVerifyCharpolyCanFail:
         error = json.loads(out)["error"]
         assert error.startswith(f"charpoly: {label}_{index} differs from the k=")
         assert f"verification failure: {error}" in err
+
+
+@pytest.mark.parametrize("field", ["m", "ell", "u_diag"])
+@pytest.mark.parametrize("position", [0, 2, -1])
+def test_roundtrip_fails_when_one_lu_entry_moves(monkeypatch, jp_r3_file, field, position):
+    """The banded L*U check sees a change in any one entry of m, l or u."""
+    original = cli.gauss_borel
+
+    def moved(t, n):
+        gb = original(t, n)
+        values = list(getattr(gb, field))
+        values[position] += Fraction(1, 7)
+        return dataclasses.replace(gb, **{field: tuple(values)})
+
+    monkeypatch.setattr(cli, "gauss_borel", moved)
+    code, out, err = run(["verify", "--suite", "roundtrip", "--alphas", jp_r3_file, "--n", "6"])
+    assert code == 1, err
+    error = "roundtrip: L*U does not reproduce the truncation"
+    assert json.loads(out) == {"status": "fail", "error": error}
 
 
 def test_verify_tn_disagreement_fails(monkeypatch, ones_file):

@@ -20,6 +20,8 @@ from tetrahess import (
 )
 
 from conftest import pbf_corpus, random_band_matrix
+from tetrahess.core import _banded
+from tetrahess.factorization import GaussBorelFactors
 
 
 def test_gauss_borel_symmetric_reference(t_sym):
@@ -100,6 +102,25 @@ def test_lu_product_reproduces_truncation(seed, n):
     except SingularLeadingMinor:
         return  # factorization legitimately absent
     assert gb.lower_matrix().mul(gb.upper_matrix()) == leading_principal(t, n)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=9))
+def test_product_bands_match_the_dense_product(seed, n):
+    """The O(N) bands of L U against DenseMatrix.mul on arbitrary factor
+    entries: a unit superdiagonal, the three bands, and zero elsewhere."""
+    rng = random.Random(seed)
+
+    def entries(k):
+        return tuple(F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(k))
+
+    gb = GaussBorelFactors(delta=entries(n + 1), m=entries(n), ell=entries(max(n - 1, 0)),
+                           u_diag=entries(n + 1))
+    diag, sub1, sub2 = gb.product_bands()
+    assert (len(diag), len(sub1), len(sub2)) == (n + 1, n, max(n - 1, 0))
+    bands = {0: lambda i: diag[i], 1: lambda i: F(1), -1: lambda i: sub1[i - 1],
+             -2: lambda i: sub2[i - 2]}
+    assert gb.lower_matrix().mul(gb.upper_matrix()) == _banded(n + 1, bands)
 
 
 def test_lm_from_alphas_matches_gauss_borel(t_ones, ones_alphas):

@@ -4,7 +4,10 @@ predictions, and the cross-variant band consistency."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracle_jp import oracle_jp_alphas
 from tetrahess import families
 from tetrahess import (
     AlphaSequence,
@@ -41,6 +44,45 @@ def test_akv_set_head_values():
     p = JPParams(F(0), F(-1, 2), F(0))
     alphas = jp_alphas(p, Variant.AKV, 3)
     assert alphas.prefix(3) == AKV_HEAD
+
+
+def same_as_oracle(p, count):
+    """Both variants equal the Fraction closed forms, value and type."""
+    for variant in Variant:
+        values = jp_alphas(p, variant, count).prefix(count)
+        assert values == oracle_jp_alphas(p, variant, count), (p, variant)
+        assert all(type(v) is F for v in values)
+
+
+def test_integer_kernel_matches_the_fraction_oracle_on_the_grid():
+    for p in JP_VERIFICATION_GRID:
+        same_as_oracle(p, 60)
+
+
+# ints, Fractions with mixed denominators, and values in (-1, 0)
+jp_parameters = st.one_of(
+    st.integers(min_value=0, max_value=5),
+    st.fractions(min_value=F(-1), max_value=F(6), max_denominator=40),
+    st.fractions(min_value=F(-1), max_value=F(0), max_denominator=12),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(jp_parameters, jp_parameters, jp_parameters, st.integers(min_value=1, max_value=60))
+def test_integer_kernel_matches_the_fraction_oracle(alpha, beta, gamma, count):
+    try:
+        p = JPParams(alpha, beta, gamma)
+    except OutsideNaturalRegion:
+        assume(False)
+    same_as_oracle(p, count)
+
+
+@pytest.mark.parametrize("params", [
+    (0.5, 0, 0), (0, 0.5, 0), (F(1, 2), 0, 0.25), ("1/2", 0, 0), (F(1, 2), None, 0),
+])
+def test_params_refuse_inexact_values(params):
+    with pytest.raises(TypeError, match="JPParams entries must be int or Fraction"):
+        JPParams(*params)
 
 
 def test_region_classification():

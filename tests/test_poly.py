@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracle_poly import FractionPoly
 from tetrahess import InexactDivision, Poly, constant_poly
+from tetrahess.scalars import format_ratio, format_scalar
 
 # mixed denominators, signs, zeros (also trailing ones) and plain ints
 scalars = st.one_of(
@@ -124,3 +125,9 @@ def test_inexact_coefficients_and_scalars_are_refused(bad):
         Poly((1, 2)).scale(bad)
     with pytest.raises(TypeError, match="int or Fraction"):
         Poly((1, 2))(bad)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=-10**12, max_value=10**12), st.integers(min_value=1, max_value=10**6))
+def test_format_ratio_prints_as_the_fraction(num, den):
+    assert format_ratio(num, den) == format_scalar(F(num, den))
