@@ -9,12 +9,14 @@ byte-identical output.
 
 Exit codes: 0 success (for ``factor``: PBF), 1 verification failure (for
 ``factor``: TN), 2 (``factor``: INDEFINITE), 64 usage, 65 bad input,
-70 computation error.
+70 computation error, 73 an ``--out`` file that cannot be written (the
+sysexits EX_CANTCREAT; stdout stays empty).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import signal
@@ -50,6 +52,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 64
 EXIT_INPUT = 65
 EXIT_COMPUTE = 70
+EXIT_CANTCREAT = 73
 
 VERIFY_SUITES = ("tn", "christoffel", "akv", "roundtrip", "charpoly", "jp-consistency")
 
@@ -62,6 +65,10 @@ class UsageError(Exception):
 
 
 class InputError(Exception):
+    pass
+
+
+class OutputError(Exception):
     pass
 
 
@@ -87,8 +94,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _write(payload: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise OutputError(f"{out_path}: {exc.strerror or exc}") from exc
     else:
         # flushed before any summary, so a closed stdout ends the process
         # (SIGPIPE from entry()) before anything reaches stderr
@@ -136,7 +146,7 @@ def _cmd_jp(args):
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     seq = jp_alphas(params, Variant(args.variant), args.count)
-    values = [format_scalar(v) for v in seq.prefix(args.count)]
+    values = [format_scalar(v) for v in seq.values]
     if args.out:
         payload = json.dumps(dump_alphas(seq), indent=2)
         _emit(payload, args.out, f"jp: wrote {args.count} entries to {args.out}")
@@ -275,7 +285,7 @@ def _suite_tn(t, n):
 def _suite_roundtrip(t, alphas, n):
     alpha2 = alphas.at(2)
     recovered = bidiagonal_factor(t, n, alpha2)
-    if recovered.prefix(recovered.length) != alphas.prefix(recovered.length):
+    if recovered.values != alphas.prefix(recovered.length):
         raise VerificationFailure("bidiagonal_factor did not reproduce the alphas")
     # L*U and T^[N] both have a unit superdiagonal and zeros outside the
     # four bands, so comparing the other three bands compares the matrices
@@ -289,7 +299,7 @@ def _suite_roundtrip(t, alphas, n):
     # the polynomial-valued reconstruction needs nu = -1/alpha_2
     if alpha2 != 0:
         reconstructed = alphas_from_polynomials(t, n, alpha2)
-        if reconstructed.prefix(reconstructed.length) != alphas.prefix(reconstructed.length):
+        if reconstructed.values != alphas.prefix(reconstructed.length):
             raise VerificationFailure("alphas_from_polynomials did not reproduce the alphas")
     return {"suite": "roundtrip", "n": n, "recovered": recovered.length}
 
@@ -436,10 +446,13 @@ _COMMANDS = {
 }
 
 
+# built on the first main() call, not at import, and reused by every later one
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -452,6 +465,9 @@ def main(argv=None) -> int:
     except TetraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 def entry():

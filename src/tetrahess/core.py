@@ -7,9 +7,14 @@ Index conventions, used everywhere in the package:
   with c_n on the diagonal and a unit superdiagonal;
 * the diagonal band c starts at n = 0, the first subdiagonal b at n = 1,
   the second subdiagonal a at n = 2, and a_n > 0 is required for every
-  materialized n;
+  n the band holds;
 * alpha sequences are 1-based, with the convention alpha_j = 0 for j <= 0
   (this makes the band product formulas below uniform in n).
+
+Every band and every alpha sequence is an explicit finite tuple: the
+matrices in this package are truncations of T = L1 L2 U, and a band built
+from alphas holds exactly the rows those alphas determine.  Reading past
+the end raises BandExhausted naming the band, the index and the count.
 """
 
 from __future__ import annotations
@@ -27,58 +32,35 @@ from .scalars import exact_tuple
 
 
 class Band:
-    """One band of a semi-infinite matrix, explicit or generator-backed.
+    """One band of a semi-infinite matrix, held as the tuple of its first
+    rows: ``values[i]`` is the entry of row ``start + i``, an int or a
+    Fraction (anything else raises TypeError)."""
 
-    ``start`` is the first meaningful row index of the band.  An explicit
-    band stores a tuple of int or Fraction values (anything else raises
-    TypeError); a generator-backed band stores a pure function of the row
-    index (optionally with a last valid index), so the type stays immutable
-    and shareable.
-    """
+    __slots__ = ("name", "start", "values")
 
-    __slots__ = ("name", "start", "values", "func", "limit")
-
-    def __init__(self, name, start, values=None, func=None, limit=None):
-        if (values is None) == (func is None):
-            raise ValueError("exactly one of values/func must be given")
+    def __init__(self, name, start, values):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "values", exact_tuple(values, f"band {name!r}"))
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "limit", limit)
 
     def __setattr__(self, name, value):
         raise AttributeError("Band is immutable")
 
     @property
     def last_index(self):
-        """Largest materializable row index, or None when unbounded."""
-        if self.values is not None:
-            return self.start + len(self.values) - 1
-        return self.limit
+        """Largest materializable row index (start - 1 for an empty band)."""
+        return self.start + len(self.values) - 1
 
     def get(self, n):
         if n < self.start:
             raise IndexOutOfRange(f"band {self.name!r} starts at {self.start}, got {n}")
-        if self.values is not None:
-            if n - self.start >= len(self.values):
-                raise BandExhausted(self.name, n, len(self.values))
-            return self.values[n - self.start]
-        if self.limit is not None and n > self.limit:
-            raise BandExhausted(self.name, n, self.limit - self.start + 1)
-        return self.func(n)
+        if n - self.start >= len(self.values):
+            raise BandExhausted(self.name, n, len(self.values))
+        return self.values[n - self.start]
 
     def shifted(self, k):
         """Same band of the matrix with its first k rows and columns removed."""
-        if k == 0:
-            return self
-        last = self.last_index
-        return Band(
-            self.name,
-            self.start,
-            func=lambda n: self.get(n + k),
-            limit=None if last is None else last - k,
-        )
+        return Band(self.name, self.start, self.values[k:])
 
 
 class Classification(enum.Enum):
@@ -93,56 +75,40 @@ class Classification(enum.Enum):
 
 
 class AlphaSequence:
-    """1-based sequence of factorization parameters alpha_1, alpha_2, ...
+    """1-based finite sequence of factorization parameters alpha_1, alpha_2,
+    ..., held as a tuple of int or Fraction values (anything else raises
+    TypeError).  ``at(j)`` returns 0 for j <= 0 by convention."""
 
-    ``at(j)`` returns 0 for j <= 0 by convention.  Explicit sequences are
-    finite tuples of int or Fraction values (anything else raises
-    TypeError); generator-backed ones are pure functions of j >= 1.
-    """
+    __slots__ = ("values",)
 
-    __slots__ = ("values", "func", "limit")
-
-    def __init__(self, values=None, func=None, limit=None):
-        if (values is None) == (func is None):
-            raise ValueError("exactly one of values/func must be given")
+    def __init__(self, values):
         object.__setattr__(self, "values", exact_tuple(values, "alpha"))
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "limit", limit)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlphaSequence is immutable")
 
     @property
     def length(self):
-        """Number of available entries, or None when unbounded."""
-        if self.values is not None:
-            return len(self.values)
-        return self.limit
+        return len(self.values)
 
     def at(self, j):
         if j <= 0:
             return Fraction(0)
-        if self.values is not None:
-            if j > len(self.values):
-                raise BandExhausted("alpha", j, len(self.values))
-            return self.values[j - 1]
-        if self.limit is not None and j > self.limit:
-            raise BandExhausted("alpha", j, self.limit)
-        return self.func(j)
+        if j > len(self.values):
+            raise BandExhausted("alpha", j, len(self.values))
+        return self.values[j - 1]
 
     def prefix(self, count):
         return tuple(self.at(j) for j in range(1, count + 1))
 
     def classify(self, count=None, start=1) -> Classification:
-        """Sign classification of alpha_start .. alpha_count.
+        """Sign classification of alpha_start .. alpha_count (default: all).
 
         ``start=2`` skips alpha_1 = c_0, whose positivity is a statement
         about the matrix entry rather than the factorization choice.
         """
         if count is None:
             count = self.length
-        if count is None:
-            raise ValueError("count is required for an unbounded alpha sequence")
         seen_zero = False
         for j in range(start, count + 1):
             v = self.at(j)
@@ -153,14 +119,13 @@ class AlphaSequence:
         return Classification.TN if seen_zero else Classification.PBF
 
     def __repr__(self):
-        if self.values is not None:
-            return f"AlphaSequence({list(self.values)!r})"
-        return f"AlphaSequence(<generator>, limit={self.limit})"
+        return f"AlphaSequence({list(self.values)!r})"
 
 
 class TetraHessenberg:
     """Semi-infinite tetradiagonal lower Hessenberg matrix with unit
-    superdiagonal, held as three bands."""
+    superdiagonal, held as three bands; every a_n is checked to be positive
+    when the matrix is built."""
 
     __slots__ = ("a_band", "b_band", "c_band")
 
@@ -168,10 +133,9 @@ class TetraHessenberg:
         object.__setattr__(self, "a_band", a)
         object.__setattr__(self, "b_band", b)
         object.__setattr__(self, "c_band", c)
-        if a.values is not None:
-            for i, v in enumerate(a.values):
-                if not v > 0:
-                    raise NonPositiveSubSubDiagonal(a.start + i, v)
+        for i, v in enumerate(a.values):
+            if not v > 0:
+                raise NonPositiveSubSubDiagonal(a.start + i, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("TetraHessenberg is immutable")
@@ -183,17 +147,11 @@ class TetraHessenberg:
         return self.b_band.get(n)
 
     def a(self, n):
-        # generator-backed bands are validated on access
-        v = self.a_band.get(n)
-        if not v > 0:
-            raise NonPositiveSubSubDiagonal(n, v)
-        return v
+        return self.a_band.get(n)
 
     def materializable_n(self):
-        """Largest N with leading_principal(self, N) available (None = any)."""
-        limits = [band.last_index for band in (self.a_band, self.b_band, self.c_band)]
-        finite = [v for v in limits if v is not None]
-        return min(finite) if finite else None
+        """Largest N with leading_principal(self, N) available."""
+        return min(band.last_index for band in (self.a_band, self.b_band, self.c_band))
 
     def entry(self, i, j):
         if i < 0 or j < 0:
@@ -210,8 +168,6 @@ class TetraHessenberg:
 
     def shifted(self, k):
         """Matrix with the first k rows and columns deleted (band shift)."""
-        if k == 0:
-            return self
         return TetraHessenberg(
             self.a_band.shifted(k), self.b_band.shifted(k), self.c_band.shifted(k)
         )
@@ -376,61 +332,32 @@ def _banded(size, bands) -> DenseMatrix:
 def tetra_from_bands(a, b, c) -> TetraHessenberg:
     """Build a matrix from explicit band value sequences a (n >= 2),
     b (n >= 1), c (n >= 0); a_n > 0 is enforced immediately."""
-    return TetraHessenberg(
-        Band("a", 2, values=a), Band("b", 1, values=b), Band("c", 0, values=c)
-    )
+    return TetraHessenberg(Band("a", 2, a), Band("b", 1, b), Band("c", 0, c))
 
 
-def _alpha_bands(at, length=None):
+def _alpha_bands(at, length):
     """Bands (c, b, a) given by the alpha product formulas read through the
-    accessor ``at`` (j -> alpha_j), each limited to the rows that the first
-    ``length`` alphas determine (None: unbounded)."""
-
-    def c(n):
-        return at(3 * n + 1) + at(3 * n) + at(3 * n - 1)
-
-    def b(n):
-        return (
-            at(3 * n) * at(3 * n - 2)
-            + at(3 * n - 1) * at(3 * n - 2)
-            + at(3 * n - 1) * at(3 * n - 3)
-        )
-
-    def a(n):
-        return at(3 * n - 1) * at(3 * n - 3) * at(3 * n - 5)
-
-    def limit(need):
-        # last row whose entries read no alpha past alpha_length, when row n
-        # reads up to alpha_{3n+need}
-        return None if length is None else (length - need) // 3
-
-    return (
-        Band("c", 0, func=c, limit=limit(1)),
-        Band("b", 1, func=b, limit=limit(0)),
-        Band("a", 2, func=a, limit=limit(-1)),
-    )
-
-
-def _tetra_from_accessor(at, length) -> TetraHessenberg:
-    """Validated matrix with the alpha product bands read through ``at``;
-    with a finite ``length`` every a_n is checked eagerly, otherwise on
-    access."""
-    c, b, a = _alpha_bands(at, length)
-    t = TetraHessenberg(a, b, c)
-    if a.limit is not None:
-        for n in range(2, a.limit + 1):
-            t.a(n)  # raises NonPositiveSubSubDiagonal on a violation
-    return t
+    accessor ``at`` (j -> alpha_j), each holding every row that the first
+    ``length`` alphas determine: row n of c, b and a reads up to
+    alpha_{3n+1}, alpha_{3n} and alpha_{3n-1} respectively."""
+    c = [at(3 * n + 1) + at(3 * n) + at(3 * n - 1) for n in range((length + 2) // 3)]
+    b = [
+        at(3 * n) * at(3 * n - 2) + at(3 * n - 1) * at(3 * n - 2) + at(3 * n - 1) * at(3 * n - 3)
+        for n in range(1, length // 3 + 1)
+    ]
+    a = [at(3 * n - 1) * at(3 * n - 3) * at(3 * n - 5) for n in range(2, (length + 1) // 3 + 1)]
+    return Band("c", 0, c), Band("b", 1, b), Band("a", 2, a)
 
 
 def bands_from_alphas(alphas: AlphaSequence):
-    """Raw band value functions (c, b, a) induced by an alpha sequence.
+    """Bands (c, b, a) induced by an alpha sequence, every row its entries
+    determine.
 
     No positivity is enforced here; this is the arithmetic layer used both
     by tetra_from_alphas and by sign studies of parameter families whose
     induced a_n may go negative.
     """
-    return tuple(band.func for band in _alpha_bands(alphas.at))
+    return _alpha_bands(alphas.at, alphas.length)
 
 
 def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:
@@ -441,10 +368,11 @@ def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:
               + alpha_{3n-1} alpha_{3n-3}
         a_n = alpha_{3n-1} alpha_{3n-3} alpha_{3n-5}
 
-    (alpha_j = 0 for j <= 0).  Finite alpha arrays are validated eagerly;
-    generator-backed ones on access.
+    (alpha_j = 0 for j <= 0), down to the last row the alphas determine;
+    every a_n is validated as for any other TetraHessenberg.
     """
-    return _tetra_from_accessor(alphas.at, alphas.length)
+    c, b, a = bands_from_alphas(alphas)
+    return TetraHessenberg(a, b, c)
 
 
 def leading_principal(t: TetraHessenberg, n: int) -> DenseMatrix:

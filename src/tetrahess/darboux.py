@@ -23,10 +23,9 @@ from .core import (
     AlphaSequence,
     Classification,
     TetraHessenberg,
-    _tetra_from_accessor,
+    _alpha_bands,
     alpha_factor_matrices,
     leading_principal,
-    tetra_from_bands,
 )
 from .errors import (
     IdentityViolation,
@@ -104,15 +103,13 @@ def darboux_transforms(alphas: AlphaSequence) -> DarbouxPair:
 
     The shifted accessor j -> alpha_{j+1} (alpha_{j+2}) is deliberately not
     an AlphaSequence: at j = 0 it must read alpha_1 (alpha_2), not zero.
-    Positivity of the transformed lowest bands is enforced exactly as for
-    any other TetraHessenberg (guaranteed when the alphas are PBF).
+    Each holds every row its alphas determine, and a_n > 0 is enforced as
+    for any other TetraHessenberg (guaranteed when the alphas are PBF).
     """
-    k = alphas.length
 
     def transform(shift):
-        return _tetra_from_accessor(
-            lambda j: alphas.at(j + shift), None if k is None else k - shift
-        )
+        c, b, a = _alpha_bands(lambda j: alphas.at(j + shift), alphas.length - shift)
+        return TetraHessenberg(a, b, c)
 
     return DarbouxPair(hat=transform(1), hathat=transform(2))
 
@@ -415,8 +412,7 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     Nothing here is a polynomial: at each sample x the recurrences run over
     the exact scalars (sequence_values, O(N) steps) and the brackets act on
     those values, so the cost is O(N) per sample point.  Each value equals
-    the polynomial bracket evaluated at x.  The alphas and the band entries
-    of rows 0..N+1 are read once, before the first sample point.
+    the polynomial bracket evaluated at x.
     """
     xs = tuple(xs)
     if not xs:
@@ -428,17 +424,6 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     nu = _forced_nu(alphas.at(2))
     # alpha_0 .. alpha_{3N+4}, read once for every sample point
     at = ((Fraction(0),) + alphas.prefix(3 * n + 4)).__getitem__
-    # rows 0 .. N+1, the ones the recurrences below read, are read once too:
-    # row by row in the recurrence's own order, so a short matrix fails on
-    # the entry the recurrence would fail on
-    c, b, a = [], [], []
-    for m in range(n + 2):
-        c.append(t.c(m))
-        if m >= 1:
-            b.append(t.b(m))
-        if m >= 2:
-            a.append(t.a(m))
-    t = tetra_from_bands(a, b, c)
 
     max_value = None
     max_location = None

@@ -167,9 +167,8 @@ def jp_dense_truncation(p: JPParams, n: int):
     some a_n are negative and TetraHessenberg would refuse them).  Rows
     0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
     are built."""
-    count = 3 * n + 1
-    c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, count))
-    return _banded(n + 1, {0: c, 1: lambda i: Fraction(1), -1: b, -2: a})
+    c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 1))
+    return _banded(n + 1, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})
 
 
 # Region sign table for the first period layers; the fixed grids used for
@@ -244,6 +243,15 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
     )
 
 
+def _agree(name, start, first, akv):
+    """Number of entries compared; raises ConsistencyViolation(n, name, ...)
+    at the first index n, counted from ``start``, where the two differ."""
+    for n, (u, v) in enumerate(zip(first, akv), start=start):
+        if u != v:
+            raise ConsistencyViolation(n, name, u, v)
+    return len(first)
+
+
 def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistencyReport:
     """Both parametrizations must induce identical L-subdiagonals
     (m_k = alpha_{3k-1}+alpha_{3k}, l_k = alpha_{3k-1} alpha_{3k-3}) and
@@ -256,30 +264,11 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistenc
     depth = count // 3
     m_f, l_f = lm_from_alphas(first, depth)
     m_a, l_a = lm_from_alphas(akv, depth)
-    subdiagonals = 0
-    for k, (u, v) in enumerate(zip(m_f, m_a), start=1):
-        if u != v:
-            raise ConsistencyViolation(k, "m", u, v)
-        subdiagonals += 1
-    for k, (u, v) in enumerate(zip(l_f, l_a), start=2):
-        if u != v:
-            raise ConsistencyViolation(k, "l", u, v)
-        subdiagonals += 1
-    cf, bf, af = bands_from_alphas(first)
-    ca, ba, aa = bands_from_alphas(akv)
-    bands = 0
-    for n in range((count - 1) // 3 + 1):
-        if cf(n) != ca(n):
-            raise ConsistencyViolation(n, "c", cf(n), ca(n))
-        bands += 1
-    for n in range(1, count // 3 + 1):
-        if bf(n) != ba(n):
-            raise ConsistencyViolation(n, "b", bf(n), ba(n))
-        bands += 1
-    for n in range(2, (count + 1) // 3 + 1):
-        if af(n) != aa(n):
-            raise ConsistencyViolation(n, "a", af(n), aa(n))
-        bands += 1
+    subdiagonals = _agree("m", 1, m_f, m_a) + _agree("l", 2, l_f, l_a)
+    bands = sum(
+        _agree(f.name, f.start, f.values, a.values)
+        for f, a in zip(bands_from_alphas(first), bands_from_alphas(akv))
+    )
     return JPConsistencyReport(count=count, bands_compared=bands, subdiagonals_compared=subdiagonals)
 
 

@@ -32,10 +32,8 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def exact_tuple(values, what):
-    """``values`` as a tuple (None stays None), refusing any entry that is
-    not an int or a Fraction: every scalar in the package is exact."""
-    if values is None:
-        return None
+    """``values`` as a tuple, refusing any entry that is not an int or a
+    Fraction: every scalar in the package is exact."""
     values = tuple(values)
     for v in values:
         if not isinstance(v, (int, Fraction)):

@@ -90,13 +90,9 @@ def load_alphas(payload: dict) -> AlphaSequence:
     return AlphaSequence(values=values)
 
 
-def dump_alphas(alphas: AlphaSequence, count=None) -> dict:
-    if count is None:
-        count = alphas.length
-    if count is None:
-        raise ValueError("count is required for an unbounded alpha sequence")
+def dump_alphas(alphas: AlphaSequence) -> dict:
     return {
-        "alpha": [format_scalar(v) for v in alphas.prefix(count)],
+        "alpha": [format_scalar(v) for v in alphas.values],
         "start_index": {"alpha": 1},
     }
 
@@ -116,12 +112,9 @@ def load_matrix(payload: dict) -> TetraHessenberg:
 
 
 def dump_matrix(t: TetraHessenberg, rows=None) -> dict:
-    """Materialize the bands down to row ``rows`` (default: every available
-    row; the matrix must then be finitely backed)."""
+    """The bands down to row ``rows`` (default: every row the matrix holds)."""
     if rows is None:
         rows = t.materializable_n()
-    if rows is None:
-        raise ValueError("rows is required for an unbounded matrix")
     return {
         "a": [format_scalar(t.a(n)) for n in range(2, rows + 1)],
         "b": [format_scalar(t.b(n)) for n in range(1, rows + 1)],

@@ -49,9 +49,14 @@ def pbf_corpus(seed, size, count=31):
     return [random_pbf_alphas(rng, count) for _ in range(size)]
 
 
+#: Length of the all-ones fixture: alphas through index 64 carry every
+#: matrix and transform below to row 21.
+ONES_COUNT = 64
+
+
 @pytest.fixture(scope="session")
 def ones_alphas():
-    return AlphaSequence(func=lambda j: F(1))
+    return AlphaSequence(values=(F(1),) * ONES_COUNT)
 
 
 @pytest.fixture(scope="session")

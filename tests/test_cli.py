@@ -538,6 +538,14 @@ class TestInputErrorEverySubcommand:
         assert (code, out) == (65, "")
         assert err.startswith("input error: band ")
 
+    def test_an_empty_band_holds_0_entries(self, tmp_path):
+        # one alpha determines row 0 only, and the type I recurrence reads a_2 first
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"generator": {"name": "ones", "count": 1}}))
+        code, out, err = run(["polys", "--input", str(path), "--n", "2", "--kind", "type1", "--nu", "-1"])
+        assert (code, out) == (65, "")
+        assert err == "input error: band 'a' holds 0 entries; index 2 is out of range\n"
+
     @pytest.mark.parametrize("argv", [
         ["polys", "--n", "2", "--kind", "type2", "--input"],
         ["factor", "--n", "2", "--alpha2", "1", "--input"],
@@ -739,3 +747,77 @@ def test_structurally_wrong_payload_is_input_error(tmp_path_factory, case):
     ):
         code, out, err = run(argv)
         assert (code, out) == (65, ""), (payload, argv, err)
+
+
+def _fresh(argv, **kwargs):
+    """``python -m tetrahess argv`` in a new process: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(tetrahess.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=300, **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _every_subcommand(ones):
+    """One valid argv per subcommand, ``ones`` naming the all-ones alphas."""
+    return {
+        "jp": ["jp", "--alpha", "0", "--beta", "1/2", "--gamma", "0", "--count", "4"],
+        "jp-scan": ["jp-scan", "--gamma", "1/2"],
+        "factor": ["factor", "--input", ones, "--n", "3", "--alpha2", "1"],
+        "polys": ["polys", "--input", ones, "--n", "3", "--kind", "second", "--nu", "-1"],
+        "darboux": ["darboux", "--alphas", ones, "--which", "hathat"],
+        "verify": ["verify", "--suite", "all", "--alphas", ones, "--n", "2"],
+    }
+
+
+class TestUnwritableOut:
+    """An --out file that cannot be created is exit 73 (EX_CANTCREAT) with
+    one line on stderr and nothing on stdout, in every subcommand."""
+
+    @pytest.mark.parametrize("command", ["jp", "jp-scan", "factor", "polys", "darboux", "verify"])
+    def test_exit_73_without_traceback(self, tmp_path, ones_file, command):
+        dest = tmp_path / "missing" / "r.json"
+        argv = _every_subcommand(ones_file)[command]
+        code, out, err = _fresh(["-m", "tetrahess", *argv, "--out", str(dest)])
+        assert (code, out) == (73, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"output error: {dest}: No such file or directory"
+        assert not dest.parent.exists()
+
+    def test_verify_prints_its_passes_first(self, tmp_path):
+        dest = tmp_path / "missing" / "r.json"
+        code, out, err = run(["verify", "--suite", "jp-consistency", "--n", "1", "--out", str(dest)])
+        assert (code, out) == (73, "")
+        assert err == f"verify jp-consistency: pass\noutput error: {dest}: No such file or directory\n"
+
+    def test_a_directory_is_unwritable(self, tmp_path):
+        code, out, err = run(["jp-scan", "--out", str(tmp_path)])
+        assert (code, out) == (73, "")
+        assert err == f"output error: {tmp_path}: Is a directory\n"
+
+
+def test_one_process_prints_what_fresh_processes_print(ones_file):
+    """The parser is built on the first main() call, not at import, and
+    reused: a usage error and then a valid call of every subcommand in one
+    process print, byte for byte, what each prints in a process of its own."""
+    calls = [["verify", "--suite", "nope"], *_every_subcommand(ones_file).values(),
+             ["polys", "--input", ones_file, "--n", "2", "--kind", "type1"]]
+    script = """
+import contextlib, io, json, sys
+from tetrahess import cli
+results = [cli._parser.cache_info().currsize]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+results.append(cli._parser.cache_info().misses)
+print(json.dumps(results))
+"""
+    code, out, err = _fresh(["-c", script, json.dumps(calls)])
+    assert (code, err) == (0, "")
+    built_at_import, *in_one_process, builds = json.loads(out)
+    assert (built_at_import, builds) == (0, 1)
+    assert [c for c, _, _ in in_one_process] == [64, 0, 0, 0, 0, 0, 0, 64]
+    for argv, got in zip(calls, in_one_process):
+        assert tuple(got) == _fresh(["-m", "tetrahess", *argv]), argv

@@ -16,6 +16,7 @@ from tetrahess import (
     Poly,
     alpha_factor_matrices,
     bands_from_alphas,
+    darboux_transforms,
     leading_principal,
     tetra_from_alphas,
     tetra_from_bands,
@@ -43,14 +44,17 @@ class TestBand:
         with pytest.raises(IndexOutOfRange):
             band.get(-1)
 
-    def test_func_band_is_unbounded_unless_limited(self):
-        band = Band("b", 1, func=lambda n: F(n))
-        assert band.get(100) == 100
-        assert band.last_index is None
-        capped = Band("b", 1, func=lambda n: F(n), limit=3)
-        assert capped.get(3) == 3
-        with pytest.raises(BandExhausted):
-            capped.get(4)
+    def test_band_exhausted_names_band_index_and_count(self):
+        band = Band("b", 1, (F(1), F(2), F(3)))
+        assert band.get(3) == 3
+        with pytest.raises(BandExhausted) as info:
+            band.get(4)
+        assert (info.value.band, info.value.index, info.value.length) == ("b", 4, 3)
+        empty = Band("a", 2, ())
+        assert empty.last_index == 1
+        with pytest.raises(BandExhausted) as info:
+            empty.get(2)
+        assert (info.value.band, info.value.index, info.value.length) == ("a", 2, 0)
 
     def test_shifted_reindexes(self):
         band = Band("c", 0, values=(F(1), F(2), F(3)))
@@ -94,19 +98,20 @@ ONES_BANDS = {
 
 def test_bands_from_all_ones_alphas(ones_alphas):
     c, b, a = bands_from_alphas(ones_alphas)
-    assert tuple(c(n) for n in range(4)) == ONES_BANDS["c"]
-    assert tuple(b(n) for n in range(1, 4)) == ONES_BANDS["b"]
-    assert tuple(a(n) for n in range(2, 4)) == ONES_BANDS["a"]
+    assert (c.name, c.start, b.name, b.start, a.name, a.start) == ("c", 0, "b", 1, "a", 2)
+    assert c.values[:4] == ONES_BANDS["c"]
+    assert b.values[:3] == ONES_BANDS["b"]
+    assert a.values[:2] == ONES_BANDS["a"]
 
 
 def test_band_formulas_at_low_indices():
     # alpha_j = j keeps every product distinguishable
-    alphas = AlphaSequence(func=lambda j: F(j))
+    alphas = AlphaSequence(values=range(1, 13))
     c, b, _ = bands_from_alphas(alphas)
-    assert c(0) == 1
-    assert c(1) == 4 + 3 + 2
-    assert b(1) == 3 * 1 + 2 * 1  # alpha_0 terms vanish
-    assert b(2) == 6 * 4 + 5 * 4 + 5 * 3
+    assert c.get(0) == 1
+    assert c.get(1) == 4 + 3 + 2
+    assert b.get(1) == 3 * 1 + 2 * 1  # alpha_0 terms vanish
+    assert b.get(2) == 6 * 4 + 5 * 4 + 5 * 3
 
 
 def test_tetra_from_alphas_rejects_nonpositive_a():
@@ -273,3 +278,93 @@ def test_tetra_from_bands_band_budget():
     assert t.c(0) == 1
     with pytest.raises(BandExhausted):
         t.a(4)
+
+
+# -- the alpha product bands against their per-row closed forms --------------
+
+alpha_values = st.one_of(st.integers(min_value=-3, max_value=3), rationals)
+
+
+def closed_form_bands(alpha, shift=0):
+    """Rows of (c, b, a) written out from the product formulas with every
+    alpha index moved ``shift`` places up (1: hat, 2: hathat).  A row exists
+    exactly when it reads no alpha past the last one given."""
+    k = len(alpha)
+
+    def at(j):
+        j += shift
+        return alpha[j - 1] if j >= 1 else 0
+
+    def rows(first, reach):
+        n = first
+        while reach(n) + shift <= k:
+            yield n
+            n += 1
+
+    c = [at(3 * n + 1) + at(3 * n) + at(3 * n - 1) for n in rows(0, lambda n: 3 * n + 1)]
+    b = [at(3 * n) * at(3 * n - 2) + at(3 * n - 1) * at(3 * n - 2) + at(3 * n - 1) * at(3 * n - 3)
+         for n in rows(1, lambda n: 3 * n)]
+    a = [at(3 * n - 1) * at(3 * n - 3) * at(3 * n - 5) for n in rows(2, lambda n: 3 * n - 1)]
+    return tuple(c), tuple(b), tuple(a)
+
+
+def assert_bands(bands, want):
+    for band, name, start, values in zip(bands, "cba", (0, 1, 2), want):
+        assert (band.name, band.start, band.values) == (name, start, values)
+        past = start + len(values)
+        assert band.last_index == past - 1
+        with pytest.raises(BandExhausted) as info:
+            band.get(past)
+        assert (info.value.band, info.value.index, info.value.length) == (name, past, len(values))
+
+
+def assert_matrix(t, want):
+    assert_bands((t.c_band, t.b_band, t.a_band), want)
+    assert t.materializable_n() == len(want[0]) - 1
+    for read, band, start in ((t.c, want[0], 0), (t.b, want[1], 1), (t.a, want[2], 2)):
+        with pytest.raises(BandExhausted):
+            read(start + len(band))
+
+
+def first_nonpositive(a_values):
+    return next(((n, v) for n, v in enumerate(a_values, start=2) if not v > 0), None)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(alpha_values, max_size=40))
+def test_bands_from_alphas_are_the_closed_forms(alpha):
+    assert_bands(bands_from_alphas(AlphaSequence(values=alpha)), closed_form_bands(alpha))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(positive_rationals, max_size=40))
+def test_tetra_from_pbf_alphas_is_the_closed_forms(alpha):
+    assert_matrix(tetra_from_alphas(AlphaSequence(values=alpha)), closed_form_bands(alpha))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(alpha_values, max_size=40))
+def test_tetra_from_alphas_refuses_the_first_nonpositive_a(alpha):
+    want = closed_form_bands(alpha)
+    bad = first_nonpositive(want[2])
+    if bad is None:
+        assert_matrix(tetra_from_alphas(AlphaSequence(values=alpha)), want)
+        return
+    with pytest.raises(NonPositiveSubSubDiagonal) as info:
+        tetra_from_alphas(AlphaSequence(values=alpha))
+    assert (info.value.n, info.value.value) == bad
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(alpha_values, max_size=40))
+def test_darboux_transforms_are_the_shifted_closed_forms(alpha):
+    hat, hathat = closed_form_bands(alpha, 1), closed_form_bands(alpha, 2)
+    bad = first_nonpositive(hat[2]) or first_nonpositive(hathat[2])
+    if bad is not None:
+        with pytest.raises(NonPositiveSubSubDiagonal) as info:
+            darboux_transforms(AlphaSequence(values=alpha))
+        assert (info.value.n, info.value.value) == bad
+        return
+    pair = darboux_transforms(AlphaSequence(values=alpha))
+    assert_matrix(pair.hat, hat)
+    assert_matrix(pair.hathat, hathat)

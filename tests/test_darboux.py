@@ -49,7 +49,7 @@ def test_hathat_bands_ones(ones_alphas):
 
 def test_hat_band_formulas_distinguishable():
     # alpha_j = j separates every term of the shifted products
-    alphas = AlphaSequence(func=lambda j: F(j))
+    alphas = AlphaSequence(values=range(1, 13))
     pair = darboux_transforms(alphas)
     assert pair.hat.c(1) == 5 + 4 + 3
     assert pair.hat.b(1) == 3 * 2 + 4 * 2 + 3 * 1

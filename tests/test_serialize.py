@@ -99,9 +99,11 @@ def test_dump_matrix_depth_control(t_ones):
     assert len(payload["a"]) == 2
 
 
-def test_dump_matrix_unbounded_needs_rows(t_ones):
-    with pytest.raises(ValueError):
-        dump_matrix(t_ones)
+def test_dump_matrix_defaults_to_every_row(t_ones):
+    # 64 alphas determine c_0 .. c_21, b_1 .. b_21 and a_2 .. a_21
+    payload = dump_matrix(t_ones)
+    assert t_ones.materializable_n() == 21
+    assert (len(payload["c"]), len(payload["b"]), len(payload["a"])) == (22, 21, 20)
 
 
 def test_load_matrix_generator_payload():
