@@ -23,11 +23,11 @@ import signal
 import sys
 from fractions import Fraction
 
-from .core import leading_principal, tetra_from_alphas, trailing_truncation
+from .core import Classification, leading_principal, tetra_from_alphas, trailing_truncation
 from .darboux import (
     akv_sign_checks,
     alphas_from_polynomials,
-    darboux_transforms,
+    darboux_transform,
     verify_christoffel,
 )
 from .errors import (BandExhausted, ConsistencyViolation, IdentityViolation, NonPositiveSubSubDiagonal,
@@ -113,7 +113,7 @@ def _emit(payload: str, out_path, summary: str):
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=Fraction)  # exact at any length or exponent
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -166,7 +166,7 @@ def _cmd_jp_scan(args):
     for alpha, beta in bases:
         params = JPParams(alpha=alpha, beta=beta, gamma=gamma)
         akv = jp_alphas(params, Variant.AKV, 24)
-        pbf = akv.classify(24).value == "PBF"
+        pbf = akv.classify(24) is Classification.PBF
         osc = is_totally_nonnegative(jp_dense_truncation(params, 4)).is_oscillatory_gk
         lines.append(
             f"{format_scalar(alpha)},{format_scalar(beta)},{params.region},"
@@ -231,9 +231,7 @@ def _cmd_polys(args):
 
 
 def _cmd_darboux(args):
-    alphas = _load_file(load_alphas, args.alphas)
-    pair = darboux_transforms(alphas)
-    t = pair.hat if args.which == "hat" else pair.hathat
+    t = darboux_transform(_load_file(load_alphas, args.alphas), args.which)
     t.c(0)  # raises BandExhausted when the alphas do not reach row 0
     body = dump_matrix(t)
     _emit(

@@ -101,16 +101,12 @@ class AlphaSequence:
     def prefix(self, count):
         return tuple(self.at(j) for j in range(1, count + 1))
 
-    def classify(self, count=None, start=1) -> Classification:
-        """Sign classification of alpha_start .. alpha_count (default: all).
-
-        ``start=2`` skips alpha_1 = c_0, whose positivity is a statement
-        about the matrix entry rather than the factorization choice.
-        """
+    def classify(self, count=None) -> Classification:
+        """Sign classification of alpha_1 .. alpha_count (default: all)."""
         if count is None:
             count = self.length
         seen_zero = False
-        for j in range(start, count + 1):
+        for j in range(1, count + 1):
             v = self.at(j)
             if v < 0:
                 return Classification.INDEFINITE
@@ -335,41 +331,55 @@ def tetra_from_bands(a, b, c) -> TetraHessenberg:
     return TetraHessenberg(Band("a", 2, a), Band("b", 1, b), Band("c", 0, c))
 
 
-def _alpha_bands(at, length):
-    """Bands (c, b, a) given by the alpha product formulas read through the
-    accessor ``at`` (j -> alpha_j), each holding every row that the first
-    ``length`` alphas determine: row n of c, b and a reads up to
-    alpha_{3n+1}, alpha_{3n} and alpha_{3n-1} respectively."""
-    c = [at(3 * n + 1) + at(3 * n) + at(3 * n - 1) for n in range((length + 2) // 3)]
-    b = [
-        at(3 * n) * at(3 * n - 2) + at(3 * n - 1) * at(3 * n - 2) + at(3 * n - 1) * at(3 * n - 3)
-        for n in range(1, length // 3 + 1)
-    ]
-    a = [at(3 * n - 1) * at(3 * n - 3) * at(3 * n - 5) for n in range(2, (length + 1) // 3 + 1)]
+def _factor_triple(at, length):
+    """The factors of T = L U read through the accessor ``at`` (j ->
+    alpha_j), indexed by row from 0: U has diagonal u and a unit
+    superdiagonal, L = L1 L2 is unit lower with subdiagonals m and l,
+
+        u_n = alpha_{3n+1},  m_n = alpha_{3n-1} + alpha_{3n},
+        l_n = alpha_{3n-1} alpha_{3n-3},
+
+    each tuple holding every row the first ``length`` alphas determine."""
+    u = tuple(at(3 * n + 1) for n in range((length + 2) // 3))
+    m = tuple(at(3 * n - 1) + at(3 * n) for n in range(length // 3 + 1))
+    ell = tuple(at(3 * n - 1) * at(3 * n - 3) for n in range((length + 1) // 3 + 1))
+    return u, m, ell
+
+
+def _lu_bands(u, m, ell):
+    """Bands (c, b, a) of L U for a factor triple indexed as _factor_triple
+    returns it,
+
+        c_n = u_n + m_n,  b_n = l_n + m_n u_{n-1},  a_n = l_n u_{n-2},
+
+    each down to the last row the three tuples determine (u_n1 is u_{n-1},
+    u_n2 is u_{n-2})."""
+    c = [u_n + m_n for u_n, m_n in zip(u, m)]
+    b = [l_n + m_n * u_n1 for l_n, m_n, u_n1 in zip(ell[1:], m[1:], u)]
+    a = [l_n * u_n2 for l_n, u_n2 in zip(ell[2:], u)]
     return Band("c", 0, c), Band("b", 1, b), Band("a", 2, a)
 
 
 def bands_from_alphas(alphas: AlphaSequence):
-    """Bands (c, b, a) induced by an alpha sequence, every row its entries
-    determine.
+    """Bands (c, b, a) of L U for the factor triple of an alpha sequence,
+    every row its entries determine.
 
     No positivity is enforced here; this is the arithmetic layer used both
     by tetra_from_alphas and by sign studies of parameter families whose
     induced a_n may go negative.
     """
-    return _alpha_bands(alphas.at, alphas.length)
+    return _lu_bands(*_factor_triple(alphas.at, alphas.length))
 
 
 def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:
-    """Matrix with bands given by the alpha product formulas
+    """The matrix T = L1 L2 U of an alpha sequence, with the bands of
+    bands_from_alphas; expanded (alpha_j = 0 for j <= 0),
 
         c_n = alpha_{3n+1} + alpha_{3n} + alpha_{3n-1}
-        b_n = alpha_{3n} alpha_{3n-2} + alpha_{3n-1} alpha_{3n-2}
-              + alpha_{3n-1} alpha_{3n-3}
-        a_n = alpha_{3n-1} alpha_{3n-3} alpha_{3n-5}
+        b_n = alpha_{3n-1} alpha_{3n-3} + (alpha_{3n-1} + alpha_{3n}) alpha_{3n-2}
+        a_n = alpha_{3n-1} alpha_{3n-3} alpha_{3n-5}.
 
-    (alpha_j = 0 for j <= 0), down to the last row the alphas determine;
-    every a_n is validated as for any other TetraHessenberg.
+    Every a_n is validated as for any other TetraHessenberg.
     """
     c, b, a = bands_from_alphas(alphas)
     return TetraHessenberg(a, b, c)

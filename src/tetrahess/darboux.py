@@ -23,7 +23,8 @@ from .core import (
     AlphaSequence,
     Classification,
     TetraHessenberg,
-    _alpha_bands,
+    _factor_triple,
+    _lu_bands,
     alpha_factor_matrices,
     leading_principal,
 )
@@ -91,27 +92,32 @@ def _forced_nu(alpha2):
     return Fraction(-1) / alpha2
 
 
-def darboux_transforms(alphas: AlphaSequence) -> DarbouxPair:
-    """Both Darboux transforms.  Their bands are the alpha product formulas
-    of tetra_from_alphas read one and two alphas further up (writing a for
-    alpha):
+def darboux_transform(alphas: AlphaSequence, which: str) -> TetraHessenberg:
+    """One Darboux transform, ``which`` = "hat" or "hathat": the L U bands
+    of tetra_from_alphas read one (hat) or two (hathat) alphas further up.
+    Writing a for alpha, hat is
 
-        hat:    c_n = a_{3n+2}+a_{3n+1}+a_{3n}
-                b_n = a_{3n+1}a_{3n-1}+a_{3n}a_{3n-1}+a_{3n}a_{3n-2}
-                a_n = a_{3n}a_{3n-2}a_{3n-4}
-        hathat: the same pattern shifted one more alpha up.
+        c_n = a_{3n+2}+a_{3n+1}+a_{3n}
+        b_n = a_{3n}a_{3n-2}+(a_{3n}+a_{3n+1})a_{3n-1}
+        a_n = a_{3n}a_{3n-2}a_{3n-4}
 
-    The shifted accessor j -> alpha_{j+1} (alpha_{j+2}) is deliberately not
-    an AlphaSequence: at j = 0 it must read alpha_1 (alpha_2), not zero.
-    Each holds every row its alphas determine, and a_n > 0 is enforced as
-    for any other TetraHessenberg (guaranteed when the alphas are PBF).
+    and hathat the same pattern shifted one more alpha up.  The shifted
+    accessor j -> alpha_{j+1} (alpha_{j+2}) is deliberately not an
+    AlphaSequence: at j = 0 it must read alpha_1 (alpha_2), not zero.  The
+    transform holds every row its alphas determine, and a_n > 0 is enforced
+    as for any other TetraHessenberg (guaranteed when the alphas are PBF).
     """
+    if which not in ("hat", "hathat"):
+        raise ValueError(f"unknown transform {which!r}")
+    shift = 1 if which == "hat" else 2
+    triple = _factor_triple(lambda j: alphas.at(j + shift), alphas.length - shift)
+    c, b, a = _lu_bands(*triple)
+    return TetraHessenberg(a, b, c)
 
-    def transform(shift):
-        c, b, a = _alpha_bands(lambda j: alphas.at(j + shift), alphas.length - shift)
-        return TetraHessenberg(a, b, c)
 
-    return DarbouxPair(hat=transform(1), hathat=transform(2))
+def darboux_transforms(alphas: AlphaSequence) -> DarbouxPair:
+    """Both Darboux transforms (see darboux_transform)."""
+    return DarbouxPair(darboux_transform(alphas, "hat"), darboux_transform(alphas, "hathat"))
 
 
 def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
@@ -123,16 +129,10 @@ def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
     at (N, N) by alpha_{3N+2}; the hathat case at (N, N) by
     alpha_{3N+2} + alpha_{3N+3} and at (N, N-1) by alpha_{3N+2} alpha_{3N}.
     """
-    if which not in ("hat", "hathat"):
-        raise ValueError(f"unknown transform {which!r}")
-    pair = darboux_transforms(alphas)
+    t = darboux_transform(alphas, which)
     l1, l2, u = alpha_factor_matrices(alphas, n)
-    if which == "hat":
-        product = l2.mul(u).mul(l1)
-        truncated = leading_principal(pair.hat, n)
-    else:
-        product = u.mul(l1).mul(l2)
-        truncated = leading_principal(pair.hathat, n)
+    product = l2.mul(u).mul(l1) if which == "hat" else u.mul(l1).mul(l2)
+    truncated = leading_principal(t, n)
     out = {}
     for i in range(n + 1):
         for j in range(n + 1):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AlphaSequence, DenseMatrix, TetraHessenberg, _banded
+from .core import AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _lu_bands
 from .errors import SingularLeadingMinor, ZeroAlpha3n
 
 
@@ -55,18 +55,11 @@ class GaussBorelFactors:
         return _banded(self.order + 1, bands)
 
     def product_bands(self):
-        """(diagonal, first subdiagonal, second subdiagonal) of L U, in
-        O(N): row i of L reaches columns i-2..i and U is upper bidiagonal
-        with unit superdiagonal, so L U vanishes outside columns i-2..i+1
-        and its superdiagonal is 1.  Rows are indexed as c, b and a are:
-        the diagonal from 0, the subdiagonals from 1 and 2."""
-        u, m, ell = self.u_diag, self.m, self.ell
-        diag = (u[0],) + tuple(m[i - 1] + u[i] for i in range(1, self.order + 1))
-        sub1 = tuple(
-            (ell[i - 2] if i >= 2 else 0) + m[i - 1] * u[i - 1] for i in range(1, self.order + 1)
-        )
-        sub2 = tuple(ell[i - 2] * u[i - 2] for i in range(2, self.order + 1))
-        return diag, sub1, sub2
+        """(diagonal, first subdiagonal, second subdiagonal) of L U in O(N),
+        rows indexed as c, b and a are (from 0, 1 and 2): the product of
+        core._lu_bands with m_0 = l_0 = l_1 = 0."""
+        c, b, a = _lu_bands(self.u_diag, (0,) + self.m, (0, 0) + self.ell)
+        return c.values, b.values, a.values
 
 
 def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
@@ -114,9 +107,9 @@ def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
 def lm_from_alphas(alphas: AlphaSequence, n: int):
     """The L-subdiagonals induced by an alpha sequence:
     m_k = alpha_{3k-1} + alpha_{3k} (k = 1..N) and
-    l_k = alpha_{3k-1} alpha_{3k-3} (k = 2..N).
+    l_k = alpha_{3k-1} alpha_{3k-3} (k = 2..N), sliced from the factor
+    triple of alpha_1 .. alpha_{3N}.
 
     Any two alpha sequences factoring the same matrix agree on these."""
-    m = tuple(alphas.at(3 * k - 1) + alphas.at(3 * k) for k in range(1, n + 1))
-    ell = tuple(alphas.at(3 * k - 1) * alphas.at(3 * k - 3) for k in range(2, n + 1))
-    return m, ell
+    _, m, ell = _factor_triple(alphas.at, 3 * n)
+    return m[1:], ell[2:]

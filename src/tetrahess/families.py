@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import AlphaSequence, _banded, bands_from_alphas, tetra_from_alphas
+from .core import AlphaSequence, _banded, _factor_triple, _lu_bands, bands_from_alphas, tetra_from_alphas
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
-from .factorization import lm_from_alphas
 from .scalars import exact_tuple
 
 
@@ -254,20 +253,20 @@ def _agree(name, start, first, akv):
 
 def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistencyReport:
     """Both parametrizations must induce identical L-subdiagonals
-    (m_k = alpha_{3k-1}+alpha_{3k}, l_k = alpha_{3k-1} alpha_{3k-3}) and
-    identical Hessenberg bands, exactly.  ``variants`` is the pair
+    (m_k = alpha_{3k-1}+alpha_{3k}, l_k = alpha_{3k-1} alpha_{3k-3},
+    k <= count // 3) and identical Hessenberg bands, exactly; each variant's
+    factor triple is read once.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
     has built it already."""
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
-    first, akv = variants
-    depth = count // 3
-    m_f, l_f = lm_from_alphas(first, depth)
-    m_a, l_a = lm_from_alphas(akv, depth)
-    subdiagonals = _agree("m", 1, m_f, m_a) + _agree("l", 2, l_f, l_a)
+    (u_f, m_f, l_f), (u_a, m_a, l_a) = (_factor_triple(v.at, v.length) for v in variants)
+    rows = count // 3 + 1
+    subdiagonals = _agree("m", 1, m_f[1:rows], m_a[1:rows])
+    subdiagonals += _agree("l", 2, l_f[2:rows], l_a[2:rows])
     bands = sum(
         _agree(f.name, f.start, f.values, a.values)
-        for f, a in zip(bands_from_alphas(first), bands_from_alphas(akv))
+        for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a))
     )
     return JPConsistencyReport(count=count, bands_compared=bands, subdiagonals_compared=subdiagonals)
 

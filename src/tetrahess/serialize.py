@@ -111,10 +111,9 @@ def load_matrix(payload: dict) -> TetraHessenberg:
     return tetra_from_bands(a=bands["a"], b=bands["b"], c=bands["c"])
 
 
-def dump_matrix(t: TetraHessenberg, rows=None) -> dict:
-    """The bands down to row ``rows`` (default: every row the matrix holds)."""
-    if rows is None:
-        rows = t.materializable_n()
+def dump_matrix(t: TetraHessenberg) -> dict:
+    """The bands down to the last row the matrix holds in all three."""
+    rows = t.materializable_n()
     return {
         "a": [format_scalar(t.a(n)) for n in range(2, rows + 1)],
         "b": [format_scalar(t.b(n)) for n in range(1, rows + 1)],

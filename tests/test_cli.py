@@ -283,6 +283,24 @@ class TestDarboux:
         assert code == 0
         assert json.loads(out)["c"][:3] == ["3", "3", "3"]
 
+    @pytest.mark.parametrize("alphas, which, error", [
+        # alpha_3 = -1 enters a_2 of hathat only: the a band of hat is all 1s
+        (["1", "1", "-1"] + ["1"] * 20, "hat", None),
+        (["1", "1", "-1"] + ["1"] * 20, "hathat", "a_2 = -1"),
+        # alpha_8 = -1 enters a_4 of hat and a_3 of hathat
+        (["1"] * 7 + ["-1"] + ["1"] * 16, "hat", "a_4 = -1"),
+        (["1"] * 7 + ["-1"] + ["1"] * 16, "hathat", "a_3 = -1"),
+    ])
+    def test_only_the_transform_asked_for_is_checked(self, tmp_path, alphas, which, error):
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps({"alpha": alphas}))
+        code, out, err = run(["darboux", "--which", which, "--alphas", str(path)])
+        if error is None:
+            assert code == 0
+            assert set(json.loads(out)["a"]) == {"1"}
+        else:
+            assert (code, out, err) == (70, "", f"error: {error} must be positive\n")
+
 
 class TestVerify:
     def test_all_suites_pass_on_ones(self, ones_file):
@@ -620,6 +638,29 @@ class TestErrorMapping:
             for flag in flags:
                 code, out, _ = run(flag + argv)
                 assert (code, out) == (64, ""), flag + argv
+
+    def test_json_numbers_are_read_exactly(self, tmp_path):
+        numbers, strings = tmp_path / "numbers.json", tmp_path / "strings.json"
+        numbers.write_text('{"alpha": [0.12345678901234567890, 1e400]}')
+        strings.write_text('{"alpha": ["0.12345678901234567890", "1e400"]}')
+        code, out, _ = run(["darboux", "--which", "hat", "--alphas", str(numbers)])
+        assert code == 0
+        assert (code, out) == run(["darboux", "--which", "hat", "--alphas", str(strings)])[:2]
+        # row 0 of hat is c_0 = alpha_2 + alpha_1
+        want = Fraction("0.12345678901234567890") + Fraction(10) ** 400
+        assert json.loads(out)["c"] == [str(want)]
+
+    @pytest.mark.parametrize("text", [
+        '{"alpha": ["1", "1"], "start_index": 1.0}',
+        '{"alpha": ["1", "1"], "start_index": {"alpha": 1.0}}',
+        '{"generator": {"name": "ones", "count": 2.0}}',
+    ])
+    def test_a_json_float_is_no_index_or_count(self, tmp_path, text):
+        path = tmp_path / "float.json"
+        path.write_text(text)
+        code, out, err = run(["darboux", "--which", "hat", "--alphas", str(path)])
+        assert (code, out) == (65, "")
+        assert err.startswith(f"input error: {path}: ")
 
     @pytest.mark.parametrize(
         "payload, argv",

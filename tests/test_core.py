@@ -82,11 +82,6 @@ class TestAlphaSequence:
         # a zero before a negative still reads as indefinite
         assert AlphaSequence(values=(F(0), F(-1))).classify() is Classification.INDEFINITE
 
-    def test_classify_start_skips_leading_entries(self):
-        alphas = AlphaSequence(values=(F(0), F(1), F(1)))
-        assert alphas.classify() is Classification.TN
-        assert alphas.classify(start=2) is Classification.PBF
-
 
 ONES_BANDS = {
     # c_n = 1, 3, 3, ...   b_n = 2, 3, 3, ...   a_n = 1, 1, ...

@@ -65,7 +65,7 @@ SYM_ALPHAS_AT_ZERO = (F(2), F(0), F(1, 2), F(3, 2), F(1), F(-2, 3), F(5, 3))
 def test_bidiagonal_factor_symmetric_reference(t_sym):
     alphas = bidiagonal_factor(t_sym, 2, F(0))
     assert alphas.prefix(7) == SYM_ALPHAS_AT_ZERO
-    assert alphas.classify(start=1) is Classification.INDEFINITE
+    assert alphas.classify() is Classification.INDEFINITE
 
 
 def test_bidiagonal_factor_zero_alpha3n(t_sym):

@@ -12,6 +12,7 @@ from tetrahess import families
 from tetrahess import (
     AlphaSequence,
     Classification,
+    ConsistencyViolation,
     JPParams,
     JP_VERIFICATION_GRID,
     OutsideNaturalRegion,
@@ -139,6 +140,40 @@ def test_cross_consistency_m_values():
         m, _ = lm_from_alphas(alphas, 2)
         assert m[0] == F(1, 6)
         assert m[1] == F(19, 70)
+
+
+def _moved(alphas, *moves):
+    """alphas with alpha_j increased by d for each (j, d) in moves."""
+    values = list(alphas.values)
+    for j, d in moves:
+        values[j - 1] += d
+    return AlphaSequence(values=values)
+
+
+R3_POINT = JPParams(F(0), F(1, 2), F(0))
+
+
+@pytest.mark.parametrize("j", [j for j in range(1, 25) if j % 6 not in (1, 4)])
+def test_cross_consistency_catches_a_moved_akv_alpha(j):
+    first, akv = (jp_alphas(R3_POINT, v, 24) for v in (Variant.FIRST, Variant.AKV))
+    # alpha_j enters m_k, k = ceil(j / 3), the first quantity compared
+    with pytest.raises(ConsistencyViolation) as info:
+        jp_cross_consistency(R3_POINT, 24, (first, _moved(akv, (j, 1))))
+    assert (info.value.band, info.value.n) == ("m", (j + 2) // 3)
+    if j % 3 == 2 and j > 2:
+        # moving alpha_j against alpha_{j+1} keeps m_k and changes l_k
+        with pytest.raises(ConsistencyViolation) as info:
+            jp_cross_consistency(R3_POINT, 24, (first, _moved(akv, (j, 1), (j + 1, -1))))
+        assert (info.value.band, info.value.n) == ("l", (j + 1) // 3)
+
+
+@pytest.mark.parametrize("j", [j for j in range(1, 25) if j % 6 in (1, 4)])
+def test_cross_consistency_catches_a_moved_shared_alpha_on_c(j):
+    # alpha_{3n+1} is u_n: m and l agree, c_n = u_n + m_n does not
+    first, akv = (jp_alphas(R3_POINT, v, 24) for v in (Variant.FIRST, Variant.AKV))
+    with pytest.raises(ConsistencyViolation) as info:
+        jp_cross_consistency(R3_POINT, 24, (first, _moved(akv, (j, 1))))
+    assert (info.value.band, info.value.n) == ("c", (j - 1) // 3)
 
 
 def test_sign_report_strip_point():

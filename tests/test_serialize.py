@@ -92,13 +92,6 @@ def test_matrix_round_trip():
         assert again.a(n) == t.a(n)
 
 
-def test_dump_matrix_depth_control(t_ones):
-    payload = dump_matrix(t_ones, rows=3)
-    assert len(payload["c"]) == 4  # c_0 .. c_3
-    assert len(payload["b"]) == 3
-    assert len(payload["a"]) == 2
-
-
 def test_dump_matrix_defaults_to_every_row(t_ones):
     # 64 alphas determine c_0 .. c_21, b_1 .. b_21 and a_2 .. a_21
     payload = dump_matrix(t_ones)
