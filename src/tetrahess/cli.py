@@ -449,6 +449,11 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    # rationals are read and printed exactly at any length: lift the int/str
+    # conversion limit (4300 digits by default), which interpreters older
+    # than the limit lack along with its setter
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -8,8 +8,9 @@ Index conventions, used everywhere in the package:
 * the diagonal band c starts at n = 0, the first subdiagonal b at n = 1,
   the second subdiagonal a at n = 2, and a_n > 0 is required for every
   n the band holds;
-* alpha sequences are 1-based, with the convention alpha_j = 0 for j <= 0
-  (this makes the band product formulas below uniform in n).
+* alpha sequences are 1-based, with the convention alpha_j = 0 for j <= 0;
+  _split_alphas alone decides which alpha sits in which bidiagonal factor
+  of T = L1 L2 U, and _interleave alone puts the factors back in order.
 
 Every band and every alpha sequence is an explicit finite tuple: the
 matrices in this package are truncations of T = L1 L2 U, and a band built
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     BandExhausted,
@@ -331,18 +333,28 @@ def tetra_from_bands(a, b, c) -> TetraHessenberg:
     return TetraHessenberg(Band("a", 2, a), Band("b", 1, b), Band("c", 0, c))
 
 
-def _factor_triple(at, length):
-    """The factors of T = L U read through the accessor ``at`` (j ->
-    alpha_j), indexed by row from 0: U has diagonal u and a unit
-    superdiagonal, L = L1 L2 is unit lower with subdiagonals m and l,
+def _split_alphas(alpha):
+    """The tuple (alpha_1, alpha_2, ...) split by residue mod 3 into the
+    bidiagonal factors of T = L1 L2 U, indexed by row from 0: U has diagonal
+    u_n = alpha_{3n+1} and L1, L2 have subdiagonals p_n = alpha_{3n-1},
+    q_n = alpha_{3n} (p_0 = q_0 = 0).  Only this split and its inverse
+    _interleave know which alpha sits in which factor."""
+    zero = (Fraction(0),)
+    return alpha[0::3], zero + alpha[1::3], zero + alpha[2::3]
 
-        u_n = alpha_{3n+1},  m_n = alpha_{3n-1} + alpha_{3n},
-        l_n = alpha_{3n-1} alpha_{3n-3},
 
-    each tuple holding every row the first ``length`` alphas determine."""
-    u = tuple(at(3 * n + 1) for n in range((length + 2) // 3))
-    m = tuple(at(3 * n - 1) + at(3 * n) for n in range(length // 3 + 1))
-    ell = tuple(at(3 * n - 1) * at(3 * n - 3) for n in range((length + 1) // 3 + 1))
+def _interleave(u, p, q) -> AlphaSequence:
+    """Inverse of _split_alphas: alpha_1 .. alpha_{3N+1} from u_0 .. u_N,
+    p_1 .. p_N and q_1 .. q_N."""
+    return AlphaSequence((u[0], *chain.from_iterable(zip(p[1:], q[1:], u[1:]))))
+
+
+def _factor_triple(u, p, q):
+    """The factors (u, m, l) of T = L U from the bidiagonal factors (u, p, q)
+    of _split_alphas: L = L1 L2 has subdiagonals m_n = p_n + q_n and
+    l_n = p_n q_{n-1} (l_0 = 0), each down to the last row p and q fix."""
+    m = tuple(p_n + q_n for p_n, q_n in zip(p, q))
+    ell = tuple(p_n * q_n1 for p_n, q_n1 in zip(p, (Fraction(0),) + q))
     return u, m, ell
 
 
@@ -368,7 +380,7 @@ def bands_from_alphas(alphas: AlphaSequence):
     by tetra_from_alphas and by sign studies of parameter families whose
     induced a_n may go negative.
     """
-    return _lu_bands(*_factor_triple(alphas.at, alphas.length))
+    return _lu_bands(*_factor_triple(*_split_alphas(alphas.values)))
 
 
 def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:
@@ -408,21 +420,21 @@ def trailing_truncation(t: TetraHessenberg, n: int, k: int) -> DenseMatrix:
 def alpha_factor_matrices(alphas: AlphaSequence, n: int):
     """Truncated bidiagonal factors (L1, L2, U) of order N+1.
 
-    L1 is unit lower bidiagonal with subdiagonal alpha_{3k+2}; L2 the same
-    with alpha_{3k+3}; U has diagonal alpha_{3k+1} and unit superdiagonal.
-    Their product L1 L2 U reproduces the leading principal truncation of
+    L1 and L2 are unit lower bidiagonal with subdiagonals p and q, and U
+    has diagonal u and a unit superdiagonal (see _split_alphas).  Their
+    product L1 L2 U reproduces the leading principal truncation of
     tetra_from_alphas exactly (no boundary discrepancy in this ordering).
     """
     if n < 0:
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
-    at = alphas.at
+    u, p, q = _split_alphas(alphas.prefix(3 * n + 1))
     size = n + 1
 
     def unit(i):
         return Fraction(1)
 
-    # entry functions take the row i; subdiagonal entry k sits in row k + 1
-    l1 = _banded(size, {0: unit, -1: lambda i: at(3 * i - 1)})
-    l2 = _banded(size, {0: unit, -1: lambda i: at(3 * i)})
-    u = _banded(size, {0: lambda i: at(3 * i + 1), 1: unit})
-    return l1, l2, u
+    # entry functions take the row i; L1 and L2 carry p_i and q_i in row i
+    l1 = _banded(size, {0: unit, -1: p.__getitem__})
+    l2 = _banded(size, {0: unit, -1: q.__getitem__})
+    upper = _banded(size, {0: u.__getitem__, 1: unit})
+    return l1, l2, upper

@@ -24,7 +24,9 @@ from .core import (
     Classification,
     TetraHessenberg,
     _factor_triple,
+    _interleave,
     _lu_bands,
+    _split_alphas,
     alpha_factor_matrices,
     leading_principal,
 )
@@ -94,24 +96,18 @@ def _forced_nu(alpha2):
 
 def darboux_transform(alphas: AlphaSequence, which: str) -> TetraHessenberg:
     """One Darboux transform, ``which`` = "hat" or "hathat": the L U bands
-    of tetra_from_alphas read one (hat) or two (hathat) alphas further up.
-    Writing a for alpha, hat is
-
-        c_n = a_{3n+2}+a_{3n+1}+a_{3n}
-        b_n = a_{3n}a_{3n-2}+(a_{3n}+a_{3n+1})a_{3n-1}
-        a_n = a_{3n}a_{3n-2}a_{3n-4}
-
-    and hathat the same pattern shifted one more alpha up.  The shifted
-    accessor j -> alpha_{j+1} (alpha_{j+2}) is deliberately not an
-    AlphaSequence: at j = 0 it must read alpha_1 (alpha_2), not zero.  The
-    transform holds every row its alphas determine, and a_n > 0 is enforced
-    as for any other TetraHessenberg (guaranteed when the alphas are PBF).
+    of the rotated factors.  With (u, p, q) the factors of T = L1 L2 U
+    (core._split_alphas), hat T = L2 U L1 has the factors (p shifted up one
+    row, q, u) and hathat T = U L1 L2 the factors (q shifted up one row, u,
+    p shifted up one row).  The transform holds every row its alphas
+    determine, and a_n > 0 is enforced as for any other TetraHessenberg
+    (guaranteed when the alphas are PBF).
     """
     if which not in ("hat", "hathat"):
         raise ValueError(f"unknown transform {which!r}")
-    shift = 1 if which == "hat" else 2
-    triple = _factor_triple(lambda j: alphas.at(j + shift), alphas.length - shift)
-    c, b, a = _lu_bands(*triple)
+    u, p, q = _split_alphas(alphas.values)
+    rotated = (p[1:], q, u) if which == "hat" else (q[1:], u, p[1:])
+    c, b, a = _lu_bands(*_factor_triple(*rotated))
     return TetraHessenberg(a, b, c)
 
 
@@ -143,44 +139,48 @@ def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
     return out
 
 
-def _hat_bracket(v, at, k):
-    """v_{k+1} + (a_{3k+1}+a_{3k}) v_k + a_{3k} a_{3k-2} v_{k-1}, the bracket
-    sending B_k to x tildeB_k (a = alpha, read through ``at``).  Here and in
-    the three brackets below, v holds polynomials or their values at one
-    point: evaluation at x commutes with every bracket."""
-    out = v[k + 1] + v[k] * (at(3 * k + 1) + at(3 * k))
-    if k >= 1:
-        out = out + v[k - 1] * (at(3 * k) * at(3 * k - 2))
-    return out
+# The factor products take v = (v_0, v_1, ...), polynomials or their values
+# at one point (evaluation commutes with each), and hold every row the factor
+# and v determine; L is unit lower bidiagonal with subdiagonal ``sub``.
 
 
-def _hathat_bracket(v, at, k):
-    """v_{k+1} + a_{3k+1} v_k, the bracket sending B_k to x tildetildeB_k."""
-    return v[k + 1] + v[k] * at(3 * k + 1)
+def _u_times(u, v):
+    """U v: (U v)_k = v_{k+1} + u_k v_k."""
+    return tuple(v_k1 + v_k * u_k for u_k, v_k, v_k1 in zip(u, v, v[1:]))
+
+
+def _l_times(sub, v):
+    """L v: (L v)_0 = v_0 and (L v)_k = v_k + sub_k v_{k-1}."""
+    return (v[0], *(v_k + v_k1 * s_k for s_k, v_k, v_k1 in zip(sub[1:], v[1:], v)))
+
+
+def _times_l(v, sub):
+    """v L, v a row: (v L)_k = v_k + sub_{k+1} v_{k+1}."""
+    return tuple(v_k + v_k1 * s_k1 for s_k1, v_k, v_k1 in zip(sub[1:], v, v[1:]))
+
+
+def _over_x(polys, name):
+    """Each polynomial divided by x, exactly (InexactDivision names
+    ``name``_k at the first nonzero constant term)."""
+    return PolySequence(tuple(p.exact_div_x(context=f"{name}_{k}") for k, p in enumerate(polys)))
 
 
 def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
-    """The transformed type II sequences (tildeB, tildetildeB), indices 0..N:
+    """The transformed type II sequences (tildeB, tildetildeB), indices 0..N,
+    with B = (B_0, B_1, ...) a column and (u, p, q) the factors of T:
 
-        x tildeB_k     = B_{k+1} + (a_{3k+1}+a_{3k}) B_k + a_{3k} a_{3k-2} B_{k-1}
-        x tildetildeB_k = B_{k+1} + a_{3k+1} B_k
+        x tildetildeB = U B,    x tildeB = L2 U B.
 
     The division by x is asserted by checking the constant term vanishes,
-    which fails (InexactDivision) whenever alphas do not factor T.
+    which fails (InexactDivision) whenever alphas do not factor T.  Reads
+    alpha_1 .. alpha_{3N+1}.
     """
     if n < 1:
         raise ValueError("transformed sequences need N >= 1")
     b = type2_sequence(t, n + 1)
-    at = alphas.at
-    tilde = []
-    tildetilde = []
-    for k in range(n + 1):
-        tilde.append(_hat_bracket(b, at, k).exact_div_x(context=f"tildeB_{k}"))
-        tildetilde.append(_hathat_bracket(b, at, k).exact_div_x(context=f"tildetildeB_{k}"))
-    return (
-        PolySequence(tuple(tilde)),
-        PolySequence(tuple(tildetilde)),
-    )
+    u, _, q = _split_alphas(alphas.prefix(3 * n + 1))
+    ub = _u_times(u, b)
+    return _over_x(_l_times(q, ub), "tildeB"), _over_x(ub, "tildetildeB")
 
 
 def transformed_char_polys(pair: DarbouxPair, n: int, k: int, nu):
@@ -198,50 +198,27 @@ def transformed_char_polys(pair: DarbouxPair, n: int, k: int, nu):
     return main, first, second
 
 
-def _hat_a_bracket(v, at, k):
-    """v_k + a_{3k+2} v_{k+1}, the bracket sending A2 to hatA1 and A1 to
-    x tildeA2 (a = alpha, read through ``at``)."""
-    return v[k] + v[k + 1] * at(3 * k + 2)
-
-
-def _hathat_a_bracket(v, at, k):
-    """v_k + (a_{3k+2}+a_{3k+3}) v_{k+1} + a_{3k+5} a_{3k+3} v_{k+2}, the
-    bracket sending A1 (A2) to x tildetildeA1 (x tildetildeA2)."""
-    s = at(3 * k + 2) + at(3 * k + 3)
-    return v[k] + v[k + 1] * s + v[k + 2] * (at(3 * k + 5) * at(3 * k + 3))
-
-
 def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> TransformedPolys:
     """Transformed type I sequences, indices 0..N, with nu forced to
-    -1/alpha_2.  Writing a for alpha:
+    -1/alpha_2.  With A1 = (A1_0, A1_1, ...) and A2 rows and (u, p, q) the
+    factors of T:
 
-        hatA1_k        = A2_k + a_{3k+2} A2_{k+1}            (no division)
-        x tildeA2_k    = A1_k + a_{3k+2} A1_{k+1}
-        x tildetildeA1_k = A1_k + (a_{3k+2}+a_{3k+3}) A1_{k+1}
-                                + a_{3k+5} a_{3k+3} A1_{k+2}
-        tildetildeA2_k   = the same combination of A2.
+        hatA1 = A2 L1  (no division),    x tildeA2 = A1 L1,
+        x tildetildeA1 = A1 L1 L2,       x tildetildeA2 = A2 L1 L2.
 
     Requires alphas materializable to index 3N+5 and the matrix bands to
     a_{N+2} (the A sequences run to index N+2).
     """
     nu = _forced_nu(alphas.at(2))
     a1, a2 = type1_sequences(t, n + 2, nu)
-    at = alphas.at
-    hat_a1 = []
-    tilde_a2 = []
-    tt_a1 = []
-    tt_a2 = []
-    for k in range(n + 1):
-        hat_a1.append(_hat_a_bracket(a2, at, k))
-        tilde_a2.append(_hat_a_bracket(a1, at, k).exact_div_x(context=f"tildeA2_{k}"))
-        tt_a1.append(_hathat_a_bracket(a1, at, k).exact_div_x(context=f"tildetildeA1_{k}"))
-        tt_a2.append(_hathat_a_bracket(a2, at, k).exact_div_x(context=f"tildetildeA2_{k}"))
+    _, p, q = _split_alphas(alphas.prefix(3 * n + 5))
+    a1l1, a2l1 = _times_l(a1, p), _times_l(a2, p)
     return TransformedPolys(
         nu=nu,
-        hatA1=PolySequence(tuple(hat_a1)),
-        tildeA2=PolySequence(tuple(tilde_a2)),
-        tildetildeA1=PolySequence(tuple(tt_a1)),
-        tildetildeA2=PolySequence(tuple(tt_a2)),
+        hatA1=PolySequence(a2l1[: n + 1]),
+        tildeA2=_over_x(a1l1[: n + 1], "tildeA2"),
+        tildetildeA1=_over_x(_times_l(a1l1, q), "tildetildeA1"),
+        tildetildeA2=_over_x(_times_l(a2l1, q), "tildetildeA2"),
     )
 
 
@@ -273,15 +250,15 @@ def _origin_system(a10, a20, k):
 
 def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
     """Reconstruct alpha_1 .. alpha_{3N+1} from polynomial values at the
-    origin, given the free parameter alpha_2 != 0:
+    origin, given the free parameter alpha_2 != 0, as the factors (u, p, q)
+    of T (core._split_alphas) put back in order:
 
-        alpha_{3k+1} = -B_{k+1}(0) / B_k(0)
-        alpha_{3k+2} = -A1_k(0) / A1_{k+1}(0)        (nu = -1/alpha_2)
-        [alpha_{3k+2}+alpha_{3k+3}, alpha_{3k+5} alpha_{3k+3}]
-                     = -[A1_k(0), A2_k(0)] M_k^{-1}
+        u_k     = -B_{k+1}(0) / B_k(0)
+        p_{k+1} = -A1_k(0) / A1_{k+1}(0)                (nu = -1/alpha_2)
+        [p_{k+1} + q_{k+1}, p_{k+2} q_{k+1}] = -[A1_k(0), A2_k(0)] M_k^{-1}
 
     with M_k the 2x2 matrix of (A1, A2) values at 0 at indices k+1, k+2;
-    the third strand is alpha_{3k+3} = (first component) - alpha_{3k+2}.
+    q_{k+1} is the first component less p_{k+1}.
     The values at 0 come from the recurrences run at x = 0, O(N) scalar
     steps; no polynomial is built.  Needs the matrix bands up to a_{N+1}.
     """
@@ -289,24 +266,29 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
     b0 = sequence_values(t, "type2", n + 1, 0)["B"]
     origin = sequence_values(t, "type1", n + 1, 0, nu)
     a10, a20 = origin["A1"], origin["A2"]
-    alpha = [None] * (3 * n + 2)  # 1-based
+    u = []
     for k in range(n + 1):
         if b0[k] == 0:
             raise ZeroAtOrigin(k, "B")
-        alpha[3 * k + 1] = -b0[k + 1] / b0[k]
+        u.append(-b0[k + 1] / b0[k])
+    p = [0]
     for k in range(n):
         if a10[k + 1] == 0:
             raise ZeroAtOrigin(k + 1, "A1")
-        alpha[3 * k + 2] = -a10[k] / a10[k + 1]
+        p.append(-a10[k] / a10[k + 1])
+    q = [0]
     for k in range(n):
         s1, _ = _origin_system(a10, a20, k)
-        alpha[3 * k + 3] = -s1 - alpha[3 * k + 2]
-    return AlphaSequence(values=alpha[1:])
+        q.append(-s1 - p[k + 1])
+    return _interleave(u, p, q)
 
 
 def _check_pbf(alphas: AlphaSequence, count: int, op: str):
+    """The factors (u, p, q) of alpha_1 .. alpha_count, once every one of
+    those alphas is checked positive."""
     if alphas.classify(count=count) is not Classification.PBF:
         raise TetraError(f"{op} requires a PBF alpha sequence (positive entries)")
+    return _split_alphas(alphas.values[:count])
 
 
 def _check_identity(name, k, lhs, rhs, over_x=True):
@@ -336,20 +318,24 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
                      with [s1, s2] = [A1_k(0), A2_k(0)] M_k^{-1}.
 
     Each left side is formed from one build of B and of (A1, A2) by the
-    brackets of transformed_type2 and transformed_type1; a left side that
-    is not divisible by x fails its identity with the constant term as
-    residual.  Raises IdentityViolation at the first failure, in
-    (k, identity) order.
+    factor products of transformed_type2 and transformed_type1; a left side
+    that is not divisible by x fails its identity with the constant term as
+    residual.  The right sides stay written out from the origin values, so
+    a fault in a product cannot cancel.  Raises IdentityViolation at the
+    first failure, in (k, identity) order.
     """
-    _check_pbf(alphas, 3 * n + 5, "verify_christoffel")
+    u, p, q = _check_pbf(alphas, 3 * n + 5, "verify_christoffel")
     if n < 1:
         raise ValueError("transformed sequences need N >= 1")
     b = type2_sequence(t, n + 1)
     a1, a2 = type1_sequences(t, n + 2, _forced_nu(alphas.at(2)))
-    at = alphas.at
-    b0 = [p.constant for p in b]
-    a10 = [p.constant for p in a1]
-    a20 = [p.constant for p in a2]
+    ub = _u_times(u, b)
+    l2ub = _l_times(q, ub)
+    a1l1, a2l1 = _times_l(a1, p), _times_l(a2, p)
+    a1l1l2, a2l1l2 = _times_l(a1l1, q), _times_l(a2l1, q)
+    b0 = [v.constant for v in b]
+    a10 = [v.constant for v in a1]
+    a20 = [v.constant for v in a2]
     names = ("tilde_b", "tildetilde_b", "hat_a1", "tilde_a2", "tildetilde_a1", "tildetilde_a2")
     for k in range(n + 1):
         if a10[k] == 0 or a10[k + 1] == 0:
@@ -359,20 +345,20 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
         rhs = b[k + 1] + b[k].scale((a10[k - 1] if k >= 1 else 0) / a10[k] + t.c(k))
         if k >= 1:
             rhs = rhs - b[k - 1].scale(a10[k + 1] / a10[k] * t.a(k + 1))
-        _check_identity("tilde_b", k, _hat_bracket(b, at, k), rhs)
+        _check_identity("tilde_b", k, l2ub[k], rhs)
         # the ratio multiplies B_k (monicity forces this orientation -- the
         # two readings coincide only when the ratio is -1)
         rhs = b[k + 1] - b[k].scale(b0[k + 1] / b0[k])
-        _check_identity("tildetilde_b", k, _hathat_bracket(b, at, k), rhs)
+        _check_identity("tildetilde_b", k, ub[k], rhs)
         ratio = a10[k] / a10[k + 1]
         rhs = a2[k] - a2[k + 1].scale(ratio)
-        _check_identity("hat_a1", k, _hat_a_bracket(a2, at, k), rhs, over_x=False)
+        _check_identity("hat_a1", k, a2l1[k], rhs, over_x=False)
         rhs = a1[k] - a1[k + 1].scale(ratio)
-        _check_identity("tilde_a2", k, _hat_a_bracket(a1, at, k), rhs)
+        _check_identity("tilde_a2", k, a1l1[k], rhs)
         s1, s2 = _origin_system(a10, a20, k)
-        for name, v in (("tildetilde_a1", a1), ("tildetilde_a2", a2)):
+        for name, v, lhs in (("tildetilde_a1", a1, a1l1l2), ("tildetilde_a2", a2, a2l1l2)):
             rhs = v[k] - v[k + 1].scale(s1) - v[k + 2].scale(s2)
-            _check_identity(name, k, _hathat_a_bracket(v, at, k), rhs)
+            _check_identity(name, k, lhs[k], rhs)
     return ChristoffelReport(n_max=n, identities=names, checked=len(names) * (n + 1))
 
 
@@ -399,20 +385,19 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     0 <= k <= N at each sample x >= 0 and assert every value <= 0.
 
     The three strands per family are (B_n, B^(1)_n, B^(2)_n) with
-    nu = -1/alpha_2 fixed.  The hatted families apply, entrywise, the same
-    brackets that send B_n to x tildeB_n and x tildetildeB_n:
+    nu = -1/alpha_2 fixed.  The hatted families multiply each strand v, a
+    column, by the same factors that send B to x tildeB and x tildetildeB:
 
-        hat:    v_{n+1} + (a_{3n+1}+a_{3n}) v_n + a_{3n} a_{3n-2} v_{n-1}
-        hathat: v_{n+1} + a_{3n+1} v_n
+        hat:    L2 U v        hathat: U v
 
     For the main strand these are divisible by x (eigen-relation); for the
-    second-kind strands they are not, and the undivided brackets are the
+    second-kind strands they are not, and the undivided products are the
     ones entering the determinants.
 
     Nothing here is a polynomial: at each sample x the recurrences run over
-    the exact scalars (sequence_values, O(N) steps) and the brackets act on
+    the exact scalars (sequence_values, O(N) steps) and the products act on
     those values, so the cost is O(N) per sample point.  Each value equals
-    the polynomial bracket evaluated at x.
+    the polynomial product evaluated at x.
     """
     xs = tuple(xs)
     if not xs:
@@ -420,10 +405,8 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     for x in xs:
         if x < 0:
             raise ValueError(f"sample x = {x} violates x >= 0")
-    _check_pbf(alphas, 3 * n + 4, "akv_sign_checks")
+    u, _, q = _check_pbf(alphas, 3 * n + 4, "akv_sign_checks")
     nu = _forced_nu(alphas.at(2))
-    # alpha_0 .. alpha_{3N+4}, read once for every sample point
-    at = ((Fraction(0),) + alphas.prefix(3 * n + 4)).__getitem__
 
     max_value = None
     max_location = None
@@ -432,11 +415,8 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     for x in xs:
         second = sequence_values(t, "second", n + 2, x, nu)
         base = (sequence_values(t, "type2", n + 2, x)["B"], second["B1"], second["B2"])
-        vals = (
-            base,
-            tuple(tuple(_hat_bracket(v, at, k) for k in range(n + 2)) for v in base),
-            tuple(tuple(_hathat_bracket(v, at, k) for k in range(n + 2)) for v in base),
-        )
+        hathat = tuple(_u_times(u, v) for v in base)
+        vals = (base, tuple(_l_times(q, uv) for uv in hathat), hathat)
         for det_id, (top, shift, bottom, comp) in enumerate(_AKV_DETS, start=1):
             for k in range(n + 1):
                 t_main = vals[top][0][k + shift]

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _lu_bands
+from .core import (AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _interleave,
+                   _lu_bands, _split_alphas)
 from .errors import SingularLeadingMinor, ZeroAlpha3n
 
 
@@ -84,32 +85,31 @@ def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
 
 def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
     """Refine the LU data of T^[N] into alpha_1 .. alpha_{3N+1} given the
-    free parameter alpha_2.
+    free parameter alpha_2, by splitting L = L1 L2: with p and q the
+    subdiagonals of L1 and L2 (core._split_alphas),
 
-    Raises ZeroAlpha3n(k) when alpha_{3k} = 0 makes the division for
-    alpha_{3k+2} impossible (k = 1 .. N-1; a zero alpha_{3N} is harmless
-    because nothing is divided by it)."""
+        p_1 = alpha_2,  p_k = l_k / q_{k-1} (k >= 2),  q_k = m_k - p_k,
+
+    and U's diagonal as it stands.
+
+    Raises ZeroAlpha3n(k) when q_k = alpha_{3k} = 0 makes the division for
+    p_{k+1} impossible (k = 1 .. N-1; a zero q_N is harmless because
+    nothing is divided by it)."""
     gb = gauss_borel(t, n)
-    alpha = [None] * (3 * n + 2)  # 1-based
-    for k in range(n + 1):
-        alpha[3 * k + 1] = gb.u_diag[k]
-    if n >= 1:
-        alpha[2] = alpha2
-        alpha[3] = gb.m[0] - alpha2
-        for k in range(1, n):
-            if alpha[3 * k] == 0:
-                raise ZeroAlpha3n(k)
-            alpha[3 * k + 2] = gb.ell[k - 1] / alpha[3 * k]
-            alpha[3 * k + 3] = gb.m[k] - alpha[3 * k + 2]
-    return AlphaSequence(values=alpha[1:])
+    p, q = [0], [0]
+    for k, m_k in enumerate(gb.m, start=1):
+        if k > 1 and q[-1] == 0:
+            raise ZeroAlpha3n(k - 1)
+        p_k = alpha2 if k == 1 else gb.ell[k - 2] / q[-1]
+        p.append(p_k)
+        q.append(m_k - p_k)
+    return _interleave(gb.u_diag, p, q)
 
 
 def lm_from_alphas(alphas: AlphaSequence, n: int):
-    """The L-subdiagonals induced by an alpha sequence:
-    m_k = alpha_{3k-1} + alpha_{3k} (k = 1..N) and
-    l_k = alpha_{3k-1} alpha_{3k-3} (k = 2..N), sliced from the factor
-    triple of alpha_1 .. alpha_{3N}.
+    """The L-subdiagonals induced by an alpha sequence: m_k (k = 1..N) and
+    l_k (k = 2..N), sliced from the factor triple of alpha_1 .. alpha_{3N}.
 
     Any two alpha sequences factoring the same matrix agree on these."""
-    _, m, ell = _factor_triple(alphas.at, 3 * n)
+    _, m, ell = _factor_triple(*_split_alphas(alphas.prefix(3 * n)))
     return m[1:], ell[2:]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import AlphaSequence, _banded, _factor_triple, _lu_bands, bands_from_alphas, tetra_from_alphas
+from .core import (AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, bands_from_alphas,
+                   tetra_from_alphas)
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .scalars import exact_tuple
 
@@ -220,8 +221,6 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
     on the first disagreement.
     """
     region = p.region
-    if region is Region.OUTSIDE:
-        raise OutsideNaturalRegion(f"({p.alpha}, {p.beta}) sits on a region boundary")
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
     signs = {}
@@ -260,7 +259,7 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistenc
     has built it already."""
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
-    (u_f, m_f, l_f), (u_a, m_a, l_a) = (_factor_triple(v.at, v.length) for v in variants)
+    (u_f, m_f, l_f), (u_a, m_a, l_a) = (_factor_triple(*_split_alphas(v.values)) for v in variants)
     rows = count // 3 + 1
     subdiagonals = _agree("m", 1, m_f[1:rows], m_a[1:rows])
     subdiagonals += _agree("l", 2, l_f[2:rows], l_a[2:rows])

@@ -270,6 +270,20 @@ class TestDarboux:
         assert code == 0
         assert json.loads(out) == {"B": [["1"]]}
 
+    @pytest.mark.parametrize("alpha_1, c_0", [
+        ('"1e5000"', "1" + "0" * 4999 + "1"),  # 10^5000 + 1
+        ("9" * 5001, "1" + "0" * 5001),  # a JSON number: 10^5001 - 1 + 1
+        ('"' + "9" * 5001 + '"', "1" + "0" * 5001),
+    ])
+    def test_rationals_past_4300_digits_are_exact(self, tmp_path, alpha_1, c_0):
+        """c_0 of hat is alpha_1 + alpha_2, read and printed in full past
+        the interpreter's default int/str digit limit."""
+        path = tmp_path / "big.json"
+        path.write_text('{"alpha": [%s, "1"]}' % alpha_1)
+        code, out, _ = run(["darboux", "--which", "hat", "--alphas", str(path)])
+        assert code == 0
+        assert json.loads(out)["c"] == [c_0]
+
     def test_hat_bands(self, ones_file):
         code, out, _ = run(["darboux", "--alphas", ones_file, "--which", "hat"])
         assert code == 0

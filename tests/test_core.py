@@ -23,7 +23,7 @@ from tetrahess import (
     trailing_truncation,
     type2_sequence,
 )
-from tetrahess.core import Band
+from tetrahess.core import Band, _interleave, _split_alphas
 
 import random
 
@@ -265,6 +265,21 @@ def test_alpha_factor_product_reproduces_truncation(seed):
     t = tetra_from_alphas(alphas)
     l1, l2, u = alpha_factor_matrices(alphas, n)
     assert l1.mul(l2).mul(u) == leading_principal(t, n)
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_interleave_inverts_the_split(k):
+    """The split puts alpha_{3n+1}, alpha_{3n-1} and alpha_{3n} in row n of
+    u, p and q (p_0 = q_0 = 0), and the interleave puts them back, for
+    3k + 1 random signed alphas."""
+    rng = random.Random(k)
+    alphas = AlphaSequence(F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3 * k + 1))
+    u, p, q = _split_alphas(alphas.values)
+    n_rows = k + 1
+    assert u == tuple(alphas.at(3 * n + 1) for n in range(n_rows))
+    assert p == tuple(alphas.at(3 * n - 1) for n in range(n_rows))
+    assert q == tuple(alphas.at(3 * n) for n in range(n_rows))
+    assert _interleave(u, p, q).values == alphas.values
 
 
 def test_tetra_from_bands_band_budget():

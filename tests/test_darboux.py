@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from tetrahess import (
     AlphaSequence,
     IdentityViolation,
+    Poly,
     SignViolation,
     TetraError,
     akv_sign_checks,
+    alpha_factor_matrices,
     alphas_from_polynomials,
     darboux_polynomials,
     darboux_transforms,
@@ -29,8 +31,39 @@ from tetrahess import (
     verify_christoffel,
 )
 from tetrahess import darboux
+from tetrahess.core import _split_alphas
 
 from conftest import pbf_corpus
+
+
+signed_rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=5)
+
+
+def _dense_times(rows, v, zero):
+    """Dense matrix (given by its rows) times the vector v."""
+    return [sum((v_j * m_ij for m_ij, v_j in zip(row, v)), zero) for row in rows]
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data(), st.integers(1, 12), st.booleans())
+def test_factor_products_match_the_dense_factors(data, n, polys):
+    """U v, L v and v L equal the dense products with the truncated factors
+    of alpha_factor_matrices on every row the truncation does not cut: all
+    rows of L v, rows 0..N-1 of U v and v L (row N would need v_{N+1})."""
+    count = 3 * n + 1
+    alphas = AlphaSequence(data.draw(st.lists(signed_rationals, min_size=count, max_size=count)))
+    entries = st.lists(signed_rationals, min_size=1, max_size=4) if polys else signed_rationals
+    v = [data.draw(entries) for _ in range(n + 2)]
+    zero = Poly((0,)) if polys else 0
+    if polys:
+        v = [Poly(tuple(c)) for c in v]
+    l1, l2, upper = alpha_factor_matrices(alphas, n)
+    u, p, q = _split_alphas(alphas.values)
+    assert darboux._u_times(u, v)[:n] == tuple(_dense_times(upper.rows, v, zero)[:n])
+    for sub, lower in ((p, l1), (q, l2)):
+        assert darboux._l_times(sub, v[: n + 1]) == tuple(_dense_times(lower.rows, v, zero))
+        columns = tuple(zip(*lower.rows))
+        assert darboux._times_l(v, sub)[:n] == tuple(_dense_times(columns, v, zero)[:n])
 
 
 def test_hat_bands_ones(ones_alphas):

@@ -11,6 +11,7 @@ from oracle_jp import oracle_jp_alphas
 from tetrahess import families
 from tetrahess import (
     AlphaSequence,
+    BandExhausted,
     Classification,
     ConsistencyViolation,
     JPParams,
@@ -230,28 +231,26 @@ def test_dense_truncation_allows_negative_bands():
 
 @pytest.mark.parametrize("n", [0, 1, 4, 7])
 def test_dense_truncation_builds_only_the_alphas_it_reads(monkeypatch, n):
-    """Rows 0..N read alpha_1 .. alpha_{3N+1}: exactly that many are built
-    and every one is read, and the truncation is the one built from a
-    longer prefix."""
+    """Rows 0..N read alpha_1 .. alpha_{3N+1}: exactly that many are built,
+    one fewer cannot form the truncation, and the truncation is the one
+    built from a longer prefix."""
     p = JPParams(F(3, 2), F(0), F(1, 2))
-    counts, reads = [], set()
+    counts = []
 
-    class Recording(AlphaSequence):
-        __slots__ = ()
-
-        def at(self, j):
-            if j >= 1:  # alpha_j for j <= 0 is the convention 0, not a read
-                reads.add(j)
-            return super().at(j)
-
-    def recording_jp_alphas(params, variant, count):
+    def counting_jp_alphas(params, variant, count):
         counts.append(count)
-        return Recording(jp_alphas(params, variant, count).values)
+        return jp_alphas(params, variant, count)
 
-    monkeypatch.setattr(families, "jp_alphas", recording_jp_alphas)
+    monkeypatch.setattr(families, "jp_alphas", counting_jp_alphas)
     m = jp_dense_truncation(p, n)
     assert counts == [3 * n + 1]
-    assert reads == set(range(1, 3 * n + 2))
+
+    def one_short_jp_alphas(params, variant, count):
+        return AlphaSequence(jp_alphas(params, variant, count).values[:-1])
+
+    monkeypatch.setattr(families, "jp_alphas", one_short_jp_alphas)
+    with pytest.raises(BandExhausted):
+        jp_dense_truncation(p, n)
     c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 10))
     assert m == _banded(n + 1, {0: c.get, 1: lambda i: F(1), -1: b.get, -2: a.get})
 
