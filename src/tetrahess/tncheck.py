@@ -4,9 +4,19 @@ Every verdict is a certificate: all minors are enumerated, so a TN verdict
 is proved and a refutation carries the lexicographically first negative
 minor.  Enumeration is exponential, so it is guarded by fixed dimension caps
 (DEFAULT_CAP for the TN scan, POWER_ORACLE_CAP for the power oracle); a
-larger matrix raises DimensionCapExceeded.  Minors are evaluated with a
-memoized first-row expansion, so all 2^n x 2^n pairs cost O(4^n) ring
-operations total rather than one elimination each.
+larger matrix raises DimensionCapExceeded.
+
+The scan fills a table of minors one order at a time from the order below.
+A minor is indexed by its row and column bitmasks, packed into one int, and
+is a first-row expansion over the nonzero entries of its first row (at most
+4 in a tetradiagonal truncation), each times a minor of the order below read
+from the table; the cofactor sign is a bit count (int.bit_count, Python
+3.10, the declared floor).  All 2^n x 2^n minors thus cost O(4^n) ring
+operations in all, not one elimination each.  The table is one flat list of
+4^n slots, 65 536 at the cap of 8, allocated only once every entry (the
+order-1 minors, read off the rows) has passed.  Nonsingularity comes from
+one fraction-free elimination of the scaled rows, O(n^3), not from the
+table, so a refutation at order 1 builds no table at all.
 
 The ring is the integers, not the rationals (fraction-free, as in Bareiss,
 Math. Comp. 1968).  Row i is scaled once by d_i > 0, the lcm of its
@@ -49,36 +59,15 @@ class TNReport:
 
 
 class _MinorTable:
-    """Memoized integer minors of one matrix, keyed by (rows, cols) index
-    tuples.
+    """One matrix scaled to integer rows, for the minor scan.
 
-    ``det`` is the minor of the row-scaled matrix (row i times d_i, the lcm
-    of its denominators), an int with the sign of the true minor;
-    ``true_minor`` divides the row factors back out."""
+    Row i is multiplied by d_i, the lcm of its denominators, so every minor
+    of ``rows`` is an int with the sign of the true minor; ``true_minor``
+    divides the row factors back out."""
 
     def __init__(self, m: DenseMatrix):
         self.scales = tuple(lcm(*(v.denominator for v in row)) for row in m.rows)
         self.rows = tuple(_scaled(row, d) for row, d in zip(m.rows, self.scales))
-        self.cache = {}
-
-    def det(self, rows, cols):
-        first = self.rows[rows[0]]
-        if len(rows) == 1:
-            return first[cols[0]]
-        key = (rows, cols)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        value = 0
-        rest = rows[1:]
-        for pos, j in enumerate(cols):
-            entry = first[j]
-            if entry == 0:
-                continue
-            sub = self.det(rest, cols[:pos] + cols[pos + 1 :])
-            value = value + entry * sub if pos % 2 == 0 else value - entry * sub
-        self.cache[key] = value
-        return value
 
     def true_minor(self, rows, scaled) -> Fraction:
         return Fraction(scaled, prod(self.scales[r] for r in rows))
@@ -104,15 +93,47 @@ def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
     The default test finds negative minors; ``value <= 0`` tests total
     positivity.  ``violates`` sees the scaled minor, which has the sign of
     the true one; the witness carries the true minor.  Enumeration order:
-    minor order ascending, then row subsets lexicographic, then columns."""
-    indices = range(len(table.rows))
+    minor order ascending, then row subsets lexicographic, then columns.
+
+    Order-1 minors are read off the rows.  Past order 1 the minors fill one
+    flat list, order by order, at index (row bitmask << n) | column bitmask.
+    The minor on rows R and columns C expands along the first row r of R:
+    each nonzero entry of row r in a column c of C contributes (-1)^p times
+    the entry times the minor on R - {r}, C - {c}, filled one order below,
+    with p the number of columns of C left of c."""
+    n = len(table.rows)
     checked = 0
-    for order in range(1, len(indices) + 1):
-        for rows in combinations(indices, order):
-            for cols in combinations(indices, order):
-                value = table.det(rows, cols)
+    for i, row in enumerate(table.rows):
+        for j, value in enumerate(row):
+            checked += 1
+            if violates(value):
+                return ((i + 1,), (j + 1,), table.true_minor((i,), value)), checked
+    minors = [0] * (1 << 2 * n)
+    # the nonzero (column bit, entry) pairs of each row: at most 4 in a
+    # tetradiagonal truncation
+    terms = []
+    for i, row in enumerate(table.rows):
+        terms.append(tuple((1 << j, v) for j, v in enumerate(row) if v != 0))
+        for bit, v in terms[-1]:
+            minors[1 << i + n | bit] = v
+    for order in range(2, n + 1):
+        masks = [sum(1 << i for i in subset) for subset in combinations(range(n), order)]
+        for rmask in masks:
+            first = rmask & -rmask
+            expansion = terms[first.bit_length() - 1]
+            below = (rmask ^ first) << n
+            for cmask in masks:
+                value = 0
+                for bit, entry in expansion:
+                    if cmask & bit:
+                        if (cmask & (bit - 1)).bit_count() & 1:
+                            value -= entry * minors[below | cmask ^ bit]
+                        else:
+                            value += entry * minors[below | cmask ^ bit]
+                minors[rmask << n | cmask] = value
                 checked += 1
                 if violates(value):
+                    rows, cols = _members(rmask), _members(cmask)
                     witness = (
                         tuple(i + 1 for i in rows),
                         tuple(j + 1 for j in cols),
@@ -122,19 +143,54 @@ def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
     return None, checked
 
 
+def _members(mask):
+    """The 0-based indices of the set bits of ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _nonsingular(rows) -> bool:
+    """Is the square int matrix ``rows`` nonsingular?  Fraction-free
+    Gaussian elimination (Bareiss, Math. Comp. 1968): after step k every
+    entry below the pivot rows is a minor of order k + 2 of the row-permuted
+    matrix, so each division by the previous pivot is exact.  O(n^3) int
+    operations, and no minor table."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    previous = 1
+    for k in range(n):
+        for i in range(k, n):
+            if work[i][k]:
+                break
+        else:
+            return False
+        work[k], work[i] = work[i], work[k]
+        top = work[k]
+        pivot = top[k]
+        for row in work[k + 1 :]:
+            factor = row[k]
+            if factor:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - factor * top[j]) // previous
+            elif pivot != previous:
+                # the same update with factor = 0
+                for j in range(k + 1, n):
+                    row[j] = row[j] * pivot // previous
+        previous = pivot
+    return True
+
+
 def is_totally_nonnegative(m: DenseMatrix) -> TNReport:
     """Check every minor >= 0 by full enumeration (dim <= DEFAULT_CAP).
 
-    The report also carries nonsingularity, read off the full n x n minor of
-    the same table (already memoized when the scan completes), and the
-    Gantmacher-Krein oscillation verdict (TN + nonsingular + positive first
-    sub/superdiagonal neighbours).
+    The report also carries nonsingularity, decided by one fraction-free
+    elimination of the scaled rows, and the Gantmacher-Krein oscillation
+    verdict (TN + nonsingular + positive first sub/superdiagonal
+    neighbours).
     """
     _check_cap(m, DEFAULT_CAP)
     table = _MinorTable(m)
     witness, checked = _full_scan(table)
-    full = tuple(range(m.n))
-    nonsingular = m.n == 0 or table.det(full, full) != 0
+    nonsingular = _nonsingular(table.rows)
     is_tn = witness is None
     return TNReport(
         is_tn=is_tn,

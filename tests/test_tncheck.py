@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrahess import (
+    AlphaSequence,
     DenseMatrix,
     DimensionCapExceeded,
     is_oscillatory,
@@ -17,6 +18,7 @@ from tetrahess import (
     leading_principal,
     tetra_from_alphas,
 )
+from tetrahess.core import _banded, bands_from_alphas
 from tetrahess.tncheck import _some_power_totally_positive
 
 from conftest import pbf_corpus
@@ -109,6 +111,28 @@ def test_minors_checked_counts_all_orders():
     assert rep.conclusive
 
 
+def test_mid_order_refutation_stops_inside_the_order():
+    """alpha_16 = -1/10 on U's diagonal, every other alpha 1: no entry is
+    negative, and the first negative minor is of order 4, the 1186th of
+    the 1225 order-4 minors at dim 7, so the scan stops with that order
+    partly filled."""
+    alphas = [F(1)] * 19
+    alphas[15] = F(-1, 10)
+    m = _alpha_truncation(alphas)
+    rep = is_totally_nonnegative(m)
+    assert rep.witness == ((3, 5, 6, 7), (3, 4, 5, 6), F(-1, 5))
+    assert rep.minors_checked == 49 + 441 + 1225 + 1186
+    assert rep.is_nonsingular is True
+    # alpha_1 = 0 as well: u_0 = 0, so det T = u_0 ... u_6 = 0, and the
+    # same witness comes first
+    alphas[0] = F(0)
+    rep = is_totally_nonnegative(_alpha_truncation(alphas))
+    assert rep.witness == ((3, 5, 6, 7), (3, 4, 5, 6), F(-1, 5))
+    assert rep.minors_checked == 2901
+    assert rep.is_nonsingular is False
+    assert rep.is_oscillatory_gk is False
+
+
 def test_dimension_cap():
     # the caps are fixed: the TN scan (and is_oscillatory) runs through
     # dimension 8, the power oracle through dimension 6
@@ -135,15 +159,26 @@ def test_singular_tn_is_not_oscillatory():
 _KINDS = ("any", "nonnegative", "bidiagonal", "perturbed", "singular")
 
 
-def _random_matrix(seed):
-    """A rational matrix of dim 1-5 with mixed denominators and zeros; the
-    seed picks the kind: any signs, nonnegative, TN by construction (L1 L2 U
-    with nonnegative bidiagonal factors, as in the paper's factorization),
-    that product with one entry moved to make the determinant negative, or
-    singular (one row a multiple of another)."""
+def _alpha_truncation(alphas):
+    """The n x n leading truncation of the tetradiagonal matrix of 3n - 2
+    alphas of any sign, from its raw bands (TetraHessenberg would refuse a
+    negative a_n)."""
+    n = (len(alphas) + 2) // 3
+    c, b, a = bands_from_alphas(AlphaSequence(values=tuple(alphas)))
+    return _banded(n, {0: c.get, 1: lambda i: F(1), -1: b.get, -2: a.get})
+
+
+def _random_matrix(seed, dims=(1, 5), kinds=_KINDS):
+    """A rational matrix of dim in ``dims`` with mixed denominators and
+    zeros; the seed picks the kind: any signs, nonnegative, TN by
+    construction (L1 L2 U with nonnegative bidiagonal factors, as in the
+    paper's factorization), that product with one entry moved to make the
+    determinant negative, singular (one row a multiple of another), or
+    "signed": the tetradiagonal truncation of positive alphas but one
+    alpha_{3j+1} (on U's diagonal) made small and negative."""
     rng = random.Random(seed)
-    n = rng.randint(1, 5)
-    kind = _KINDS[seed % len(_KINDS)]
+    n = rng.randint(*dims)
+    kind = kinds[seed % len(kinds)]
 
     def scalar(lo=-3):
         # lo = 1: a positive value, never zero
@@ -168,6 +203,10 @@ def _random_matrix(seed):
                 rows[i][j] -= F(9, 8) * m.det() / cofactor
                 m = DenseMatrix(rows)
         return m
+    if kind == "signed":
+        alphas = [scalar(1) for _ in range(3 * n - 2)]
+        alphas[3 * rng.randrange(n)] = F(-1, rng.randint(4, 40))
+        return _alpha_truncation(alphas)
     m = square(lambda i, j: scalar(0 if kind == "nonnegative" else -3))
     if kind == "singular" and n > 1:
         i, j = rng.sample(range(n), 2)
@@ -201,10 +240,7 @@ def _oracle_some_power_tp(m):
     return False
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_integer_scan_matches_fraction_oracle(seed):
-    m = _random_matrix(seed)
+def _assert_matches_oracle(m):
     rep = is_totally_nonnegative(m)
     witness, position = _oracle_scan(m, lambda v: v < 0)
     assert rep.witness == witness
@@ -215,4 +251,19 @@ def test_integer_scan_matches_fraction_oracle(seed):
         assert value == m.minor(tuple(i - 1 for i in rows), tuple(j - 1 for j in cols))
     assert rep.is_tn == (witness is None)
     assert rep.is_nonsingular == (m.det() != 0)
-    assert _some_power_totally_positive(m) == _oracle_some_power_tp(m)
+    if m.n <= 6:
+        assert _some_power_totally_positive(m) == _oracle_some_power_tp(m)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_integer_scan_matches_fraction_oracle(seed):
+    _assert_matches_oracle(_random_matrix(seed))
+
+
+# dims 6-8 put minors on mask bits 5-7; the 40 seeds give witnesses of
+# orders 1 to 7 and certifications at dims 6, 7 and 8 (the oracle costs
+# about half a second per full dim-8 scan, so the seeds stay few)
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_scan_matches_fraction_oracle_at_dims_6_to_8(seed):
+    _assert_matches_oracle(_random_matrix(seed, dims=(6, 8), kinds=("signed", "perturbed")))
