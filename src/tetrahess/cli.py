@@ -43,7 +43,7 @@ from .families import (
     jp_sign_report,
 )
 from .polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
-from .scalars import format_ratio, format_scalar, parse_scalar
+from .scalars import format_ratio, format_scalar, parse_int, parse_scalar
 from .serialize import dump_alphas, dump_matrix, load_alphas, load_matrix
 from .tncheck import POWER_ORACLE_CAP, _some_power_totally_positive, is_totally_nonnegative
 
@@ -113,7 +113,8 @@ def _emit(payload: str, out_path, summary: str):
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Fraction)  # exact at any length or exponent
+            # numbers are read exactly at any length or exponent
+            return json.load(fh, parse_float=parse_scalar, parse_int=parse_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -449,11 +450,6 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    # rationals are read and printed exactly at any length: lift the int/str
-    # conversion limit (4300 digits by default), which interpreters older
-    # than the limit lack along with its setter
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -395,9 +395,14 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     ones entering the determinants.
 
     Nothing here is a polynomial: at each sample x the recurrences run over
-    the exact scalars (sequence_values, O(N) steps) and the products act on
+    the integers (sequence_values, O(N) steps) and the products act on
     those values, so the cost is O(N) per sample point.  Each value equals
-    the polynomial product evaluated at x.
+    the polynomial product evaluated at x.  Each determinant is formed over
+    the integers from the numerators and denominators of its four values:
+    its numerator, over a positive denominator, decides the sign, and the
+    running maximum is compared by cross-multiplication.  Only the reported
+    max_value, and the value a SignViolation carries, become Fractions,
+    each equal to the determinant it stands for.
     """
     xs = tuple(xs)
     if not xs:
@@ -408,35 +413,44 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     u, _, q = _check_pbf(alphas, 3 * n + 4, "akv_sign_checks")
     nu = _forced_nu(alphas.at(2))
 
-    max_value = None
-    max_location = None
+    # with each value as (numerator, denominator > 0), the determinant
+    # t_main b_comp - t_comp b_main is
+    #     (tmn bcn tcd bmd - tcn bmn tmd bcd) / (tmd bcd tcd bmd),
+    # and it beats the running maximum mnum/mden when num mden > mnum den
+    mnum = mden = max_location = None
     zeros_at_origin = 0
     checked = 0
     for x in xs:
+        at_origin = x == 0
         second = sequence_values(t, "second", n + 2, x, nu)
         base = (sequence_values(t, "type2", n + 2, x)["B"], second["B1"], second["B2"])
         hathat = tuple(_u_times(u, v) for v in base)
-        vals = (base, tuple(_l_times(q, uv) for uv in hathat), hathat)
+        vals = tuple(
+            tuple(([v.numerator for v in strand], [v.denominator for v in strand]) for strand in family)
+            for family in (base, tuple(_l_times(q, uv) for uv in hathat), hathat)
+        )
         for det_id, (top, shift, bottom, comp) in enumerate(_AKV_DETS, start=1):
+            (tmn, tmd), (tcn, tcd) = vals[top][0], vals[top][comp]
+            (bmn, bmd), (bcn, bcd) = vals[bottom][0], vals[bottom][comp]
             for k in range(n + 1):
-                t_main = vals[top][0][k + shift]
-                t_comp = vals[top][comp][k + shift]
-                b_main = vals[bottom][0][k]
-                b_comp = vals[bottom][comp][k]
-                value = t_main * b_comp - t_comp * b_main
+                i = k + shift
+                num = tmn[i] * bcn[k] * (tcd[i] * bmd[k]) - tcn[i] * bmn[k] * (tmd[i] * bcd[k])
                 checked += 1
-                if value > 0:
-                    raise SignViolation(det_id, k, x, value)
-                if x == 0 and value == 0:
+                if num > 0:
+                    raise SignViolation(det_id, k, x, Fraction(num, tmd[i] * bcd[k] * tcd[i] * bmd[k]))
+                if at_origin and num == 0:
                     zeros_at_origin += 1
-                if max_value is None or value > max_value:
-                    max_value = value
-                    max_location = (det_id, k, x)
+                # no value <= 0 beats a maximum of 0, so its denominator
+                # is only formed while the maximum is negative
+                if mnum != 0:
+                    den = tmd[i] * bcd[k] * tcd[i] * bmd[k]
+                    if mnum is None or num * mden > mnum * den:
+                        mnum, mden, max_location = num, den, (det_id, k, x)
     return AkvReport(
         n_max=n,
         xs=xs,
         checked=checked,
-        max_value=max_value,
+        max_value=Fraction(mnum, mden),
         max_location=max_location,
         zeros_at_origin=zeros_at_origin,
     )

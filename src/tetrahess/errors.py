@@ -3,8 +3,14 @@
 Every error raised on a violated mathematical precondition derives from
 TetraError, so callers (and the CLI) can distinguish "the input data does
 not admit this operation" from programming mistakes, which surface as the
-usual ValueError / TypeError.
+usual ValueError / TypeError.  Exact values in a message are printed by
+scalars.format_scalar (a polynomial by its repr), so a message holds them in
+full at any length.
 """
+
+from fractions import Fraction
+
+from .scalars import format_scalar
 
 
 class TetraError(Exception):
@@ -18,7 +24,7 @@ class NonPositiveSubSubDiagonal(TetraError):
     def __init__(self, n, value):
         self.n = n
         self.value = value
-        super().__init__(f"a_{n} = {value} must be positive")
+        super().__init__(f"a_{n} = {format_scalar(value)} must be positive")
 
 
 class BandExhausted(TetraError):
@@ -80,7 +86,9 @@ class InexactDivision(TetraError):
         self.constant = constant
         self.context = context
         where = f" ({context})" if context else ""
-        super().__init__(f"polynomial has nonzero constant term {constant}{where}; not divisible by x")
+        super().__init__(
+            f"polynomial has nonzero constant term {format_scalar(constant)}{where}; not divisible by x"
+        )
 
 
 class ZeroAtOrigin(TetraError):
@@ -108,7 +116,8 @@ class IdentityViolation(TetraError):
         self.name = name
         self.n = n
         self.residual = residual
-        super().__init__(f"identity {name!r} fails at n = {n}: residual {residual}")
+        shown = format_scalar(residual) if isinstance(residual, (int, Fraction)) else residual
+        super().__init__(f"identity {name!r} fails at n = {n}: residual {shown}")
 
 
 class SignViolation(TetraError):
@@ -120,7 +129,7 @@ class SignViolation(TetraError):
         self.x = x
         self.value = value
         super().__init__(
-            f"determinant #{det_id} at n = {n}, x = {x} is {value} > 0"
+            f"determinant #{det_id} at n = {n}, x = {format_scalar(x)} is {format_scalar(value)} > 0"
         )
 
 
@@ -154,7 +163,7 @@ class PredictionMismatch(TetraError):
         self.predicted = predicted
         self.value = value
         super().__init__(
-            f"{variant} alpha_{j} = {value} does not match predicted sign {predicted!r}"
+            f"{variant} alpha_{j} = {format_scalar(value)} does not match predicted sign {predicted!r}"
         )
 
 
@@ -166,5 +175,5 @@ class ConsistencyViolation(TetraError):
         self.band = band
         super().__init__(
             f"band {band}_{n} differs between parameter families: "
-            f"{first_value} vs {second_value}"
+            f"{format_scalar(first_value)} vs {format_scalar(second_value)}"
         )

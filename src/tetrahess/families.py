@@ -24,7 +24,7 @@ from math import lcm
 from .core import (AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, bands_from_alphas,
                    tetra_from_alphas)
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
-from .scalars import exact_tuple
+from .scalars import exact_tuple, format_scalar
 
 
 class Variant(enum.Enum):
@@ -75,11 +75,11 @@ class JPParams:
     def __post_init__(self):
         a, b, g = exact_tuple((self.alpha, self.beta, self.gamma), "JPParams")
         if not (a > -1 and b > -1):
-            raise OutsideNaturalRegion(f"alpha = {a}, beta = {b} must both exceed -1")
+            raise OutsideNaturalRegion(f"alpha = {format_scalar(a)}, beta = {format_scalar(b)} must both exceed -1")
         if not g > -1:
-            raise OutsideNaturalRegion(f"gamma = {g} must exceed -1")
+            raise OutsideNaturalRegion(f"gamma = {format_scalar(g)} must exceed -1")
         if (a - b).denominator == 1:
-            raise OutsideNaturalRegion(f"alpha - beta = {a - b} is an integer")
+            raise OutsideNaturalRegion(f"alpha - beta = {format_scalar(a - b)} is an integer")
         # the closed forms divide by (k + alpha + gamma) and (k + beta + gamma),
         # k >= 1; with parameters > -1 only k = 1 can vanish
         if a + g == -1 or b + g == -1:
@@ -216,9 +216,11 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
              alpha_8 < 0 in R1
 
     (in particular: FIRST is TN in the strip R2 u R3, AKV is TP in R3).
-    ``variants`` is the pair (jp_alphas(p, FIRST, count), jp_alphas(p, AKV,
-    count)) when the caller has built it already.  Raises PredictionMismatch
-    on the first disagreement.
+    Each sign is read off the numerator (a Fraction's denominator is
+    positive), so no Fraction is compared.  ``variants`` is the pair
+    (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
+    has built it already.  Raises PredictionMismatch on the first
+    disagreement.
     """
     region = p.region
     if variants is None:
@@ -228,7 +230,7 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
         out = []
         for j in range(1, count + 1):
             v = seq.at(j)
-            sign = 0 if v == 0 else (1 if v > 0 else -1)
+            sign = (v.numerator > 0) - (v.numerator < 0)
             if sign != _predicted_sign(j, variant, region):
                 raise PredictionMismatch(j, str(variant), _predicted_sign(j, variant, region), v)
             out.append(sign)
@@ -241,13 +243,20 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
     )
 
 
-def _agree(name, start, first, akv):
+def _agree(name, start, first, akv, scale):
     """Number of entries compared; raises ConsistencyViolation(n, name, ...)
-    at the first index n, counted from ``start``, where the two differ."""
+    at the first index n, counted from ``start``, where the two differ,
+    with the two entries divided by ``scale``."""
     for n, (u, v) in enumerate(zip(first, akv), start=start):
         if u != v:
-            raise ConsistencyViolation(n, name, u, v)
+            raise ConsistencyViolation(n, name, Fraction(u, scale), Fraction(v, scale))
     return len(first)
+
+
+#: The degree of each compared quantity in the alphas: u is one alpha, m a
+#: sum of two and l a product of two, so c = u + m, b = l + m u and a = l u
+#: have degrees 1, 2 and 3.
+_DEGREE = {"m": 1, "l": 2, "c": 1, "b": 2, "a": 3}
 
 
 def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistencyReport:
@@ -256,15 +265,28 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistenc
     k <= count // 3) and identical Hessenberg bands, exactly; each variant's
     factor triple is read once.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
-    has built it already."""
+    has built it already.
+
+    The comparison runs over the integers.  Every alpha of both variants is
+    multiplied by K, the lcm of all their denominators, and the factor
+    triples and bands are formed from those ints.  m and c are homogeneous
+    of degree 1 in the alphas, l and b of degree 2 and a of degree 3, so
+    each scaled quantity is K^deg times the true one; with one K > 0 for
+    both variants, two scaled entries agree exactly when the true entries
+    do.  A ConsistencyViolation divides its entries by K^deg, so it carries
+    the true values."""
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
-    (u_f, m_f, l_f), (u_a, m_a, l_a) = (_factor_triple(*_split_alphas(v.values)) for v in variants)
+    k = lcm(*(v.denominator for seq in variants for v in seq.values))
+    (u_f, m_f, l_f), (u_a, m_a, l_a) = (
+        _factor_triple(*_split_alphas(tuple(v.numerator * (k // v.denominator) for v in seq.values)))
+        for seq in variants
+    )
     rows = count // 3 + 1
-    subdiagonals = _agree("m", 1, m_f[1:rows], m_a[1:rows])
-    subdiagonals += _agree("l", 2, l_f[2:rows], l_a[2:rows])
+    subdiagonals = _agree("m", 1, m_f[1:rows], m_a[1:rows], k)
+    subdiagonals += _agree("l", 2, l_f[2:rows], l_a[2:rows], k**2)
     bands = sum(
-        _agree(f.name, f.start, f.values, a.values)
+        _agree(f.name, f.start, f.values, a.values, k ** _DEGREE[f.name])
         for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a))
     )
     return JPConsistencyReport(count=count, bands_compared=bands, subdiagonals_compared=subdiagonals)

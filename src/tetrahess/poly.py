@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InexactDivision
-from .scalars import exact_tuple
+from .scalars import exact_tuple, format_scalar
 
 
 def _ratio(scalar):
@@ -166,7 +166,9 @@ class Poly:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
+        """What repr(list(self.coeffs)) shows, at any length."""
+        terms = (f"Fraction({format_scalar(c.numerator)}, {format_scalar(c.denominator)})" for c in self.coeffs)
+        return f"Poly([{', '.join(terms)}])"
 
 
 def _make(num, den) -> Poly:

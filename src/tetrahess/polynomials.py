@@ -11,21 +11,24 @@ Hessenberg matrix.
 
 All sequences come from one four-term recurrence touching only the three
 bands (type I from its transpose), so the cost is O(N) polynomial
-operations.  The same recurrence also runs over the exact scalars:
-``sequence_values`` gives the values at a point x in O(N) Fraction
-operations without building any polynomial, and each value is exactly
-p(x) of the polynomial it stands for.
+operations.  The same recurrence also runs at a point: ``sequence_values``
+gives the values at x = p/q in O(N) integer steps without building any
+polynomial.  The window of three values is held as int numerators over one
+common denominator, the band entries and x enter as (numerator,
+denominator) pairs, and one gcd per step reduces the window, as Poly
+reduces its coefficients; no Fraction is built until the values are
+returned, and each one is exactly p(x) of the polynomial it stands for.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import TetraHessenberg
 from .errors import IndexOutOfRange, ZeroNu
-from .poly import Poly, constant_poly
+from .poly import Poly, _ratio, constant_poly
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,7 @@ def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False, x=
     """The four-term recurrence, run from the window of constant seeds
     (y_{start-2}, y_{start-1}, y_start) up to y_stop; returns the whole list
     y_{start-2} .. y_stop.  Without ``x`` the y_m are polynomials; given a
-    point ``x`` they are the exact values y_m(x), the same steps run over
-    the scalars.
+    point ``x`` they are the exact values y_m(x) (see _recur_at).
 
     Row form (type II and second kind), row m of (xI - T) y = 0:
 
@@ -65,23 +67,60 @@ def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False, x=
 
         a_{m+1} y_{m+1} = (x - c_{m-1}) y_{m-1} - b_m y_m - y_{m-2}
     """
-    if x is None:
-        out = [constant_poly(s) for s in seeds]
-        x_minus, scale = _x_minus, Poly.scale
-    else:
-        out = [Fraction(s) for s in seeds]
-        x_minus, scale = (lambda c, w: (x - c) * w), operator.mul
+    if x is not None:
+        return _recur_at(t, seeds, start, stop, transpose, x)
+    out = [constant_poly(s) for s in seeds]
     for m in range(start, stop):
         w0, w1, w2 = out[-3:]
         if transpose:
             inv_a = Fraction(1) / t.a(m + 1)  # exact for an int a_{m+1} too
-            new = scale(x_minus(t.c(m - 1), w1) - scale(w2, t.b(m)) - w0, inv_a)
+            new = (_x_minus(t.c(m - 1), w1) - w2.scale(t.b(m)) - w0).scale(inv_a)
         else:
-            new = x_minus(t.c(m), w2)
-            new = new - scale(w1, t.b(m) if m >= 1 else -1)
-            new = new - scale(w0, t.a(m) if m >= 2 else -1)
+            new = _x_minus(t.c(m), w2)
+            new = new - w1.scale(t.b(m) if m >= 1 else -1)
+            new = new - w0.scale(t.a(m) if m >= 2 else -1)
         out.append(new)
     return out
+
+
+def _recur_at(t: TetraHessenberg, seeds, start: int, stop: int, transpose, x):
+    """_recur at the point x = xp/xq, over the integers.  The window
+    (y_{m-2}, y_{m-1}, y_m) is held as three int numerators (w0, w1, w2)
+    over one common denominator d > 0.  A step multiplies by x - c, b and a
+    as (numerator, denominator) pairs: the new numerator goes over d times
+    the step's denominators, w1 and w2 are brought to that denominator, and
+    the window is reduced by one gcd(d, new, w1, w2), as Poly reduces its
+    coefficients.  The bands are read in the order the polynomial steps read
+    them (a_{m+1} first in the column form), so a short matrix fails on the
+    same entry.  Each y_m is returned as the reduced Fraction it equals."""
+    xp, xq = _ratio(x)
+    seeds = [_ratio(s) for s in seeds]
+    d = lcm(*(sd for _, sd in seeds))
+    w0, w1, w2 = (sn * (d // sd) for sn, sd in seeds)
+    out = [(w0, d), (w1, d), (w2, d)]
+    for m in range(start, stop):
+        if transpose:
+            a = t.a(m + 1)
+            c, b = t.c(m - 1), t.b(m)
+            cn, cd, bn, bd = c.numerator, c.denominator, b.numerator, b.denominator
+            # a_{m+1} = an/ad > 0, so an xq cd bd > 0 is the step's denominator
+            xc = xq * cd
+            new = ((xp * cd - cn * xq) * bd * w1 - bn * xc * w2 - xc * bd * w0) * a.denominator
+            step = xc * bd * a.numerator
+        else:
+            c = t.c(m)
+            b = t.b(m) if m >= 1 else -1
+            a = t.a(m) if m >= 2 else -1
+            cn, cd, bn, bd = c.numerator, c.denominator, b.numerator, b.denominator
+            an, ad = a.numerator, a.denominator
+            xc = xq * cd
+            new = (xp * cd - cn * xq) * bd * ad * w2 - bn * xc * ad * w1 - an * xc * bd * w0
+            step = xc * bd * ad
+        w0, w1, d = w1 * step, w2 * step, d * step
+        g = gcd(d, new, w0, w1)
+        w0, w1, w2, d = w0 // g, w1 // g, new // g, d // g
+        out.append((w2, d))
+    return [Fraction(v, e) for v, e in out]
 
 
 def _sequences(t: TetraHessenberg, kind: str, n: int, nu=None, x=None) -> dict:
@@ -118,10 +157,11 @@ def sequence_values(t: TetraHessenberg, kind: str, n: int, x, nu=None) -> dict:
     keyed by name: ``"type2"`` gives B, ``"type1"`` gives A1 and A2,
     ``"second"`` gives B1, B2 and b1 (the last two kinds need ``nu`` != 0).
 
-    The four-term recurrence runs over the exact scalars, O(N) Fraction
-    operations; no polynomial is built.  Every value equals p(x) for the
-    polynomial p that type2_sequence, type1_sequences or
-    second_kind_sequences returns at the same place.
+    The four-term recurrence runs at x over the integers, O(N) steps on
+    int numerators over one common denominator, reduced by one gcd per
+    step; no polynomial is built.  Every value is returned as a reduced
+    Fraction equal to p(x) for the polynomial p that type2_sequence,
+    type1_sequences or second_kind_sequences returns at the same place.
     """
     return {name: tuple(v) for name, v in _sequences(t, kind, n, nu, x).items()}
 

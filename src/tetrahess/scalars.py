@@ -4,22 +4,97 @@ package.
 Every scalar is exact: an ``int`` or a ``fractions.Fraction``, and every
 identity in this package is checked with ``==``.  Decimal literals parse to
 the rational they spell ("0.1" is 1/10), never to a float.
+
+Scalars are parsed and printed at any length.  The interpreter limits a
+single int/str conversion to 4300 digits by default (Python 3.11, and 3.10
+from 3.10.7), so longer digit runs are converted in pieces of at most
+_CHUNK digits, split in halves, and the process-wide limit is never
+changed.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
+#: The most digits one int() or str() call converts, under the default
+#: limit of 4300.  _CHUNK_BITS bits hold fewer than _CHUNK digits.
+_CHUNK = 4000
+_CHUNK_BITS = 13000
+
+#: The literals Fraction reads: "p/q", "p" or a decimal "p.d" with an
+#: optional exponent, each digit run with single underscores allowed, and
+#: optional surrounding whitespace.  Compiled on the first parse (and kept
+#: in the re module's cache), so importing the package compiles nothing.
+_RATIONAL = r"""(?xi)
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>(?:\d+(?:_\d+)*)?)
+    (?:/(?P<den>\d+(?:_\d+)*)
+      |(?:\.(?P<decimal>(?:\d+(?:_\d+)*)?))?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*\Z
+"""
+
+
+def _int(digits: str) -> int:
+    """int(digits) for an unsigned run of decimal digits, at any length."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    cut = len(digits) // 2
+    return _int(digits[:cut]) * 10 ** (len(digits) - cut) + _int(digits[cut:])
+
+
+def _str(n: int) -> str:
+    """str(n) for an int n, at any length."""
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _str(-n)
+    # 10^k < 2^(bits - 1) <= n, so the high part has no leading zero
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _str(high) + _str(low).zfill(k)
+
+
+def parse_int(text: str) -> int:
+    """int(text) for a run of decimal digits with an optional minus sign, at
+    any length (a JSON integer)."""
+    return -_int(text[1:]) if text[:1] == "-" else _int(text)
+
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q", "p" or a decimal literal into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q", "p" or a decimal literal into a Fraction, at any
+    length.  ValueError for anything else, ZeroDivisionError for q = 0."""
+    m = re.match(_RATIONAL, text)
+    if m is None:
+        raise ValueError(f"invalid literal for a rational: {text!r}")
+    sign, num, den, decimal, exp = m.groups()
+    if "_" in text:
+        num, den, decimal, exp = (g and g.replace("_", "") for g in (num, den, decimal, exp))
+    num = _int(num) if num else 0
+    if den is not None:
+        den = _int(den)
+        if den == 0:
+            raise ZeroDivisionError(f"{text!r} has denominator 0")
+    else:
+        den = 1
+        if decimal:
+            den = 10 ** len(decimal)
+            num = num * den + _int(decimal)
+        if exp:
+            exp = int(exp)
+            if exp >= 0:
+                num *= 10**exp
+            else:
+                den *= 10**-exp
+    return Fraction(-num if sign == "-" else num, den)
 
 
 def format_scalar(value) -> str:
-    """Inverse of parse_scalar: "p/q", or "p" when the denominator is 1."""
-    return str(value)
+    """Inverse of parse_scalar: "p/q", or "p" when the denominator is 1,
+    as str() of the Fraction prints it, at any length."""
+    num, den = value.numerator, value.denominator
+    return _str(num) if den == 1 else f"{_str(num)}/{_str(den)}"
 
 
 def format_ratio(num: int, den: int) -> str:
@@ -27,8 +102,8 @@ def format_ratio(num: int, den: int) -> str:
     gcd and no Fraction built (the coefficients of a Poly are printed so)."""
     g = gcd(num, den)
     if g == den:
-        return str(num // den)
-    return f"{num // g}/{den // g}"
+        return _str(num // den)
+    return f"{_str(num // g)}/{_str(den // g)}"
 
 
 def exact_tuple(values, what):

@@ -42,6 +42,8 @@ def _check_start_index(payload, expected):
 
 
 def _scalar(value, name):
+    if type(value) in (int, Fraction):  # a JSON number, already exact
+        return Fraction(value)
     try:
         return parse_scalar(str(value))
     except (ValueError, ZeroDivisionError):
@@ -64,7 +66,7 @@ def _generator_alphas(spec):
     if type(count) is not int:  # JSON 2.5 or true is no count
         raise ValueError(f"generator count must be a JSON integer, got {count!r}")
     if count < 1:
-        raise ValueError(f"generator count must be >= 1, got {count}")
+        raise ValueError(f"generator count must be >= 1, got {format_scalar(count)}")
     if name == "ones":
         return AlphaSequence(values=(Fraction(1),) * count)
     if name == "jacobi-pineiro":

@@ -283,6 +283,29 @@ class TestDarboux:
         code, out, _ = run(["darboux", "--which", "hat", "--alphas", str(path)])
         assert code == 0
         assert json.loads(out)["c"] == [c_0]
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert sys.get_int_max_str_digits() == 4300  # read exactly, limit untouched
+
+    def test_an_error_message_prints_a_long_value_in_full(self, tmp_path):
+        """Messages print exact values past the int/str limit too: alpha_1 =
+        -10^5000 makes a_2 = -10^5000 (bad input), a JP parameter of -10^5000
+        is outside the region, and c_0 = 10^5000 on ones alphas fails the
+        tilde_b identity at n = 0 with residual -(10^5000 - 1)."""
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"alpha": ["-1e5000"] + ["1"] * 30}))
+        code, out, err = run(["verify", "--suite", "akv", "--alphas", str(path), "--n", "2"])
+        assert (code, out) == (65, "")
+        assert err == f"input error: {path}: a_2 = -1{'0' * 5000} must be positive\n"
+        assert run(["jp", "--alpha=-1e5000", "--beta", "0", "--gamma", "0"]) == (
+            65, "", f"input error: parameters outside the natural region: alpha = -1{'0' * 5000}, "
+            "beta = 0 must both exceed -1\n")
+        ones, matrix = tmp_path / "ones.json", tmp_path / "bigc.json"
+        ones.write_text(json.dumps({"alpha": ["1"] * 40}))
+        matrix.write_text(json.dumps({"c": ["1e5000"] + ["3"] * 12, "b": ["3"] * 12, "a": ["1"] * 11}))
+        error = f"christoffel: identity 'tilde_b' fails at n = 0: residual -{'9' * 5000}"
+        assert run(["verify", "--suite", "christoffel", "--input", str(matrix), "--alphas", str(ones),
+                    "--n", "2"]) == (
+            1, json.dumps({"status": "fail", "error": error}, indent=2) + "\n", f"verification failure: {error}\n")
 
     def test_hat_bands(self, ones_file):
         code, out, _ = run(["darboux", "--alphas", ones_file, "--which", "hat"])
@@ -474,6 +497,29 @@ def test_jp_consistency_builds_each_variant_once(monkeypatch, ones_file):
     grid = tetrahess.JP_VERIFICATION_GRID
     assert len(built) == 2 * len(grid)
     assert set(built) == {(p, v) for p in grid for v in tetrahess.Variant}
+
+
+def test_a_failing_jp_consistency_run_prints_the_true_values(monkeypatch):
+    """alpha_5 of the AKV variant at the third grid point, (5/2, 1, 0),
+    moved by 1/3: the suite fails on m_2 and prints both entries unscaled."""
+    original = cli.jp_alphas
+    point = tetrahess.JP_VERIFICATION_GRID[2]
+
+    def moved(params, variant, count):
+        alphas = original(params, variant, count)
+        if (params, variant) != (point, tetrahess.Variant.AKV):
+            return alphas
+        values = list(alphas.values)
+        values[4] += Fraction(1, 3)
+        return tetrahess.AlphaSequence(values=values)
+
+    monkeypatch.setattr(cli, "jp_alphas", moved)
+    error = "jp-consistency: band m_2 differs between parameter families: 181/1430 vs 1973/4290"
+    assert run(["verify", "--suite", "jp-consistency"]) == (
+        1,
+        json.dumps({"status": "fail", "error": error}, indent=2) + "\n",
+        f"verification failure: {error}\n",
+    )
 
 
 #: An alpha-reading suite at --n N needs alphas through index 3N + this.

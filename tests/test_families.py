@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle_jp
 from oracle_jp import oracle_jp_alphas
 from tetrahess import families
 from tetrahess import (
@@ -17,6 +18,7 @@ from tetrahess import (
     JPParams,
     JP_VERIFICATION_GRID,
     OutsideNaturalRegion,
+    PredictionMismatch,
     Region,
     Variant,
     jp_alphas,
@@ -175,6 +177,84 @@ def test_cross_consistency_catches_a_moved_shared_alpha_on_c(j):
     with pytest.raises(ConsistencyViolation) as info:
         jp_cross_consistency(R3_POINT, 24, (first, _moved(akv, (j, 1))))
     assert (info.value.band, info.value.n) == ("c", (j - 1) // 3)
+
+
+@pytest.mark.parametrize("moves, message", [
+    # alpha_5 enters m_2 only
+    (((5, 1),), "band m_2 differs between parameter families: 3/14 vs 17/14"),
+    (((6, F(2, 7)),), "band m_2 differs between parameter families: 3/14 vs 1/2"),
+    # alpha_8 moved against alpha_9 keeps m_3 and changes l_3
+    (((8, 1), (9, -1)), "band l_3 differs between parameter families: 2/165 vs 124/1155"),
+    (((11, F(1, 5)), (12, F(-1, 5))), "band l_4 differs between parameter families: 72/5005 vs 906/25025"),
+    # alpha_7 = u_2 enters c_2 only
+    (((7, F(1, 3)),), "band c_2 differs between parameter families: 47/105 vs 82/105"),
+])
+def test_consistency_violation_prints_the_true_values(moves, message):
+    """The comparison runs on the alphas scaled by K; the message carries
+    the entries divided back by K^deg, as the Fraction oracle prints them."""
+    first, akv = (jp_alphas(R3_POINT, v, 24) for v in (Variant.FIRST, Variant.AKV))
+    with pytest.raises(ConsistencyViolation) as info:
+        jp_cross_consistency(R3_POINT, 24, (first, _moved(akv, *moves)))
+    assert str(info.value) == message
+
+
+def test_consistency_violation_on_b_prints_the_true_values():
+    """Bands run past the count // 3 rows of m and l: with c_7 kept, a moved
+    m_7 is caught on b_7, whose entries are divided by K^2."""
+    first, akv = (jp_alphas(R3_POINT, v, 24) for v in (Variant.FIRST, Variant.AKV))
+    with pytest.raises(ConsistencyViolation) as info:
+        jp_cross_consistency(R3_POINT, 6, (first, _moved(akv, (20, 1), (22, -1))))
+    assert str(info.value) == "band b_7 differs between parameter families: 10486/158631 vs 296828/793155"
+
+
+def _negated(alphas, j):
+    return AlphaSequence(values=tuple(-v if i == j else v for i, v in enumerate(alphas.values, 1)))
+
+
+@pytest.mark.parametrize("variant, j, message", [
+    (Variant.AKV, 3, "akv alpha_3 = -1/15 does not match predicted sign 1"),
+    (Variant.FIRST, 5, "first alpha_5 = -1/21 does not match predicted sign 1"),
+])
+def test_prediction_mismatch_message_for_a_flipped_sign(variant, j, message):
+    variants = [jp_alphas(R3_POINT, v, 24) for v in (Variant.FIRST, Variant.AKV)]
+    i = 0 if variant is Variant.FIRST else 1
+    variants[i] = _negated(variants[i], j)
+    with pytest.raises(PredictionMismatch) as info:
+        jp_sign_report(R3_POINT, 24, tuple(variants))
+    assert str(info.value) == message
+    assert type(info.value.value) is F
+
+
+def _outcome(check, *args):
+    """The report, or the violation's type and message."""
+    try:
+        return check(*args)
+    except (ConsistencyViolation, PredictionMismatch) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "band", None), getattr(exc, "n", None)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(jp_parameters, jp_parameters, jp_parameters, st.integers(min_value=1, max_value=30),
+       st.lists(st.tuples(st.integers(1, 28), st.integers(0, 1), jp_parameters, st.integers(0, 2)),
+                max_size=3))
+def test_integer_consistency_and_signs_match_the_fraction_oracle(alpha, beta, gamma, count, moves):
+    """Reports, or the first violation with its message, against the
+    Fraction checks: variants of 30 alphas checked at every count up to 30,
+    with up to three alphas of either variant moved by a rational d, each
+    alone or against alpha_{j+1} or alpha_{j+2} moved by -d (which keeps
+    m_k or c_k and so reaches l and b)."""
+    try:
+        p = JPParams(alpha, beta, gamma)
+    except OutsideNaturalRegion:
+        assume(False)
+    variants = [jp_alphas(p, v, 30) for v in (Variant.FIRST, Variant.AKV)]
+    for j, which, d, partner in moves:
+        pair = ((j, d), (j + partner, -d)) if partner else ((j, d),)
+        variants[which] = _moved(variants[which], *pair)
+    variants = tuple(variants)
+    for check in ("jp_cross_consistency", "jp_sign_report"):
+        got = _outcome(getattr(families, check), p, count, variants)
+        assert got == _outcome(getattr(oracle_jp, check), p, count, variants), check
 
 
 def test_sign_report_strip_point():

@@ -131,3 +131,12 @@ def test_inexact_coefficients_and_scalars_are_refused(bad):
 @given(st.integers(min_value=-10**12, max_value=10**12), st.integers(min_value=1, max_value=10**6))
 def test_format_ratio_prints_as_the_fraction(num, den):
     assert format_ratio(num, den) == format_scalar(F(num, den))
+
+
+def test_repr_shows_long_coefficients_in_full():
+    """The repr reads as repr(list(coeffs)) also past the interpreter's
+    4300-digit int/str limit, so an IdentityViolation can print it."""
+    big = 10**5000 + 1
+    p = Poly((F(big, 3), F(-2), F(1, big)))
+    assert repr(p) == f"Poly([Fraction({'1' + '0' * 4999 + '1'}, 3), Fraction(-2, 1), Fraction(1, {'1' + '0' * 4999 + '1'})])"
+    assert repr(Poly()) == "Poly([])"

@@ -1,8 +1,14 @@
 """JSON payload round trips for alpha sequences and banded matrices."""
 
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetrahess import (
     AlphaSequence,
@@ -12,6 +18,7 @@ from tetrahess import (
     load_matrix,
     tetra_from_bands,
 )
+from tetrahess.scalars import parse_scalar
 
 from conftest import pbf_corpus
 
@@ -126,12 +133,15 @@ def test_load_matrix_rejects_string_bands():
         load_matrix({"a": ["1"], "b": ["2"], "c": "56"})
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [0, -3, pytest.param(-(10**5001 - 1), id="-5001-digits")])
 def test_generator_count_must_be_positive(count):
+    """The message names the count in full, at any length."""
     for name in ("ones", "jacobi-pineiro"):
         spec = {"name": name, "count": count, "alpha": "0", "beta": "1/2", "gamma": "0"}
-        with pytest.raises(ValueError):
+        message = f"generator count must be >= 1, got {'-' + '9' * 5001 if count < -3 else count}"
+        with pytest.raises(ValueError) as info:
             load_alphas({"generator": spec})
+        assert str(info.value) == message
         with pytest.raises(ValueError):
             load_matrix({"generator": spec})
 
@@ -152,3 +162,83 @@ def test_unparsable_entry_is_named(load, payload, message):
     with pytest.raises(ValueError) as info:
         load(payload)
     assert str(info.value) == message
+
+
+# a fresh interpreter, so that no earlier call in this test run can have
+# lifted the int/str conversion limit (4300 digits by default)
+_PAST_THE_LIMIT = r"""
+import sys
+from fractions import Fraction
+from tetrahess import serialize
+from tetrahess.scalars import format_ratio, format_scalar, parse_int, parse_scalar
+
+big = 10 ** 5001 - 1  # 5001 nines
+if hasattr(sys, "get_int_max_str_digits"):
+    assert sys.get_int_max_str_digits() == 4300
+alphas = serialize.load_alphas({"alpha": ["9" * 5001, "-" + "9" * 5001 + "/" + "7" * 4400, "1e5000"]})
+assert alphas.values == (big, Fraction(-big, 10 ** 4400 // 9 * 7), 10 ** 5000)
+assert serialize.load_alphas({"alpha": [big]}).values == (big,)
+assert parse_int("-" + "9" * 5001) == -big
+assert format_scalar(Fraction(big)) == "9" * 5001
+assert format_scalar(big) == "9" * 5001
+assert format_scalar(Fraction(-big, 10 ** 5000 + 1)) == "-" + "9" * 5001 + "/1" + "0" * 4999 + "1"
+assert format_ratio(2 * big, 2) == "9" * 5001
+assert format_ratio(-big, 10 ** 4400) == "-" + "9" * 5001 + "/1" + "0" * 4400
+payload = serialize.dump_alphas(alphas)
+assert payload["alpha"][0] == "9" * 5001 and payload["alpha"][2] == "1" + "0" * 5000
+assert serialize.load_alphas(payload).values == alphas.values
+if hasattr(sys, "get_int_max_str_digits"):
+    assert sys.get_int_max_str_digits() == 4300
+print("ok")
+"""
+
+
+def test_scalars_past_the_int_str_limit_in_a_fresh_interpreter():
+    """load_alphas and the formatters read and print a 5001-digit value
+    without the process-wide limit being lifted, by anyone."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", _PAST_THE_LIMIT], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+# digits, signs, separators and exponent markers in any order, valid and
+# invalid literals alike, with whitespace around them; exponents stay below
+# 1000 so that no literal spells a number too long to build.  Underscores
+# and inner whitespace are left out: Fraction reads them differently from
+# one Python version to the next (underscores from 3.11, spaces around "/"
+# from 3.12), and parse_scalar reads them as 3.11 does on every version
+_LITERAL = st.builds(
+    lambda head, core, tail: head + core + tail,
+    st.sampled_from(["", " ", "\t"]),
+    st.text(alphabet="0123456789./eE+-", max_size=12).filter(lambda s: not re.search(r"[eE][-+]?\d{4}", s)),
+    st.sampled_from(["", " ", "\n"]),
+)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_LITERAL)
+def test_parse_scalar_reads_what_fraction_reads(text):
+    """Below the limit, parse_scalar gives Fraction(text) or fails as it
+    does (ValueError, or ZeroDivisionError for a zero denominator)."""
+    def outcome(parse):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc)
+
+    assert outcome(parse_scalar) == outcome(F)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", 1), ("-3/4", F(-3, 4)), (" 0.125 ", F(1, 8)), ("1e-3", F(1, 1000)), ("+.5E2", 50), ("7.", 7),
+    ("\u0661\u0662", 12),  # Arabic-Indic digits, as int() reads them
+    ("1_000", 1000), ("1_0.2_5e1_0", F(1025, 100) * 10**10), ("-2_0/3_0", F(-2, 3)),
+])
+def test_parse_scalar_fixed_literals(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", ["1__0", "_1", "1_", "1 / 2", "1/-2", "1.5/2", "e5", "1e", "", "/2"])
+def test_parse_scalar_refuses(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
