@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import (AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, bands_from_alphas,
-                   tetra_from_alphas)
+from .core import AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, tetra_from_alphas
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .scalars import exact_tuple, format_scalar
 
@@ -166,9 +165,21 @@ def jp_dense_truncation(p: JPParams, n: int):
     the raw band products so it exists in every region (outside the strip
     some a_n are negative and TetraHessenberg would refuse them).  Rows
     0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
-    are built."""
-    c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 1))
-    return _banded(n + 1, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})
+    are built.
+
+    The bands are formed over the integers, as in jp_cross_consistency:
+    every alpha is multiplied by K, the lcm of their denominators, so c, b
+    and a of the scaled alphas are K, K^2 and K^3 times the true ones, and
+    each entry is one Fraction of that int over K^deg."""
+    values = jp_alphas(p, Variant.FIRST, 3 * n + 1).values
+    k = lcm(*(v.denominator for v in values))
+    c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(v.numerator * (k // v.denominator) for v in values))))
+    return _banded(n + 1, {
+        0: lambda i: Fraction(c.get(i), k),
+        1: lambda i: Fraction(1),
+        -1: lambda i: Fraction(b.get(i), k**2),
+        -2: lambda i: Fraction(a.get(i), k**3),
+    })
 
 
 # Region sign table for the first period layers; the fixed grids used for

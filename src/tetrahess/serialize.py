@@ -30,6 +30,21 @@ def _require_object(value, what):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
 
 
+def _shown(value):
+    """repr(value) at any length: an int or a Fraction, alone or in a dict
+    or list, is printed through format_scalar, so a value past the
+    interpreter's 4300-digit int/str limit is named in full."""
+    if type(value) is int:
+        return format_scalar(value)
+    if type(value) is Fraction:
+        return f"Fraction({format_scalar(value.numerator)}, {format_scalar(value.denominator)})"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{key!r}: {_shown(v)}" for key, v in value.items()) + "}"
+    if type(value) is list:
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    return repr(value)
+
+
 def _check_start_index(payload, expected):
     if "start_index" not in payload:
         return
@@ -38,7 +53,7 @@ def _check_start_index(payload, expected):
         declared = {next(iter(expected)): declared}
     # type(v) is int: JSON true or 1.0 is not an index
     if declared != expected or any(type(v) is not int for v in declared.values()):
-        raise ValueError(f"start_index {declared!r} does not match the fixed convention {expected!r}")
+        raise ValueError(f"start_index {_shown(declared)} does not match the fixed convention {_shown(expected)}")
 
 
 def _scalar(value, name):
@@ -64,7 +79,7 @@ def _generator_alphas(spec):
     name = spec.get("name")
     count = spec.get("count", DEFAULT_GENERATOR_COUNT)
     if type(count) is not int:  # JSON 2.5 or true is no count
-        raise ValueError(f"generator count must be a JSON integer, got {count!r}")
+        raise ValueError(f"generator count must be a JSON integer, got {_shown(count)}")
     if count < 1:
         raise ValueError(f"generator count must be >= 1, got {format_scalar(count)}")
     if name == "ones":

@@ -1,8 +1,8 @@
 """The Fraction-valued Jacobi-Pineiro closed forms that the integer kernel
 of ``tetrahess.families.jp_alphas`` replaced, and the Fraction forms of
-``jp_cross_consistency`` and ``jp_sign_report`` that the integer
-comparisons replaced, kept unchanged as the oracles of the differential
-tests in test_families.py.
+``jp_cross_consistency``, ``jp_sign_report`` and ``jp_dense_truncation``
+that the integer forms replaced, kept unchanged as the oracles of the
+differential tests in test_families.py.
 
 Each alpha_j is built by Fraction arithmetic on (alpha, beta, gamma), one
 gcd per operation, straight from the six-periodic formulas.  The two
@@ -12,7 +12,9 @@ compare them, and every sign, with Fraction comparisons.
 
 from __future__ import annotations
 
-from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
+from fractions import Fraction
+
+from tetrahess.core import _banded, _factor_triple, _lu_bands, _split_alphas, bands_from_alphas
 from tetrahess.errors import ConsistencyViolation, PredictionMismatch
 from tetrahess.families import (JPConsistencyReport, JPParams, JPSignReport, Variant, _predicted_sign,
                                 jp_alphas)
@@ -130,3 +132,13 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistenc
         for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a))
     )
     return JPConsistencyReport(count=count, bands_compared=bands, subdiagonals_compared=subdiagonals)
+
+
+def jp_dense_truncation(p: JPParams, n: int):
+    """(N+1) x (N+1) leading truncation of the recursion matrix, built from
+    the raw band products so it exists in every region (outside the strip
+    some a_n are negative and TetraHessenberg would refuse them).  Rows
+    0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
+    are built."""
+    c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 1))
+    return _banded(n + 1, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})

@@ -307,6 +307,21 @@ class TestDarboux:
                     "--n", "2"]) == (
             1, json.dumps({"status": "fail", "error": error}, indent=2) + "\n", f"verification failure: {error}\n")
 
+    def test_a_loader_message_names_a_long_value_in_full(self, tmp_path):
+        """A start_index or a generator count the loader refuses is named in
+        full past the int/str limit: a 5001-digit start_index, and a count
+        written as a JSON number with a fraction part (read as a Fraction)."""
+        nines = "9" * 5001
+        index, count = tmp_path / "index.json", tmp_path / "count.json"
+        index.write_text(f'{{"alpha": ["1", "1"], "start_index": {nines}}}')
+        count.write_text(f'{{"generator": {{"name": "ones", "count": {nines}.5}}}}')
+        assert run(["darboux", "--which", "hat", "--alphas", str(index)]) == (
+            65, "", f"input error: {index}: start_index {{'alpha': {nines}}} does not match the fixed "
+            "convention {'alpha': 1}\n")
+        assert run(["darboux", "--which", "hat", "--alphas", str(count)]) == (
+            65, "", f"input error: {count}: generator count must be a JSON integer, got "
+            f"Fraction(1{nines}, 2)\n")
+
     def test_hat_bands(self, ones_file):
         code, out, _ = run(["darboux", "--alphas", ones_file, "--which", "hat"])
         assert code == 0

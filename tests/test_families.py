@@ -335,6 +335,30 @@ def test_dense_truncation_builds_only_the_alphas_it_reads(monkeypatch, n):
     assert m == _banded(n + 1, {0: c.get, 1: lambda i: F(1), -1: b.get, -2: a.get})
 
 
+def same_truncation_as_oracle(p, n):
+    """The integer-band truncation equals the Fraction-band one, entry by
+    entry, value and type."""
+    m = jp_dense_truncation(p, n)
+    assert m == oracle_jp.jp_dense_truncation(p, n), (p, n)
+    assert all(type(v) is F for row in m.rows for v in row)
+
+
+def test_dense_truncation_matches_the_fraction_oracle_on_the_grid():
+    for p in JP_VERIFICATION_GRID:
+        for n in range(8):
+            same_truncation_as_oracle(p, n)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(jp_parameters, jp_parameters, jp_parameters, st.integers(min_value=0, max_value=9))
+def test_dense_truncation_matches_the_fraction_oracle(alpha, beta, gamma, n):
+    try:
+        p = JPParams(alpha, beta, gamma)
+    except OutsideNaturalRegion:
+        assume(False)
+    same_truncation_as_oracle(p, n)
+
+
 def test_jp_matrix_is_positive_in_strip():
     t = jp_matrix(JPParams(F(0), F(1, 2), F(0)), count=24)
     assert t.a(2) > 0 and t.b(1) > 0 and t.c(0) > 0

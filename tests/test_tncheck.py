@@ -19,8 +19,9 @@ from tetrahess import (
     tetra_from_alphas,
 )
 from tetrahess.core import _banded, bands_from_alphas
-from tetrahess.tncheck import _some_power_totally_positive
+from tetrahess.tncheck import _band, _full_scan, _MinorTable, _plan, _some_power_totally_positive
 
+import oracle_tn
 from conftest import pbf_corpus
 
 
@@ -267,3 +268,108 @@ def test_integer_scan_matches_fraction_oracle(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_integer_scan_matches_fraction_oracle_at_dims_6_to_8(seed):
     _assert_matches_oracle(_random_matrix(seed, dims=(6, 8), kinds=("signed", "perturbed")))
+
+
+# -- the band plan against the mask-loop scan it replaced -------------------
+
+_BAND_KINDS = ("pbf", "signed", "zero-alpha", "widened", "dense", "power")
+
+
+def _band_matrix(seed, kind, n):
+    """An n x n matrix of the given kind, from ``seed``: a tetradiagonal
+    truncation of PBF alphas, of alphas with some made negative, or of PBF
+    alphas with some made 0 (zeros inside the band); such a truncation with
+    one entry set above the superdiagonal or below the second subdiagonal,
+    which widens the band; a dense matrix (the _random_matrix kinds); or
+    the square or cube of a PBF truncation (band (2, 4) or (3, 6), TN)."""
+    rng = random.Random(seed)
+
+    def alpha():
+        return F(rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7)))
+
+    alphas = [alpha() for _ in range(max(3 * n - 2, 0))]
+    if kind == "signed" and alphas:
+        for _ in range(rng.randint(1, 2)):
+            alphas[rng.randrange(len(alphas))] = -F(1, rng.randint(2, 40))
+    if kind == "zero-alpha" and alphas:
+        for _ in range(rng.randint(1, 2)):
+            alphas[rng.randrange(len(alphas))] = F(0)
+    if n == 0:
+        return DenseMatrix(())
+    if kind == "dense":
+        return _random_matrix(seed, dims=(n, n))
+    m = _alpha_truncation(alphas)
+    if kind == "widened":
+        outside = [(i, j) for i in range(n) for j in range(n) if j - i >= 2 or i - j >= 3]
+        if outside:
+            i, j = rng.choice(outside)
+            rows = [list(r) for r in m.rows]
+            rows[i][j] = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            m = DenseMatrix(rows)
+    if kind == "power":
+        base = m
+        for _ in range(rng.randint(1, 2)):
+            m = m.mul(base)
+    return m
+
+
+def _mask_loop_some_power_tp(m):
+    """_some_power_totally_positive, each power scanned by the mask loop."""
+    power = m
+    for _ in range(max(1, m.n - 1)):
+        if oracle_tn._full_scan(_MinorTable(power), violates=lambda value: value <= 0)[0] is None:
+            return True
+        power = power.mul(m)
+    return False
+
+
+def _assert_matches_mask_loop(m):
+    """Witness and count under both tests, the report, and (dims <= 6) the
+    power oracle and the elimination oracle agree with the mask loop."""
+    table = _MinorTable(m)
+    for violates in (lambda value: value < 0, lambda value: value <= 0):
+        assert _full_scan(table, violates) == oracle_tn._full_scan(table, violates)
+    rep = is_totally_nonnegative(m)
+    witness, checked = oracle_tn._full_scan(table)
+    assert (rep.witness, rep.minors_checked) == (witness, checked)
+    assert rep.is_nonsingular == (m.det() != 0)
+    if m.n <= 6:
+        assert (witness, checked) == _oracle_scan(m, lambda v: v < 0)
+        assert _some_power_totally_positive(m) == _mask_loop_some_power_tp(m)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_BAND_KINDS),
+       st.integers(min_value=0, max_value=8))
+def test_band_plan_matches_the_mask_loop(seed, kind, n):
+    _assert_matches_mask_loop(_band_matrix(seed, kind, n))
+
+
+def test_the_plan_is_keyed_by_both_band_widths():
+    """Two shapes at n = 6 scanned in turn.  The PBF truncation has band
+    (1, 2); with a_03 > 0 added the band is (3, 2), and the first negative
+    minor, rows (1, 2) and columns (1, 4), is one that band (1, 2) forces
+    to zero, so a plan looked up by n and lower alone would miss it."""
+    tetra = _alpha_truncation([F(k % 4 + 1, k % 3 + 1) for k in range(16)])
+    rows = [list(r) for r in tetra.rows]
+    rows[0][3] = F(1, 2)
+    wide = DenseMatrix(rows)
+    assert (_band(tetra.rows), _band(wide.rows)) == ((1, 2), (3, 2))
+    for m in (tetra, wide, tetra, wide):
+        _assert_matches_mask_loop(m)
+    assert is_totally_nonnegative(tetra).is_tn
+    rep = is_totally_nonnegative(wide)
+    assert rep.witness[:2] == ((1, 2), (1, 4))
+    assert rep.minors_checked == 36 + 3
+    # (1, 2) skips it: c_2 = 3 (0-based) > r_2 + 1 = 2
+    assert all(0b11 << 6 | 0b1001 not in masks for _, masks, *_ in _plan(6, 1, 2))
+
+
+def test_dim8_tetradiagonal_plan_lists_the_minors_the_band_allows():
+    """At dim 8 band (1, 2) forces 6156 of the 12 869 minors to zero; the
+    plan lists the other 6713 but the 28 entries in the band (order 1 is
+    read off the rows), each at its place in the full enumeration."""
+    plan = _plan(8, 1, 2)
+    listed = [position for positions, *_ in plan for position in positions]
+    assert len(listed) == 12869 - 6156 - 28
+    assert listed == sorted(listed) and listed[0] > 64 and listed[-1] == 12869
