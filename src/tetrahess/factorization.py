@@ -2,13 +2,15 @@
 into three positive bidiagonal factors.
 
 The LU factorization of T^[N] exists iff every leading principal minor
-delta^[n] is nonzero; these minors satisfy the four-term recurrence
+delta^[n] is nonzero.  Each minor is the recursion polynomial B_{n+1} =
+det(xI - T^[n]) at the origin,
 
-    delta^[n] = c_n delta^[n-1] - b_n delta^[n-2] + a_n delta^[n-3]
+    delta^[n] = det T^[n] = (-1)^{n+1} B_{n+1}(0),
 
-with delta^[-1] = 1 and delta^[-2] = delta^[-3] = 0 (so a_1, b_0 never
-enter).  The refinement T^[N] = L1 L2 U is parametrized by one free value
-alpha_2; everything else is forced:
+so the factors are read off ``sequence_values`` at x = 0: with B_0 = 1,
+u_n = -B_{n+1}(0) / B_n(0) and l_n = -a_n B_{n-2}(0) / B_{n-1}(0).  The
+refinement T^[N] = L1 L2 U is parametrized by one free value alpha_2;
+everything else is forced:
 
     alpha_{3n+1} = delta^[n] / delta^[n-1]          (diagonal of U)
     alpha_2 + alpha_3 = m_1,   alpha_{3n+2} alpha_{3n} = l_{n+1},
@@ -25,6 +27,7 @@ from fractions import Fraction
 from .core import (AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _interleave,
                    _lu_bands, _split_alphas)
 from .errors import SingularLeadingMinor, ZeroAlpha3n
+from .polynomials import sequence_values
 
 
 @dataclass(frozen=True)
@@ -65,22 +68,19 @@ class GaussBorelFactors:
 
 def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
     """LU data of T^[N]; raises SingularLeadingMinor at the first vanishing
-    delta^[n]."""
+    delta^[n].  Rows 0..N are read before any delta is tested, so a matrix
+    with fewer rows raises BandExhausted even when an earlier delta
+    vanishes."""
     if n < 0:
         raise ValueError("truncation order must be >= 0")
-    deltas = [Fraction(1)]  # deltas[i] = delta^[i-1]
-    for k in range(n + 1):
-        term_c = t.c(k) * deltas[k]
-        term_b = t.b(k) * deltas[k - 1] if k >= 1 else 0
-        term_a = t.a(k) * deltas[k - 2] if k >= 2 else 0
-        value = term_c - term_b + term_a
-        if value == 0:
-            raise SingularLeadingMinor(k)
-        deltas.append(value)
-    u_diag = tuple(deltas[k + 1] / deltas[k] for k in range(n + 1))
+    b0 = sequence_values(t, "type2", n + 1, 0)["B"]
+    delta = tuple(v if k % 2 else -v for k, v in enumerate(b0[1:]))
+    if 0 in delta:
+        raise SingularLeadingMinor(delta.index(0))
+    u_diag = tuple(-b0[k + 1] / b0[k] for k in range(n + 1))
     m = tuple(t.c(k) - u_diag[k] for k in range(1, n + 1))
-    ell = tuple(t.a(k) * deltas[k - 2] / deltas[k - 1] for k in range(2, n + 1))
-    return GaussBorelFactors(delta=tuple(deltas[1:]), m=m, ell=ell, u_diag=u_diag)
+    ell = tuple(-t.a(k) * b0[k - 2] / b0[k - 1] for k in range(2, n + 1))
+    return GaussBorelFactors(delta=delta, m=m, ell=ell, u_diag=u_diag)
 
 
 def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:

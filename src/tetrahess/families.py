@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .core import AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, tetra_from_alphas
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
-from .scalars import exact_tuple, format_scalar
+from .scalars import exact_tuple, format_scalar, over_common_denominator
 
 
 class Variant(enum.Enum):
@@ -132,9 +131,7 @@ def _jp_rows(p: JPParams, variant: Variant):
     the D^3 of the numerator cancels that of the denominator.  Row r - 1
     lists each of its six factors as (k D, t D + S), numerators first, so
     alpha_{6n+r} = prod(u n + v, numerators) / prod(u n + v, denominators)."""
-    a, b, g = p.alpha, p.beta, p.gamma
-    d = lcm(a.denominator, b.denominator, g.denominator)
-    a, b, g = (v.numerator * (d // v.denominator) for v in (a, b, g))
+    (a, b, g), d = over_common_denominator((p.alpha, p.beta, p.gamma))
     combos = {"0": 0, "a": a, "b": b, "g": g, "a+g": a + g, "b+g": b + g, "a-b": a - b, "b-a": b - a}
     numerators = _JP_NUMERATORS[variant]
     return tuple(
@@ -171,9 +168,8 @@ def jp_dense_truncation(p: JPParams, n: int):
     every alpha is multiplied by K, the lcm of their denominators, so c, b
     and a of the scaled alphas are K, K^2 and K^3 times the true ones, and
     each entry is one Fraction of that int over K^deg."""
-    values = jp_alphas(p, Variant.FIRST, 3 * n + 1).values
-    k = lcm(*(v.denominator for v in values))
-    c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(v.numerator * (k // v.denominator) for v in values))))
+    scaled, k = over_common_denominator(jp_alphas(p, Variant.FIRST, 3 * n + 1).values)
+    c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(scaled))))
     return _banded(n + 1, {
         0: lambda i: Fraction(c.get(i), k),
         1: lambda i: Fraction(1),
@@ -288,10 +284,10 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistenc
     the true values."""
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
-    k = lcm(*(v.denominator for seq in variants for v in seq.values))
+    first, akv = (seq.values for seq in variants)
+    scaled, k = over_common_denominator(first + akv)
     (u_f, m_f, l_f), (u_a, m_a, l_a) = (
-        _factor_triple(*_split_alphas(tuple(v.numerator * (k // v.denominator) for v in seq.values)))
-        for seq in variants
+        _factor_triple(*_split_alphas(tuple(part))) for part in (scaled[: len(first)], scaled[len(first) :])
     )
     rows = count // 3 + 1
     subdiagonals = _agree("m", 1, m_f[1:rows], m_a[1:rows], k)

@@ -22,10 +22,10 @@ raises TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InexactDivision
-from .scalars import exact_tuple, format_scalar
+from .scalars import exact_tuple, format_scalar, over_common_denominator
 
 
 def _ratio(scalar):
@@ -39,9 +39,7 @@ class Poly:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        coeffs = exact_tuple(coeffs, "Poly")
-        den = lcm(*(c.denominator for c in coeffs))
-        num, den = _reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
+        num, den = _reduce(*over_common_denominator(exact_tuple(coeffs, "Poly")))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -10,25 +10,27 @@ Hessenberg matrix.
   (B^(1)_{N+1} = det(xI - T^[N,1]), b^(1)_{N+1} = det(xI - T^[N,2])).
 
 All sequences come from one four-term recurrence touching only the three
-bands (type I from its transpose), so the cost is O(N) polynomial
-operations.  The same recurrence also runs at a point: ``sequence_values``
-gives the values at x = p/q in O(N) integer steps without building any
-polynomial.  The window of three values is held as int numerators over one
-common denominator, the band entries and x enter as (numerator,
-denominator) pairs, and one gcd per step reduces the window, as Poly
-reduces its coefficients; no Fraction is built until the values are
-returned, and each one is exactly p(x) of the polynomial it stands for.
+bands (type I from its transpose).  ``_steps`` alone reads the bands and
+knows the boundary coefficients: it writes each step as int coefficients
+over a positive int denominator.  ``_recur`` runs a table of steps on a
+window of three int numerators over one common denominator, reduced by one
+gcd per step.  Without x the window holds int coefficient lists, and each
+result becomes a canonical Poly once; at x = p/q (``sequence_values``) it
+holds three ints, and no polynomial is built.  Either way the cost is O(N)
+steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import gcd
 
 from .core import TetraHessenberg
 from .errors import IndexOutOfRange, ZeroNu
-from .poly import Poly, _ratio, constant_poly
+from .poly import Poly, _make, _ratio, _reduce
+from .scalars import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -47,80 +49,78 @@ class PolySequence:
         return iter(self.polys)
 
 
-def _x_minus(c, p: Poly) -> Poly:
-    """(x - c) p in O(deg p)."""
-    return p.times_x() - p.scale(c)
+def _steps(t: TetraHessenberg, start: int, stop: int, transpose=False) -> list:
+    """Steps start .. stop-1 of the four-term recurrence as ints: step m is
+    (slot, kx, k0, k1, k2, den) with den > 0 and
 
+        den * y_{m+1} = kx x w_slot + k0 w0 + k1 w1 + k2 w2
 
-def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False, x=None):
-    """The four-term recurrence, run from the window of constant seeds
-    (y_{start-2}, y_{start-1}, y_start) up to y_stop; returns the whole list
-    y_{start-2} .. y_stop.  Without ``x`` the y_m are polynomials; given a
-    point ``x`` they are the exact values y_m(x) (see _recur_at).
+    on the window (w0, w1, w2) = (y_{m-2}, y_{m-1}, y_m).
 
-    Row form (type II and second kind), row m of (xI - T) y = 0:
+    Row form (type II and second kind), row m of (xI - T) y = 0, slot 2:
 
         y_{m+1} = (x - c_m) y_m - b_m y_{m-1} - a_m y_{m-2}
 
     with the boundary coefficients b_0 = a_0 = a_1 = -1.  Column form
-    (``transpose``, type I), column m-1 of y (T - xI) = 0:
+    (``transpose``, type I), column m-1 of y (T - xI) = 0, slot 1:
 
         a_{m+1} y_{m+1} = (x - c_{m-1}) y_{m-1} - b_m y_m - y_{m-2}
-    """
-    if x is not None:
-        return _recur_at(t, seeds, start, stop, transpose, x)
-    out = [constant_poly(s) for s in seeds]
-    for m in range(start, stop):
-        w0, w1, w2 = out[-3:]
-        if transpose:
-            inv_a = Fraction(1) / t.a(m + 1)  # exact for an int a_{m+1} too
-            new = (_x_minus(t.c(m - 1), w1) - w2.scale(t.b(m)) - w0).scale(inv_a)
-        else:
-            new = _x_minus(t.c(m), w2)
-            new = new - w1.scale(t.b(m) if m >= 1 else -1)
-            new = new - w0.scale(t.a(m) if m >= 2 else -1)
-        out.append(new)
-    return out
 
-
-def _recur_at(t: TetraHessenberg, seeds, start: int, stop: int, transpose, x):
-    """_recur at the point x = xp/xq, over the integers.  The window
-    (y_{m-2}, y_{m-1}, y_m) is held as three int numerators (w0, w1, w2)
-    over one common denominator d > 0.  A step multiplies by x - c, b and a
-    as (numerator, denominator) pairs: the new numerator goes over d times
-    the step's denominators, w1 and w2 are brought to that denominator, and
-    the window is reduced by one gcd(d, new, w1, w2), as Poly reduces its
-    coefficients.  The bands are read in the order the polynomial steps read
-    them (a_{m+1} first in the column form), so a short matrix fails on the
-    same entry.  Each y_m is returned as the reduced Fraction it equals."""
-    xp, xq = _ratio(x)
-    seeds = [_ratio(s) for s in seeds]
-    d = lcm(*(sd for _, sd in seeds))
-    w0, w1, w2 = (sn * (d // sd) for sn, sd in seeds)
-    out = [(w0, d), (w1, d), (w2, d)]
+    This is the only code that reads the bands for the recurrence, a_{m+1}
+    first in the column form, so a short matrix fails on the same entry
+    whatever the window holds."""
+    table = []
     for m in range(start, stop):
         if transpose:
-            a = t.a(m + 1)
-            c, b = t.c(m - 1), t.b(m)
-            cn, cd, bn, bd = c.numerator, c.denominator, b.numerator, b.denominator
-            # a_{m+1} = an/ad > 0, so an xq cd bd > 0 is the step's denominator
-            xc = xq * cd
-            new = ((xp * cd - cn * xq) * bd * w1 - bn * xc * w2 - xc * bd * w0) * a.denominator
-            step = xc * bd * a.numerator
+            a, c, b = t.a(m + 1), t.c(m - 1), t.b(m)
         else:
-            c = t.c(m)
-            b = t.b(m) if m >= 1 else -1
-            a = t.a(m) if m >= 2 else -1
-            cn, cd, bn, bd = c.numerator, c.denominator, b.numerator, b.denominator
-            an, ad = a.numerator, a.denominator
-            xc = xq * cd
-            new = (xp * cd - cn * xq) * bd * ad * w2 - bn * xc * ad * w1 - an * xc * bd * w0
-            step = xc * bd * ad
-        w0, w1, d = w1 * step, w2 * step, d * step
-        g = gcd(d, new, w0, w1)
-        w0, w1, w2, d = w0 // g, w1 // g, new // g, d // g
-        out.append((w2, d))
-    return [Fraction(v, e) for v, e in out]
+            c, b, a = t.c(m), t.b(m) if m >= 1 else -1, t.a(m) if m >= 2 else -1
+        cn, cd, bn, bd, an, ad = c.numerator, c.denominator, b.numerator, b.denominator, a.numerator, a.denominator
+        k, ka, kb, kc = cd * bd * ad, an * cd * bd, -bn * cd * ad, -cn * bd * ad
+        # the column form divides by a_{m+1} > 0, so its denominator ka is > 0
+        table.append((1, k, -k, kc, kb, ka) if transpose else (2, k, -ka, kb, kc, k))
+    return table
+
+
+def _recur(steps, seeds, point=None) -> list:
+    """The recurrence run through the table ``steps`` (see _steps) from the
+    window of constant seeds (y_{start-2}, y_{start-1}, y_start); returns
+    the whole list y_{start-2} .. y_stop.  Without ``point`` the y_m are
+    polynomials; at point = (xp, xq) they are the exact values y_m(xp/xq)
+    as reduced Fractions.
+
+    The window is held as int numerators over one common denominator
+    d > 0: three int coefficient lists (index = power) without a point,
+    three ints at one, where x w_slot enters as xp w_slot over xq.  A step
+    puts the new numerator over d den (d den xq at a point), brings the
+    other two to that denominator and divides the window by one gcd."""
+    window, d = over_common_denominator(seeds)
+    if point is not None:
+        xp, xq = point
+        w0, w1, w2 = window
+        out = [Fraction(v, d) for v in window]
+        for slot, kx, k0, k1, k2, den in steps:
+            new = xq * (k0 * w0 + k1 * w1 + k2 * w2) + xp * kx * (w2 if slot == 2 else w1)
+            den *= xq
+            w0, w1, d = w1 * den, w2 * den, d * den
+            g = gcd(d, new, w0, w1)
+            w0, w1, w2, d = w0 // g, w1 // g, new // g, d // g
+            out.append(Fraction(w2, d))
+        return out
+    window = [[v] if v else [] for v in window]
+    out = [(w, d) for w in window]
+    for slot, kx, k0, k1, k2, den in steps:
+        w0, w1, w2 = window
+        xw = [0, *(kx * v for v in window[slot])]
+        new = [k0 * u + k1 * v + k2 * w + z for u, v, w, z in zip_longest(w0, w1, w2, xw, fillvalue=0)]
+        if den != 1:
+            w1, w2, d = [v * den for v in w1], [v * den for v in w2], d * den
+        g = gcd(d, *new, *w1, *w2)
+        if g != 1:
+            w1, w2, new, d = [v // g for v in w1], [v // g for v in w2], [v // g for v in new], d // g
+        window = [w1, w2, new]
+        out.append((new, d))
+    return [_make(*_reduce(w, e)) for w, e in out]
 
 
 def _sequences(t: TetraHessenberg, kind: str, n: int, nu=None, x=None) -> dict:
@@ -132,23 +132,26 @@ def _sequences(t: TetraHessenberg, kind: str, n: int, nu=None, x=None) -> dict:
         type1:  A1 from (0, 1, nu), A2 from (0, 0, 1) at index 1 (column form)
         second: B1 from (1, 0, 0), B2 from (-1 - nu, 1, 0) at index 0
                 (row form), and b1 = B2 + nu B1
+
+    The sequences of one kind share one step table.  x and nu are checked
+    before the first band is read.
     """
     if n < 0:
         raise ValueError("sequence length must be >= 0")
-    one = Fraction(1)
-    if kind == "type2":
-        return {"B": _recur(t, (0, 0, one), 0, n, x=x)[2:]}
-    if kind not in ("type1", "second"):
+    if kind not in ("type2", "type1", "second"):
         raise ValueError(f"unknown sequence kind {kind!r}")
-    if nu == 0:
+    if kind != "type2" and nu == 0:
         raise ZeroNu()
+    point = None if x is None else _ratio(x)
+    if kind == "type2":
+        return {"B": _recur(_steps(t, 0, n), (0, 0, 1), point)[2:]}
+    _ratio(nu)
     if kind == "type1":
-        return {
-            "A1": _recur(t, (0, one, nu * one), 1, n, True, x)[1 : n + 2],
-            "A2": _recur(t, (0, 0, one), 1, n, True, x)[1 : n + 2],
-        }
-    b1 = _recur(t, (one, 0, 0), 0, n, x=x)[2:]
-    b2 = _recur(t, (-one - nu, one, 0), 0, n, x=x)[2:]
+        steps = _steps(t, 1, n, True)
+        return {"A1": _recur(steps, (0, 1, nu), point)[1 : n + 2], "A2": _recur(steps, (0, 0, 1), point)[1 : n + 2]}
+    steps = _steps(t, 0, n)
+    b1 = _recur(steps, (1, 0, 0), point)[2:]
+    b2 = _recur(steps, (-1 - nu, 1, 0), point)[2:]
     return {"B1": b1, "B2": b2, "b1": [q + p * nu for p, q in zip(b1, b2)]}
 
 
@@ -157,11 +160,10 @@ def sequence_values(t: TetraHessenberg, kind: str, n: int, x, nu=None) -> dict:
     keyed by name: ``"type2"`` gives B, ``"type1"`` gives A1 and A2,
     ``"second"`` gives B1, B2 and b1 (the last two kinds need ``nu`` != 0).
 
-    The four-term recurrence runs at x over the integers, O(N) steps on
-    int numerators over one common denominator, reduced by one gcd per
-    step; no polynomial is built.  Every value is returned as a reduced
-    Fraction equal to p(x) for the polynomial p that type2_sequence,
-    type1_sequences or second_kind_sequences returns at the same place.
+    The recurrence runs at x over the integers; no polynomial is built.
+    Every value is returned as a reduced Fraction equal to p(x) for the
+    polynomial p that type2_sequence, type1_sequences or
+    second_kind_sequences returns at the same place.
     """
     return {name: tuple(v) for name, v in _sequences(t, kind, n, nu, x).items()}
 

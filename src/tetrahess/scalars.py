@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 #: The most digits one int() or str() call converts, under the default
 #: limit of 4300.  _CHUNK_BITS bits hold fewer than _CHUNK digits.
@@ -104,6 +104,13 @@ def format_ratio(num: int, den: int) -> str:
     if g == den:
         return _str(num // den)
     return f"{_str(num // g)}/{_str(den // g)}"
+
+
+def over_common_denominator(values):
+    """(ints, d): the exact scalars ``values`` as int numerators over d > 0,
+    the lcm of their denominators, so values[i] == ints[i] / d."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def exact_tuple(values, what):

@@ -56,11 +56,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, repeat
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import mul
 
 from .core import DenseMatrix
 from .errors import DimensionCapExceeded
+from .scalars import over_common_denominator
 
 DEFAULT_CAP = 8
 POWER_ORACLE_CAP = 6
@@ -91,17 +92,12 @@ class _MinorTable:
     divides the row factors back out."""
 
     def __init__(self, m: DenseMatrix):
-        self.scales = tuple(lcm(*(v.denominator for v in row)) for row in m.rows)
-        self.rows = tuple(_scaled(row, d) for row, d in zip(m.rows, self.scales))
+        scaled = [over_common_denominator(row) for row in m.rows]
+        self.rows = tuple(ints for ints, _ in scaled)
+        self.scales = tuple(d for _, d in scaled)
 
     def true_minor(self, rows, scaled) -> Fraction:
         return Fraction(scaled, prod(self.scales[r] for r in rows))
-
-
-def _scaled(row, d):
-    """The exact scalars of ``row`` times d, a common multiple of their
-    denominators, as ints."""
-    return tuple(v.numerator * (d // v.denominator) for v in row)
 
 
 def _check_cap(m: DenseMatrix, cap: int):
@@ -342,8 +338,8 @@ def _some_power_totally_positive(m: DenseMatrix) -> bool:
     power and minor is an int; a minor of order r of (L m)^k is L^(k r)
     times that of m^k, so the TP verdict is the same."""
     _check_cap(m, POWER_ORACLE_CAP)
-    common = lcm(*(v.denominator for row in m.rows for v in row))
-    base = DenseMatrix(_scaled(row, common) for row in m.rows)
+    entries, _ = over_common_denominator([v for row in m.rows for v in row])
+    base = DenseMatrix(entries[i * m.n : (i + 1) * m.n] for i in range(m.n))
     power = base
     for _ in range(max(1, m.n - 1)):
         if _full_scan(_MinorTable(power), violates=lambda value: value <= 0)[0] is None:

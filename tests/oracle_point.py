@@ -1,9 +1,11 @@
-"""The Fraction point recurrence and the Fraction AKV determinant loop that
-the integer forms of ``tetrahess.polynomials._recur`` (given x) and
+"""The recurrence as Poly and Fraction operations, and the Fraction AKV
+determinant loop, that the integer forms of
+``tetrahess.polynomials._recur`` (with and without x) and
 ``tetrahess.darboux.akv_sign_checks`` replaced, kept unchanged as the
 oracles of the differential tests in test_point.py.
 
-Every value at the point is a Fraction, one gcd per operation, and every
+Every polynomial step is Poly arithmetic (``_x_minus``, ``Poly.scale``),
+every value at the point is a Fraction, one gcd per operation, and every
 determinant, comparison and maximum is a Fraction operation.
 """
 
@@ -15,8 +17,12 @@ from fractions import Fraction
 from tetrahess.core import TetraHessenberg
 from tetrahess.darboux import _AKV_DETS, AkvReport, _check_pbf, _forced_nu, _l_times, _u_times
 from tetrahess.errors import SignViolation, ZeroNu
-from tetrahess.polynomials import _x_minus
 from tetrahess.poly import Poly, constant_poly
+
+
+def _x_minus(c, p: Poly) -> Poly:
+    """(x - c) p in O(deg p)."""
+    return p.times_x() - p.scale(c)
 
 
 def _recur(t: TetraHessenberg, seeds, start: int, stop: int, transpose=False, x=None):

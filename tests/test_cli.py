@@ -141,6 +141,17 @@ class TestFactor:
         assert code == 70
         assert "alpha_3" in err
 
+    @pytest.mark.parametrize("n, code, message", [
+        ("4", 65, "input error: band 'c' holds 3 entries; index 3 is out of range\n"),
+        ("2", 70, "error: leading principal minor delta^[0] vanishes; no LU factorization\n"),
+    ])
+    def test_rows_are_read_before_a_singular_minor_is_reported(self, tmp_path, n, code, message):
+        """delta is read off B(0), which reads rows 0..N first: past the
+        rows supplied the run is bad input even though delta^[0] = c_0 = 0."""
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"a": ["1"], "b": ["1", "1"], "c": ["0", "1", "1"]}))
+        assert run(["factor", "--input", str(path), "--n", n, "--alpha2", "1"]) == (code, "", message)
+
 
 class TestPolys:
     def test_type2_coefficients(self, ones_file):

@@ -51,6 +51,34 @@ def test_gauss_borel_singular_minor():
         gauss_borel(t, 2)
 
 
+@st.composite
+def signed_band_matrix(draw):
+    """T^[N] from signed bands with a_n > 0 and small entries, so that a
+    vanishing leading minor is common."""
+    n = draw(st.integers(0, 9))
+    entry = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+    c = draw(st.lists(entry, min_size=n + 1, max_size=n + 1))
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    a = draw(st.lists(st.builds(F, st.integers(1, 3), st.integers(1, 3)),
+                      min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    return tetra_from_bands(a=a, b=b, c=c), n
+
+
+@settings(max_examples=120, derandomize=True)
+@given(signed_band_matrix())
+def test_delta_is_the_dense_leading_minor(case):
+    """delta^[k] against dense elimination, and SingularLeadingMinor at the
+    first k whose determinant is 0."""
+    t, n = case
+    dets = [leading_principal(t, k).det() for k in range(n + 1)]
+    if 0 in dets:
+        with pytest.raises(SingularLeadingMinor) as info:
+            gauss_borel(t, n)
+        assert info.value.n == dets.index(0)
+    else:
+        assert gauss_borel(t, n).delta == tuple(dets)
+
+
 def test_gauss_borel_order_vs_available_bands(t_sym):
     gb = gauss_borel(t_sym, 2)
     assert gb.order == 2

@@ -1,6 +1,8 @@
 """Values at a point over the integers against the Fraction forms they
 replaced (oracle_point.py): the sampled recurrence behind sequence_values
-and the AKV determinants of akv_sign_checks."""
+and the AKV determinants of akv_sign_checks.  The same recurrence without a
+point (x = None) builds the polynomials, checked against the Poly-op
+recurrence of the oracle."""
 
 import random
 from fractions import Fraction as F
@@ -13,11 +15,14 @@ from oracle_point import akv_sign_checks as oracle_akv_sign_checks
 from oracle_point import sequence_values as oracle_sequence_values
 from tetrahess import AlphaSequence, BandExhausted, SignViolation, tetra_from_alphas, tetra_from_bands
 from tetrahess.darboux import akv_sign_checks
+from tetrahess.poly import Poly
 from tetrahess.polynomials import sequence_values
 from tetrahess.serialize import load_alphas
 
 #: Negative, zero, dyadic and non-dyadic points.
 POINT = st.builds(F, st.integers(-40, 40), st.integers(1, 27))
+#: A point, or None for the polynomials themselves.
+POINT_OR_NONE = st.none() | POINT
 NONNEGATIVE_POINT = st.builds(F, st.integers(0, 40), st.integers(1, 27))
 NU = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 11))
 PBF_FRACTION = st.builds(F, st.integers(1, 12), st.integers(1, 12))
@@ -55,24 +60,24 @@ def _same_values(t, n, x, nu):
     for kind in ("type2", "type1", "second"):
         got = sequence_values(t, kind, n, x, nu)
         assert got == oracle_sequence_values(t, kind, n, x, nu), (kind, n, x, nu)
-        assert all(type(v) is F for vals in got.values() for v in vals)
+        assert all(type(v) is (Poly if x is None else F) for vals in got.values() for v in vals)
 
 
 @settings(max_examples=60, derandomize=True)
-@given(pbf_input(24), POINT, NU)
+@given(pbf_input(24), POINT_OR_NONE, NU)
 def test_point_recurrence_matches_the_fraction_oracle(case, x, nu):
     t, _, n = case
     _same_values(t, n, x, nu)
 
 
 @settings(max_examples=40, derandomize=True)
-@given(signed_bands(), POINT, NU)
+@given(signed_bands(), POINT_OR_NONE, NU)
 def test_point_recurrence_on_signed_bands_matches_the_oracle(case, x, nu):
     t, n = case
     _same_values(t, n, x, nu)
 
 
-@pytest.mark.parametrize("x", [0, 3, F(-7, 9), F(1, 3), F(10)])
+@pytest.mark.parametrize("x", [0, 3, F(-7, 9), F(1, 3), F(10), None])
 @pytest.mark.parametrize("n", [14, 50, 150])
 def test_point_recurrence_at_depth(n, x):
     """Deep runs on random height-12 alphas, where the common denominator
@@ -85,10 +90,11 @@ def test_point_recurrence_at_depth(n, x):
 @pytest.mark.parametrize("kind, nu, n", [("type2", None, 30), ("type1", 1, 30), ("second", 1, 30)])
 def test_point_recurrence_fails_on_the_same_band_entry(kind, nu, n):
     t = tetra_from_alphas(AlphaSequence(values=(F(1),) * 20))
-    for values in (sequence_values, oracle_sequence_values):
-        with pytest.raises(BandExhausted) as info:
-            values(t, kind, n, F(1, 3), nu)
-        assert (info.value.band, info.value.index) == (("a", 8) if kind == "type1" else ("c", 7))
+    for x in (F(1, 3), None):
+        for values in (sequence_values, oracle_sequence_values):
+            with pytest.raises(BandExhausted) as info:
+                values(t, kind, n, x, nu)
+            assert (info.value.band, info.value.index) == (("a", 8) if kind == "type1" else ("c", 7)), x
 
 
 def _outcome(check, *args):
