@@ -44,7 +44,7 @@ from .families import (
 )
 from .polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
 from .scalars import format_ratio, format_scalar, parse_int, parse_scalar
-from .serialize import dump_alphas, dump_matrix, load_alphas, load_matrix
+from .serialize import DEFAULT_GENERATOR_COUNT, dump_alphas, dump_matrix, load_alphas, load_matrix
 from .tncheck import POWER_ORACLE_CAP, _some_power_totally_positive, is_totally_nonnegative
 
 EXIT_OK = 0
@@ -399,7 +399,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--variant", choices=("first", "akv"), default="first")
-    p.add_argument("--count", type=int, default=31)
+    p.add_argument("--count", type=int, default=DEFAULT_GENERATOR_COUNT)
     p.add_argument("--out")
 
     p = sub.add_parser("jp-scan", help="CSV region scan over the fixed grid")

@@ -239,7 +239,11 @@ def darboux_polynomials(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tr
 
 def _origin_system(a10, a20, k):
     """[s1, s2] = [A1_k(0), A2_k(0)] M_k^{-1}, with M_k the 2x2 matrix whose
-    rows are the origin values (A1(0), A2(0)) at indices k+1 and k+2."""
+    rows are the origin values (A1(0), A2(0)) at indices k+1 and k+2.
+
+    Whatever nu is, det M_k = (-1)^{k+1} B_{k+1}(0) / (a_2 ... a_{k+2}), so
+    M_k is singular exactly when B_{k+1}(0) = 0; a caller that has checked
+    B_{k+1}(0) != 0 never sees SingularQuasiDetSystem."""
     det = a10[k + 1] * a20[k + 2] - a20[k + 1] * a10[k + 2]
     if det == 0:
         raise SingularQuasiDetSystem(k)

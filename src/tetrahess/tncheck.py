@@ -51,11 +51,10 @@ carries the true minor, Fraction(scaled, prod(d_r, r in R)).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb, prod
 from operator import mul
 
@@ -187,70 +186,53 @@ def _plan(n, upper, lower):
     and the slot of the sub-minor.  Each other term t is (extra_entries[t],
     extra_slots[t]), added to entry targets[t].
 
-    One pass over the pairs the band allows builds the plan.  The listed
-    column subsets of rows R are (c,) + C' for each c in the band of the
-    first row r of R and each listed column subset C' of R - {r} with
-    c < min C', in lexicographic order; the first term's sub-minor is
-    (R - {r}, C').  Each run of entries for one c is appended as a whole.
-    Only an entry with a second column in the band of row r is visited
-    alone, for its other terms.  A position is found from the lexicographic
-    ranks of R and C.  The cache hands every caller the same arrays;
-    nothing writes to them once they are built."""
+    The listed column subsets of rows R are (c,) + C' for each c in the
+    band of the first row r of R and each listed column subset C' of
+    R - {r} with c < min C', in lexicographic order; the first term's
+    sub-minor is (R - {r}, C').  The other terms come from walking the later
+    columns of C while they are <= r + upper.  A position comes from the
+    lexicographic ranks of R and C.  The cache hands every caller the same
+    arrays; nothing writes to them once they are built."""
     square = n * n
 
     def band(r):
         return range(max(r - lower, 0), min(r + upper, n - 1) + 1)
 
-    # the minors listed one order below, by row bitmask: the slot of the
-    # first, then the first column and the column bitmask of each; and the
-    # slot of each by its packed masks
-    below = {1 << r: (r * n + band(r).start, list(band(r)), [1 << c for c in band(r)]) for r in range(n)}
-    slot_of = {1 << r + n | 1 << c: r * n + c for r in range(n) for c in band(r)}
+    # the slot of each listed minor of the order below, by rows, then
+    # columns; order 1 lists the entries in the band
+    listed = {(r,): {(c,): r * n + c for c in band(r)} for r in range(n)}
     slot = offset = square
     orders = []
     for size in range(2, n + 1):
-        row_masks = [sum(1 << r for r in rows) for rows in combinations(range(n), size)]
-        rank = {mask: k for k, mask in enumerate(row_masks)}
-        positions, masks, entries, slots = array("I"), array("I"), array("I"), array("I")
-        extras, listed = [], {}
-        for k, rmask in enumerate(row_masks):
-            first = (rmask & -rmask).bit_length() - 1
-            start, firsts, cmasks = below[rmask ^ 1 << first]
-            rest = (rmask ^ 1 << first) << n
-            base = offset + k * len(row_masks) + 1
-            row, last = first * n, first + upper
-            here, here_firsts, here_cmasks = len(masks), [], []
-            for c in band(first):
-                i = bisect_right(firsts, c)
-                if i == len(firsts):
-                    break
-                bit = 1 << c
-                added = list(map(bit.__add__, cmasks[i:]))
-                j0 = len(masks)
-                positions.extend(map(base.__add__, map(rank.__getitem__, added)))
-                masks.extend(map((rmask << n).__add__, added))
-                entries.extend(repeat(row + c, len(added)))
-                slots.extend(range(start + i, start + len(firsts)))
-                here_firsts += repeat(c, len(added))
-                here_cmasks += added
-                # the entries whose second column is in the band of row r
-                for j, cmask in enumerate(added[: bisect_right(firsts, last) - i], j0):
-                    p = 1
-                    for d in range(c + 1, last + 1):
-                        if cmask >> d & 1:
-                            sub = slot_of.get(rest | cmask ^ 1 << d)
-                            if sub is not None:
-                                extras.append((j, row + d + (square if p & 1 else 0), sub))
-                            p += 1
-            listed[rmask] = (slot + here, here_firsts, here_cmasks)
+        subsets = list(combinations(range(n), size))
+        rank = {cols: k for k, cols in enumerate(subsets)}
+        bits = {cols: sum(1 << c for c in cols) for cols in subsets}
+        below, listed = listed, {}
+        order = tuple(array("I") for _ in range(7))
+        positions, masks, entries, slots, targets, extra_entries, extra_slots = order
+        for i, rows in enumerate(subsets):
+            r, subs = rows[0], below[rows[1:]]
+            pairs = [((c,) + cols, sub) for c in band(r) for cols, sub in subs.items() if c < cols[0]]
+            base, rmask, last = offset + i * len(subsets) + 1, bits[rows] << n, r + upper
+            for k, (cols, _) in enumerate(pairs, len(masks)):
+                p = 1
+                while p < size and cols[p] <= last:
+                    other = subs.get(cols[:p] + cols[p + 1 :])
+                    if other is not None:
+                        targets.append(k)
+                        extra_entries.append(r * n + cols[p] + (square if p & 1 else 0))
+                        extra_slots.append(other)
+                    p += 1
+            positions.extend([base + rank[cols] for cols, _ in pairs])
+            masks.extend([rmask | bits[cols] for cols, _ in pairs])
+            entries.extend([r * n + cols[0] for cols, _ in pairs])
+            slots.extend([sub for _, sub in pairs])
+            listed[rows] = {cols: slot + j for j, (cols, _) in enumerate(pairs)}
+            slot += len(pairs)
         if not masks:
             break
-        extra_columns = (array("I", column) for column in list(zip(*extras)) or ((), (), ()))
-        orders.append((positions, masks, entries, slots, *extra_columns))
-        below = listed
-        slot_of = dict(zip(masks, range(slot, slot + len(masks))))
-        slot += len(masks)
-        offset += len(row_masks) ** 2
+        orders.append(order)
+        offset += len(subsets) ** 2
     return tuple(orders)
 
 

@@ -21,7 +21,7 @@ from tetrahess.cli import main
 from tetrahess.poly import Poly
 from tetrahess.polynomials import second_kind_sequences, type1_sequences, type2_sequence
 from tetrahess.scalars import format_scalar
-from tetrahess.serialize import load_matrix
+from tetrahess.serialize import DEFAULT_GENERATOR_COUNT, load_alphas, load_matrix
 
 
 def run(argv):
@@ -66,6 +66,16 @@ class TestJP:
                             "--count", "6"])
         assert code == 0
         assert json.loads(out) == ["1/2", "0", "1/6", "2/15", "1/5", "1/14"]
+
+    def test_default_count_is_the_generator_default(self):
+        """`jp` without --count prints as many alphas as a jacobi-pineiro
+        generator payload without a count loads."""
+        code, out, _ = run(["jp", "--alpha", "0", "--beta", "1/2", "--gamma", "0", "--variant", "akv"])
+        assert code == 0
+        generated = load_alphas({"generator": {"name": "jacobi-pineiro", "variant": "akv",
+                                               "alpha": "0", "beta": "1/2", "gamma": "0"}})
+        assert json.loads(out) == [format_scalar(v) for v in generated.values]
+        assert len(generated.values) == DEFAULT_GENERATOR_COUNT == 31
 
     def test_outside_region_is_input_error(self):
         code, _, err = run(["jp", "--alpha", "1", "--beta", "0", "--gamma", "0"])

@@ -2,6 +2,7 @@
 the Christoffel identity battery, and the sign-definite determinant checks."""
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from tetrahess import (
     IdentityViolation,
     Poly,
     SignViolation,
+    SingularQuasiDetSystem,
     TetraError,
+    ZeroAtOrigin,
     akv_sign_checks,
     alpha_factor_matrices,
     alphas_from_polynomials,
@@ -20,6 +23,7 @@ from tetrahess import (
     darboux_transforms,
     leading_principal,
     second_kind_sequences,
+    sequence_values,
     tetra_from_alphas,
     tetra_from_bands,
     transformed_char_polys,
@@ -252,6 +256,62 @@ def test_alphas_from_polynomials_round_trip(seed):
 def test_alpha1_equals_c0_anchor(t_ones):
     rec = alphas_from_polynomials(t_ones, 2, F(1))
     assert rec.at(1) == t_ones.c(0)
+
+
+def _constant_bands(a, b, c, length=8):
+    return tetra_from_bands(a=[F(a)] * length, b=[F(b)] * length, c=[F(c)] * length)
+
+
+def test_alphas_from_polynomials_refuses_a_zero_b_at_the_origin():
+    """c, b, a = 1 gives B(0) = 1, -1, 0, 0, 1, ..., so the ratio u_2 is
+    undefined."""
+    t = _constant_bands(1, 1, 1)
+    assert sequence_values(t, "type2", 3, 0)["B"] == (1, -1, 0, 0)
+    with pytest.raises(ZeroAtOrigin) as err:
+        alphas_from_polynomials(t, 2, F(1))
+    assert (err.value.n, err.value.which) == (2, "B")
+
+
+@pytest.mark.parametrize("alpha2", [F(1), F(2), F(1, 3)])
+def test_alphas_from_polynomials_refuses_a_zero_a1_at_the_origin(alpha2):
+    """a_2 A1_2(0) = -c_0 - nu b_1 = b_1 / alpha_2 - c_0 with
+    nu = -1/alpha_2, so c_0 = b_1 / alpha_2 makes p_2 undefined while every
+    B value stays nonzero."""
+    c = [F(3) / alpha2, F(5), F(7), F(11), F(13), F(17), F(19), F(23)]
+    t = tetra_from_bands(a=[F(2)] * 8, b=[F(3)] * 8, c=c)
+    assert 0 not in sequence_values(t, "type2", 4, 0)["B"]
+    with pytest.raises(ZeroAtOrigin) as err:
+        alphas_from_polynomials(t, 3, alpha2)
+    assert (err.value.n, err.value.which) == (2, "A1")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(signed_rationals, min_size=10, max_size=10),
+       st.lists(signed_rationals, min_size=10, max_size=10),
+       st.lists(st.fractions(min_value=F(1, 5), max_value=F(4), max_denominator=5), min_size=10, max_size=10),
+       signed_rationals.filter(bool))
+def test_origin_system_determinant_is_a_b_value(c, b, a, nu):
+    """det M_k = (-1)^(k+1) B_{k+1}(0) / (a_2 ... a_{k+2}) for every nu,
+    so the 2x2 origin system is singular exactly when B_{k+1}(0) = 0."""
+    t = tetra_from_bands(a=a, b=b, c=c)
+    n = 7
+    b0 = sequence_values(t, "type2", n + 1, 0)["B"]
+    origin = sequence_values(t, "type1", n + 2, 0, nu)
+    a10, a20 = origin["A1"], origin["A2"]
+    for k in range(n + 1):
+        det = a10[k + 1] * a20[k + 2] - a20[k + 1] * a10[k + 2]
+        assert det == (-1) ** (k + 1) * b0[k + 1] / prod(t.a(j) for j in range(2, k + 3))
+
+
+def test_origin_system_is_singular_where_b_vanishes():
+    """On c, b, a = 1, B_2(0) = 0 makes M_1 singular whatever nu is; the
+    reconstruction refuses the same matrix earlier, at B_2(0)."""
+    t = _constant_bands(1, 1, 1)
+    for nu in (F(-1), F(2, 3)):
+        origin = sequence_values(t, "type1", 4, 0, nu)
+        with pytest.raises(SingularQuasiDetSystem) as err:
+            darboux._origin_system(origin["A1"], origin["A2"], 1)
+        assert err.value.n == 1
 
 
 def test_verify_christoffel_ones(t_ones, ones_alphas):

@@ -373,3 +373,67 @@ def test_dim8_tetradiagonal_plan_lists_the_minors_the_band_allows():
     listed = [position for positions, *_ in plan for position in positions]
     assert len(listed) == 12869 - 6156 - 28
     assert listed == sorted(listed) and listed[0] > 64 and listed[-1] == 12869
+
+
+def _plan_from_definition(n, upper, lower):
+    """The plan of shape (n, upper, lower) rebuilt from its definition
+    alone: walk every (R, C) of orders 2..n in full-enumeration order and
+    keep it iff r_i - lower <= c_i <= r_i + upper for every i.  A kept minor
+    records its position, its packed masks and its first-row expansion
+    terms whose entry is in the band and whose sub-minor is kept, each as
+    (index of the signed entry, slot of the sub-minor)."""
+    def kept(rows, cols):
+        return all(r - lower <= c <= r + upper for r, c in zip(rows, cols))
+
+    slot_of = {((r,), (c,)): r * n + c for r in range(n) for c in range(n) if kept((r,), (c,))}
+    slot, position, orders = n * n, n * n, []
+    for size in range(2, n + 1):
+        order = []
+        for rows in combinations(range(n), size):
+            for cols in combinations(range(n), size):
+                position += 1
+                if not kept(rows, cols):
+                    continue
+                r, rest = rows[0], rows[1:]
+                terms = [
+                    (r * n + c + (n * n if p % 2 else 0), slot_of[rest, cols[:p] + cols[p + 1 :]])
+                    for p, c in enumerate(cols)
+                    if c <= r + upper and (rest, cols[:p] + cols[p + 1 :]) in slot_of
+                ]
+                mask = sum(1 << i for i in rows) << n | sum(1 << j for j in cols)
+                order.append((position, mask, terms))
+                slot_of[rows, cols] = slot
+                slot += 1
+        if not order:
+            break
+        orders.append(order)
+    return orders
+
+
+def _plan_as_terms(n, upper, lower):
+    """_plan(n, upper, lower) read back into the form of
+    _plan_from_definition, checking that every array is unsigned int."""
+    orders = []
+    for order in _plan(n, upper, lower):
+        assert [column.typecode for column in order] == ["I"] * 7
+        positions, masks, entries, slots, targets, extra_entries, extra_slots = order
+        terms = [[(entry, slot)] for entry, slot in zip(entries, slots)]
+        for k, entry, slot in zip(targets, extra_entries, extra_slots):
+            terms[k].append((entry, slot))
+        orders.append(list(zip(positions, masks, terms)))
+    return orders
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plan_matches_its_definition_for_every_band_up_to_dim_6(n):
+    """Every band, an empty one and upper < 0 included; the mask-loop
+    differentials reach only the bands that random matrices happen to
+    have."""
+    for upper in range(-n, n):
+        for lower in range(-n, n):
+            assert _plan_as_terms(n, upper, lower) == _plan_from_definition(n, upper, lower), (upper, lower)
+
+
+@pytest.mark.parametrize("shape", [(8, 1, 2), (8, 7, 7)])
+def test_plan_matches_its_definition_at_dim_8(shape):
+    assert _plan_as_terms(*shape) == _plan_from_definition(*shape)
