@@ -33,7 +33,6 @@ from .core import (
 from .errors import (
     IdentityViolation,
     SignViolation,
-    SingularQuasiDetSystem,
     TetraError,
     ZeroAlphaTwo,
     ZeroAtOrigin,
@@ -46,6 +45,7 @@ from .polynomials import (
     type1_sequences,
     type2_sequence,
 )
+from .scalars import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,18 @@ def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
 # The factor products take v = (v_0, v_1, ...), polynomials or their values
 # at one point (evaluation commutes with each), and hold every row the factor
 # and v determine; L is unit lower bidiagonal with subdiagonal ``sub``.
+# ``one`` stands for 1: with factors scaled by an int K and ``one`` = K, the
+# products of int v are K times the true ones, with no Fraction formed.
 
 
-def _u_times(u, v):
+def _u_times(u, v, one=1):
     """U v: (U v)_k = v_{k+1} + u_k v_k."""
-    return tuple(v_k1 + v_k * u_k for u_k, v_k, v_k1 in zip(u, v, v[1:]))
+    return tuple(v_k1 * one + v_k * u_k for u_k, v_k, v_k1 in zip(u, v, v[1:]))
 
 
-def _l_times(sub, v):
+def _l_times(sub, v, one=1):
     """L v: (L v)_0 = v_0 and (L v)_k = v_k + sub_k v_{k-1}."""
-    return (v[0], *(v_k + v_k1 * s_k for s_k, v_k, v_k1 in zip(sub[1:], v[1:], v)))
+    return (v[0] * one, *(v_k * one + v_k1 * s_k for s_k, v_k, v_k1 in zip(sub[1:], v[1:], v)))
 
 
 def _times_l(v, sub):
@@ -242,11 +244,11 @@ def _origin_system(a10, a20, k):
     rows are the origin values (A1(0), A2(0)) at indices k+1 and k+2.
 
     Whatever nu is, det M_k = (-1)^{k+1} B_{k+1}(0) / (a_2 ... a_{k+2}), so
-    M_k is singular exactly when B_{k+1}(0) = 0; a caller that has checked
-    B_{k+1}(0) != 0 never sees SingularQuasiDetSystem."""
+    M_k is singular exactly when B_{k+1}(0) = 0, and that is the error
+    raised."""
     det = a10[k + 1] * a20[k + 2] - a20[k + 1] * a10[k + 2]
     if det == 0:
-        raise SingularQuasiDetSystem(k)
+        raise ZeroAtOrigin(k + 1, "B")
     s1 = (a10[k] * a20[k + 2] - a20[k] * a10[k + 2]) / det
     s2 = (a20[k] * a10[k + 1] - a10[k] * a20[k + 1]) / det
     return s1, s2
@@ -399,14 +401,16 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     ones entering the determinants.
 
     Nothing here is a polynomial: at each sample x the recurrences run over
-    the integers (sequence_values, O(N) steps) and the products act on
-    those values, so the cost is O(N) per sample point.  Each value equals
-    the polynomial product evaluated at x.  Each determinant is formed over
-    the integers from the numerators and denominators of its four values:
-    its numerator, over a positive denominator, decides the sign, and the
-    running maximum is compared by cross-multiplication.  Only the reported
-    max_value, and the value a SignViolation carries, become Fractions,
-    each equal to the determinant it stands for.
+    the integers (sequence_values, O(N) steps), so the cost is O(N) per
+    sample point.  Every strand is then a list of ints over one positive
+    denominator per family: u and q are brought to one K once per call, the
+    three sampled strands to one d at each x, and the factor products run
+    on those ints with ``one`` = K, so B, hat and hathat sit over d, d K^2
+    and d K.  A determinant's int numerator, over the product of its two
+    families' denominators, decides its sign, and the running maximum is
+    compared by cross-multiplication.  Only the reported max_value, and the
+    value a SignViolation carries, become Fractions, each equal to the
+    determinant it stands for.
     """
     xs = tuple(xs)
     if not xs:
@@ -416,40 +420,33 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
             raise ValueError(f"sample x = {x} violates x >= 0")
     u, _, q = _check_pbf(alphas, 3 * n + 4, "akv_sign_checks")
     nu = _forced_nu(alphas.at(2))
+    factors, big_k = over_common_denominator(u + q)
+    u, q = factors[: len(u)], factors[len(u) :]
 
-    # with each value as (numerator, denominator > 0), the determinant
-    # t_main b_comp - t_comp b_main is
-    #     (tmn bcn tcd bmd - tcn bmn tmd bcd) / (tmd bcd tcd bmd),
-    # and it beats the running maximum mnum/mden when num mden > mnum den
     mnum = mden = max_location = None
     zeros_at_origin = 0
     checked = 0
     for x in xs:
-        at_origin = x == 0
         second = sequence_values(t, "second", n + 2, x, nu)
-        base = (sequence_values(t, "type2", n + 2, x)["B"], second["B1"], second["B2"])
-        hathat = tuple(_u_times(u, v) for v in base)
-        vals = tuple(
-            tuple(([v.numerator for v in strand], [v.denominator for v in strand]) for strand in family)
-            for family in (base, tuple(_l_times(q, uv) for uv in hathat), hathat)
-        )
+        b = sequence_values(t, "type2", n + 2, x)["B"]
+        strands, d = over_common_denominator(b + second["B1"] + second["B2"])
+        m = len(b)
+        base = strands[:m], strands[m : 2 * m], strands[2 * m :]
+        hathat = tuple(_u_times(u, v, big_k) for v in base)
+        vals = (base, tuple(_l_times(q, uv, big_k) for uv in hathat), hathat)
+        dens = (d, d * big_k * big_k, d * big_k)
         for det_id, (top, shift, bottom, comp) in enumerate(_AKV_DETS, start=1):
-            (tmn, tmd), (tcn, tcd) = vals[top][0], vals[top][comp]
-            (bmn, bmd), (bcn, bcd) = vals[bottom][0], vals[bottom][comp]
+            tm, tc, bm, bc = vals[top][0][shift:], vals[top][comp][shift:], vals[bottom][0], vals[bottom][comp]
+            den = dens[top] * dens[bottom]
             for k in range(n + 1):
-                i = k + shift
-                num = tmn[i] * bcn[k] * (tcd[i] * bmd[k]) - tcn[i] * bmn[k] * (tmd[i] * bcd[k])
+                num = tm[k] * bc[k] - tc[k] * bm[k]
                 checked += 1
                 if num > 0:
-                    raise SignViolation(det_id, k, x, Fraction(num, tmd[i] * bcd[k] * tcd[i] * bmd[k]))
-                if at_origin and num == 0:
+                    raise SignViolation(det_id, k, x, Fraction(num, den))
+                if num == 0 and x == 0:
                     zeros_at_origin += 1
-                # no value <= 0 beats a maximum of 0, so its denominator
-                # is only formed while the maximum is negative
-                if mnum != 0:
-                    den = tmd[i] * bcd[k] * tcd[i] * bmd[k]
-                    if mnum is None or num * mden > mnum * den:
-                        mnum, mden, max_location = num, den, (det_id, k, x)
+                if mnum is None or num * mden > mnum * den:
+                    mnum, mden, max_location = num, den, (det_id, k, x)
     return AkvReport(
         n_max=n,
         xs=xs,

@@ -100,15 +100,6 @@ class ZeroAtOrigin(TetraError):
         super().__init__(f"{which}_{n}(0) = 0: reconstruction ratio undefined")
 
 
-class SingularQuasiDetSystem(TetraError):
-    """The 2x2 system of origin values used to reconstruct an alpha pair is
-    singular."""
-
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"2x2 origin-value system at n = {n} is singular")
-
-
 class IdentityViolation(TetraError):
     """An identity that must hold exactly failed at some index."""
 

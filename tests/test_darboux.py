@@ -13,7 +13,6 @@ from tetrahess import (
     IdentityViolation,
     Poly,
     SignViolation,
-    SingularQuasiDetSystem,
     TetraError,
     ZeroAtOrigin,
     akv_sign_checks,
@@ -36,6 +35,7 @@ from tetrahess import (
 )
 from tetrahess import darboux
 from tetrahess.core import _split_alphas
+from tetrahess.scalars import over_common_denominator
 
 from conftest import pbf_corpus
 
@@ -68,6 +68,20 @@ def test_factor_products_match_the_dense_factors(data, n, polys):
         assert darboux._l_times(sub, v[: n + 1]) == tuple(_dense_times(lower.rows, v, zero))
         columns = tuple(zip(*lower.rows))
         assert darboux._times_l(v, sub)[:n] == tuple(_dense_times(columns, v, zero)[:n])
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data(), st.integers(1, 12))
+def test_factor_products_scale_with_one(data, n):
+    """With Fraction factors scaled by K, the lcm of their denominators, and
+    ``one`` = K, the products of int v are ints, K times the true ones."""
+    u, sub = (data.draw(st.lists(signed_rationals, min_size=n + 1, max_size=n + 1)) for _ in range(2))
+    v = data.draw(st.lists(st.integers(-99, 99), min_size=n + 2, max_size=n + 2))
+    scaled, k = over_common_denominator(u + sub)
+    got_u, got_l = darboux._u_times(scaled[: n + 1], v, k), darboux._l_times(scaled[n + 1 :], v, k)
+    assert got_u == tuple(k * w for w in darboux._u_times(u, v))
+    assert got_l == tuple(k * w for w in darboux._l_times(sub, v))
+    assert all(type(w) is int for w in got_u + got_l)
 
 
 def test_hat_bands_ones(ones_alphas):
@@ -304,14 +318,15 @@ def test_origin_system_determinant_is_a_b_value(c, b, a, nu):
 
 
 def test_origin_system_is_singular_where_b_vanishes():
-    """On c, b, a = 1, B_2(0) = 0 makes M_1 singular whatever nu is; the
-    reconstruction refuses the same matrix earlier, at B_2(0)."""
+    """On c, b, a = 1, B_2(0) = 0 makes M_1 singular whatever nu is, and
+    the system names that zero, as the reconstruction does on the same
+    matrix."""
     t = _constant_bands(1, 1, 1)
     for nu in (F(-1), F(2, 3)):
         origin = sequence_values(t, "type1", 4, 0, nu)
-        with pytest.raises(SingularQuasiDetSystem) as err:
+        with pytest.raises(ZeroAtOrigin) as err:
             darboux._origin_system(origin["A1"], origin["A2"], 1)
-        assert err.value.n == 1
+        assert (err.value.n, err.value.which) == (2, "B")
 
 
 def test_verify_christoffel_ones(t_ones, ones_alphas):

@@ -8,12 +8,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_point import akv_sign_checks as oracle_akv_sign_checks
 from oracle_point import sequence_values as oracle_sequence_values
 from tetrahess import AlphaSequence, BandExhausted, SignViolation, tetra_from_alphas, tetra_from_bands
+from tetrahess.cli import AKV_XS
 from tetrahess.darboux import akv_sign_checks
 from tetrahess.poly import Poly
 from tetrahess.polynomials import sequence_values
@@ -77,14 +78,21 @@ def test_point_recurrence_on_signed_bands_matches_the_oracle(case, x, nu):
     _same_values(t, n, x, nu)
 
 
+def _height_12_input(n):
+    """Random height-12 PBF alphas for rows 0..N, seeded by N, and the
+    matrix they factor."""
+    rng = random.Random(n)
+    alphas = AlphaSequence(values=tuple(F(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(3 * n + 10)))
+    return tetra_from_alphas(alphas), alphas, n
+
+
 @pytest.mark.parametrize("x", [0, 3, F(-7, 9), F(1, 3), F(10), None])
 @pytest.mark.parametrize("n", [14, 50, 150])
 def test_point_recurrence_at_depth(n, x):
     """Deep runs on random height-12 alphas, where the common denominator
     grows with every step."""
-    rng = random.Random(n)
-    alphas = AlphaSequence(values=tuple(F(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(3 * n + 10)))
-    _same_values(tetra_from_alphas(alphas), n, x, F(-2, 3))
+    t, _, n = _height_12_input(n)
+    _same_values(t, n, x, F(-2, 3))
 
 
 @pytest.mark.parametrize("kind, nu, n", [("type2", None, 30), ("type1", 1, 30), ("second", 1, 30)])
@@ -107,7 +115,10 @@ def _outcome(check, *args):
 
 @settings(max_examples=40, derandomize=True)
 @given(pbf_input(10), st.lists(NONNEGATIVE_POINT, min_size=1, max_size=5))
+@example(_height_12_input(30), AKV_XS)
 def test_akv_determinants_match_the_fraction_oracle(case, xs):
+    """Small inputs, and one at N = 30 on height-12 alphas, where the
+    common denominators K and d are large."""
     t, alphas, n = case
     report = akv_sign_checks(t, alphas, n, xs)
     assert report == oracle_akv_sign_checks(t, alphas, n, xs)
