@@ -297,14 +297,14 @@ def _check_pbf(alphas: AlphaSequence, count: int, op: str):
     return _split_alphas(alphas.values[:count])
 
 
-def _check_identity(name, k, lhs, rhs, over_x=True):
-    """Check lhs = rhs.  With ``over_x``, lhs is a bracket of the base
-    sequences standing for x times a transformed polynomial, so it must
-    also be divisible by x."""
-    if over_x and lhs.constant != 0:
-        raise IdentityViolation(name, k, lhs.constant)
-    residual = lhs - rhs
-    if not residual.is_zero():
+def _check_identity(name, k, constant, terms, base):
+    """Check one identity at k: ``constant`` is lhs(0), None where lhs is
+    not x times a polynomial, and ``terms`` write lhs - rhs as (scalar,
+    family, index); only a nonzero scalar reads ``base(family, index)``."""
+    if constant:
+        raise IdentityViolation(name, k, constant)
+    polys = [base(family, index).scale(s) for s, family, index in terms if s]
+    if polys and not (residual := sum(polys[1:], polys[0])).is_zero():
         raise IdentityViolation(name, k, residual)
 
 
@@ -323,48 +323,48 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
                      x tildetildeA{a}_k = A{a}_k - s1 A{a}_{k+1} - s2 A{a}_{k+2}
                      with [s1, s2] = [A1_k(0), A2_k(0)] M_k^{-1}.
 
-    Each left side is formed from one build of B and of (A1, A2) by the
-    factor products of transformed_type2 and transformed_type1; a left side
-    that is not divisible by x fails its identity with the constant term as
-    residual.  The right sides stay written out from the origin values, so
-    a fault in a product cannot cancel.  Raises IdentityViolation at the
-    first failure, in (k, identity) order.
+    Each left side is a factor product of the base sequences (L2 U B at k
+    is B_{k+1} + (u_k + q_k) B_k + q_k u_{k-1} B_{k-1}), so lhs(0) and the
+    scalars of lhs - rhs, a sum of at most two base polynomials, need only
+    the origin values, O(N) recurrence steps at x = 0.  A nonzero lhs(0) is
+    the residual; B, A1 and A2 are built, once, only for a nonzero scalar.
+    The first failure in (k, identity) order raises IdentityViolation.
     """
     u, p, q = _check_pbf(alphas, 3 * n + 5, "verify_christoffel")
     if n < 1:
         raise ValueError("transformed sequences need N >= 1")
-    b = type2_sequence(t, n + 1)
-    a1, a2 = type1_sequences(t, n + 2, _forced_nu(alphas.at(2)))
-    ub = _u_times(u, b)
-    l2ub = _l_times(q, ub)
-    a1l1, a2l1 = _times_l(a1, p), _times_l(a2, p)
-    a1l1l2, a2l1l2 = _times_l(a1l1, q), _times_l(a2l1, q)
-    b0 = [v.constant for v in b]
-    a10 = [v.constant for v in a1]
-    a20 = [v.constant for v in a2]
+    b0 = sequence_values(t, "type2", n + 1, 0)["B"]
+    nu = _forced_nu(alphas.at(2))
+    origin = sequence_values(t, "type1", n + 2, 0, nu)
+    a10, a20 = origin["A1"], origin["A2"]
+    bases = {}
+
+    def base(family, index):
+        if not bases:
+            bases["B"], (bases["A1"], bases["A2"]) = type2_sequence(t, n + 1), type1_sequences(t, n + 2, nu)
+        return bases[family][index]
+
     names = ("tilde_b", "tildetilde_b", "hat_a1", "tilde_a2", "tildetilde_a1", "tildetilde_a2")
     for k in range(n + 1):
         if a10[k] == 0 or a10[k + 1] == 0:
             raise ZeroAtOrigin(k if a10[k] == 0 else k + 1, "A1")
         if b0[k] == 0:
             raise ZeroAtOrigin(k, "B")
-        rhs = b[k + 1] + b[k].scale((a10[k - 1] if k >= 1 else 0) / a10[k] + t.c(k))
+        constant = b0[k + 1] + (u[k] + q[k]) * b0[k]
+        terms = [(u[k] + q[k] - (a10[k - 1] / a10[k] if k >= 1 else 0) - t.c(k), "B", k)]
         if k >= 1:
-            rhs = rhs - b[k - 1].scale(a10[k + 1] / a10[k] * t.a(k + 1))
-        _check_identity("tilde_b", k, l2ub[k], rhs)
-        # the ratio multiplies B_k (monicity forces this orientation -- the
-        # two readings coincide only when the ratio is -1)
-        rhs = b[k + 1] - b[k].scale(b0[k + 1] / b0[k])
-        _check_identity("tildetilde_b", k, ub[k], rhs)
-        ratio = a10[k] / a10[k + 1]
-        rhs = a2[k] - a2[k + 1].scale(ratio)
-        _check_identity("hat_a1", k, a2l1[k], rhs, over_x=False)
-        rhs = a1[k] - a1[k + 1].scale(ratio)
-        _check_identity("tilde_a2", k, a1l1[k], rhs)
+            constant += q[k] * u[k - 1] * b0[k - 1]
+            terms.append((q[k] * u[k - 1] + a10[k + 1] / a10[k] * t.a(k + 1), "B", k - 1))
+        _check_identity("tilde_b", k, constant, terms, base)
+        _check_identity("tildetilde_b", k, b0[k + 1] + u[k] * b0[k], [(u[k] + b0[k + 1] / b0[k], "B", k)], base)
+        coeff = p[k + 1] + a10[k] / a10[k + 1]
+        _check_identity("hat_a1", k, None, [(coeff, "A2", k + 1)], base)
+        _check_identity("tilde_a2", k, a10[k] + p[k + 1] * a10[k + 1], [(coeff, "A1", k + 1)], base)
         s1, s2 = _origin_system(a10, a20, k)
-        for name, v, lhs in (("tildetilde_a1", a1, a1l1l2), ("tildetilde_a2", a2, a2l1l2)):
-            rhs = v[k] - v[k + 1].scale(s1) - v[k + 2].scale(s2)
-            _check_identity(name, k, lhs[k], rhs)
+        pq, qp = p[k + 1] + q[k + 1], q[k + 1] * p[k + 2]
+        for name, family, v in (("tildetilde_a1", "A1", a10), ("tildetilde_a2", "A2", a20)):
+            terms = [(pq + s1, family, k + 1), (qp + s2, family, k + 2)]
+            _check_identity(name, k, v[k] + pq * v[k + 1] + qp * v[k + 2], terms, base)
     return ChristoffelReport(n_max=n, identities=names, checked=len(names) * (n + 1))
 
 

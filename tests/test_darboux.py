@@ -37,6 +37,7 @@ from tetrahess import darboux
 from tetrahess.core import _split_alphas
 from tetrahess.scalars import over_common_denominator
 
+import oracle_christoffel
 from conftest import pbf_corpus
 
 
@@ -518,7 +519,18 @@ def test_verify_christoffel_reports_first_failure(t_ones, ones_alphas, band, ind
         assert found == ("tildetilde_a1", 0)
 
 
-def test_verify_christoffel_builds_each_family_once(monkeypatch, t_ones, ones_alphas):
+#: A pair whose first Christoffel failure has a polynomial residual: the
+#: matrix is not the one the alphas factor, and tildetilde_a1 fails at k = 0
+#: with residual x (the CI entry-point step runs the same pair).
+POLY_RESIDUAL_ALPHAS = AlphaSequence(tuple(map(F, ["1", "1", "2", "2/3", "2/3", "3", "1", "2/3"])))
+POLY_RESIDUAL_MATRIX = tetra_from_bands(
+    a=[F(2, 3), F(4, 3)], b=[F(2), F(28, 9), F(11, 3)], c=[F(1), F(8, 3), F(14, 3), F(8, 3)]
+)
+
+
+def test_verify_christoffel_builds_polynomials_only_for_a_failure(monkeypatch, t_ones, ones_alphas):
+    """A passing run reads origin values alone; a failure with a polynomial
+    residual builds each base family once, to form that residual."""
     calls = {"type2": 0, "type1": 0}
 
     def counting(key, build):
@@ -530,7 +542,63 @@ def test_verify_christoffel_builds_each_family_once(monkeypatch, t_ones, ones_al
     monkeypatch.setattr(darboux, "type2_sequence", counting("type2", darboux.type2_sequence))
     monkeypatch.setattr(darboux, "type1_sequences", counting("type1", darboux.type1_sequences))
     verify_christoffel(t_ones, ones_alphas, 4)
+    assert calls == {"type2": 0, "type1": 0}
+    with pytest.raises(IdentityViolation) as exc:
+        verify_christoffel(POLY_RESIDUAL_MATRIX, POLY_RESIDUAL_ALPHAS, 1)
+    assert (exc.value.name, exc.value.n, exc.value.residual) == ("tildetilde_a1", 0, Poly([0, 1]))
     assert calls == {"type2": 1, "type1": 1}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_christoffel_matches_the_polynomial_oracle(seed):
+    """Consistent pairs, one alpha moved, unrelated and too short matrices,
+    and perturbed bands: the report, or the error's type, message, args,
+    name, index, residual and residual type, equals the polynomial form's.
+    The set holds failures with a constant and with a Poly residual."""
+    residuals = set()
+    for t, alphas, n in oracle_christoffel.comparison_cases(seed, 150):
+        want = oracle_christoffel.outcome(oracle_christoffel.verify_christoffel, t, alphas, n)
+        got = oracle_christoffel.outcome(verify_christoffel, t, alphas, n)
+        assert got == want, (n, want)
+        if isinstance(want, tuple) and want[0] is IdentityViolation:
+            residuals.add(want[-1])
+    assert residuals == {F, Poly}
+
+
+def _identity_calls(monkeypatch, module, t, alphas, n):
+    """The arguments of every _check_identity call ``module`` makes, none of
+    them allowed to raise, up to the end or the first other error."""
+    calls = []
+    monkeypatch.setattr(module, "_check_identity", lambda *args, **kwargs: calls.append(args))
+    try:
+        module.verify_christoffel(t, alphas, n)
+    except TetraError:
+        pass
+    return calls
+
+
+def test_christoffel_scalars_are_the_polynomial_identities(monkeypatch):
+    """At every (k, identity), not only at the first failure: lhs(0) is the
+    constant term of the oracle's left side (None for hat_a1, which is no
+    multiple of x), and the scalar terms sum to the oracle's lhs - rhs."""
+    cases = oracle_christoffel.comparison_cases(4, 40)
+    cases.append((POLY_RESIDUAL_MATRIX, POLY_RESIDUAL_ALPHAS, 1))
+    checked = 0
+    for t, alphas, n in cases:
+        want = _identity_calls(monkeypatch, oracle_christoffel, t, alphas, n)
+        got = _identity_calls(monkeypatch, darboux, t, alphas, n)
+        assert len(got) == len(want)
+        if not want:
+            continue
+        bases = {"B": type2_sequence(t, n + 1)}
+        bases["A1"], bases["A2"] = type1_sequences(t, n + 2, F(-1) / alphas.at(2))
+        for (name, k, lhs, rhs, *_), (got_name, got_k, constant, terms, _) in zip(want, got):
+            assert (got_name, got_k) == (name, k)
+            assert constant == (None if name == "hat_a1" else lhs.constant), (name, k)
+            residual = sum((bases[family][index].scale(s) for s, family, index in terms), Poly())
+            assert residual == lhs - rhs, (name, k)
+            checked += 1
+    assert checked > 1000, checked
 
 
 def test_akv_rejects_negative_sample(t_ones, ones_alphas):
