@@ -54,8 +54,6 @@ EXIT_INPUT = 65
 EXIT_COMPUTE = 70
 EXIT_CANTCREAT = 73
 
-VERIFY_SUITES = ("tn", "christoffel", "akv", "roundtrip", "charpoly", "jp-consistency")
-
 #: Fixed sample points for the akv suite.
 AKV_XS = (Fraction(0), Fraction(1, 4), Fraction(1), Fraction(4), Fraction(10))
 
@@ -243,7 +241,7 @@ def _cmd_darboux(args):
     return EXIT_OK
 
 
-def _suite_charpoly(t, n):
+def _suite_charpoly(t, _alphas, n):
     checked = 0
     b = type2_sequence(t, n + 1)
     dense = leading_principal(t, n).leading_char_polys()
@@ -265,7 +263,7 @@ def _suite_charpoly(t, n):
     return {"suite": "charpoly", "checked": checked}
 
 
-def _suite_tn(t, n):
+def _suite_tn(t, _alphas, n):
     depth = min(n, POWER_ORACLE_CAP - 1)
     checked = 0
     for k in range(1, depth + 1):
@@ -319,12 +317,26 @@ def _suite_akv(t, alphas, n):
     }
 
 
-def _suite_jp_consistency():
+def _suite_jp_consistency(_t, _alphas, _n):
     for params in JP_VERIFICATION_GRID:
         variants = (jp_alphas(params, Variant.FIRST, 24), jp_alphas(params, Variant.AKV, 24))
         jp_cross_consistency(params, 24, variants)
         jp_sign_report(params, 24, variants)
     return {"suite": "jp-consistency", "points": len(JP_VERIFICATION_GRID)}
+
+
+#: Each verify suite, in the order ``all`` runs them: its check, called as
+#: check(t, alphas, n), and what it reads ("matrix": --input or --alphas;
+#: "alphas": --alphas, and the matrix they define unless --input is given).
+_SUITES = {
+    "tn": (_suite_tn, "matrix"),
+    "christoffel": (_suite_christoffel, "alphas"),
+    "akv": (_suite_akv, "alphas"),
+    "roundtrip": (_suite_roundtrip, "alphas"),
+    "charpoly": (_suite_charpoly, "matrix"),
+    "jp-consistency": (_suite_jp_consistency, None),
+}
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def _cmd_verify(args):
@@ -346,31 +358,15 @@ def _cmd_verify(args):
     else:
         t = None
 
-    def need_matrix():
-        if t is None:
-            raise InputError("this suite needs --input or --alphas")
-        return t
-
-    def need_alphas():
-        if alphas is None:
-            raise InputError("this suite needs --alphas")
-        return alphas
-
     results = []
     for suite in suites:
+        check, reads = _SUITES[suite]
+        if reads and t is None:
+            raise InputError("this suite needs --input or --alphas")
+        if reads == "alphas" and alphas is None:
+            raise InputError("this suite needs --alphas")
         try:
-            if suite == "charpoly":
-                results.append(_suite_charpoly(need_matrix(), args.n))
-            elif suite == "tn":
-                results.append(_suite_tn(need_matrix(), args.n))
-            elif suite == "roundtrip":
-                results.append(_suite_roundtrip(need_matrix(), need_alphas(), args.n))
-            elif suite == "christoffel":
-                results.append(_suite_christoffel(need_matrix(), need_alphas(), args.n))
-            elif suite == "akv":
-                results.append(_suite_akv(need_matrix(), need_alphas(), args.n))
-            else:
-                results.append(_suite_jp_consistency())
+            results.append(check(t, alphas, args.n))
         except _VIOLATIONS as exc:
             error = f"{suite}: {exc}"
             print(f"verification failure: {error}", file=sys.stderr)

@@ -101,20 +101,18 @@ class AlphaSequence:
         return self.values[j - 1]
 
     def prefix(self, count):
-        return tuple(self.at(j) for j in range(1, count + 1))
+        if count > len(self.values):
+            raise BandExhausted("alpha", len(self.values) + 1, len(self.values))
+        return self.values[: max(count, 0)]
 
     def classify(self, count=None) -> Classification:
-        """Sign classification of alpha_1 .. alpha_count (default: all)."""
+        """Sign classification of alpha_1 .. alpha_count (default: all).  A
+        negative entry gives INDEFINITE even when count runs past the end."""
         if count is None:
             count = self.length
-        seen_zero = False
-        for j in range(1, count + 1):
-            v = self.at(j)
-            if v < 0:
-                return Classification.INDEFINITE
-            if v == 0:
-                seen_zero = True
-        return Classification.TN if seen_zero else Classification.PBF
+        if any(v < 0 for v in self.values[: max(count, 0)]):
+            return Classification.INDEFINITE
+        return Classification.TN if 0 in self.prefix(count) else Classification.PBF
 
     def __repr__(self):
         return f"AlphaSequence({list(self.values)!r})"

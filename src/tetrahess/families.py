@@ -178,25 +178,20 @@ def jp_dense_truncation(p: JPParams, n: int):
     })
 
 
-# Region sign table for the first period layers; the fixed grids used for
-# verification stay within |alpha - beta| < 2, where every entry's sign is
-# pinned.
-def _predicted_sign(j: int, variant: Variant, region: Region) -> int:
-    if variant is Variant.FIRST:
-        if j == 2:
-            return 0
-        if j == 5:
-            return -1 if region is Region.R4 else 1
-        if j == 6:
-            return -1 if region is Region.R1 else 1
-        return 1
-    if j == 2:
-        return -1 if region in (Region.R1, Region.R2) else 1
-    if j == 3:
-        return -1 if region is Region.R4 else 1
-    if j == 8:
-        return -1 if region is Region.R1 else 1
-    return 1
+#: Region sign table: the alpha_j of each (variant, region) that are not
+#: positive, as {j: sign}; every alpha_j not listed is positive.  The fixed
+#: grids used for verification stay within |alpha - beta| < 2, where every
+#: entry's sign is pinned.
+_SIGN_EXCEPTIONS = {
+    (Variant.FIRST, Region.R1): {2: 0, 6: -1},
+    (Variant.FIRST, Region.R2): {2: 0},
+    (Variant.FIRST, Region.R3): {2: 0},
+    (Variant.FIRST, Region.R4): {2: 0, 5: -1},
+    (Variant.AKV, Region.R1): {2: -1, 8: -1},
+    (Variant.AKV, Region.R2): {2: -1},
+    (Variant.AKV, Region.R3): {},
+    (Variant.AKV, Region.R4): {3: -1},
+}
 
 
 @dataclass(frozen=True)
@@ -216,15 +211,10 @@ class JPConsistencyReport:
 
 def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
     """Record the sign of every alpha_j, j <= count, for both variants and
-    check each against the region sign table:
-
-      FIRST: positive except alpha_2 = 0, alpha_5 < 0 in R4, alpha_6 < 0 in R1
-      AKV:   positive except alpha_2 < 0 in R1 u R2, alpha_3 < 0 in R4,
-             alpha_8 < 0 in R1
-
-    (in particular: FIRST is TN in the strip R2 u R3, AKV is TP in R3).
-    Each sign is read off the numerator (a Fraction's denominator is
-    positive), so no Fraction is compared.  ``variants`` is the pair
+    check each against the region's row of ``_SIGN_EXCEPTIONS``, read once
+    per variant (in particular: FIRST is TN in the strip R2 u R3, AKV is TP
+    in R3).  Each sign is read off the numerator (a Fraction's denominator
+    is positive), so no Fraction is compared.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
     has built it already.  Raises PredictionMismatch on the first
     disagreement.
@@ -234,12 +224,14 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
     signs = {}
     for variant, seq in zip((Variant.FIRST, Variant.AKV), variants):
+        exceptions = _SIGN_EXCEPTIONS[(variant, region)]
         out = []
         for j in range(1, count + 1):
             v = seq.at(j)
             sign = (v.numerator > 0) - (v.numerator < 0)
-            if sign != _predicted_sign(j, variant, region):
-                raise PredictionMismatch(j, str(variant), _predicted_sign(j, variant, region), v)
+            predicted = exceptions.get(j, 1)
+            if sign != predicted:
+                raise PredictionMismatch(j, str(variant), predicted, v)
             out.append(sign)
         signs[variant] = tuple(out)
     return JPSignReport(

@@ -2,7 +2,8 @@
 of ``tetrahess.families.jp_alphas`` replaced, and the Fraction forms of
 ``jp_cross_consistency``, ``jp_sign_report`` and ``jp_dense_truncation``
 that the integer forms replaced, kept unchanged as the oracles of the
-differential tests in test_families.py.
+differential tests in test_families.py, with the region sign table that
+``jp_sign_report`` checks against.
 
 Each alpha_j is built by Fraction arithmetic on (alpha, beta, gamma), one
 gcd per operation, straight from the six-periodic formulas.  The two
@@ -16,8 +17,7 @@ from fractions import Fraction
 
 from tetrahess.core import _banded, _factor_triple, _lu_bands, _split_alphas, bands_from_alphas
 from tetrahess.errors import ConsistencyViolation, PredictionMismatch
-from tetrahess.families import (JPConsistencyReport, JPParams, JPSignReport, Variant, _predicted_sign,
-                                jp_alphas)
+from tetrahess.families import JPConsistencyReport, JPParams, JPSignReport, Region, Variant, jp_alphas
 
 
 def jp_value(p: JPParams, variant: Variant, j: int):
@@ -69,6 +69,27 @@ def jp_value(p: JPParams, variant: Variant, j: int):
 def oracle_jp_alphas(p: JPParams, variant: Variant, count: int) -> tuple:
     """alpha_1 .. alpha_count by the Fraction closed forms."""
     return tuple(jp_value(p, variant, j) for j in range(1, count + 1))
+
+
+# The region sign table written as a branch chain, apart from the data
+# table tetrahess.families._SIGN_EXCEPTIONS, so that a wrong entry in either
+# shows as a disagreement.
+def _predicted_sign(j: int, variant: Variant, region: Region) -> int:
+    if variant is Variant.FIRST:
+        if j == 2:
+            return 0
+        if j == 5:
+            return -1 if region is Region.R4 else 1
+        if j == 6:
+            return -1 if region is Region.R1 else 1
+        return 1
+    if j == 2:
+        return -1 if region in (Region.R1, Region.R2) else 1
+    if j == 3:
+        return -1 if region is Region.R4 else 1
+    if j == 8:
+        return -1 if region is Region.R1 else 1
+    return 1
 
 
 def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:

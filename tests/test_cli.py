@@ -438,6 +438,60 @@ class TestVerify:
         assert err == f"input error: {bad}: a_4 = -1 must be positive\n"
 
 
+_SUITE_ORDER = ("tn", "christoffel", "akv", "roundtrip", "charpoly", "jp-consistency")
+_INPUT_SETS = ("none", "input", "alphas", "both")
+_NO_MATRIX = (65, "this suite needs --input or --alphas")
+_NO_ALPHAS = (65, "this suite needs --alphas")
+
+#: What each suite does at --n 2 with no input, the three-row tsym matrix
+#: alone, the ones alphas alone, and both (the matrix then comes from
+#: --input): "pass", or the exit code and message of the first error.
+_INPUT_OUTCOMES = {
+    "tn": (_NO_MATRIX, "pass", "pass", "pass"),
+    "christoffel": (_NO_MATRIX, _NO_ALPHAS, "pass",
+                    (65, "christoffel: band 'a' holds 1 entries; index 3 is out of range")),
+    "akv": (_NO_MATRIX, _NO_ALPHAS, "pass", (65, "akv: band 'c' holds 3 entries; index 3 is out of range")),
+    "roundtrip": (_NO_MATRIX, _NO_ALPHAS, "pass", (1, "roundtrip: bidiagonal_factor did not reproduce the alphas")),
+    "charpoly": (_NO_MATRIX, "pass", "pass", "pass"),
+    "jp-consistency": ("pass", "pass", "pass", "pass"),
+}
+_REPORTS_AT_2 = {
+    "tn": {"suite": "tn", "checked": 2},
+    "christoffel": {"suite": "christoffel", "n": 2, "checked": 18},
+    "akv": {"suite": "akv", "n": 2, "checked": 180, "max_value": "0", "zeros_at_origin": 16},
+    "roundtrip": {"suite": "roundtrip", "n": 2, "recovered": 7},
+    "charpoly": {"suite": "charpoly", "checked": 7},
+    "jp-consistency": {"suite": "jp-consistency", "points": 16},
+}
+
+
+def _expected_verify(suites, inputs):
+    """(exit code, stdout, stderr) of ``verify --n 2`` running ``suites`` in
+    order and stopping at the first that does not pass."""
+    err, reports = "", []
+    for suite in suites:
+        outcome = _INPUT_OUTCOMES[suite][_INPUT_SETS.index(inputs)]
+        if outcome == "pass":
+            err += f"verify {suite}: pass\n"
+            reports.append(_REPORTS_AT_2[suite])
+            continue
+        code, message = outcome
+        if code == 65:
+            return code, "", err + f"input error: {message}\n"
+        body = json.dumps({"status": "fail", "error": message}, indent=2)
+        return code, body + "\n", err + f"verification failure: {message}\n"
+    return 0, json.dumps({"status": "pass", "n": 2, "suites": reports}, indent=2) + "\n", err
+
+
+@pytest.mark.parametrize("inputs", _INPUT_SETS)
+@pytest.mark.parametrize("suite", _SUITE_ORDER + ("all",))
+def test_each_suite_reads_only_its_inputs(ones_file, tsym_file, suite, inputs):
+    flags = {"none": [], "input": ["--input", tsym_file], "alphas": ["--alphas", ones_file],
+             "both": ["--input", tsym_file, "--alphas", ones_file]}[inputs]
+    got = run(["verify", "--suite", suite, *flags, "--n", "2"])
+    assert got == _expected_verify(_SUITE_ORDER if suite == "all" else (suite,), inputs)
+
+
 def _perturbed(seq, index):
     """seq with the constant coefficient of entry ``index`` raised by one."""
     polys = list(seq)

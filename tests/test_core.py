@@ -82,6 +82,25 @@ class TestAlphaSequence:
         # a zero before a negative still reads as indefinite
         assert AlphaSequence(values=(F(0), F(-1))).classify() is Classification.INDEFINITE
 
+    @pytest.mark.parametrize("read", ["prefix", "classify"])
+    def test_reading_past_the_end(self, read):
+        alphas = AlphaSequence(values=(F(1), F(0), F(3)))
+        with pytest.raises(BandExhausted) as info:
+            getattr(alphas, read)(5)
+        assert (info.value.band, info.value.index, info.value.length) == ("alpha", 4, 3)
+        assert str(info.value) == "band 'alpha' holds 3 entries; index 4 is out of range"
+
+    def test_short_sequence_with_a_negative_is_indefinite(self):
+        # the negative entry decides before the end of the values is reached
+        alphas = AlphaSequence(values=(F(1), F(-1), F(0)))
+        assert alphas.classify(7) is Classification.INDEFINITE
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_nonpositive_count_reads_nothing(self, count):
+        alphas = AlphaSequence(values=(F(-1), F(0)))
+        assert alphas.prefix(count) == ()
+        assert alphas.classify(count) is Classification.PBF
+
 
 ONES_BANDS = {
     # c_n = 1, 3, 3, ...   b_n = 2, 3, 3, ...   a_n = 1, 1, ...

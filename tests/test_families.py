@@ -225,6 +225,40 @@ def test_prediction_mismatch_message_for_a_flipped_sign(variant, j, message):
     assert type(info.value.value) is F
 
 
+@pytest.mark.parametrize("region", [Region.R1, Region.R2, Region.R3, Region.R4])
+@pytest.mark.parametrize("variant", [Variant.FIRST, Variant.AKV])
+def test_sign_table_is_the_oracle_branch_chain(variant, region):
+    row = families._SIGN_EXCEPTIONS[(variant, region)]
+    assert [row.get(j, 1) for j in range(1, 25)] == [
+        oracle_jp._predicted_sign(j, variant, region) for j in range(1, 25)
+    ]
+
+
+def _sign_outcome(check, p, variants):
+    """The report, or the PredictionMismatch's args, message and fields."""
+    try:
+        return check(p, 24, variants)
+    except PredictionMismatch as exc:
+        return exc.args, str(exc), exc.j, exc.variant, exc.predicted, exc.value
+
+
+@pytest.mark.parametrize("p", JP_VERIFICATION_GRID, ids=lambda p: f"{p.alpha}_{p.beta}_{p.gamma}")
+def test_one_negated_alpha_is_reported_as_the_oracle_reports_it(p):
+    """Each alpha_j, j <= 24, of either variant negated in turn (the table's
+    entries among them, in every region): the same report or
+    PredictionMismatch as the Fraction oracle, and a nonzero entry's flipped
+    sign is caught at that entry."""
+    base = [jp_alphas(p, v, 24) for v in (Variant.FIRST, Variant.AKV)]
+    for i, variant in enumerate((Variant.FIRST, Variant.AKV)):
+        for j in range(1, 25):
+            variants = list(base)
+            variants[i] = _negated(base[i], j)
+            got = _sign_outcome(jp_sign_report, p, tuple(variants))
+            assert got == _sign_outcome(oracle_jp.jp_sign_report, p, tuple(variants)), (variant, j)
+            if base[i].at(j) != 0:
+                assert isinstance(got, tuple) and got[2:4] == (j, str(variant))
+
+
 def _outcome(check, *args):
     """The report, or the violation's type and message."""
     try:
