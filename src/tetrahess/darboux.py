@@ -40,8 +40,8 @@ from .errors import (
 )
 from .polynomials import (
     PolySequence,
+    _values,
     char_poly_truncation,
-    sequence_values,
     type1_sequences,
     type2_sequence,
 )
@@ -239,19 +239,22 @@ def darboux_polynomials(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tr
     )
 
 
-def _origin_system(a10, a20, k):
+def _origin_system(a1, a2, k):
     """[s1, s2] = [A1_k(0), A2_k(0)] M_k^{-1}, with M_k the 2x2 matrix whose
-    rows are the origin values (A1(0), A2(0)) at indices k+1 and k+2.
+    rows are the origin values (A1(0), A2(0)) at indices k+1 and k+2, as
+    (S1, S2, D) with s1 = S1 / D, s2 = S2 / D and D > 0.  ``a1`` and
+    ``a2`` are the int numerators of the values over one common
+    denominator, which cancels, so every entry is an int 2x2 determinant.
 
     Whatever nu is, det M_k = (-1)^{k+1} B_{k+1}(0) / (a_2 ... a_{k+2}), so
     M_k is singular exactly when B_{k+1}(0) = 0, and that is the error
     raised."""
-    det = a10[k + 1] * a20[k + 2] - a20[k + 1] * a10[k + 2]
+    det = a1[k + 1] * a2[k + 2] - a2[k + 1] * a1[k + 2]
     if det == 0:
         raise ZeroAtOrigin(k + 1, "B")
-    s1 = (a10[k] * a20[k + 2] - a20[k] * a10[k + 2]) / det
-    s2 = (a20[k] * a10[k + 1] - a10[k] * a20[k + 1]) / det
-    return s1, s2
+    s1 = a1[k] * a2[k + 2] - a2[k] * a1[k + 2]
+    s2 = a2[k] * a1[k + 1] - a1[k] * a2[k + 1]
+    return (s1, s2, det) if det > 0 else (-s1, -s2, -det)
 
 
 def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
@@ -266,26 +269,27 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
     with M_k the 2x2 matrix of (A1, A2) values at 0 at indices k+1, k+2;
     q_{k+1} is the first component less p_{k+1}.
     The values at 0 come from the recurrences run at x = 0, O(N) scalar
-    steps; no polynomial is built.  Needs the matrix bands up to a_{N+1}.
+    steps over the integers; no polynomial is built, and each u_k, p_k and
+    q_k is one Fraction of two ints.  Needs the matrix bands up to a_{N+1}.
     """
     nu = _forced_nu(alpha2)
-    b0 = sequence_values(t, "type2", n + 1, 0)["B"]
-    origin = sequence_values(t, "type1", n + 1, 0, nu)
-    a10, a20 = origin["A1"], origin["A2"]
+    [((b,), _)] = _values(t, n + 1, (0,), ("B",))
+    [((a1, a2), _)] = _values(t, n + 1, (0,), ("A1", "A2"), nu)
     u = []
     for k in range(n + 1):
-        if b0[k] == 0:
+        if b[k] == 0:
             raise ZeroAtOrigin(k, "B")
-        u.append(-b0[k + 1] / b0[k])
+        u.append(Fraction(-b[k + 1], b[k]))
     p = [0]
     for k in range(n):
-        if a10[k + 1] == 0:
+        if a1[k + 1] == 0:
             raise ZeroAtOrigin(k + 1, "A1")
-        p.append(-a10[k] / a10[k + 1])
+        p.append(Fraction(-a1[k], a1[k + 1]))
     q = [0]
     for k in range(n):
-        s1, _ = _origin_system(a10, a20, k)
-        q.append(-s1 - p[k + 1])
+        s1, _, det = _origin_system(a1, a2, k)
+        # q_{k+1} = -s1 - p_{k+1} = A1_k(0) / A1_{k+1}(0) - s1
+        q.append(Fraction(a1[k] * det - s1 * a1[k + 1], a1[k + 1] * det))
     return _interleave(u, p, q)
 
 
@@ -297,13 +301,20 @@ def _check_pbf(alphas: AlphaSequence, count: int, op: str):
     return _split_alphas(alphas.values[:count])
 
 
+def _positive(num, den):
+    """The ratio num / den as (numerator, denominator > 0)."""
+    return (num, den) if den > 0 else (-num, -den)
+
+
 def _check_identity(name, k, constant, terms, base):
     """Check one identity at k: ``constant`` is lhs(0), None where lhs is
     not x times a polynomial, and ``terms`` write lhs - rhs as (scalar,
-    family, index); only a nonzero scalar reads ``base(family, index)``."""
-    if constant:
-        raise IdentityViolation(name, k, constant)
-    polys = [base(family, index).scale(s) for s, family, index in terms if s]
+    family, index); each scalar is a pair (int numerator, int denominator
+    > 0), tested by its numerator, and only a nonzero scalar reads
+    ``base(family, index)``."""
+    if constant is not None and constant[0]:
+        raise IdentityViolation(name, k, Fraction(*constant))
+    polys = [base(family, index).scale(Fraction(*s)) for s, family, index in terms if s[0]]
     if polys and not (residual := sum(polys[1:], polys[0])).is_zero():
         raise IdentityViolation(name, k, residual)
 
@@ -326,17 +337,23 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
     Each left side is a factor product of the base sequences (L2 U B at k
     is B_{k+1} + (u_k + q_k) B_k + q_k u_{k-1} B_{k-1}), so lhs(0) and the
     scalars of lhs - rhs, a sum of at most two base polynomials, need only
-    the origin values, O(N) recurrence steps at x = 0.  A nonzero lhs(0) is
-    the residual; B, A1 and A2 are built, once, only for a nonzero scalar.
-    The first failure in (k, identity) order raises IdentityViolation.
+    the origin values, O(N) recurrence steps at x = 0.  They run over the
+    integers: the values of B over one denominator d_B, those of A1 and A2
+    over one d_A, u, p and q as ints over one K, and every lhs(0) and
+    scalar is an int numerator over a positive int denominator, tested
+    against 0.  A nonzero lhs(0) is the residual, as a Fraction; B, A1 and
+    A2 are built, once, only for a nonzero scalar.  The first failure in
+    (k, identity) order raises IdentityViolation.
     """
     u, p, q = _check_pbf(alphas, 3 * n + 5, "verify_christoffel")
     if n < 1:
         raise ValueError("transformed sequences need N >= 1")
-    b0 = sequence_values(t, "type2", n + 1, 0)["B"]
+    [((b,), d_b)] = _values(t, n + 1, (0,), ("B",))
     nu = _forced_nu(alphas.at(2))
-    origin = sequence_values(t, "type1", n + 2, 0, nu)
-    a10, a20 = origin["A1"], origin["A2"]
+    [((a1, a2), d_a)] = _values(t, n + 2, (0,), ("A1", "A2"), nu)
+    factors, kk = over_common_denominator(u + p + q)
+    u, p, q = factors[: len(u)], factors[len(u) : -len(q)], factors[-len(q) :]
+    k2 = kk * kk
     bases = {}
 
     def base(family, index):
@@ -346,25 +363,33 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
 
     names = ("tilde_b", "tildetilde_b", "hat_a1", "tilde_a2", "tildetilde_a1", "tildetilde_a2")
     for k in range(n + 1):
-        if a10[k] == 0 or a10[k + 1] == 0:
-            raise ZeroAtOrigin(k if a10[k] == 0 else k + 1, "A1")
-        if b0[k] == 0:
+        if a1[k] == 0 or a1[k + 1] == 0:
+            raise ZeroAtOrigin(k if a1[k] == 0 else k + 1, "A1")
+        if b[k] == 0:
             raise ZeroAtOrigin(k, "B")
-        constant = b0[k + 1] + (u[k] + q[k]) * b0[k]
-        terms = [(u[k] + q[k] - (a10[k - 1] / a10[k] if k >= 1 else 0) - t.c(k), "B", k)]
+        c, uq = t.c(k), u[k] + q[k]
+        constant = k2 * b[k + 1] + kk * uq * b[k]
+        previous = kk * a1[k - 1] if k >= 1 else 0
+        num = (uq * a1[k] - previous) * c.denominator - kk * a1[k] * c.numerator
+        terms = [(_positive(num, kk * a1[k] * c.denominator), "B", k)]
         if k >= 1:
-            constant += q[k] * u[k - 1] * b0[k - 1]
-            terms.append((q[k] * u[k - 1] + a10[k + 1] / a10[k] * t.a(k + 1), "B", k - 1))
-        _check_identity("tilde_b", k, constant, terms, base)
-        _check_identity("tildetilde_b", k, b0[k + 1] + u[k] * b0[k], [(u[k] + b0[k + 1] / b0[k], "B", k)], base)
-        coeff = p[k + 1] + a10[k] / a10[k + 1]
+            a = t.a(k + 1)
+            constant += q[k] * u[k - 1] * b[k - 1]
+            num = q[k] * u[k - 1] * a1[k] * a.denominator + k2 * a1[k + 1] * a.numerator
+            terms.append((_positive(num, k2 * a1[k] * a.denominator), "B", k - 1))
+        _check_identity("tilde_b", k, (constant, k2 * d_b), terms, base)
+        num = kk * b[k + 1] + u[k] * b[k]
+        _check_identity("tildetilde_b", k, (num, kk * d_b), [(_positive(num, kk * b[k]), "B", k)], base)
+        num = kk * a1[k] + p[k + 1] * a1[k + 1]
+        coeff = _positive(num, kk * a1[k + 1])
         _check_identity("hat_a1", k, None, [(coeff, "A2", k + 1)], base)
-        _check_identity("tilde_a2", k, a10[k] + p[k + 1] * a10[k + 1], [(coeff, "A1", k + 1)], base)
-        s1, s2 = _origin_system(a10, a20, k)
+        _check_identity("tilde_a2", k, (num, kk * d_a), [(coeff, "A1", k + 1)], base)
+        s1, s2, det = _origin_system(a1, a2, k)
         pq, qp = p[k + 1] + q[k + 1], q[k + 1] * p[k + 2]
-        for name, family, v in (("tildetilde_a1", "A1", a10), ("tildetilde_a2", "A2", a20)):
-            terms = [(pq + s1, family, k + 1), (qp + s2, family, k + 2)]
-            _check_identity(name, k, v[k] + pq * v[k + 1] + qp * v[k + 2], terms, base)
+        first, second = (pq * det + kk * s1, kk * det), (qp * det + k2 * s2, k2 * det)
+        for name, family, v in (("tildetilde_a1", "A1", a1), ("tildetilde_a2", "A2", a2)):
+            constant = (k2 * v[k] + kk * pq * v[k + 1] + qp * v[k + 2], k2 * d_a)
+            _check_identity(name, k, constant, [(first, family, k + 1), (second, family, k + 2)], base)
     return ChristoffelReport(n_max=n, identities=names, checked=len(names) * (n + 1))
 
 
@@ -401,10 +426,11 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     ones entering the determinants.
 
     Nothing here is a polynomial: at each sample x the recurrences run over
-    the integers (sequence_values, O(N) steps), so the cost is O(N) per
-    sample point.  Every strand is then a list of ints over one positive
-    denominator per family: u and q are brought to one K once per call, the
-    three sampled strands to one d at each x, and the factor products run
+    the integers (polynomials._values, O(N) steps, on one row-form step
+    table built once per call), so the cost is O(N) per sample point.
+    Every strand is a list of ints over one positive denominator per
+    family: u and q are brought to one K once per call, the three sampled
+    strands come over one d at each x, and the factor products run
     on those ints with ``one`` = K, so B, hat and hathat sit over d, d K^2
     and d K.  A determinant's int numerator, over the product of its two
     families' denominators, decides its sign, and the running maximum is
@@ -426,12 +452,7 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     mnum = mden = max_location = None
     zeros_at_origin = 0
     checked = 0
-    for x in xs:
-        second = sequence_values(t, "second", n + 2, x, nu)
-        b = sequence_values(t, "type2", n + 2, x)["B"]
-        strands, d = over_common_denominator(b + second["B1"] + second["B2"])
-        m = len(b)
-        base = strands[:m], strands[m : 2 * m], strands[2 * m :]
+    for x, (base, d) in zip(xs, _values(t, n + 2, xs, ("B", "B1", "B2"), nu)):
         hathat = tuple(_u_times(u, v, big_k) for v in base)
         vals = (base, tuple(_l_times(q, uv, big_k) for uv in hathat), hathat)
         dens = (d, d * big_k * big_k, d * big_k)

@@ -7,10 +7,11 @@ det(xI - T^[n]) at the origin,
 
     delta^[n] = det T^[n] = (-1)^{n+1} B_{n+1}(0),
 
-so the factors are read off ``sequence_values`` at x = 0: with B_0 = 1,
-u_n = -B_{n+1}(0) / B_n(0) and l_n = -a_n B_{n-2}(0) / B_{n-1}(0).  The
-refinement T^[N] = L1 L2 U is parametrized by one free value alpha_2;
-everything else is forced:
+so the factors are read off the values at x = 0, int numerators over one
+denominator (``polynomials._values``): with B_0 = 1,
+u_n = -B_{n+1}(0) / B_n(0) and l_n = -a_n B_{n-2}(0) / B_{n-1}(0), each
+one Fraction of two ints.  The refinement T^[N] = L1 L2 U is parametrized
+by one free value alpha_2; everything else is forced:
 
     alpha_{3n+1} = delta^[n] / delta^[n-1]          (diagonal of U)
     alpha_2 + alpha_3 = m_1,   alpha_{3n+2} alpha_{3n} = l_{n+1},
@@ -27,7 +28,7 @@ from fractions import Fraction
 from .core import (AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _interleave,
                    _lu_bands, _split_alphas)
 from .errors import SingularLeadingMinor, ZeroAlpha3n
-from .polynomials import sequence_values
+from .polynomials import _values
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,17 @@ def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
     vanishes."""
     if n < 0:
         raise ValueError("truncation order must be >= 0")
-    b0 = sequence_values(t, "type2", n + 1, 0)["B"]
-    delta = tuple(v if k % 2 else -v for k, v in enumerate(b0[1:]))
-    if 0 in delta:
-        raise SingularLeadingMinor(delta.index(0))
-    u_diag = tuple(-b0[k + 1] / b0[k] for k in range(n + 1))
+    [((b,), d)] = _values(t, n + 1, (0,), ("B",))
+    if 0 in b[1:]:
+        raise SingularLeadingMinor(b.index(0, 1) - 1)
+    delta = tuple(Fraction(v if k % 2 else -v, d) for k, v in enumerate(b[1:]))
+    u_diag = tuple(Fraction(-b[k + 1], b[k]) for k in range(n + 1))
     m = tuple(t.c(k) - u_diag[k] for k in range(1, n + 1))
-    ell = tuple(-t.a(k) * b0[k - 2] / b0[k - 1] for k in range(2, n + 1))
-    return GaussBorelFactors(delta=delta, m=m, ell=ell, u_diag=u_diag)
+    ell = []
+    for k in range(2, n + 1):
+        a = t.a(k)
+        ell.append(Fraction(-a.numerator * b[k - 2], a.denominator * b[k - 1]))
+    return GaussBorelFactors(delta=delta, m=m, ell=tuple(ell), u_diag=u_diag)
 
 
 def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:

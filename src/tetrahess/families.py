@@ -217,7 +217,9 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
     is positive), so no Fraction is compared.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
     has built it already.  Raises PredictionMismatch on the first
-    disagreement.
+    disagreement.  Each variant is read in one pass over its values; a
+    sequence shorter than ``count`` raises BandExhausted at its first
+    missing entry once every entry it has is checked.
     """
     region = p.region
     if variants is None:
@@ -226,13 +228,14 @@ def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
     for variant, seq in zip((Variant.FIRST, Variant.AKV), variants):
         exceptions = _SIGN_EXCEPTIONS[(variant, region)]
         out = []
-        for j in range(1, count + 1):
-            v = seq.at(j)
+        for j, v in enumerate(seq.values[: max(count, 0)], start=1):
             sign = (v.numerator > 0) - (v.numerator < 0)
             predicted = exceptions.get(j, 1)
             if sign != predicted:
                 raise PredictionMismatch(j, str(variant), predicted, v)
             out.append(sign)
+        if seq.length < count:
+            seq.at(seq.length + 1)
         signs[variant] = tuple(out)
     return JPSignReport(
         region=region,

@@ -15,9 +15,15 @@ knows the boundary coefficients: it writes each step as int coefficients
 over a positive int denominator.  ``_recur`` runs a table of steps on a
 window of three int numerators over one common denominator, reduced by one
 gcd per step.  Without x the window holds int coefficient lists, and each
-result becomes a canonical Poly once; at x = p/q (``sequence_values``) it
-holds three ints, and no polynomial is built.  Either way the cost is O(N)
-steps.
+result becomes a canonical Poly once; at x = p/q it holds three ints, and
+no polynomial is built.  Either way the cost is O(N) steps.
+
+At a point the values stay ints up to their readers.  ``_values`` builds
+each step table once per call, whatever the points and names, and gives
+per point the int numerators of every sequence asked for over one
+positive denominator; b1 is formed only when it is asked for.
+``sequence_values`` is the public edge: it turns each value into one
+reduced Fraction over the denominator the recurrence held it at.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 from .core import TetraHessenberg
 from .errors import IndexOutOfRange, ZeroNu
@@ -82,31 +88,34 @@ def _steps(t: TetraHessenberg, start: int, stop: int, transpose=False) -> list:
     return table
 
 
-def _recur(steps, seeds, point=None) -> list:
+def _recur(steps, seeds, point=None):
     """The recurrence run through the table ``steps`` (see _steps) from the
-    window of constant seeds (y_{start-2}, y_{start-1}, y_start); returns
-    the whole list y_{start-2} .. y_stop.  Without ``point`` the y_m are
-    polynomials; at point = (xp, xq) they are the exact values y_m(xp/xq)
-    as reduced Fractions.
+    window of constant seeds (y_{start-2}, y_{start-1}, y_start), up to
+    y_stop.  Without ``point`` it returns the list of polynomials
+    y_{start-2} .. y_stop; at point = (xp, xq) it returns the exact values
+    y_m(xp/xq) of that list as two lists (nums, dens), y_m = nums[m] /
+    dens[m] with dens[m] > 0, so a reduced Fraction costs one gcd.
 
     The window is held as int numerators over one common denominator
     d > 0: three int coefficient lists (index = power) without a point,
     three ints at one, where x w_slot enters as xp w_slot over xq.  A step
     puts the new numerator over d den (d den xq at a point), brings the
-    other two to that denominator and divides the window by one gcd."""
+    other two to that denominator and divides the window by one gcd; at a
+    point each value keeps the d of the step that made it."""
     window, d = over_common_denominator(seeds)
     if point is not None:
         xp, xq = point
         w0, w1, w2 = window
-        out = [Fraction(v, d) for v in window]
+        nums, dens = list(window), [d] * 3
         for slot, kx, k0, k1, k2, den in steps:
             new = xq * (k0 * w0 + k1 * w1 + k2 * w2) + xp * kx * (w2 if slot == 2 else w1)
             den *= xq
             w0, w1, d = w1 * den, w2 * den, d * den
             g = gcd(d, new, w0, w1)
             w0, w1, w2, d = w0 // g, w1 // g, new // g, d // g
-            out.append(Fraction(w2, d))
-        return out
+            nums.append(w2)
+            dens.append(d)
+        return nums, dens
     window = [[v] if v else [] for v in window]
     out = [(w, d) for w in window]
     for slot, kx, k0, k1, k2, den in steps:
@@ -123,36 +132,92 @@ def _recur(steps, seeds, point=None) -> list:
     return [_make(*_reduce(w, e)) for w, e in out]
 
 
-def _sequences(t: TetraHessenberg, kind: str, n: int, nu=None, x=None) -> dict:
-    """The sequences of one kind, indices 0..N, by the names the CLI prints:
-    polynomials, or their values at ``x`` when a point is given.  This is
-    the one table of seeds:
+#: The one table of seeds, by the names the CLI prints: whether the
+#: sequence runs in the column form (type I) or the row form, and its
+#: window for nu, at index 0 in the row form and index 1 in the column form:
+#:
+#:     type2:  B  from (0, 0, 1)
+#:     type1:  A1 from (0, 1, nu), A2 from (0, 0, 1)
+#:     second: B1 from (1, 0, 0), B2 from (-1 - nu, 1, 0), and b1 = B2 + nu B1
+_SEEDS = {
+    "B": (False, lambda nu: (0, 0, 1)),
+    "A1": (True, lambda nu: (0, 1, nu)),
+    "A2": (True, lambda nu: (0, 0, 1)),
+    "B1": (False, lambda nu: (1, 0, 0)),
+    "B2": (False, lambda nu: (-1 - nu, 1, 0)),
+}
+_KINDS = {"type2": ("B",), "type1": ("A1", "A2"), "second": ("B1", "B2", "b1")}
 
-        type2:  B  from (0, 0, 1) at index 0 (row form)
-        type1:  A1 from (0, 1, nu), A2 from (0, 0, 1) at index 1 (column form)
-        second: B1 from (1, 0, 0), B2 from (-1 - nu, 1, 0) at index 0
-                (row form), and b1 = B2 + nu B1
 
-    The sequences of one kind share one step table.  x and nu are checked
-    before the first band is read.
-    """
+def _b1(b1, b2, nu, point):
+    """b1 = B2 + nu B1 from the runs of B1 and B2: Polys, or at a point
+    (nums, dens) pairs, each sum over the lcm of its two denominators
+    times that of nu (half or less the cost of a recurrence run for b1)."""
+    if point is None:
+        return [q + p * nu for p, q in zip(b1, b2)]
+    nn, nd = nu.numerator, nu.denominator
+    nums, dens = [], []
+    for w1, e1, w2, e2 in zip(*b1, *b2):
+        g = gcd(e1, e2)
+        nums.append(w2 * (e1 // g) * nd + nn * w1 * (e2 // g))
+        dens.append(e1 // g * e2 * nd)
+    return nums, dens
+
+
+def _runs(t: TetraHessenberg, n: int, names, nu, points) -> list:
+    """For each of ``points`` (None stands for the polynomials themselves)
+    a dict: name -> indices 0..N of that sequence, as Polys, or at a point
+    as (nums, dens) of _recur.  The step table of each form is built once,
+    on first use, however many points and names read it; b1 is formed from
+    B1 and B2, which come before it in ``names``, only where it is asked
+    for.  nu and the points are checked before the first band is read."""
     if n < 0:
         raise ValueError("sequence length must be >= 0")
-    if kind not in ("type2", "type1", "second"):
-        raise ValueError(f"unknown sequence kind {kind!r}")
-    if kind != "type2" and nu == 0:
+    reads_nu = set(names) != {"B"}
+    if reads_nu and nu == 0:
         raise ZeroNu()
-    point = None if x is None else _ratio(x)
-    if kind == "type2":
-        return {"B": _recur(_steps(t, 0, n), (0, 0, 1), point)[2:]}
-    _ratio(nu)
-    if kind == "type1":
-        steps = _steps(t, 1, n, True)
-        return {"A1": _recur(steps, (0, 1, nu), point)[1 : n + 2], "A2": _recur(steps, (0, 0, 1), point)[1 : n + 2]}
-    steps = _steps(t, 0, n)
-    b1 = _recur(steps, (1, 0, 0), point)[2:]
-    b2 = _recur(steps, (-1 - nu, 1, 0), point)[2:]
-    return {"B1": b1, "B2": b2, "b1": [q + p * nu for p, q in zip(b1, b2)]}
+    points = [None if x is None else _ratio(x) for x in points]
+    if reads_nu:
+        _ratio(nu)
+    tables, out = {}, []
+    for point in points:
+        runs = {}
+        for name in names:
+            if name == "b1":
+                runs[name] = _b1(runs["B1"], runs["B2"], nu, point)
+                continue
+            column, seeds = _SEEDS[name]
+            if column not in tables:
+                tables[column] = _steps(t, 1, n, True) if column else _steps(t, 0, n)
+            run = _recur(tables[column], seeds(nu), point)
+            keep = slice(1, n + 2) if column else slice(2, n + 3)
+            runs[name] = run[keep] if point is None else (run[0][keep], run[1][keep])
+        out.append(runs)
+    return out
+
+
+def _sequences(t: TetraHessenberg, kind: str, n: int, nu=None, x=None) -> dict:
+    """The sequences of one kind, indices 0..N, by name (see _KINDS), as
+    _runs gives them at ``x`` or, without x, as polynomials."""
+    if n < 0:
+        raise ValueError("sequence length must be >= 0")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    return _runs(t, n, _KINDS[kind], nu, (x,))[0]
+
+
+def _values(t: TetraHessenberg, n: int, points, names, nu=None) -> list:
+    """For each of ``points``, the values of the sequences ``names`` at
+    indices 0..N as int numerators over one common denominator: a pair
+    (lists, d) with one list per name, in order, and d > 0 the lcm of the
+    values' denominators.  No Fraction is formed; the readers at a point
+    (akv_sign_checks, verify_christoffel, alphas_from_polynomials,
+    gauss_borel) decide signs and zeros on the numerators."""
+    out = []
+    for runs in _runs(t, n, names, nu, points):
+        d = lcm(*(e for _, dens in runs.values() for e in dens))
+        out.append(([[w * (d // e) for w, e in zip(*runs[name])] for name in names], d))
+    return out
 
 
 def sequence_values(t: TetraHessenberg, kind: str, n: int, x, nu=None) -> dict:
@@ -163,9 +228,12 @@ def sequence_values(t: TetraHessenberg, kind: str, n: int, x, nu=None) -> dict:
     The recurrence runs at x over the integers; no polynomial is built.
     Every value is returned as a reduced Fraction equal to p(x) for the
     polynomial p that type2_sequence, type1_sequences or
-    second_kind_sequences returns at the same place.
+    second_kind_sequences returns at the same place: one Fraction per value,
+    over the denominator the recurrence held it at.  x = None gives those
+    polynomials.
     """
-    return {name: tuple(v) for name, v in _sequences(t, kind, n, nu, x).items()}
+    seqs = _sequences(t, kind, n, nu, x)
+    return {name: tuple(run if x is None else map(Fraction, *run)) for name, run in seqs.items()}
 
 
 def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:

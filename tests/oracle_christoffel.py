@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from oracle_point import _origin_system
 from tetrahess import AlphaSequence, tetra_from_alphas, tetra_from_bands
-from tetrahess.darboux import (ChristoffelReport, _check_pbf, _forced_nu, _l_times, _origin_system, _times_l,
-                               _u_times)
+from tetrahess.darboux import ChristoffelReport, _check_pbf, _forced_nu, _l_times, _times_l, _u_times
 from tetrahess.errors import IdentityViolation, TetraError, ZeroAtOrigin
 from tetrahess.polynomials import type1_sequences, type2_sequence
 

@@ -35,6 +35,7 @@ from tetrahess import (
 )
 from tetrahess import darboux
 from tetrahess.core import _split_alphas
+from tetrahess.polynomials import _values
 from tetrahess.scalars import over_common_denominator
 
 import oracle_christoffel
@@ -324,9 +325,9 @@ def test_origin_system_is_singular_where_b_vanishes():
     matrix."""
     t = _constant_bands(1, 1, 1)
     for nu in (F(-1), F(2, 3)):
-        origin = sequence_values(t, "type1", 4, 0, nu)
+        [((a1, a2), _)] = _values(t, 4, (0,), ("A1", "A2"), nu)
         with pytest.raises(ZeroAtOrigin) as err:
-            darboux._origin_system(origin["A1"], origin["A2"], 1)
+            darboux._origin_system(a1, a2, 1)
         assert (err.value.n, err.value.which) == (2, "B")
 
 
@@ -580,7 +581,9 @@ def _identity_calls(monkeypatch, module, t, alphas, n):
 def test_christoffel_scalars_are_the_polynomial_identities(monkeypatch):
     """At every (k, identity), not only at the first failure: lhs(0) is the
     constant term of the oracle's left side (None for hat_a1, which is no
-    multiple of x), and the scalar terms sum to the oracle's lhs - rhs."""
+    multiple of x), and the scalar terms sum to the oracle's lhs - rhs.
+    Each lhs(0) and scalar is an (int numerator, positive int denominator)
+    pair, read as the Fraction it stands for."""
     cases = oracle_christoffel.comparison_cases(4, 40)
     cases.append((POLY_RESIDUAL_MATRIX, POLY_RESIDUAL_ALPHAS, 1))
     checked = 0
@@ -594,8 +597,11 @@ def test_christoffel_scalars_are_the_polynomial_identities(monkeypatch):
         bases["A1"], bases["A2"] = type1_sequences(t, n + 2, F(-1) / alphas.at(2))
         for (name, k, lhs, rhs, *_), (got_name, got_k, constant, terms, _) in zip(want, got):
             assert (got_name, got_k) == (name, k)
-            assert constant == (None if name == "hat_a1" else lhs.constant), (name, k)
-            residual = sum((bases[family][index].scale(s) for s, family, index in terms), Poly())
+            pairs = [s for s, _, _ in terms] + ([] if constant is None else [constant])
+            assert all(type(num) is int and type(den) is int and den > 0 for num, den in pairs), (name, k)
+            want_constant = None if name == "hat_a1" else lhs.constant
+            assert (constant if constant is None else F(*constant)) == want_constant, (name, k)
+            residual = sum((bases[family][index].scale(F(*s)) for s, family, index in terms), Poly())
             assert residual == lhs - rhs, (name, k)
             checked += 1
     assert checked > 1000, checked

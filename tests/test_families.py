@@ -2,6 +2,7 @@
 predictions, and the cross-variant band consistency."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -257,6 +258,32 @@ def test_one_negated_alpha_is_reported_as_the_oracle_reports_it(p):
             assert got == _sign_outcome(oracle_jp.jp_sign_report, p, tuple(variants)), (variant, j)
             if base[i].at(j) != 0:
                 assert isinstance(got, tuple) and got[2:4] == (j, str(variant))
+
+
+@pytest.mark.parametrize("p", JP_VERIFICATION_GRID[::3], ids=lambda p: f"{p.alpha}_{p.beta}_{p.gamma}")
+def test_a_short_variant_is_read_to_its_end_as_the_oracle_reads_it(p):
+    """Either variant cut short of count = 24, with or without one negated
+    alpha before the cut, and the other variant whole or with alpha_4
+    negated: a mismatch at an earlier j is raised first, FIRST is checked
+    to its end before AKV, and otherwise the first missing entry raises the
+    same BandExhausted as the oracle's entry-by-entry reads."""
+    base = [jp_alphas(p, v, 24) for v in (Variant.FIRST, Variant.AKV)]
+    kinds = set()
+    for i, length, j, other in product((0, 1), (0, 1, 5, 12, 23), (None, 1, 3, 23), (False, True)):
+        variants = list(base)
+        cut = AlphaSequence(values=base[i].values[:length])
+        variants[i] = cut if j is None or j > length else _negated(cut, j)
+        if other:
+            variants[1 - i] = _negated(base[1 - i], 4)
+        outcomes = []
+        for check in (jp_sign_report, oracle_jp.jp_sign_report):
+            try:
+                outcomes.append(check(p, 24, tuple(variants)))
+            except (BandExhausted, PredictionMismatch) as exc:
+                outcomes.append((type(exc), exc.args, str(exc)))
+        assert outcomes[0] == outcomes[1], (i, length, j, other)
+        kinds.add(outcomes[0][0])
+    assert kinds == {BandExhausted, PredictionMismatch}
 
 
 def _outcome(check, *args):
