@@ -212,17 +212,6 @@ class DenseMatrix:
 
     __matmul__ = mul
 
-    def add_scaled_identity(self, scalar) -> "DenseMatrix":
-        return DenseMatrix(
-            tuple(
-                tuple(v + scalar if i == j else v for j, v in enumerate(row))
-                for i, row in enumerate(self.rows)
-            )
-        )
-
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(self.n))
-
     def submatrix(self, rows, cols) -> "DenseMatrix":
         return DenseMatrix(tuple(tuple(self.rows[i][j] for j in cols) for i in rows))
 
@@ -264,10 +253,12 @@ class DenseMatrix:
         m = DenseMatrix.identity(n)
         for k in range(1, n + 1):
             am = self.mul(m)
-            ck = -am.trace() / k
+            ck = -sum(am.rows[i][i] for i in range(n)) / k
             descending.append(ck)
             if k < n:
-                m = am.add_scaled_identity(ck)
+                m = DenseMatrix(
+                    tuple(v + ck if i == j else v for j, v in enumerate(row)) for i, row in enumerate(am.rows)
+                )
         return Poly(tuple(reversed(descending)))
 
     def leading_char_polys(self) -> list:

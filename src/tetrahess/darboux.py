@@ -16,7 +16,7 @@ being exactly divisible by x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -227,16 +227,7 @@ def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tran
 def darboux_polynomials(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> TransformedPolys:
     """All six transformed sequences in one TransformedPolys."""
     tilde_b, tildetilde_b = transformed_type2(t, alphas, n)
-    tp = transformed_type1(t, alphas, n)
-    return TransformedPolys(
-        nu=tp.nu,
-        tildeB=tilde_b,
-        tildetildeB=tildetilde_b,
-        hatA1=tp.hatA1,
-        tildeA2=tp.tildeA2,
-        tildetildeA1=tp.tildetildeA1,
-        tildetildeA2=tp.tildetildeA2,
-    )
+    return replace(transformed_type1(t, alphas, n), tildeB=tilde_b, tildetildeB=tildetilde_b)
 
 
 def _origin_system(a1, a2, k):
@@ -269,12 +260,11 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
     with M_k the 2x2 matrix of (A1, A2) values at 0 at indices k+1, k+2;
     q_{k+1} is the first component less p_{k+1}.
     The values at 0 come from the recurrences run at x = 0, O(N) scalar
-    steps over the integers; no polynomial is built, and each u_k, p_k and
-    q_k is one Fraction of two ints.  Needs the matrix bands up to a_{N+1}.
+    steps over the integers, B, A1 and A2 over one denominator, which every
+    ratio cancels; no polynomial is built, and each u_k, p_k and q_k is one
+    Fraction of two ints.  Needs the matrix bands up to a_{N+1}.
     """
-    nu = _forced_nu(alpha2)
-    [((b,), _)] = _values(t, n + 1, (0,), ("B",))
-    [((a1, a2), _)] = _values(t, n + 1, (0,), ("A1", "A2"), nu)
+    [((b, a1, a2), _)] = _values(t, n + 1, (0,), ("B", "A1", "A2"), _forced_nu(alpha2))
     u = []
     for k in range(n + 1):
         if b[k] == 0:
@@ -436,7 +426,8 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     families' denominators, decides its sign, and the running maximum is
     compared by cross-multiplication.  Only the reported max_value, and the
     value a SignViolation carries, become Fractions, each equal to the
-    determinant it stands for.
+    determinant it stands for.  A positive value raises, so a report has
+    checked all of them: 12 (N + 1) per sample point.
     """
     xs = tuple(xs)
     if not xs:
@@ -451,7 +442,6 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
 
     mnum = mden = max_location = None
     zeros_at_origin = 0
-    checked = 0
     for x, (base, d) in zip(xs, _values(t, n + 2, xs, ("B", "B1", "B2"), nu)):
         hathat = tuple(_u_times(u, v, big_k) for v in base)
         vals = (base, tuple(_l_times(q, uv, big_k) for uv in hathat), hathat)
@@ -461,7 +451,6 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
             den = dens[top] * dens[bottom]
             for k in range(n + 1):
                 num = tm[k] * bc[k] - tc[k] * bm[k]
-                checked += 1
                 if num > 0:
                     raise SignViolation(det_id, k, x, Fraction(num, den))
                 if num == 0 and x == 0:
@@ -471,7 +460,7 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     return AkvReport(
         n_max=n,
         xs=xs,
-        checked=checked,
+        checked=len(_AKV_DETS) * len(xs) * (n + 1),
         max_value=Fraction(mnum, mden),
         max_location=max_location,
         zeros_at_origin=zeros_at_origin,

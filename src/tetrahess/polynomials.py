@@ -23,7 +23,9 @@ each step table once per call, whatever the points and names, and gives
 per point the int numerators of every sequence asked for over one
 positive denominator; b1 is formed only when it is asked for.
 ``sequence_values`` is the public edge: it turns each value into one
-reduced Fraction over the denominator the recurrence held it at.
+reduced Fraction over the denominator the recurrence held it at.  It is
+the only entry keyed by kind (_KINDS); every other entry asks ``_runs``
+for its sequences by name.
 """
 
 from __future__ import annotations
@@ -146,6 +148,7 @@ _SEEDS = {
     "B1": (False, lambda nu: (1, 0, 0)),
     "B2": (False, lambda nu: (-1 - nu, 1, 0)),
 }
+#: The names of each kind, for sequence_values.
 _KINDS = {"type2": ("B",), "type1": ("A1", "A2"), "second": ("B1", "B2", "b1")}
 
 
@@ -196,16 +199,6 @@ def _runs(t: TetraHessenberg, n: int, names, nu, points) -> list:
     return out
 
 
-def _sequences(t: TetraHessenberg, kind: str, n: int, nu=None, x=None) -> dict:
-    """The sequences of one kind, indices 0..N, by name (see _KINDS), as
-    _runs gives them at ``x`` or, without x, as polynomials."""
-    if n < 0:
-        raise ValueError("sequence length must be >= 0")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown sequence kind {kind!r}")
-    return _runs(t, n, _KINDS[kind], nu, (x,))[0]
-
-
 def _values(t: TetraHessenberg, n: int, points, names, nu=None) -> list:
     """For each of ``points``, the values of the sequences ``names`` at
     indices 0..N as int numerators over one common denominator: a pair
@@ -232,8 +225,10 @@ def sequence_values(t: TetraHessenberg, kind: str, n: int, x, nu=None) -> dict:
     over the denominator the recurrence held it at.  x = None gives those
     polynomials.
     """
-    seqs = _sequences(t, kind, n, nu, x)
-    return {name: tuple(run if x is None else map(Fraction, *run)) for name, run in seqs.items()}
+    if kind not in _KINDS:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    [runs] = _runs(t, n, _KINDS[kind], nu, (x,))
+    return {name: tuple(run if x is None else map(Fraction, *run)) for name, run in runs.items()}
 
 
 def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
@@ -242,7 +237,7 @@ def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
         B_{k+1} = (x - c_k) B_k - b_k B_{k-1} - a_k B_{k-2}
 
     seeded by B_0 = 1, B_1 = x - c_0, B_2 = (x - c_1) B_1 - b_1."""
-    return PolySequence(tuple(_sequences(t, "type2", n)["B"]))
+    return PolySequence(tuple(_runs(t, n, ("B",), None, (None,))[0]["B"]))
 
 
 def type1_sequences(t: TetraHessenberg, n: int, nu):
@@ -255,8 +250,8 @@ def type1_sequences(t: TetraHessenberg, n: int, nu):
 
     (the A_{-1} term is absent for k = 2), which is why a_k > 0 matters.
     """
-    seqs = _sequences(t, "type1", n, nu)
-    return PolySequence(tuple(seqs["A1"])), PolySequence(tuple(seqs["A2"]))
+    [runs] = _runs(t, n, ("A1", "A2"), nu, (None,))
+    return PolySequence(tuple(runs["A1"])), PolySequence(tuple(runs["A2"]))
 
 
 def second_kind_sequences(t: TetraHessenberg, n: int, nu):
@@ -269,8 +264,8 @@ def second_kind_sequences(t: TetraHessenberg, n: int, nu):
 
     b^(1) = B^(2) + nu B^(1) is independent of nu.
     """
-    seqs = _sequences(t, "second", n, nu)
-    return tuple(PolySequence(tuple(seqs[name])) for name in ("B1", "B2", "b1"))
+    [runs] = _runs(t, n, ("B1", "B2", "b1"), nu, (None,))
+    return tuple(PolySequence(tuple(run)) for run in runs.values())
 
 
 def char_poly_truncation(t: TetraHessenberg, n: int, k: int) -> Poly:
@@ -283,4 +278,4 @@ def char_poly_truncation(t: TetraHessenberg, n: int, k: int) -> Poly:
     """
     if not 0 <= k <= n + 1:
         raise IndexOutOfRange(f"char poly truncation index {k} not in [0, {n + 1}]")
-    return _sequences(t.shifted(k), "type2", n - k + 1)["B"][-1]
+    return _runs(t.shifted(k), n - k + 1, ("B",), None, (None,))[0]["B"][-1]

@@ -117,18 +117,17 @@ def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
     witness carries the true minor.  Enumeration order: minor order
     ascending, then row subsets lexicographic, then columns.
 
-    Order-1 minors are read off the rows.  Past order 1 the scan runs the
-    plan of the matrix's band (_plan), which lists only the minors the band
-    does not force to zero; the others are 0 and violate neither test (see
-    the module docstring).  A witness reports its position in the full
-    enumeration, and a certificate every minor, C(2n, n) - 1 of them."""
+    Order-1 minors are read off the rows; entry (i, j) is minor i n + j + 1.
+    Past order 1 the scan runs the plan of the matrix's band (_plan), which
+    lists only the minors the band does not force to zero; the others are 0
+    and violate neither test (see the module docstring).  A witness reports
+    its position in the full enumeration, and a certificate every minor,
+    C(2n, n) - 1 of them."""
     n = len(table.rows)
-    checked = 0
     for i, row in enumerate(table.rows):
         for j, value in enumerate(row):
-            checked += 1
             if violates(value):
-                return ((i + 1,), (j + 1,), table.true_minor((i,), value)), checked
+                return ((i + 1,), (j + 1,), table.true_minor((i,), value)), i * n + j + 1
     # slot i n + j of ``values`` holds the entry (i, j) and each order of the
     # plan appends its minors; ``signed`` holds the entries, then their
     # negatives

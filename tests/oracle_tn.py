@@ -4,12 +4,22 @@ kept unchanged as the oracle of the differential tests in test_tncheck.py.
 It fills one flat list of 4^n integer minors, order by order, at index
 (row bitmask << n) | column bitmask, and visits every minor, the band's
 structural zeros included, with a bit test per expansion term.
+
+``comparison_cases`` and ``compared`` are a seeded differential set and
+the compared scans.  They need no pytest, so the comparison also runs as a
+script, on an interpreter without it:
+
+    PYTHONPATH=src python tests/oracle_tn.py
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from itertools import combinations
 
+from tetrahess import tncheck
+from tetrahess.core import AlphaSequence, DenseMatrix, _banded, bands_from_alphas
 from tetrahess.tncheck import _MinorTable, _members
 
 
@@ -66,3 +76,60 @@ def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
                     )
                     return witness, checked
     return None, checked
+
+
+_KINDS = ("pbf", "signed", "zero-alpha", "negative-entry", "zero-entry", "dense")
+
+#: The two tests _full_scan is called with: TN, and TP for the power oracle.
+TESTS = (("< 0", lambda value: value < 0), ("<= 0", lambda value: value <= 0))
+
+
+def _matrix(rng, kind, n):
+    """An n x n matrix of ``kind``: the tetradiagonal truncation of PBF
+    alphas, of alphas with one or two made negative or 0, a positive
+    matrix with one entry made negative or 0 (an order-1 refutation under
+    one test or both), or a dense matrix of any signs with zeros."""
+
+    def scalar(lo):
+        return Fraction(rng.randint(lo, 9), rng.choice((1, 2, 3, 5, 7)))
+
+    if kind in ("negative-entry", "zero-entry"):
+        i, j = rng.randrange(n), rng.randrange(n)
+        value = -scalar(1) if kind == "negative-entry" else Fraction(0)
+        return DenseMatrix([[value if (r, c) == (i, j) else scalar(1) for c in range(n)] for r in range(n)])
+    if kind == "dense":
+        return DenseMatrix([[scalar(-4) if rng.random() < 0.8 else Fraction(0) for _ in range(n)] for _ in range(n)])
+    alphas = [scalar(1) for _ in range(3 * n - 2)]
+    if kind != "pbf":
+        for _ in range(rng.randint(1, 2)):
+            alphas[rng.randrange(len(alphas))] = -scalar(1) / 40 if kind == "signed" else Fraction(0)
+    c, b, a = bands_from_alphas(AlphaSequence(values=tuple(alphas)))
+    return _banded(n, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})
+
+
+def comparison_cases(seed, count, dims=(1, 7)):
+    """``count`` seeded matrices of dims in ``dims``, the kinds in turn."""
+    rng = random.Random(seed)
+    return [_matrix(rng, _KINDS[k % len(_KINDS)], rng.randint(*dims)) for k in range(count)]
+
+
+def compared(m):
+    """(test, got, want) for tncheck._full_scan and this oracle on ``m``
+    under both tests: each the witness and the position or the count."""
+    table = _MinorTable(m)
+    return [(name, tncheck._full_scan(table, test), _full_scan(table, test)) for name, test in TESTS]
+
+
+if __name__ == "__main__":
+    import sys
+
+    cases = [m for seed in (1, 2, 3) for m in comparison_cases(seed, 200)]
+    results = [row for m in cases for row in compared(m)]
+    differ = sorted({name for name, got, want in results if got != want})
+    order_one = {name: 0 for name, _ in TESTS}
+    for name, (witness, _), _ in results:
+        order_one[name] += witness is not None and len(witness[0]) == 1
+    print(f"Python {sys.version.split()[0]}: {len(cases)} cases, {len(results)} comparisons "
+          f"({', '.join(f'{k} order-1 refutations under {name}' for name, k in order_one.items())}), "
+          f"{sum(got != want for _, got, want in results)} differ{': ' + ', '.join(differ) if differ else ''}")
+    sys.exit(1 if differ else 0)

@@ -48,6 +48,19 @@ def test_negative_entry_is_order_one_witness():
     rep = is_totally_nonnegative(dense([[1, 2], [3, -1]]))
     assert rep.is_tn is False
     assert rep.witness == ((2,), (2,), F(-1))
+    # a positive 3x3 matrix with its entry (i, j) made negative, or 0 under
+    # the total-positivity test: that entry is the first violation, the
+    # (i n + j + 1)-th minor of the enumeration
+    for i in range(3):
+        for j in range(3):
+            cell, position = ((i + 1,), (j + 1,)), i * 3 + j + 1
+            negative, zero = (
+                dense([[v if (r, c) == (i, j) else r + 2 * c + 1 for c in range(3)] for r in range(3)])
+                for v in (F(-2, 3), 0)
+            )
+            rep = is_totally_nonnegative(negative)
+            assert (rep.is_tn, rep.witness, rep.minors_checked) == (False, (*cell, F(-2, 3)), position)
+            assert _full_scan(_MinorTable(zero), lambda v: v <= 0) == ((*cell, F(0)), position)
 
 
 def test_symmetric_reference_witness(t_sym):
