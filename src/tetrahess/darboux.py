@@ -70,17 +70,13 @@ class TransformedPolys:
     tildetildeA2: PolySequence = None
 
 
-@dataclass(frozen=True)
-class ChristoffelReport:
-    n_max: int
-    identities: tuple
-    checked: int
+#: The Christoffel-correspondence identities verify_christoffel checks at
+#: every k, in the order it checks them.
+CHRISTOFFEL_IDENTITIES = ("tilde_b", "tildetilde_b", "hat_a1", "tilde_a2", "tildetilde_a1", "tildetilde_a2")
 
 
 @dataclass(frozen=True)
 class AkvReport:
-    n_max: int
-    xs: tuple
     checked: int
     max_value: object
     max_location: tuple  # (det_id, n, x)
@@ -309,7 +305,7 @@ def _check_identity(name, k, constant, terms, base):
         raise IdentityViolation(name, k, residual)
 
 
-def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> ChristoffelReport:
+def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> None:
     """Check the Christoffel-correspondence identities, exactly, for all
     k <= N.  The transformed sequences computed from the alphas must equal
     their expressions in terms of values at the origin:
@@ -333,7 +329,8 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
     scalar is an int numerator over a positive int denominator, tested
     against 0.  A nonzero lhs(0) is the residual, as a Fraction; B, A1 and
     A2 are built, once, only for a nonzero scalar.  The first failure in
-    (k, identity) order raises IdentityViolation.
+    (k, identity) order raises IdentityViolation, so a return means all
+    len(CHRISTOFFEL_IDENTITIES) (N + 1) checks held.
     """
     u, p, q = _check_pbf(alphas, 3 * n + 5, "verify_christoffel")
     if n < 1:
@@ -351,7 +348,6 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
             bases["B"], (bases["A1"], bases["A2"]) = type2_sequence(t, n + 1), type1_sequences(t, n + 2, nu)
         return bases[family][index]
 
-    names = ("tilde_b", "tildetilde_b", "hat_a1", "tilde_a2", "tildetilde_a1", "tildetilde_a2")
     for k in range(n + 1):
         if a1[k] == 0 or a1[k + 1] == 0:
             raise ZeroAtOrigin(k if a1[k] == 0 else k + 1, "A1")
@@ -380,7 +376,6 @@ def verify_christoffel(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Chr
         for name, family, v in (("tildetilde_a1", "A1", a1), ("tildetilde_a2", "A2", a2)):
             constant = (k2 * v[k] + kk * pq * v[k + 1] + qp * v[k + 2], k2 * d_a)
             _check_identity(name, k, constant, [(first, family, k + 1), (second, family, k + 2)], base)
-    return ChristoffelReport(n_max=n, identities=names, checked=len(names) * (n + 1))
 
 
 #: The twelve sign-definite 2x2 pairings: (top family, top index shift,
@@ -458,8 +453,6 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
                 if mnum is None or num * mden > mnum * den:
                     mnum, mden, max_location = num, den, (det_id, k, x)
     return AkvReport(
-        n_max=n,
-        xs=xs,
         checked=len(_AKV_DETS) * len(xs) * (n + 1),
         max_value=Fraction(mnum, mden),
         max_location=max_location,

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _interleave,
-                   _lu_bands, _split_alphas)
+from .core import AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _interleave, _split_alphas
 from .errors import SingularLeadingMinor, ZeroAlpha3n
 from .polynomials import _values
 
@@ -58,13 +57,6 @@ class GaussBorelFactors:
     def upper_matrix(self) -> DenseMatrix:
         bands = {0: lambda i: self.u_diag[i], 1: lambda i: Fraction(1)}
         return _banded(self.order + 1, bands)
-
-    def product_bands(self):
-        """(diagonal, first subdiagonal, second subdiagonal) of L U in O(N),
-        rows indexed as c, b and a are (from 0, 1 and 2): the product of
-        core._lu_bands with m_0 = l_0 = l_1 = 0."""
-        c, b, a = _lu_bands(self.u_diag, (0,) + self.m, (0, 0) + self.ell)
-        return c.values, b.values, a.values
 
 
 def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:

@@ -194,65 +194,37 @@ _SIGN_EXCEPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class JPSignReport:
-    region: Region
-    count: int
-    first_signs: tuple
-    akv_signs: tuple
-
-
-@dataclass(frozen=True)
-class JPConsistencyReport:
-    count: int
-    bands_compared: int
-    subdiagonals_compared: int
-
-
-def jp_sign_report(p: JPParams, count: int, variants=None) -> JPSignReport:
-    """Record the sign of every alpha_j, j <= count, for both variants and
-    check each against the region's row of ``_SIGN_EXCEPTIONS``, read once
-    per variant (in particular: FIRST is TN in the strip R2 u R3, AKV is TP
-    in R3).  Each sign is read off the numerator (a Fraction's denominator
-    is positive), so no Fraction is compared.  ``variants`` is the pair
+def jp_sign_report(p: JPParams, count: int, variants=None) -> None:
+    """Check the sign of every alpha_j, j <= count, of both variants
+    against the region's row of ``_SIGN_EXCEPTIONS``, read once per variant
+    (in particular: FIRST is TN in the strip R2 u R3, AKV is TP in R3).
+    Each sign is read off the numerator (a Fraction's denominator is
+    positive), so no Fraction is compared.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
     has built it already.  Raises PredictionMismatch on the first
     disagreement.  Each variant is read in one pass over its values; a
     sequence shorter than ``count`` raises BandExhausted at its first
     missing entry once every entry it has is checked.
     """
-    region = p.region
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
-    signs = {}
     for variant, seq in zip((Variant.FIRST, Variant.AKV), variants):
-        exceptions = _SIGN_EXCEPTIONS[(variant, region)]
-        out = []
+        exceptions = _SIGN_EXCEPTIONS[(variant, p.region)]
         for j, v in enumerate(seq.values[: max(count, 0)], start=1):
-            sign = (v.numerator > 0) - (v.numerator < 0)
             predicted = exceptions.get(j, 1)
-            if sign != predicted:
+            if (v.numerator > 0) - (v.numerator < 0) != predicted:
                 raise PredictionMismatch(j, str(variant), predicted, v)
-            out.append(sign)
         if seq.length < count:
             seq.at(seq.length + 1)
-        signs[variant] = tuple(out)
-    return JPSignReport(
-        region=region,
-        count=count,
-        first_signs=signs[Variant.FIRST],
-        akv_signs=signs[Variant.AKV],
-    )
 
 
 def _agree(name, start, first, akv, scale):
-    """Number of entries compared; raises ConsistencyViolation(n, name, ...)
-    at the first index n, counted from ``start``, where the two differ,
-    with the two entries divided by ``scale``."""
+    """Raise ConsistencyViolation(n, name, ...) at the first index n,
+    counted from ``start``, where the two differ, with the two entries
+    divided by ``scale``."""
     for n, (u, v) in enumerate(zip(first, akv), start=start):
         if u != v:
             raise ConsistencyViolation(n, name, Fraction(u, scale), Fraction(v, scale))
-    return len(first)
 
 
 #: The degree of each compared quantity in the alphas: u is one alpha, m a
@@ -261,7 +233,7 @@ def _agree(name, start, first, akv, scale):
 _DEGREE = {"m": 1, "l": 2, "c": 1, "b": 2, "a": 3}
 
 
-def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistencyReport:
+def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     """Both parametrizations must induce identical L-subdiagonals
     (m_k = alpha_{3k-1}+alpha_{3k}, l_k = alpha_{3k-1} alpha_{3k-3},
     k <= count // 3) and identical Hessenberg bands, exactly; each variant's
@@ -285,13 +257,10 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> JPConsistenc
         _factor_triple(*_split_alphas(tuple(part))) for part in (scaled[: len(first)], scaled[len(first) :])
     )
     rows = count // 3 + 1
-    subdiagonals = _agree("m", 1, m_f[1:rows], m_a[1:rows], k)
-    subdiagonals += _agree("l", 2, l_f[2:rows], l_a[2:rows], k**2)
-    bands = sum(
+    _agree("m", 1, m_f[1:rows], m_a[1:rows], k)
+    _agree("l", 2, l_f[2:rows], l_a[2:rows], k**2)
+    for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
         _agree(f.name, f.start, f.values, a.values, k ** _DEGREE[f.name])
-        for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a))
-    )
-    return JPConsistencyReport(count=count, bands_compared=bands, subdiagonals_compared=subdiagonals)
 
 
 def jp_matrix(p: JPParams, variant: Variant = Variant.FIRST, count: int = 64):

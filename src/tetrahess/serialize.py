@@ -85,12 +85,12 @@ def _generator_alphas(spec):
     if name == "ones":
         return AlphaSequence(values=(Fraction(1),) * count)
     if name == "jacobi-pineiro":
-        params = JPParams(
-            alpha=_scalar(spec["alpha"], "generator alpha"),
-            beta=_scalar(spec["beta"], "generator beta"),
-            gamma=_scalar(spec["gamma"], "generator gamma"),
-        )
-        return jp_alphas(params, Variant(spec.get("variant", "first")), count)
+        values = []
+        for key in ("alpha", "beta", "gamma"):
+            if key not in spec:
+                raise ValueError(f"jacobi-pineiro generator lacks {key!r}")
+            values.append(_scalar(spec[key], f"generator {key}"))
+        return jp_alphas(JPParams(*values), Variant(spec.get("variant", "first")), count)
     raise ValueError(f"unknown generator {name!r}")
 
 

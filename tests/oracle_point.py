@@ -144,8 +144,6 @@ def akv_sign_checks(t, alphas, n: int, xs) -> AkvReport:
                     max_value = value
                     max_location = (det_id, k, x)
     return AkvReport(
-        n_max=n,
-        xs=xs,
         checked=checked,
         max_value=max_value,
         max_location=max_location,
@@ -265,8 +263,7 @@ def _typed(value):
     if isinstance(value, GaussBorelFactors):
         return "lu", _typed((value.delta, value.m, value.ell, value.u_diag))
     if isinstance(value, AkvReport):
-        return "akv", _typed((value.n_max, value.xs, value.checked, value.max_value, value.max_location,
-                              value.zeros_at_origin))
+        return "akv", _typed((value.checked, value.max_value, value.max_location, value.zeros_at_origin))
     return value
 
 

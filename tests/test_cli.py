@@ -3,7 +3,6 @@
 import io
 import json
 import contextlib
-import dataclasses
 import os
 import signal
 import subprocess
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 import tetrahess
 from tetrahess import cli, families, tncheck
 from tetrahess.cli import main
+from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
 from tetrahess.poly import Poly
 from tetrahess.polynomials import second_kind_sequences, type1_sequences, type2_sequence
 from tetrahess.scalars import format_scalar
@@ -531,16 +531,17 @@ class TestVerifyCharpolyCanFail:
 @pytest.mark.parametrize("field", ["m", "ell", "u_diag"])
 @pytest.mark.parametrize("position", [0, 2, -1])
 def test_roundtrip_fails_when_one_lu_entry_moves(monkeypatch, jp_r3_file, field, position):
-    """The banded L*U check sees a change in any one entry of m, l or u."""
-    original = cli.gauss_borel
+    """The banded L*U check sees a change in any one entry of m (from m_1),
+    l (from l_2) or u: the bands c, b and a it compares are formed from
+    the moved factor triple."""
 
-    def moved(t, n):
-        gb = original(t, n)
-        values = list(getattr(gb, field))
-        values[position] += Fraction(1, 7)
-        return dataclasses.replace(gb, **{field: tuple(values)})
+    def moved(alphas):
+        triple = [list(f) for f in _factor_triple(*_split_alphas(alphas.values))]
+        which = ("u_diag", "m", "ell").index(field)
+        triple[which][position + which if position >= 0 else position] += Fraction(1, 7)
+        return _lu_bands(*triple)
 
-    monkeypatch.setattr(cli, "gauss_borel", moved)
+    monkeypatch.setattr(cli, "bands_from_alphas", moved)
     code, out, err = run(["verify", "--suite", "roundtrip", "--alphas", jp_r3_file, "--n", "6"])
     assert code == 1, err
     error = "roundtrip: L*U does not reproduce the truncation"
@@ -726,6 +727,17 @@ class TestInputErrorEverySubcommand:
         code, out, err = run(argv + [str(path)])
         assert (code, out) == (65, "")
         assert err.startswith(f"input error: {path}: parameters outside the natural region")
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+    def test_generator_lacking_a_parameter_names_it(self, tmp_path, field):
+        spec = {"name": "jacobi-pineiro", "alpha": "0", "beta": "1/2", "gamma": "0"}
+        del spec[field]
+        path = tmp_path / "jp.json"
+        path.write_text(json.dumps({"generator": spec}))
+        for argv in (["verify", "--suite", "all", "--n", "3", "--alphas"],
+                     ["factor", "--n", "2", "--alpha2", "1", "--input"]):
+            code, out, err = run(argv + [str(path)])
+            assert (code, out, err) == (65, "", f"input error: {path}: jacobi-pineiro generator lacks {field!r}\n")
 
     @pytest.mark.parametrize("payload, argv, message", [
         (NEGATIVE_A, ["polys", "--n", "2", "--kind", "type2", "--input"], "a_2 = -1"),

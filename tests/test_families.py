@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_jp
-from oracle_jp import oracle_jp_alphas
+from oracle_jp import _moved, oracle_jp_alphas
 from tetrahess import families
 from tetrahess import (
     AlphaSequence,
@@ -124,16 +124,24 @@ def test_params_reject_degenerate_gamma_sums():
 
 def test_both_variants_induce_same_bands():
     p = JPParams(F(0), F(1, 2), F(0))
-    report = jp_cross_consistency(p, 24)
-    assert report.bands_compared > 0
-    assert report.subdiagonals_compared > 0
+    assert jp_cross_consistency(p, 24) is None
+    first, akv = (jp_alphas(p, v, 24) for v in (Variant.FIRST, Variant.AKV))
+    assert [band.values for band in bands_from_alphas(first)] == [band.values for band in bands_from_alphas(akv)]
+    assert lm_from_alphas(first, 8) == lm_from_alphas(akv, 8)
 
 
 def test_prebuilt_variants_give_the_same_reports():
+    """Prebuilt variants pass where building them passes, and they are what
+    is checked: a pair with AKV's alpha_1 negated fails both checks."""
     for p in JP_VERIFICATION_GRID:
         variants = (jp_alphas(p, Variant.FIRST, 24), jp_alphas(p, Variant.AKV, 24))
-        assert jp_cross_consistency(p, 24, variants) == jp_cross_consistency(p, 24)
-        assert jp_sign_report(p, 24, variants) == jp_sign_report(p, 24)
+        assert jp_cross_consistency(p, 24, variants) is jp_cross_consistency(p, 24) is None
+        assert jp_sign_report(p, 24, variants) is jp_sign_report(p, 24) is None
+        moved = (variants[0], _negated(variants[1], 1))
+        with pytest.raises(ConsistencyViolation):
+            jp_cross_consistency(p, 24, moved)
+        with pytest.raises(PredictionMismatch):
+            jp_sign_report(p, 24, moved)
 
 
 def test_cross_consistency_m_values():
@@ -144,14 +152,6 @@ def test_cross_consistency_m_values():
         m, _ = lm_from_alphas(alphas, 2)
         assert m[0] == F(1, 6)
         assert m[1] == F(19, 70)
-
-
-def _moved(alphas, *moves):
-    """alphas with alpha_j increased by d for each (j, d) in moves."""
-    values = list(alphas.values)
-    for j, d in moves:
-        values[j - 1] += d
-    return AlphaSequence(values=values)
 
 
 R3_POINT = JPParams(F(0), F(1, 2), F(0))
@@ -236,7 +236,8 @@ def test_sign_table_is_the_oracle_branch_chain(variant, region):
 
 
 def _sign_outcome(check, p, variants):
-    """The report, or the PredictionMismatch's args, message and fields."""
+    """None for a pass, or the PredictionMismatch's args, message and
+    fields."""
     try:
         return check(p, 24, variants)
     except PredictionMismatch as exc:
@@ -246,7 +247,7 @@ def _sign_outcome(check, p, variants):
 @pytest.mark.parametrize("p", JP_VERIFICATION_GRID, ids=lambda p: f"{p.alpha}_{p.beta}_{p.gamma}")
 def test_one_negated_alpha_is_reported_as_the_oracle_reports_it(p):
     """Each alpha_j, j <= 24, of either variant negated in turn (the table's
-    entries among them, in every region): the same report or
+    entries among them, in every region): the same pass or
     PredictionMismatch as the Fraction oracle, and a nonzero entry's flipped
     sign is caught at that entry."""
     base = [jp_alphas(p, v, 24) for v in (Variant.FIRST, Variant.AKV)]
@@ -287,7 +288,7 @@ def test_a_short_variant_is_read_to_its_end_as_the_oracle_reads_it(p):
 
 
 def _outcome(check, *args):
-    """The report, or the violation's type and message."""
+    """None for a pass, or the violation's type and message."""
     try:
         return check(*args)
     except (ConsistencyViolation, PredictionMismatch) as exc:
@@ -299,7 +300,7 @@ def _outcome(check, *args):
        st.lists(st.tuples(st.integers(1, 28), st.integers(0, 1), jp_parameters, st.integers(0, 2)),
                 max_size=3))
 def test_integer_consistency_and_signs_match_the_fraction_oracle(alpha, beta, gamma, count, moves):
-    """Reports, or the first violation with its message, against the
+    """A pass, or the first violation with its message, against the
     Fraction checks: variants of 30 alphas checked at every count up to 30,
     with up to three alphas of either variant moved by a rational d, each
     alone or against alpha_{j+1} or alpha_{j+2} moved by -d (which keeps
@@ -318,30 +319,36 @@ def test_integer_consistency_and_signs_match_the_fraction_oracle(alpha, beta, ga
         assert got == _outcome(getattr(oracle_jp, check), p, count, variants), check
 
 
+def _signs(p, variant):
+    """The sign of each alpha_j, j <= 24, read off its numerator."""
+    return tuple((v.numerator > 0) - (v.numerator < 0) for v in jp_alphas(p, variant, 24).values)
+
+
 def test_sign_report_strip_point():
     p = JPParams(F(0), F(1, 2), F(0))  # R3
-    report = jp_sign_report(p, 24)
-    assert report.region is Region.R3
+    assert p.region is Region.R3
+    assert jp_sign_report(p, 24) is None
+    first, akv = _signs(p, Variant.FIRST), _signs(p, Variant.AKV)
     # first set: TN with the single zero at alpha_2
-    assert all(s >= 0 for s in report.first_signs)
-    assert report.first_signs[1] == 0
+    assert all(s >= 0 for s in first)
+    assert first[1] == 0
     # AKV set: strictly positive in R3
-    assert all(s > 0 for s in report.akv_signs)
+    assert all(s > 0 for s in akv)
 
 
 def test_sign_report_r1_negatives():
     p = JPParams(F(3, 2), F(0), F(0))
-    report = jp_sign_report(p, 24)
+    assert jp_sign_report(p, 24) is None
     # alpha_6 strand negative in R1 for the first set, alpha_2 strand for AKV
-    assert report.first_signs[5] < 0
-    assert report.akv_signs[1] < 0
+    assert _signs(p, Variant.FIRST)[5] < 0
+    assert _signs(p, Variant.AKV)[1] < 0
 
 
 def test_sign_report_r4_negatives():
     p = JPParams(F(0), F(3, 2), F(0))
-    report = jp_sign_report(p, 24)
-    assert report.first_signs[4] < 0  # alpha_5 strand
-    assert report.akv_signs[2] < 0  # alpha_3 strand
+    assert jp_sign_report(p, 24) is None
+    assert _signs(p, Variant.FIRST)[4] < 0  # alpha_5 strand
+    assert _signs(p, Variant.AKV)[2] < 0  # alpha_3 strand
 
 
 def test_classification_by_region():
@@ -435,3 +442,17 @@ def test_jp_matrix_variant_bands_agree():
         assert t_first.b(n) == t_akv.b(n)
     for n in range(2, 5):
         assert t_first.a(n) == t_akv.a(n)
+
+
+def test_the_oracle_script_cases_match():
+    """One seed of the set ``tests/oracle_jp.py`` runs as a script: whole,
+    moved, negated and cut-short variants at grid and random points, each
+    check passing or raising as its Fraction form does; every outcome
+    occurs."""
+    outcomes = set()
+    for case in oracle_jp.comparison_cases(1, 200):
+        for what, got, want in oracle_jp.compared(case):
+            assert got == want, (what, case[:2])
+            if not what.startswith("jp_alphas"):
+                outcomes.add(want if want is None else want[0])
+    assert outcomes == {None, BandExhausted, ConsistencyViolation, PredictionMismatch}
