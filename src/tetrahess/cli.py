@@ -39,9 +39,8 @@ from .families import (
     JPParams,
     Variant,
     jp_alphas,
-    jp_cross_consistency,
+    jp_certificate,
     jp_dense_truncation,
-    jp_sign_report,
 )
 from .polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
 from .scalars import format_ratio, format_scalar, parse_int, parse_scalar
@@ -320,9 +319,7 @@ def _suite_akv(t, alphas, n):
 
 def _suite_jp_consistency(_t, _alphas, _n):
     for params in JP_VERIFICATION_GRID:
-        variants = (jp_alphas(params, Variant.FIRST, 24), jp_alphas(params, Variant.AKV, 24))
-        jp_cross_consistency(params, 24, variants)
-        jp_sign_report(params, 24, variants)
+        jp_certificate(params)
     return {"suite": "jp-consistency", "points": len(JP_VERIFICATION_GRID)}
 
 

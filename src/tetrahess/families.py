@@ -1,7 +1,8 @@
 """Jacobi-Pineiro parameter families: the two explicit six-periodic alpha
 sequences factoring the same recursion matrix, region classification of
 (alpha, beta), sign-structure checks, and cross-consistency of the two
-parametrizations.
+parametrizations, sampled up to a count or proved for every j by
+``jp_certificate``.
 
 The weights are x^alpha (1-x)^gamma and x^beta (1-x)^gamma on [0, 1] with
 alpha, beta, gamma > -1 and alpha - beta not an integer (the natural
@@ -134,10 +135,7 @@ def _jp_rows(p: JPParams, variant: Variant):
     (a, b, g), d = over_common_denominator((p.alpha, p.beta, p.gamma))
     combos = {"0": 0, "a": a, "b": b, "g": g, "a+g": a + g, "b+g": b + g, "a-b": a - b, "b-a": b - a}
     numerators = _JP_NUMERATORS[variant]
-    return tuple(
-        tuple((k * d, t * d + combos[s]) for k, t, s in numerators[r] + _JP_DENOMINATORS[r])
-        for r in range(1, 7)
-    )
+    return [[(k * d, t * d + combos[s]) for k, t, s in numerators[r] + _JP_DENOMINATORS[r]] for r in range(1, 7)]
 
 
 def jp_alphas(p: JPParams, variant: Variant, count: int) -> AlphaSequence:
@@ -181,7 +179,8 @@ def jp_dense_truncation(p: JPParams, n: int):
 #: Region sign table: the alpha_j of each (variant, region) that are not
 #: positive, as {j: sign}; every alpha_j not listed is positive.  The fixed
 #: grids used for verification stay within |alpha - beta| < 2, where every
-#: entry's sign is pinned.
+#: entry's sign is pinned.  jp_certificate proves each row for every j at
+#: the points of JP_VERIFICATION_GRID, from the factors of _jp_rows.
 _SIGN_EXCEPTIONS = {
     (Variant.FIRST, Region.R1): {2: 0, 6: -1},
     (Variant.FIRST, Region.R2): {2: 0},
@@ -239,7 +238,9 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     k <= count // 3) and identical Hessenberg bands, exactly; each variant's
     factor triple is read once.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
-    has built it already.
+    has built it already.  A variant shorter than ``count`` raises
+    BandExhausted at its first missing entry before anything is compared,
+    FIRST before AKV.
 
     The comparison runs over the integers.  Every alpha of both variants is
     multiplied by K, the lcm of all their denominators, and the factor
@@ -251,6 +252,9 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     the true values."""
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
+    for seq in variants:
+        if seq.length < count:
+            seq.at(seq.length + 1)
     first, akv = (seq.values for seq in variants)
     scaled, k = over_common_denominator(first + akv)
     (u_f, m_f, l_f), (u_a, m_a, l_a) = (
@@ -261,6 +265,107 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     _agree("l", 2, l_f[2:rows], l_a[2:rows], k**2)
     for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
         _agree(f.name, f.start, f.values, a.values, k ** _DEGREE[f.name])
+
+
+def _cubic(factors):
+    """Coefficients, constant first, of the product of three linear
+    factors u n + v."""
+    (u1, v1), (u2, v2), (u3, v3) = factors
+    s0, s1, s2 = v1 * v2, u1 * v2 + v1 * u2, u1 * u2
+    return s0 * v3, s0 * u3 + s1 * v3, s1 * u3 + s2 * v3, s2 * u3
+
+
+def _times(p, q):
+    """Coefficients of the product of two cubics."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (
+        p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0, p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
+        p1 * q3 + p2 * q2 + p3 * q1, p2 * q3 + p3 * q2, p3 * q3,
+    )
+
+
+def _plus(p, q):
+    """Coefficients of the sum of two polynomials of one degree."""
+    return tuple(x + y for x, y in zip(p, q))
+
+
+def _induced(rows, d):
+    """Numerators, as polynomials in n, of what a variant's rows (from
+    _jp_rows) induce in T = L U, over denominators made of the
+    denominator cubics d = (D_1, .., D_6) alone:
+
+        u_{2n} = alpha_{6n+1}, u_{2n+1} = alpha_{6n+4}:   N_1 / D_1, N_4 / D_4;
+        m_{2n+1} = alpha_{6n+2} + alpha_{6n+3}:  (N_2 D_3 + N_3 D_2) / D_2 D_3;
+        m_{2n+2} = alpha_{6n+5} + alpha_{6n+6}:  (N_5 D_6 + N_6 D_5) / D_5 D_6;
+        l_{2n+2} = alpha_{6n+5} alpha_{6n+3}:    N_5 N_3 / D_5 D_3;
+        l_{2n+3} = alpha_{6n+8} alpha_{6n+6}:    N_2(n + 1) N_6 / D_2(n + 1) D_6,
+
+    N_r being the numerator cubic of residue r.  Each has degree <= 6."""
+    n1, n2, n3, n4, n5, n6 = [_cubic(row[:3]) for row in rows]
+    # N_2 at n + 1: each factor u n + v becomes u n + (u + v)
+    n2_next = _cubic([(u, u + v) for u, v in rows[1][:3]])
+    return (
+        n1, n4, _plus(_times(n2, d[2]), _times(n3, d[1])), _plus(_times(n5, d[5]), _times(n6, d[4])),
+        _times(n5, n3), _times(n2_next, n6),
+    )
+
+
+#: jp_cross_consistency at this count compares m_k and l_k for k <= 15 and
+#: u_k for k <= 14, so every row n <= 6 of the quantities of _induced.
+_WITNESS_COUNT = 45
+
+
+def jp_certificate(p: JPParams) -> None:
+    """Prove, for every j, what jp_cross_consistency and jp_sign_report
+    check for j <= count: both variants induce the same L-subdiagonals and
+    Hessenberg bands, and every alpha_j of each variant has the sign the
+    region's row of ``_SIGN_EXCEPTIONS`` gives it.  Raises what those two
+    raise on their first failure, in their order: agreement before signs,
+    FIRST's signs before AKV's, each in j order.
+
+    Agreement.  _jp_rows takes the denominators of both variants from the
+    one table _JP_DENOMINATORS, so u, m and l agree at every row exactly
+    when the numerator polynomials of _induced do, coefficient by
+    coefficient; the bands c, b and a are formed from u, m and l and so
+    agree too.  A failed identity is a nonzero polynomial of degree <= 6,
+    so it is nonzero at one of n = 0..6, and jp_cross_consistency over
+    those rows raises the ConsistencyViolation of its first failing entry.
+
+    Signs.  Every factor u n + v of _jp_rows has u > 0, so it is positive
+    from row -v // u + 1 on.  In each residue, the rows up to the later of
+    the last with a factor <= 0 and the last the table lists an exception
+    at are read off the int factors; every later alpha of the residue is
+    positive, as the table says.  So an exception listed where the alpha
+    is positive fails too.
+
+    The proof reads the closed forms of _jp_rows: a formula transcribed
+    wrong in both variants alike is beyond it."""
+    first, akv = _jp_rows(p, Variant.FIRST), _jp_rows(p, Variant.AKV)
+    d = [_cubic(row[3:]) for row in first]
+    if _induced(first, d) != _induced(akv, d):
+        jp_cross_consistency(p, _WITNESS_COUNT)
+    region = p.region
+    for variant, rows in ((Variant.FIRST, first), (Variant.AKV, akv)):
+        exceptions = _SIGN_EXCEPTIONS[(variant, region)]
+        starts = [0] * 6
+        for r, row in enumerate(rows):
+            for u, v in row:
+                if -v // u >= starts[r]:
+                    starts[r] = -v // u + 1
+        for j in exceptions:
+            n, r = divmod(j - 1, 6)
+            starts[r] = max(starts[r], n + 1)
+        for n in range(max(starts)):
+            for r, row in enumerate(rows):
+                if n < starts[r]:
+                    (u1, v1), (u2, v2), (u3, v3), (u4, v4), (u5, v5), (u6, v6) = row
+                    num = (u1 * n + v1) * (u2 * n + v2) * (u3 * n + v3)
+                    den = (u4 * n + v4) * (u5 * n + v5) * (u6 * n + v6)
+                    sign = (num > 0) - (num < 0) if den > 0 else (num < 0) - (num > 0)
+                    predicted = exceptions.get(6 * n + r + 1, 1)
+                    if sign != predicted:
+                        raise PredictionMismatch(6 * n + r + 1, str(variant), predicted, Fraction(num, den))
 
 
 def jp_matrix(p: JPParams, variant: Variant = Variant.FIRST, count: int = 64):

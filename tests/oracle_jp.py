@@ -16,11 +16,18 @@ pytest, so the comparison also runs as a script, on an interpreter
 without it:
 
     PYTHONPATH=src python tests/oracle_jp.py
+
+``jp_certificate`` proves for every j what the two checks sample for
+j <= 24.  ``certificate_compared`` holds it to the sampled pair, as the
+``jp-consistency`` suite ran it, and ``numerator_mutations``,
+``late_mutations`` and ``sign_table_mutations`` are the wrong tables it
+must refuse; the script runs those too.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 
 from tetrahess import families
@@ -139,9 +146,13 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     k <= count // 3) and identical Hessenberg bands, exactly; each variant's
     factor triple is read once.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
-    has built it already."""
+    has built it already.  A variant shorter than ``count`` raises
+    BandExhausted at its first missing entry before anything is compared."""
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
+    for seq in variants:
+        for j in range(1, count + 1):
+            seq.at(j)
     (u_f, m_f, l_f), (u_a, m_a, l_a) = (_factor_triple(*_split_alphas(v.values)) for v in variants)
     rows = count // 3 + 1
     _agree("m", 1, m_f[1:rows], m_a[1:rows])
@@ -234,6 +245,111 @@ def compared(case):
     return out
 
 
+def _near_point(rng):
+    """A random rational point of the natural region with |alpha - beta| <
+    2, where every entry of the sign table is pinned, and alpha, gamma in
+    (-1, 2], where some factors of the closed forms start out negative."""
+    while True:
+        a, g = (Fraction(rng.randint(-23, 48), 24) for _ in range(2))
+        try:
+            return JPParams(a, a + Fraction(rng.randint(-47, 47), 24), g)
+        except OutsideNaturalRegion:
+            pass
+
+
+def sampled(p):
+    """Both checks at count 24 on one build of each variant, as the
+    jp-consistency suite ran them before the certificate."""
+    variants = (jp_alphas(p, Variant.FIRST, 24), jp_alphas(p, Variant.AKV, 24))
+    families.jp_cross_consistency(p, 24, variants)
+    families.jp_sign_report(p, 24, variants)
+
+
+def certificate_compared(p):
+    """(got, want): the outcomes of the certificate and of the sampled pair
+    at p."""
+    return outcome(families.jp_certificate, p), outcome(sampled, p)
+
+
+def numerator_mutations():
+    """The 48 closed forms one step wrong: 1 added to k or to t of one
+    factor (k, t, s) of a numerator that one variant alone has (residues
+    2, 3, 5 and 6), as (variant, residue, the mutated numerator)."""
+    out = []
+    for variant in Variant:
+        for r in (2, 3, 5, 6):
+            row = families._JP_NUMERATORS[variant][r]
+            for i, (k, t, s) in enumerate(row):
+                out += [(variant, r, row[:i] + (factor,) + row[i + 1:]) for factor in ((k + 1, t, s), (k, t + 1, s))]
+    return out
+
+
+def late_mutations():
+    """Two wrong tables whose first failure lies past every m_k, as lists
+    of (variant, residue, numerator) edits: FIRST given AKV's alpha_{6n+5}
+    and alpha_{6n+6}, which keeps every m_k and moves l_{2n+2}; and AKV's
+    alpha_{6n+1} one step wrong, which moves u_{2n} and so c_{2n} alone."""
+    table = families._JP_NUMERATORS
+    return [
+        [(Variant.FIRST, r, table[Variant.AKV][r]) for r in (5, 6)],
+        [(Variant.AKV, 1, ((1, 2, "a"),) + table[Variant.AKV][1][1:])],
+    ]
+
+
+def sign_table_mutations():
+    """Two wrong rows of the sign table, as (key, row, the j the
+    certificate must name): an exception far beyond j = 24, and FIRST's
+    negative alpha_6 in R1 dropped."""
+    table = families._SIGN_EXCEPTIONS
+    akv_r3, first_r1 = (Variant.AKV, Region.R3), (Variant.FIRST, Region.R1)
+    return [
+        (akv_r3, {**table[akv_r3], 50: -1}, 50),
+        (first_r1, {j: s for j, s in table[first_r1].items() if j != 6}, 6),
+    ]
+
+
+@contextmanager
+def patched(table, key, value):
+    """``table[key]`` set to ``value`` for the duration."""
+    old = table[key]
+    table[key] = value
+    try:
+        yield
+    finally:
+        table[key] = old
+
+
+def certificate_results(seed, count):
+    """(what, got, want) for the certificate against the sampled pair: at
+    the grid and ``count`` random points near the diagonal, where both
+    pass; under each numerator mutation and each late mutation at every
+    grid point, where both raise alike; and under each sign-table mutation
+    at the grid points of its region, where the certificate names its j
+    (want is that j)."""
+    rng = random.Random(seed)
+    out = [("certificate", *certificate_compared(p)) for p in JP_VERIFICATION_GRID]
+    out += [("certificate", *certificate_compared(_near_point(rng))) for _ in range(count)]
+    for edits in [[mutation] for mutation in numerator_mutations()] + late_mutations():
+        with ExitStack() as stack:
+            for variant, r, row in edits:
+                stack.enter_context(patched(families._JP_NUMERATORS[variant], r, row))
+            out += [(f"mutation {edits}", *certificate_compared(p)) for p in JP_VERIFICATION_GRID]
+    for key, row, j in sign_table_mutations():
+        with patched(families._SIGN_EXCEPTIONS, key, row):
+            out += [(f"sign table {key[0]} {key[1]}", _mismatched_j(p), j)
+                    for p in JP_VERIFICATION_GRID if p.region is key[1]]
+    return out
+
+
+def _mismatched_j(p):
+    """The j of the certificate's PredictionMismatch at p, or None if it
+    passes."""
+    try:
+        families.jp_certificate(p)
+    except PredictionMismatch as error:
+        return error.j
+
+
 if __name__ == "__main__":
     import sys
 
@@ -244,4 +360,12 @@ if __name__ == "__main__":
     print(f"Python {sys.version.split()[0]}: {len(cases)} cases, {len(results)} comparisons "
           f"({raised} checks raise), {sum(got != want for _, got, want in results)} differ"
           f"{': ' + ', '.join(differ) if differ else ''}")
-    sys.exit(1 if differ else 0)
+    certified = certificate_results(1, 200)
+    wrong = sorted({what for what, got, want in certified if got != want})
+    # a mutated table both pass would not differ, so those are counted
+    unrefused = sum(got is None for what, got, _ in certified if what.startswith("mutation"))
+    print(f"certificate: {len(certified)} comparisons ({len(numerator_mutations())} numerator, "
+          f"{len(late_mutations())} late and {len(sign_table_mutations())} sign-table mutations), "
+          f"{len(wrong)} kinds differ, "
+          f"{unrefused} mutated cases pass{': ' + ', '.join(wrong) if wrong else ''}")
+    sys.exit(1 if differ or wrong or unrefused else 0)

@@ -573,39 +573,35 @@ def test_tn_suite_scans_each_truncation_once(monkeypatch, ones_file):
 
 
 def test_jp_consistency_builds_each_variant_once(monkeypatch, ones_file):
+    """The suite reads each variant's closed-form rows once per point and
+    builds no alpha: the certificate works on the rows' int factors."""
     built = []
-    original = cli.jp_alphas
+    original = families._jp_rows
 
-    def counting(params, variant, count):
+    def counting(params, variant):
         built.append((params, variant))
-        return original(params, variant, count)
+        return original(params, variant)
 
-    monkeypatch.setattr(cli, "jp_alphas", counting)
-    monkeypatch.setattr(families, "jp_alphas", counting)
+    def no_alphas(*args):
+        raise AssertionError("the jp-consistency suite built alphas")
+
+    monkeypatch.setattr(families, "_jp_rows", counting)
+    monkeypatch.setattr(cli, "jp_alphas", no_alphas)
+    monkeypatch.setattr(families, "jp_alphas", no_alphas)
     code, _, err = run(["verify", "--suite", "jp-consistency", "--alphas", ones_file, "--n", "1"])
     assert code == 0, err
-    # once per point and variant (the two checks used to build both each)
     grid = tetrahess.JP_VERIFICATION_GRID
     assert len(built) == 2 * len(grid)
     assert set(built) == {(p, v) for p in grid for v in tetrahess.Variant}
 
 
 def test_a_failing_jp_consistency_run_prints_the_true_values(monkeypatch):
-    """alpha_5 of the AKV variant at the third grid point, (5/2, 1, 0),
-    moved by 1/3: the suite fails on m_2 and prints both entries unscaled."""
-    original = cli.jp_alphas
-    point = tetrahess.JP_VERIFICATION_GRID[2]
-
-    def moved(params, variant, count):
-        alphas = original(params, variant, count)
-        if (params, variant) != (point, tetrahess.Variant.AKV):
-            return alphas
-        values = list(alphas.values)
-        values[4] += Fraction(1, 3)
-        return tetrahess.AlphaSequence(values=values)
-
-    monkeypatch.setattr(cli, "jp_alphas", moved)
-    error = "jp-consistency: band m_2 differs between parameter families: 181/1430 vs 1973/4290"
+    """The AKV numerator of alpha_{6n+5} with its factor n + 1 made n + 2:
+    the suite fails at the first grid point, (3/2, 0, 0), on m_2 and prints
+    both entries unscaled."""
+    akv = families._JP_NUMERATORS[tetrahess.Variant.AKV]
+    monkeypatch.setitem(akv, 5, ((1, 2, "0"),) + akv[5][1:])
+    error = "jp-consistency: band m_2 differs between parameter families: 113/594 vs 145/594"
     assert run(["verify", "--suite", "jp-consistency"]) == (
         1,
         json.dumps({"status": "fail", "error": error}, indent=2) + "\n",

@@ -23,6 +23,7 @@ from tetrahess import (
     Region,
     Variant,
     jp_alphas,
+    jp_certificate,
     jp_cross_consistency,
     jp_dense_truncation,
     jp_matrix,
@@ -317,6 +318,104 @@ def test_integer_consistency_and_signs_match_the_fraction_oracle(alpha, beta, ga
     for check in ("jp_cross_consistency", "jp_sign_report"):
         got = _outcome(getattr(families, check), p, count, variants)
         assert got == _outcome(getattr(oracle_jp, check), p, count, variants), check
+
+
+@pytest.mark.parametrize("cut", [(24, 4), (1, 1)])
+def test_cross_consistency_refuses_a_short_variant(cut):
+    """A variant cut short of count raises BandExhausted at its first
+    missing entry, FIRST before AKV, as the Fraction oracle does: the
+    compared prefix of a short pair agrees, so a zip would pass it."""
+    variants = tuple(AlphaSequence(jp_alphas(R3_POINT, v, 24).values[:n]) for v, n in zip(Variant, cut))
+    for check in (jp_cross_consistency, oracle_jp.jp_cross_consistency):
+        with pytest.raises(BandExhausted) as info:
+            check(R3_POINT, 24, variants)
+        assert (info.value.band, info.value.index, info.value.length) == ("alpha", min(cut) + 1, min(cut))
+
+
+def test_every_closed_form_factor_grows_with_n():
+    """The certificate reads each factor k n + t + s as positive from
+    n = -v // u + 1 on, which needs u = k D > 0."""
+    rows = [families._JP_DENOMINATORS] + list(families._JP_NUMERATORS.values())
+    assert all(k >= 1 for table in rows for row in table.values() for k, _, _ in row)
+
+
+def test_certificate_and_sampled_pair_pass_on_the_grid():
+    for p in JP_VERIFICATION_GRID:
+        assert oracle_jp.certificate_compared(p) == (None, None)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(jp_parameters, jp_parameters,
+       st.fractions(min_value=F(-2), max_value=F(2), max_denominator=40).filter(lambda d: d.denominator > 1))
+def test_certificate_and_sampled_pair_pass_near_the_diagonal(alpha, gamma, difference):
+    """Every valid point with |alpha - beta| < 2, where the sign table is
+    pinned, passes both."""
+    try:
+        p = JPParams(alpha, alpha - difference, gamma)
+    except OutsideNaturalRegion:
+        assume(False)
+    assert oracle_jp.certificate_compared(p) == (None, None)
+
+
+@pytest.mark.parametrize("variant, r, row", oracle_jp.numerator_mutations(),
+                         ids=[f"{v}-r{r}-factor{i // 2 % 3}-{'kt'[i % 2]}"
+                              for i, (v, r, _) in enumerate(oracle_jp.numerator_mutations())])
+def test_a_numerator_mutation_fails_as_the_sampled_pair_fails(monkeypatch, variant, r, row):
+    """One numerator factor of one variant one step wrong: the certificate
+    raises at every grid point, and what the sampled pair raises, fields
+    and message alike (each first failure lies at j <= 24)."""
+    monkeypatch.setitem(families._JP_NUMERATORS[variant], r, row)
+    for p in JP_VERIFICATION_GRID:
+        got, want = oracle_jp.certificate_compared(p)
+        assert got is not None and got[0] in (ConsistencyViolation, PredictionMismatch), p
+        assert got == want, p
+
+
+@pytest.mark.parametrize("edits, band", zip(oracle_jp.late_mutations(), "lc"), ids=["l", "c"])
+def test_a_failure_past_m_is_found_as_the_sampled_pair_finds_it(monkeypatch, edits, band):
+    """A wrong table that keeps every m_k fails on l or c, at every grid
+    point, as the sampled pair fails."""
+    for variant, r, row in edits:
+        monkeypatch.setitem(families._JP_NUMERATORS[variant], r, row)
+    for p in JP_VERIFICATION_GRID:
+        got, want = oracle_jp.certificate_compared(p)
+        assert got == want and got[0] is ConsistencyViolation, p
+        assert dict((key, v) for key, v, _ in got[2])["band"] == band
+
+
+def test_the_witness_count_reaches_row_6_of_every_identity():
+    """A failed identity of the certificate shows at some n <= 6.  The
+    latest entry that can take is l_15 = alpha_44 alpha_42 (l_{2n+3} at
+    n = 6), and jp_cross_consistency compares it at the witness count."""
+    count = families._WITNESS_COUNT
+    first, akv = (jp_alphas(R3_POINT, v, count) for v in Variant)
+    with pytest.raises(ConsistencyViolation) as info:
+        jp_cross_consistency(R3_POINT, count, (first, _moved(akv, (44, 1), (45, -1))))
+    assert (info.value.band, info.value.n) == ("l", 15)
+
+
+@pytest.mark.parametrize("key, row, j", oracle_jp.sign_table_mutations(), ids=["added-akv-r3-50", "dropped-first-r1-6"])
+def test_a_sign_table_mutation_names_its_j(monkeypatch, key, row, j):
+    """A wrong row of the sign table fails at every grid point of its
+    region with a PredictionMismatch at that j, far beyond the sampled
+    j <= 24 or not; within it, as the sampled pair fails."""
+    monkeypatch.setitem(families._SIGN_EXCEPTIONS, key, row)
+    points = [p for p in JP_VERIFICATION_GRID if p.region is key[1]]
+    assert len(points) == 4
+    for p in points:
+        with pytest.raises(PredictionMismatch) as info:
+            jp_certificate(p)
+        assert (info.value.j, info.value.variant) == (j, str(key[0]))
+        got, want = oracle_jp.certificate_compared(p)
+        assert want == (None if j > 24 else got)
+
+
+def test_the_oracle_script_certificate_results_match():
+    """The certificate part of ``tests/oracle_jp.py`` as a script runs it,
+    with fewer random points."""
+    results = oracle_jp.certificate_results(1, 20)
+    assert [(what, got) for what, got, want in results if got != want] == []
+    assert not any(got is None for what, got, _ in results if what.startswith("mutation"))
 
 
 def _signs(p, variant):
