@@ -23,14 +23,15 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .errors import (
     BandExhausted,
     IndexOutOfRange,
     NonPositiveSubSubDiagonal,
 )
-from .poly import Poly
-from .scalars import exact_tuple
+from .poly import Poly, _make, _reduce
+from .scalars import exact_tuple, over_common_denominator
 
 
 class Band:
@@ -269,22 +270,39 @@ class DenseMatrix:
 
         (expansion of det(xI - M_{k+1}) along its last row; Wilkinson 1965,
         section 7.11).  It reads the dense entries only, superdiagonal
-        included, and skips exactly-zero entries, so a banded input costs
-        one polynomial term per nonzero subdiagonal entry.  Raises ValueError
-        if an entry above the superdiagonal is nonzero."""
+        included, and walks each row's chain down to its lowest nonzero
+        entry, so a banded input costs one polynomial term per nonzero
+        subdiagonal entry.  Raises ValueError if an entry above the
+        superdiagonal is nonzero.
+
+        The recurrence runs over the integers: with D the lcm of every
+        denominator, q_k = det(yI - D M_k) has int coefficients, and
+        p_k(x) = D^-k q_k(D x), so coefficient i of p_k is q_ki D^i / D^k,
+        reduced once per polynomial."""
         rows = self.rows
-        polys = [Poly((Fraction(1),))]
+        n = len(rows)
         for k, row in enumerate(rows):
-            if any(v != 0 for v in row[k + 2 :]):
+            if any(row[k + 2 :]):
                 raise ValueError(f"row {k} has a nonzero entry above the superdiagonal")
-            p = polys[k]
-            new = p.times_x() - p.scale(row[k])
-            chain = Fraction(1)  # m_{j,j+1} ... m_{k-1,k}
-            for j in range(k - 1, -1, -1):
-                chain = chain * rows[j][j + 1]
-                if row[j] != 0:
-                    new = new - polys[j].scale(row[j] * chain)
-            polys.append(new)
+        entries, d = over_common_denominator([v for row in rows for v in row])
+        m = [entries[i * n : (i + 1) * n] for i in range(n)]
+        qs = [[1]]
+        for k, row in enumerate(m):
+            q, diagonal = qs[k], row[k]
+            new = [u - diagonal * v for u, v in zip([0] + q, q + [0])]  # (y - m_kk) q_k
+            lowest = next((j for j in range(k) if row[j]), k)
+            chain = 1  # m_{j,j+1} ... m_{k-1,k}
+            for j in range(k - 1, lowest - 1, -1):
+                chain *= m[j][j + 1]
+                if row[j]:
+                    scale = row[j] * chain
+                    for i, v in enumerate(qs[j]):
+                        new[i] -= scale * v
+            qs.append(new)
+        polys, powers = [_make((1,), 1)], [1]  # powers of D: 1, D, ..., D^k
+        for q in qs[1:]:
+            powers.append(powers[-1] * d)
+            polys.append(_make(*_reduce(list(map(mul, q, powers)), powers[-1])))
         return polys
 
     def __eq__(self, other):

@@ -85,10 +85,13 @@ class JPParams:
             raise OutsideNaturalRegion(
                 "alpha + gamma = -1 or beta + gamma = -1 degenerates the closed forms"
             )
+        # the parameters are frozen, so the region is classified once; it is
+        # not a field, so equality and repr are those of the three parameters
+        object.__setattr__(self, "_region", jp_region(a, b))
 
     @property
     def region(self) -> Region:
-        return jp_region(self.alpha, self.beta)
+        return self._region
 
 
 # The closed forms, six-periodic in j = 6n + r (r = 1..6).  alpha_j is the

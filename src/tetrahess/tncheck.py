@@ -31,9 +31,7 @@ by map over the arrays.
 Skipped minors are exactly 0.  The TN test (value < 0) never fires on 0,
 so the first negative minor of the plan is the first of the full
 enumeration, reported at its full position; a certificate reports every
-minor, C(2n, n) - 1.  The total-positivity test (value <= 0) of the power
-oracle refuses every zero entry at order 1, so any matrix that reaches its
-plan has no zero entry, its band is full and nothing is skipped.
+minor, C(2n, n) - 1.
 
 Nonsingularity comes from one fraction-free elimination of the scaled
 rows, O(n^3), not from the minors, so a refutation at order 1 builds no
@@ -43,9 +41,17 @@ The ring is the integers, not the rationals (fraction-free, as in Bareiss,
 Math. Comp. 1968).  Row i is scaled once by d_i > 0, the lcm of its
 denominators; a minor on rows R of the scaled matrix is then an int equal
 to prod(d_r, r in R) times the true minor.  The factor is positive, so
-every sign test (< 0 for TN, <= 0 for TP, != 0 for nonsingularity) reads
-the same on the scaled minor, and no operation pays for a gcd.  A witness
+every sign test (< 0 for TN, != 0 for nonsingularity) reads the
+same on the scaled minor, and no operation pays for a gcd.  A witness
 carries the true minor, Fraction(scaled, prod(d_r, r in R)).
+
+The power oracle tests total positivity without the scan.  A matrix is
+totally positive if and only if its n^2 initial minors are positive
+(Gasca and Pena, Linear Algebra Appl. 165, 1992; Fallat and Johnson,
+Totally Nonnegative Matrices, 2011), an initial minor being one on
+consecutive rows and consecutive columns that start at row 1 or at column
+1.  They are the leading principal minors of 2n - 1 corner blocks, each
+read off one fraction-free elimination (_initial_minors_positive).
 """
 
 from __future__ import annotations
@@ -108,25 +114,22 @@ def _neighbors_positive(m: DenseMatrix) -> bool:
     return all(m.entry(i, i + 1) > 0 and m.entry(i + 1, i) > 0 for i in range(m.n - 1))
 
 
-def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
-    """(first witness of a minor that ``violates``, or None; minors checked).
-    The default test finds negative minors; ``value <= 0`` tests total
-    positivity.  ``violates`` must be such a threshold test, so that a list
-    of minors holds a violating one exactly when its least one violates.
-    It sees the scaled minor, which has the sign of the true one; the
+def _full_scan(table: _MinorTable):
+    """(first witness of a negative minor, or None; minors checked).  The
+    test sees the scaled minor, which has the sign of the true one; the
     witness carries the true minor.  Enumeration order: minor order
     ascending, then row subsets lexicographic, then columns.
 
     Order-1 minors are read off the rows; entry (i, j) is minor i n + j + 1.
     Past order 1 the scan runs the plan of the matrix's band (_plan), which
     lists only the minors the band does not force to zero; the others are 0
-    and violate neither test (see the module docstring).  A witness reports
-    its position in the full enumeration, and a certificate every minor,
+    and not negative (see the module docstring).  A witness reports its
+    position in the full enumeration, and a certificate every minor,
     C(2n, n) - 1 of them."""
     n = len(table.rows)
     for i, row in enumerate(table.rows):
         for j, value in enumerate(row):
-            if violates(value):
+            if value < 0:
                 return ((i + 1,), (j + 1,), table.true_minor((i,), value)), i * n + j + 1
     # slot i n + j of ``values`` holds the entry (i, j) and each order of the
     # plan appends its minors; ``signed`` holds the entries, then their
@@ -138,8 +141,8 @@ def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
         extra = map(mul, map(signed.__getitem__, extra_entries), map(values.__getitem__, extra_slots))
         for k, term in zip(targets, extra):
             minors[k] += term
-        if violates(min(minors)):
-            k = next(k for k, value in enumerate(minors) if violates(value))
+        if min(minors) < 0:
+            k = next(k for k, value in enumerate(minors) if value < 0)
             rows, cols = _members(masks[k] >> n), _members(masks[k] & (1 << n) - 1)
             witness = (
                 tuple(i + 1 for i in rows),
@@ -303,9 +306,10 @@ def is_oscillatory_power_oracle(m: DenseMatrix) -> bool:
     """Definition-based oracle: m is oscillatory iff it is TN and some power
     m^k (1 <= k <= max(1, dim-1)) is totally positive.
 
-    Exponentially more minors than the Gantmacher-Krein route, hence the
-    lower cap (POWER_ORACLE_CAP); exists to cross-check is_oscillatory, not
-    to replace it."""
+    The TN gate is the Gantmacher-Krein route's own scan, and each power
+    is tested on its initial minors (_initial_minors_positive); the lower
+    cap (POWER_ORACLE_CAP) bounds the powers taken.  It exists to
+    cross-check is_oscillatory, not to replace it."""
     _check_cap(m, POWER_ORACLE_CAP)
     return is_totally_nonnegative(m).is_tn and _some_power_totally_positive(m)
 
@@ -315,15 +319,44 @@ def _some_power_totally_positive(m: DenseMatrix) -> bool:
     dim-1), totally positive?  For a caller that already holds the TN
     verdict of m (dim <= POWER_ORACLE_CAP).
 
-    The powers are taken of L m, L the common denominator of m, so every
-    power and minor is an int; a minor of order r of (L m)^k is L^(k r)
-    times that of m^k, so the TP verdict is the same."""
+    The powers are taken of L m, L the common denominator of m, as int
+    rows; a minor of order r of (L m)^k is L^(k r) times that of m^k, so
+    the TP verdict is the same."""
     _check_cap(m, POWER_ORACLE_CAP)
+    n = m.n
     entries, _ = over_common_denominator([v for row in m.rows for v in row])
-    base = DenseMatrix(entries[i * m.n : (i + 1) * m.n] for i in range(m.n))
+    base = [entries[i * n : (i + 1) * n] for i in range(n)]
+    cols = list(zip(*base))
     power = base
-    for _ in range(max(1, m.n - 1)):
-        if _full_scan(_MinorTable(power), violates=lambda value: value <= 0)[0] is None:
+    for _ in range(max(1, n - 1)):
+        if _initial_minors_positive(power):
             return True
-        power = power.mul(base)
+        power = [[sum(map(mul, row, col)) for col in cols] for row in power]
     return False
+
+
+def _initial_minors_positive(rows) -> bool:
+    """Is the square int matrix ``rows`` totally positive?  Every entry must
+    be > 0, and then every initial minor: the leading principal minors of
+    the blocks rows[:n-d] cut to columns [d:] and rows[d:] cut to columns
+    [:n-d], d = 0..n-1 (one block at d = 0).  Each block runs one
+    fraction-free elimination without pivoting (Bareiss, Math. Comp. 1968):
+    its k-th pivot is its leading principal minor of order k + 1, and the
+    first pivot <= 0 ends the test, so every division is by a positive
+    minor and exact."""
+    if any(v <= 0 for row in rows for v in row):
+        return False
+    n = len(rows)
+    blocks = [[list(row[d:]) for row in rows[: n - d]] for d in range(n)]
+    blocks += [[list(row[: n - d]) for row in rows[d:]] for d in range(1, n)]
+    for work in blocks:
+        previous = 1
+        for k, top in enumerate(work):
+            pivot = top[k]
+            if pivot <= 0:
+                return False
+            for row in work[k + 1 :]:
+                factor = row[k]
+                row[k + 1 :] = [(v * pivot - factor * t) // previous for v, t in zip(row[k + 1 :], top[k + 1 :])]
+            previous = pivot
+    return True

@@ -5,8 +5,12 @@ It fills one flat list of 4^n integer minors, order by order, at index
 (row bitmask << n) | column bitmask, and visits every minor, the band's
 structural zeros included, with a bit test per expansion term.
 
+Its total-positivity test (value <= 0) is the oracle of
+``tncheck._initial_minors_positive``, the power oracle's test on initial
+minors; ``tp_candidate`` makes matrices on both sides of total positivity.
+
 ``comparison_cases`` and ``compared`` are a seeded differential set and
-the compared scans.  They need no pytest, so the comparison also runs as a
+the compared tests.  They need no pytest, so the comparison also runs as a
 script, on an interpreter without it:
 
     PYTHONPATH=src python tests/oracle_tn.py
@@ -78,33 +82,79 @@ def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
     return None, checked
 
 
-_KINDS = ("pbf", "signed", "zero-alpha", "negative-entry", "zero-entry", "dense")
+#: Matrices on both sides of total positivity (see tp_candidate).
+TP_KINDS = ("power", "exponential", "moved-power", "moved-exponential")
 
-#: The two tests _full_scan is called with: TN, and TP for the power oracle.
-TESTS = (("< 0", lambda value: value < 0), ("<= 0", lambda value: value <= 0))
+_KINDS = ("pbf", "signed", "zero-alpha", "negative-entry", "zero-entry", "dense") + TP_KINDS
+
+
+def _scalar(rng, lo):
+    return Fraction(rng.randint(lo, 9), rng.choice((1, 2, 3, 5, 7)))
+
+
+def _truncation(alphas, n):
+    """The n x n tetradiagonal truncation of 3n - 2 alphas of any sign."""
+    c, b, a = bands_from_alphas(AlphaSequence(values=tuple(alphas)))
+    return _banded(n, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})
+
+
+def tp_candidate(rng, kind, n):
+    """An n x n matrix of ``kind`` at the edge of total positivity.
+
+    "power" is the (n-1)-th power of a PBF truncation, which is TP: the
+    truncation is oscillatory.  "exponential" is x_i^(y_j) for increasing
+    positive ints x and increasing ints y >= 0, TP as a generalized
+    Vandermonde matrix.  A "moved-" kind takes one of these and moves one
+    entry of a random initial minor, on consecutive rows and columns from
+    row 1 or from column 1, so that the minor becomes 0, half its value or
+    its negative (the entry stays if its cofactor in the minor is 0)."""
+    if n == 0:
+        return DenseMatrix(())
+    if kind.endswith("power"):
+        base = m = _truncation([_scalar(rng, 1) for _ in range(3 * n - 2)], n)
+        for _ in range(n - 2):
+            m = m.mul(base)
+    else:
+        xs = sorted(rng.sample(range(1, 10), n))
+        ys = sorted(rng.sample(range(8), n))
+        m = DenseMatrix([[Fraction(x**y) for y in ys] for x in xs])
+    if not kind.startswith("moved"):
+        return m
+    k = rng.randint(1, n)
+    shift = rng.randrange(n - k + 1)
+    rows, cols = range(k), range(shift, shift + k)
+    if rng.random() < 0.5:
+        rows, cols = cols, rows
+    p, q = rng.randrange(k), rng.randrange(k)
+    minor = m.minor(rows, cols)
+    cofactor = (-1) ** (p + q) * m.minor([r for r in rows if r != rows[p]], [c for c in cols if c != cols[q]])
+    if cofactor:
+        entries = [list(row) for row in m.rows]
+        # the minor is linear in the entry: it moves by cofactor per unit
+        entries[rows[p]][cols[q]] -= rng.choice((1, 1, Fraction(1, 2), 2)) * minor / cofactor
+        m = DenseMatrix(entries)
+    return m
 
 
 def _matrix(rng, kind, n):
     """An n x n matrix of ``kind``: the tetradiagonal truncation of PBF
     alphas, of alphas with one or two made negative or 0, a positive
     matrix with one entry made negative or 0 (an order-1 refutation under
-    one test or both), or a dense matrix of any signs with zeros."""
-
-    def scalar(lo):
-        return Fraction(rng.randint(lo, 9), rng.choice((1, 2, 3, 5, 7)))
-
+    one test or both), a dense matrix of any signs with zeros, or a
+    tp_candidate of a TP_KINDS kind."""
+    if kind in TP_KINDS:
+        return tp_candidate(rng, kind, n)
     if kind in ("negative-entry", "zero-entry"):
         i, j = rng.randrange(n), rng.randrange(n)
-        value = -scalar(1) if kind == "negative-entry" else Fraction(0)
-        return DenseMatrix([[value if (r, c) == (i, j) else scalar(1) for c in range(n)] for r in range(n)])
+        value = -_scalar(rng, 1) if kind == "negative-entry" else Fraction(0)
+        return DenseMatrix([[value if (r, c) == (i, j) else _scalar(rng, 1) for c in range(n)] for r in range(n)])
     if kind == "dense":
-        return DenseMatrix([[scalar(-4) if rng.random() < 0.8 else Fraction(0) for _ in range(n)] for _ in range(n)])
-    alphas = [scalar(1) for _ in range(3 * n - 2)]
+        return DenseMatrix([[_scalar(rng, -4) if rng.random() < 0.8 else Fraction(0) for _ in range(n)] for _ in range(n)])
+    alphas = [_scalar(rng, 1) for _ in range(3 * n - 2)]
     if kind != "pbf":
         for _ in range(rng.randint(1, 2)):
-            alphas[rng.randrange(len(alphas))] = -scalar(1) / 40 if kind == "signed" else Fraction(0)
-    c, b, a = bands_from_alphas(AlphaSequence(values=tuple(alphas)))
-    return _banded(n, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})
+            alphas[rng.randrange(len(alphas))] = -_scalar(rng, 1) / 40 if kind == "signed" else Fraction(0)
+    return _truncation(alphas, n)
 
 
 def comparison_cases(seed, count, dims=(1, 7)):
@@ -114,10 +164,15 @@ def comparison_cases(seed, count, dims=(1, 7)):
 
 
 def compared(m):
-    """(test, got, want) for tncheck._full_scan and this oracle on ``m``
-    under both tests: each the witness and the position or the count."""
+    """(test, got, want) on ``m``: under "< 0", tncheck._full_scan against
+    this scan, each the witness and the position or the count; under
+    "<= 0", tncheck._initial_minors_positive against this scan finding no
+    minor <= 0."""
     table = _MinorTable(m)
-    return [(name, tncheck._full_scan(table, test), _full_scan(table, test)) for name, test in TESTS]
+    return [
+        ("< 0", tncheck._full_scan(table), _full_scan(table)),
+        ("<= 0", tncheck._initial_minors_positive(table.rows), _full_scan(table, lambda v: v <= 0)[0] is None),
+    ]
 
 
 if __name__ == "__main__":
@@ -126,10 +181,10 @@ if __name__ == "__main__":
     cases = [m for seed in (1, 2, 3) for m in comparison_cases(seed, 200)]
     results = [row for m in cases for row in compared(m)]
     differ = sorted({name for name, got, want in results if got != want})
-    order_one = {name: 0 for name, _ in TESTS}
-    for name, (witness, _), _ in results:
-        order_one[name] += witness is not None and len(witness[0]) == 1
+    order_one = sum(witness is not None and len(witness[0]) == 1 for name, (witness, _), _ in results[::2])
+    positive = sum(want for _, _, want in results[1::2])
     print(f"Python {sys.version.split()[0]}: {len(cases)} cases, {len(results)} comparisons "
-          f"({', '.join(f'{k} order-1 refutations under {name}' for name, k in order_one.items())}), "
+          f"({order_one} order-1 refutations under < 0, {positive} totally positive of "
+          f"{len(cases)} under <= 0), "
           f"{sum(got != want for _, got, want in results)} differ{': ' + ', '.join(differ) if differ else ''}")
     sys.exit(1 if differ else 0)

@@ -220,18 +220,40 @@ class TestDenseMatrix:
             assert sympy.Rational(m.det().numerator, m.det().denominator) == sm.det()
 
 
-def random_lower_hessenberg(rng, n):
+def random_lower_hessenberg(rng, n, ints=False):
     """Dense n x n lower Hessenberg Fraction matrix; about a third of the
     entries on and below the superdiagonal are zero, and the superdiagonal
-    is not unit."""
+    is not unit.  With ``ints`` every entry is an int instead."""
+    zero = 0 if ints else F(0)
 
     def entry():
-        return F(0) if rng.random() < 0.3 else F(rng.randint(-5, 5), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            return zero
+        value = rng.randint(-5, 5)
+        return value if ints else F(value, rng.randint(1, 3))
 
-    return DenseMatrix([[entry() if j <= i + 1 else F(0) for j in range(n)] for i in range(n)])
+    return DenseMatrix([[entry() if j <= i + 1 else zero for j in range(n)] for i in range(n)])
+
+
+def _sympy_char_poly(m):
+    """det(xI - m) by sympy, ascending, as Fractions."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sm = sympy.Matrix(m.n, m.n, [sympy.Rational(F(v).numerator, F(v).denominator) for r in m.rows for v in r])
+    return [F(int(c.p), int(c.q)) for c in sympy.Poly(sm.charpoly(x).as_expr(), x).all_coeffs()[::-1]]
 
 
 class TestLeadingCharPolys:
+    def assert_matches_oracles(self, m):
+        """Every leading block against Faddeev-LeVerrier, the whole matrix
+        against sympy."""
+        polys = m.leading_char_polys()
+        assert len(polys) == m.n + 1
+        for k, p in enumerate(polys):
+            block = m.submatrix(range(k), range(k))
+            assert p == block.char_poly(), (k, m)
+        assert list(polys[-1].coeffs) == _sympy_char_poly(m)
+
     def test_every_leading_block_matches_faddeev_leverrier(self):
         rng = random.Random(11)
         for n in range(9):
@@ -244,15 +266,44 @@ class TestLeadingCharPolys:
                     assert p == block.char_poly(), (n, k, m)
 
     def test_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
         rng = random.Random(12)
         for n in range(9):
             m = random_lower_hessenberg(rng, n)
-            sm = sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator) for r in m.rows for v in r])
-            want = sympy.Poly(sm.charpoly(x).as_expr(), x).all_coeffs()[::-1]
-            got = m.leading_char_polys()[-1].coeffs
-            assert [sympy.Rational(v.numerator, v.denominator) for v in got] == want
+            assert list(m.leading_char_polys()[-1].coeffs) == _sympy_char_poly(m)
+
+    def test_int_entries(self):
+        rng = random.Random(13)
+        for n in range(1, 8):
+            m = random_lower_hessenberg(rng, n, ints=True)
+            assert all(type(v) is int for row in m.rows for v in row)
+            self.assert_matches_oracles(m)
+
+    def test_empty_matrix_gives_one(self):
+        assert DenseMatrix(()).leading_char_polys() == [Poly((F(1),))]
+
+    def test_large_coprime_denominators(self):
+        """A different large prime in each row, so D is their product and no
+        row's denominator is a multiple of another's."""
+        primes = (10007, 65537, 999983, 1000003, 2147483647, 4294967291, 998244353)
+        rng = random.Random(14)
+        for n in range(1, 8):
+            for _ in range(3):
+                m = random_lower_hessenberg(rng, n)
+                m = DenseMatrix([[F(v) / primes[i] for v in row] for i, row in enumerate(m.rows)])
+                self.assert_matches_oracles(m)
+
+    def test_zero_and_non_unit_superdiagonal(self):
+        """Superdiagonals of 0, 1, -1 and 7/3 under a full lower triangle:
+        each chain m_{j,j+1} ... m_{k-1,k} reaches row 0."""
+        rng = random.Random(15)
+        for n in range(2, 8):
+            for supers in ((0,), (1,), (-1,), (F(7, 3),), (0, F(7, 3), -2)):
+                m = DenseMatrix([
+                    [F(rng.randint(1, 9), rng.choice((1, 2, 5))) if j <= i else F(rng.choice(supers)) if j == i + 1 else F(0)
+                     for j in range(n)]
+                    for i in range(n)
+                ])
+                self.assert_matches_oracles(m)
 
     def test_reads_a_zero_and_a_non_unit_superdiagonal(self):
         # det(xI - M) = (x - 1)(x - 2) - 3 * 5 for the 2 x 2 block

@@ -19,7 +19,14 @@ from tetrahess import (
     tetra_from_alphas,
 )
 from tetrahess.core import _banded, bands_from_alphas
-from tetrahess.tncheck import _band, _full_scan, _MinorTable, _plan, _some_power_totally_positive
+from tetrahess.tncheck import (
+    _band,
+    _full_scan,
+    _initial_minors_positive,
+    _MinorTable,
+    _plan,
+    _some_power_totally_positive,
+)
 
 import oracle_tn
 from conftest import pbf_corpus
@@ -48,9 +55,9 @@ def test_negative_entry_is_order_one_witness():
     rep = is_totally_nonnegative(dense([[1, 2], [3, -1]]))
     assert rep.is_tn is False
     assert rep.witness == ((2,), (2,), F(-1))
-    # a positive 3x3 matrix with its entry (i, j) made negative, or 0 under
-    # the total-positivity test: that entry is the first violation, the
-    # (i n + j + 1)-th minor of the enumeration
+    # a positive 3x3 matrix with its entry (i, j) made negative: that entry
+    # is the first negative minor, the (i n + j + 1)-th of the enumeration;
+    # made 0, it fails the total-positivity test at order 1
     for i in range(3):
         for j in range(3):
             cell, position = ((i + 1,), (j + 1,)), i * 3 + j + 1
@@ -60,7 +67,8 @@ def test_negative_entry_is_order_one_witness():
             )
             rep = is_totally_nonnegative(negative)
             assert (rep.is_tn, rep.witness, rep.minors_checked) == (False, (*cell, F(-2, 3)), position)
-            assert _full_scan(_MinorTable(zero), lambda v: v <= 0) == ((*cell, F(0)), position)
+            assert oracle_tn._full_scan(_MinorTable(zero), lambda v: v <= 0) == ((*cell, F(0)), position)
+            assert _initial_minors_positive(_MinorTable(zero).rows) is False
 
 
 def test_symmetric_reference_witness(t_sym):
@@ -337,11 +345,12 @@ def _mask_loop_some_power_tp(m):
 
 
 def _assert_matches_mask_loop(m):
-    """Witness and count under both tests, the report, and (dims <= 6) the
-    power oracle and the elimination oracle agree with the mask loop."""
+    """Witness and count, the total-positivity verdict, the report, and
+    (dims <= 6) the power oracle and the elimination oracle agree with the
+    mask loop."""
     table = _MinorTable(m)
-    for violates in (lambda value: value < 0, lambda value: value <= 0):
-        assert _full_scan(table, violates) == oracle_tn._full_scan(table, violates)
+    for test, got, want in oracle_tn.compared(m):
+        assert got == want, test
     rep = is_totally_nonnegative(m)
     witness, checked = oracle_tn._full_scan(table)
     assert (rep.witness, rep.minors_checked) == (witness, checked)
@@ -356,6 +365,17 @@ def _assert_matches_mask_loop(m):
        st.integers(min_value=0, max_value=8))
 def test_band_plan_matches_the_mask_loop(seed, kind, n):
     _assert_matches_mask_loop(_band_matrix(seed, kind, n))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(oracle_tn.TP_KINDS),
+       st.integers(min_value=0, max_value=6))
+def test_initial_minors_decide_total_positivity(seed, kind, n):
+    """_initial_minors_positive against the mask loop's scan of every minor
+    for one <= 0, on TP matrices and on TP matrices with one initial minor
+    moved to 0, to half its value or to its negative."""
+    table = _MinorTable(oracle_tn.tp_candidate(random.Random(seed), kind, n))
+    assert _initial_minors_positive(table.rows) == (oracle_tn._full_scan(table, lambda v: v <= 0)[0] is None)
 
 
 def test_the_plan_is_keyed_by_both_band_widths():
