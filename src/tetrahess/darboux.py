@@ -16,7 +16,7 @@ being exactly divisible by x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -38,36 +38,8 @@ from .errors import (
     ZeroAtOrigin,
     ZeroNu,
 )
-from .polynomials import (
-    PolySequence,
-    _values,
-    char_poly_truncation,
-    type1_sequences,
-    type2_sequence,
-)
+from .polynomials import _values, char_poly_truncation, type1_sequences, type2_sequence
 from .scalars import over_common_denominator
-
-
-@dataclass(frozen=True)
-class DarbouxPair:
-    """The two transformed matrices."""
-
-    hat: TetraHessenberg
-    hathat: TetraHessenberg
-
-
-@dataclass(frozen=True)
-class TransformedPolys:
-    """Transformed polynomial families; type II parts may be absent when only
-    the type I transform was requested."""
-
-    nu: object
-    tildeB: PolySequence = None
-    tildetildeB: PolySequence = None
-    hatA1: PolySequence = None
-    tildeA2: PolySequence = None
-    tildetildeA1: PolySequence = None
-    tildetildeA2: PolySequence = None
 
 
 #: The Christoffel-correspondence identities verify_christoffel checks at
@@ -107,9 +79,9 @@ def darboux_transform(alphas: AlphaSequence, which: str) -> TetraHessenberg:
     return TetraHessenberg(a, b, c)
 
 
-def darboux_transforms(alphas: AlphaSequence) -> DarbouxPair:
-    """Both Darboux transforms (see darboux_transform)."""
-    return DarbouxPair(darboux_transform(alphas, "hat"), darboux_transform(alphas, "hathat"))
+def darboux_transforms(alphas: AlphaSequence) -> tuple:
+    """Both Darboux transforms, (hat T, hathat T) (see darboux_transform)."""
+    return darboux_transform(alphas, "hat"), darboux_transform(alphas, "hathat")
 
 
 def truncation_mismatch(alphas: AlphaSequence, n: int, which: str) -> dict:
@@ -158,14 +130,15 @@ def _times_l(v, sub):
 
 
 def _over_x(polys, name):
-    """Each polynomial divided by x, exactly (InexactDivision names
-    ``name``_k at the first nonzero constant term)."""
-    return PolySequence(tuple(p.exact_div_x(context=f"{name}_{k}") for k, p in enumerate(polys)))
+    """The list of the polynomials divided by x, exactly (InexactDivision
+    names ``name``_k at the first nonzero constant term)."""
+    return [p.exact_div_x(context=f"{name}_{k}") for k, p in enumerate(polys)]
 
 
-def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
-    """The transformed type II sequences (tildeB, tildetildeB), indices 0..N,
-    with B = (B_0, B_1, ...) a column and (u, p, q) the factors of T:
+def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> tuple:
+    """The transformed type II sequences (tildeB, tildetildeB), two lists,
+    indices 0..N, with B = (B_0, B_1, ...) a column and (u, p, q) the
+    factors of T:
 
         x tildetildeB = U B,    x tildeB = L2 U B.
 
@@ -181,25 +154,25 @@ def transformed_type2(t: TetraHessenberg, alphas: AlphaSequence, n: int):
     return _over_x(_l_times(q, ub), "tildeB"), _over_x(ub, "tildetildeB")
 
 
-def transformed_char_polys(pair: DarbouxPair, n: int, k: int, nu):
-    """Characteristic polynomials of trailing truncations of the hat matrix:
-    (tildeB^[k]_{N+1}, tildeB^(1)_{N+1}, tildeB^(2)_{N+1}) where
+def transformed_char_polys(hat: TetraHessenberg, n: int, k: int, nu):
+    """Characteristic polynomials of trailing truncations of the hat matrix
+    ``hat``: (tildeB^[k]_{N+1}, tildeB^(1)_{N+1}, tildeB^(2)_{N+1}) where
 
         tildeB^(1)_{N+1} = tildeB^[1]_{N+1}
         tildeB^(2)_{N+1} = tildeB^[2]_{N+1} - nu tildeB^[1]_{N+1}.
     """
     if nu == 0:
         raise ZeroNu()
-    main = char_poly_truncation(pair.hat, n, k)
-    first = char_poly_truncation(pair.hat, n, 1)
-    second = char_poly_truncation(pair.hat, n, 2) - first.scale(nu)
+    main = char_poly_truncation(hat, n, k)
+    first = char_poly_truncation(hat, n, 1)
+    second = char_poly_truncation(hat, n, 2) - first.scale(nu)
     return main, first, second
 
 
-def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> TransformedPolys:
-    """Transformed type I sequences, indices 0..N, with nu forced to
-    -1/alpha_2.  With A1 = (A1_0, A1_1, ...) and A2 rows and (u, p, q) the
-    factors of T:
+def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> tuple:
+    """Transformed type I sequences (hatA1, tildeA2, tildetildeA1,
+    tildetildeA2), four lists, indices 0..N, with nu forced to -1/alpha_2.
+    With A1 = (A1_0, A1_1, ...) and A2 rows and (u, p, q) the factors of T:
 
         hatA1 = A2 L1  (no division),    x tildeA2 = A1 L1,
         x tildetildeA1 = A1 L1 L2,       x tildetildeA2 = A2 L1 L2.
@@ -211,19 +184,18 @@ def transformed_type1(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> Tran
     a1, a2 = type1_sequences(t, n + 2, nu)
     _, p, q = _split_alphas(alphas.prefix(3 * n + 5))
     a1l1, a2l1 = _times_l(a1, p), _times_l(a2, p)
-    return TransformedPolys(
-        nu=nu,
-        hatA1=PolySequence(a2l1[: n + 1]),
-        tildeA2=_over_x(a1l1[: n + 1], "tildeA2"),
-        tildetildeA1=_over_x(_times_l(a1l1, q), "tildetildeA1"),
-        tildetildeA2=_over_x(_times_l(a2l1, q), "tildetildeA2"),
+    return (
+        list(a2l1[: n + 1]),
+        _over_x(a1l1[: n + 1], "tildeA2"),
+        _over_x(_times_l(a1l1, q), "tildetildeA1"),
+        _over_x(_times_l(a2l1, q), "tildetildeA2"),
     )
 
 
-def darboux_polynomials(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> TransformedPolys:
-    """All six transformed sequences in one TransformedPolys."""
-    tilde_b, tildetilde_b = transformed_type2(t, alphas, n)
-    return replace(transformed_type1(t, alphas, n), tildeB=tilde_b, tildetildeB=tildetilde_b)
+def darboux_polynomials(t: TetraHessenberg, alphas: AlphaSequence, n: int) -> tuple:
+    """All six transformed sequences, in CHRISTOFFEL_IDENTITIES order:
+    transformed_type2's two, then transformed_type1's four."""
+    return transformed_type2(t, alphas, n) + transformed_type1(t, alphas, n)
 
 
 def _origin_system(a1, a2, k):

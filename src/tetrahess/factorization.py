@@ -22,61 +22,35 @@ where m_n, l_n are the two subdiagonals of the unit lower factor L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AlphaSequence, DenseMatrix, TetraHessenberg, _banded, _factor_triple, _interleave, _split_alphas
+from .core import AlphaSequence, TetraHessenberg, _interleave
 from .errors import SingularLeadingMinor, ZeroAlpha3n
 from .polynomials import _values
 
 
-@dataclass(frozen=True)
-class GaussBorelFactors:
-    """LU data of one truncation T^[N].
+def gauss_borel(t: TetraHessenberg, n: int) -> tuple:
+    """LU data of T^[N] as the factor triple (u, m, l) of core._factor_triple:
+    u = (u_0, ..., u_N) the diagonal of U, m = (m_0, ..., m_N) and
+    l = (l_0, ..., l_N) the subdiagonals of L, with m_0 = l_0 = l_1 = 0, so
+    core._lu_bands gives back the bands of T^[N].  delta^[n] is
+    u_0 u_1 ... u_n.
 
-    delta  -- (delta^[0], ..., delta^[N]); delta^[-1] = 1 is implicit
-    m      -- first subdiagonal of L, (m_1, ..., m_N)
-    ell    -- second subdiagonal of L, (l_2, ..., l_N)
-    u_diag -- diagonal of U, (alpha_1, alpha_4, ..., alpha_{3N+1})
-    """
-
-    delta: tuple
-    m: tuple
-    ell: tuple
-    u_diag: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.delta) - 1
-
-    def lower_matrix(self) -> DenseMatrix:
-        one = Fraction(1)
-        bands = {0: lambda i: one, -1: lambda i: self.m[i - 1], -2: lambda i: self.ell[i - 2]}
-        return _banded(self.order + 1, bands)
-
-    def upper_matrix(self) -> DenseMatrix:
-        bands = {0: lambda i: self.u_diag[i], 1: lambda i: Fraction(1)}
-        return _banded(self.order + 1, bands)
-
-
-def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
-    """LU data of T^[N]; raises SingularLeadingMinor at the first vanishing
-    delta^[n].  Rows 0..N are read before any delta is tested, so a matrix
-    with fewer rows raises BandExhausted even when an earlier delta
-    vanishes."""
+    Raises SingularLeadingMinor at the first vanishing delta^[n].  Rows
+    0..N are read before any delta is tested, so a matrix with fewer rows
+    raises BandExhausted even when an earlier delta vanishes."""
     if n < 0:
         raise ValueError("truncation order must be >= 0")
-    [((b,), d)] = _values(t, n + 1, (0,), ("B",))
+    [((b,), _)] = _values(t, n + 1, (0,), ("B",))
     if 0 in b[1:]:
         raise SingularLeadingMinor(b.index(0, 1) - 1)
-    delta = tuple(Fraction(v if k % 2 else -v, d) for k, v in enumerate(b[1:]))
-    u_diag = tuple(Fraction(-b[k + 1], b[k]) for k in range(n + 1))
-    m = tuple(t.c(k) - u_diag[k] for k in range(1, n + 1))
-    ell = []
+    u = tuple(Fraction(-b[k + 1], b[k]) for k in range(n + 1))
+    m = tuple(t.c(k) - u[k] for k in range(n + 1))
+    ell = [Fraction(0), Fraction(0)][: n + 1]
     for k in range(2, n + 1):
         a = t.a(k)
         ell.append(Fraction(-a.numerator * b[k - 2], a.denominator * b[k - 1]))
-    return GaussBorelFactors(delta=delta, m=m, ell=tuple(ell), u_diag=u_diag)
+    return u, m, tuple(ell)
 
 
 def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
@@ -91,21 +65,12 @@ def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
     Raises ZeroAlpha3n(k) when q_k = alpha_{3k} = 0 makes the division for
     p_{k+1} impossible (k = 1 .. N-1; a zero q_N is harmless because
     nothing is divided by it)."""
-    gb = gauss_borel(t, n)
+    u, m, ell = gauss_borel(t, n)
     p, q = [0], [0]
-    for k, m_k in enumerate(gb.m, start=1):
+    for k in range(1, n + 1):
         if k > 1 and q[-1] == 0:
             raise ZeroAlpha3n(k - 1)
-        p_k = alpha2 if k == 1 else gb.ell[k - 2] / q[-1]
+        p_k = alpha2 if k == 1 else ell[k] / q[-1]
         p.append(p_k)
-        q.append(m_k - p_k)
-    return _interleave(gb.u_diag, p, q)
-
-
-def lm_from_alphas(alphas: AlphaSequence, n: int):
-    """The L-subdiagonals induced by an alpha sequence: m_k (k = 1..N) and
-    l_k (k = 2..N), sliced from the factor triple of alpha_1 .. alpha_{3N}.
-
-    Any two alpha sequences factoring the same matrix agree on these."""
-    _, m, ell = _factor_triple(*_split_alphas(alphas.prefix(3 * n)))
-    return m[1:], ell[2:]
+        q.append(m[k] - p_k)
+    return _interleave(u, p, q)

@@ -30,7 +30,6 @@ for its sequences by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -39,22 +38,6 @@ from .core import TetraHessenberg
 from .errors import IndexOutOfRange, ZeroNu
 from .poly import Poly, _make, _ratio, _reduce
 from .scalars import over_common_denominator
-
-
-@dataclass(frozen=True)
-class PolySequence:
-    """A finite run of polynomials indexed 0..N."""
-
-    polys: tuple
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __getitem__(self, n) -> Poly:
-        return self.polys[n]
-
-    def __iter__(self):
-        return iter(self.polys)
 
 
 def _steps(t: TetraHessenberg, start: int, stop: int, transpose=False) -> list:
@@ -231,17 +214,17 @@ def sequence_values(t: TetraHessenberg, kind: str, n: int, x, nu=None) -> dict:
     return {name: tuple(run if x is None else map(Fraction, *run)) for name, run in runs.items()}
 
 
-def type2_sequence(t: TetraHessenberg, n: int) -> PolySequence:
-    """Monic B_0 .. B_N via
+def type2_sequence(t: TetraHessenberg, n: int) -> list:
+    """The list of monic B_0 .. B_N via
 
         B_{k+1} = (x - c_k) B_k - b_k B_{k-1} - a_k B_{k-2}
 
     seeded by B_0 = 1, B_1 = x - c_0, B_2 = (x - c_1) B_1 - b_1."""
-    return PolySequence(tuple(_runs(t, n, ("B",), None, (None,))[0]["B"]))
+    return _runs(t, n, ("B",), None, (None,))[0]["B"]
 
 
-def type1_sequences(t: TetraHessenberg, n: int, nu):
-    """The type I pair (A^(1), A^(2)), indices 0..N.
+def type1_sequences(t: TetraHessenberg, n: int, nu) -> tuple:
+    """The type I pair (A^(1), A^(2)), two lists, indices 0..N.
 
     Seeds: A^(1)_0 = 1, A^(1)_1 = nu; A^(2)_0 = 0, A^(2)_1 = 1.  The next
     value is forced row by row by the left eigenvector relation,
@@ -251,11 +234,11 @@ def type1_sequences(t: TetraHessenberg, n: int, nu):
     (the A_{-1} term is absent for k = 2), which is why a_k > 0 matters.
     """
     [runs] = _runs(t, n, ("A1", "A2"), nu, (None,))
-    return PolySequence(tuple(runs["A1"])), PolySequence(tuple(runs["A2"]))
+    return runs["A1"], runs["A2"]
 
 
-def second_kind_sequences(t: TetraHessenberg, n: int, nu):
-    """Second kind sequences (B^(1), B^(2), b^(1)), indices 0..N.
+def second_kind_sequences(t: TetraHessenberg, n: int, nu) -> tuple:
+    """Second kind sequences (B^(1), B^(2), b^(1)), three lists, indices 0..N.
 
     All satisfy the type II recurrence extended to n >= 0 with the boundary
     coefficients b_0 = a_0 = a_1 = -1 and seeds at indices (-2, -1, 0):
@@ -265,7 +248,7 @@ def second_kind_sequences(t: TetraHessenberg, n: int, nu):
     b^(1) = B^(2) + nu B^(1) is independent of nu.
     """
     [runs] = _runs(t, n, ("B1", "B2", "b1"), nu, (None,))
-    return tuple(PolySequence(tuple(run)) for run in runs.values())
+    return tuple(runs.values())
 
 
 def char_poly_truncation(t: TetraHessenberg, n: int, k: int) -> Poly:

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from tetrahess import AlphaSequence, tetra_from_alphas, tetra_from_bands
+from tetrahess.core import _banded
 
 
 def rational_in(rng, lo, hi, max_den=4):
@@ -33,6 +34,21 @@ def random_pbf_alphas(rng, count=31):
         q = rng.randint(1, 4)
         vals.append(F(rng.randint(1, 3 * q), q))
     return AlphaSequence(values=tuple(vals))
+
+
+def lu_product(u, m, ell):
+    """The dense product L U of a factor triple laid out as
+    core._factor_triple lays it out: L unit lower triangular with m_i at
+    (i, i-1) and l_i at (i, i-2), U with diagonal u and a unit
+    superdiagonal.  Independent of core._lu_bands."""
+    size = len(u)
+
+    def one(i):
+        return F(1)
+
+    lower = _banded(size, {0: one, -1: m.__getitem__, -2: ell.__getitem__})
+    upper = _banded(size, {0: u.__getitem__, 1: one})
+    return lower.mul(upper)
 
 
 def matrix_corpus(seed, size, n_lo=2, n_hi=10):

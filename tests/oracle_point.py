@@ -28,7 +28,6 @@ from tetrahess.cli import AKV_XS
 from tetrahess.core import AlphaSequence, TetraHessenberg, _interleave, tetra_from_alphas, tetra_from_bands
 from tetrahess.darboux import _AKV_DETS, AkvReport, _check_pbf, _forced_nu, _l_times, _u_times
 from tetrahess.errors import SignViolation, SingularLeadingMinor, TetraError, ZeroAtOrigin, ZeroNu
-from tetrahess.factorization import GaussBorelFactors
 from tetrahess.poly import Poly, constant_poly
 
 
@@ -201,8 +200,9 @@ def alphas_from_polynomials(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence
     return _interleave(u, p, q)
 
 
-def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
-    """LU data of T^[N]; raises SingularLeadingMinor at the first vanishing
+def gauss_borel(t: TetraHessenberg, n: int) -> tuple:
+    """LU data of T^[N] as the factor triple (u, m, l), with
+    m_0 = l_0 = l_1 = 0; raises SingularLeadingMinor at the first vanishing
     delta^[n].  Rows 0..N are read before any delta is tested, so a matrix
     with fewer rows raises BandExhausted even when an earlier delta
     vanishes."""
@@ -212,10 +212,10 @@ def gauss_borel(t: TetraHessenberg, n: int) -> GaussBorelFactors:
     delta = tuple(v if k % 2 else -v for k, v in enumerate(b0[1:]))
     if 0 in delta:
         raise SingularLeadingMinor(delta.index(0))
-    u_diag = tuple(-b0[k + 1] / b0[k] for k in range(n + 1))
-    m = tuple(t.c(k) - u_diag[k] for k in range(1, n + 1))
-    ell = tuple(-t.a(k) * b0[k - 2] / b0[k - 1] for k in range(2, n + 1))
-    return GaussBorelFactors(delta=delta, m=m, ell=ell, u_diag=u_diag)
+    u = tuple(-b0[k + 1] / b0[k] for k in range(n + 1))
+    m = (Fraction(0), *(t.c(k) - u[k] for k in range(1, n + 1)))
+    ell = (Fraction(0), Fraction(0), *(-t.a(k) * b0[k - 2] / b0[k - 1] for k in range(2, n + 1)))
+    return u, m, ell[: n + 1]
 
 
 #: Sample points: 0, negative and positive p/q, and a large denominator.
@@ -260,8 +260,6 @@ def _typed(value):
         return tuple((key, _typed(v)) for key, v in value.items())
     if isinstance(value, AlphaSequence):
         return "alphas", _typed(value.values)
-    if isinstance(value, GaussBorelFactors):
-        return "lu", _typed((value.delta, value.m, value.ell, value.u_diag))
     if isinstance(value, AkvReport):
         return "akv", _typed((value.checked, value.max_value, value.max_location, value.zeros_at_origin))
     return value

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tetrahess import (
@@ -26,6 +26,7 @@ from tetrahess import (
     sequence_values,
     tetra_from_alphas,
     tetra_from_bands,
+    trailing_truncation,
     transformed_char_polys,
     transformed_type1,
     transformed_type2,
@@ -88,49 +89,65 @@ def test_factor_products_scale_with_one(data, n):
 
 
 def test_hat_bands_ones(ones_alphas):
-    pair = darboux_transforms(ones_alphas)
-    assert [pair.hat.c(n) for n in range(4)] == [F(2), F(3), F(3), F(3)]
-    assert [pair.hat.b(n) for n in range(1, 4)] == [F(3), F(3), F(3)]
-    assert [pair.hat.a(n) for n in range(2, 4)] == [F(1), F(1)]
+    hat, _ = darboux_transforms(ones_alphas)
+    assert [hat.c(n) for n in range(4)] == [F(2), F(3), F(3), F(3)]
+    assert [hat.b(n) for n in range(1, 4)] == [F(3), F(3), F(3)]
+    assert [hat.a(n) for n in range(2, 4)] == [F(1), F(1)]
 
 
 def test_hathat_bands_ones(ones_alphas):
-    pair = darboux_transforms(ones_alphas)
-    assert [pair.hathat.c(n) for n in range(4)] == [F(3), F(3), F(3), F(3)]
-    assert [pair.hathat.b(n) for n in range(1, 3)] == [F(3), F(3)]
-    assert pair.hathat.a(2) == F(1)
+    _, hathat = darboux_transforms(ones_alphas)
+    assert [hathat.c(n) for n in range(4)] == [F(3), F(3), F(3), F(3)]
+    assert [hathat.b(n) for n in range(1, 3)] == [F(3), F(3)]
+    assert hathat.a(2) == F(1)
 
 
 def test_hat_band_formulas_distinguishable():
     # alpha_j = j separates every term of the shifted products
     alphas = AlphaSequence(values=range(1, 13))
-    pair = darboux_transforms(alphas)
-    assert pair.hat.c(1) == 5 + 4 + 3
-    assert pair.hat.b(1) == 3 * 2 + 4 * 2 + 3 * 1
-    assert pair.hat.a(2) == 6 * 4 * 2
-    assert pair.hathat.c(1) == 6 + 5 + 4
-    assert pair.hathat.a(2) == 7 * 5 * 3
+    hat, hathat = darboux_transforms(alphas)
+    assert hat.c(1) == 5 + 4 + 3
+    assert hat.b(1) == 3 * 2 + 4 * 2 + 3 * 1
+    assert hat.a(2) == 6 * 4 * 2
+    assert hathat.c(1) == 6 + 5 + 4
+    assert hathat.a(2) == 7 * 5 * 3
 
 
 def test_transformed_char_polys_k0_matches_tilde_b(t_ones, ones_alphas):
-    pair = darboux_transforms(ones_alphas)
-    main, first, second = transformed_char_polys(pair, 3, 0, F(-1))
+    hat, _ = darboux_transforms(ones_alphas)
+    main, first, second = transformed_char_polys(hat, 3, 0, F(-1))
     tilde, _ = transformed_type2(t_ones, ones_alphas, 4)
     assert main.coeffs == tilde[4].coeffs
 
 
 def test_transformed_char_polys_last_index_is_linear(ones_alphas):
-    pair = darboux_transforms(ones_alphas)
-    main, _, _ = transformed_char_polys(pair, 3, 3, F(-1))
-    assert main.coeffs == (-pair.hat.c(3), F(1))
+    hat, _ = darboux_transforms(ones_alphas)
+    main, _, _ = transformed_char_polys(hat, 3, 3, F(-1))
+    assert main.coeffs == (-hat.c(3), F(1))
 
 
 def test_transformed_char_polys_k_guard(ones_alphas):
     from tetrahess import IndexOutOfRange
 
-    pair = darboux_transforms(ones_alphas)
+    hat, _ = darboux_transforms(ones_alphas)
     with pytest.raises(IndexOutOfRange):
-        transformed_char_polys(pair, 3, 5, F(-1))
+        transformed_char_polys(hat, 3, 5, F(-1))
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 8), signed_rationals.filter(bool))
+def test_transformed_char_polys_are_the_second_kind_of_hat(seed, n, nu):
+    """Every entry against an independent route: the first, for each
+    k = 0..N+1, is the dense Faddeev-LeVerrier charpoly of hat T^[N,k]; the
+    second and third are B^(1)_{N+1} and B^(2)_{N+1} of hat T's second
+    kind sequences for the same nu."""
+    alphas = pbf_corpus(seed, 1, count=3 * n + 6)[0]
+    hat, _ = darboux_transforms(alphas)
+    b1, b2, _ = second_kind_sequences(hat, n + 1, nu)
+    for k in range(n + 2):
+        main, first, second = transformed_char_polys(hat, n, k, nu)
+        assert main == trailing_truncation(hat, n, k).char_poly(), k
+        assert (first, second) == (b1[n + 1], b2[n + 1])
 
 
 def test_truncation_mismatch_hat(ones_alphas):
@@ -198,9 +215,9 @@ def test_transformed_type2_are_type2_of_transforms(t_ones, ones_alphas):
     sequences generated directly by the transformed matrices."""
     n = 5
     tilde, tildetilde = transformed_type2(t_ones, ones_alphas, n)
-    pair = darboux_transforms(ones_alphas)
-    hat_seq = type2_sequence(pair.hat, n)
-    hathat_seq = type2_sequence(pair.hathat, n)
+    hat, hathat = darboux_transforms(ones_alphas)
+    hat_seq = type2_sequence(hat, n)
+    hathat_seq = type2_sequence(hathat, n)
     for k in range(n + 1):
         assert tilde[k].coeffs == hat_seq[k].coeffs
         assert tildetilde[k].coeffs == hathat_seq[k].coeffs
@@ -213,10 +230,10 @@ def test_transformed_type2_random_pbf(seed):
     t = tetra_from_alphas(alphas)
     n = 5
     tilde, tildetilde = transformed_type2(t, alphas, n)
-    pair = darboux_transforms(alphas)
-    assert [p.coeffs for p in tilde] == [p.coeffs for p in type2_sequence(pair.hat, n)]
+    hat, hathat = darboux_transforms(alphas)
+    assert [p.coeffs for p in tilde] == [p.coeffs for p in type2_sequence(hat, n)]
     assert [p.coeffs for p in tildetilde] == [
-        p.coeffs for p in type2_sequence(pair.hathat, n)
+        p.coeffs for p in type2_sequence(hathat, n)
     ]
 
 
@@ -237,22 +254,46 @@ def test_transformed_type2_divisibility(t_ones, ones_alphas):
 
 
 def test_transformed_type1_ones(t_ones, ones_alphas):
-    tp = transformed_type1(t_ones, ones_alphas, 3)
-    assert tp.nu == F(-1)  # forced: nu = -1/alpha_2
-    assert tp.hatA1[0].coeffs == (F(1),)  # constant alpha_2
-    assert tp.hatA1[1].coeffs == (F(-1),)
-    assert tp.tildetildeA1[1].coeffs == (F(-2),)
-    assert tp.tildetildeA2[1].coeffs == (F(1),)
-    assert tp.tildeA2[0].coeffs == ()
-    assert tp.tildeA2[2].coeffs == (F(-3),)
+    assert darboux._forced_nu(ones_alphas.at(2)) == F(-1)  # forced: nu = -1/alpha_2
+    hat_a1, tilde_a2, tildetilde_a1, tildetilde_a2 = transformed_type1(t_ones, ones_alphas, 3)
+    assert hat_a1[0].coeffs == (F(1),)  # constant alpha_2
+    assert hat_a1[1].coeffs == (F(-1),)
+    assert tildetilde_a1[1].coeffs == (F(-2),)
+    assert tildetilde_a2[1].coeffs == (F(1),)
+    assert tilde_a2[0].coeffs == ()
+    assert tilde_a2[2].coeffs == (F(-3),)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data(), st.integers(1, 9), st.integers(2, 6))
+def test_transformed_type1_are_type1_of_transforms(data, n, height):
+    """hatA1 and tildeA2 are constant combinations of hat T's type I pair,
+    tildetildeA1 and tildetildeA2 of hathat T's: each satisfies that
+    matrix's left eigenvector recurrence, from constant initial values.
+    The alphas are PBF with L1 != L2 (p != q), so a product with the wrong
+    factor does not pass by symmetry."""
+    count = 3 * n + 8
+    pair = st.tuples(st.integers(1, height), st.integers(1, height))
+    alphas = AlphaSequence(tuple(F(*v) for v in data.draw(st.lists(pair, min_size=count, max_size=count))))
+    _, p, q = _split_alphas(alphas.prefix(3 * n + 5))
+    assume(p != q)
+    hat_a1, tilde_a2, tildetilde_a1, tildetilde_a2 = transformed_type1(tetra_from_alphas(alphas), alphas, n)
+    hat, hathat = darboux_transforms(alphas)
+    nu = F(-2, 3)
+    hat_strands, hathat_strands = type1_sequences(hat, n, nu), type1_sequences(hathat, n, nu)
+    for seq, (a1, a2) in ((hat_a1, hat_strands), (tilde_a2, hat_strands),
+                          (tildetilde_a1, hathat_strands), (tildetilde_a2, hathat_strands)):
+        # the seeds A1_0 = 1, A1_1 = nu, A2_0 = 0, A2_1 = 1 force the pair
+        c1, c2 = seq[0], seq[1] - seq[0].scale(nu)
+        assert c1.degree <= 0 and c2.degree <= 0
+        assert seq == [v1.scale(c1.constant) + v2.scale(c2.constant) for v1, v2 in zip(a1, a2)]
 
 
 def test_darboux_polynomials_bundles_everything(t_ones, ones_alphas):
     dp = darboux_polynomials(t_ones, ones_alphas, 3)
-    for field in ("tildeB", "tildetildeB", "hatA1", "tildeA2",
-                  "tildetildeA1", "tildetildeA2"):
-        assert getattr(dp, field) is not None
-    assert dp.nu == F(-1)
+    assert len(dp) == len(CHRISTOFFEL_IDENTITIES)
+    assert dp == transformed_type2(t_ones, ones_alphas, 3) + transformed_type1(t_ones, ones_alphas, 3)
+    assert all(len(seq) == 4 for seq in dp)
 
 
 def test_alphas_from_polynomials_ones(t_ones):
@@ -632,5 +673,7 @@ def test_explicit_scalars_must_be_exact():
     alphas = AlphaSequence(values=(1,) * 10)
     a1, a2 = type1_sequences(t, 2, F(1))
     assert all(isinstance(c, (int, F)) for p in (*a1, *a2) for c in p.coeffs)
-    assert isinstance(transformed_type1(tetra_from_alphas(alphas), alphas, 1).nu, F)
+    assert isinstance(darboux._forced_nu(alphas.at(2)), F)
+    transformed = transformed_type1(tetra_from_alphas(alphas), alphas, 1)
+    assert all(isinstance(c, (int, F)) for seq in transformed for p in seq for c in p.coeffs)
     assert isinstance(leading_principal(t, 2).det(), F)

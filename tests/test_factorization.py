@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,33 +15,43 @@ from tetrahess import (
     bidiagonal_factor,
     gauss_borel,
     leading_principal,
-    lm_from_alphas,
     tetra_from_alphas,
     tetra_from_bands,
 )
+from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
 
-from conftest import pbf_corpus, random_band_matrix
+from conftest import lu_product, pbf_corpus, random_band_matrix
+
+
+def _deltas(u):
+    """delta^[0], delta^[1], ...: the running products u_0 u_1 ... u_n."""
+    return [prod(u[: k + 1]) for k in range(len(u))]
 
 
 def test_gauss_borel_symmetric_reference(t_sym):
     """delta = 2, 3, 5 and the L/U strands follow the minor ratios."""
-    gb = gauss_borel(t_sym, 2)
-    assert gb.delta == (F(2), F(3), F(5))
-    assert gb.u_diag == (F(2), F(3, 2), F(5, 3))
-    assert gb.m == (F(1, 2), F(1, 3))
-    assert gb.ell == (F(1, 2),)
+    u, m, ell = gauss_borel(t_sym, 2)
+    assert _deltas(u) == [F(2), F(3), F(5)]
+    assert u == (F(2), F(3, 2), F(5, 3))
+    assert m == (F(0), F(1, 2), F(1, 3))
+    assert ell == (F(0), F(0), F(1, 2))
 
 
 def test_gauss_borel_product(t_sym):
-    gb = gauss_borel(t_sym, 2)
-    assert gb.lower_matrix().mul(gb.upper_matrix()) == leading_principal(t_sym, 2)
+    triple = gauss_borel(t_sym, 2)
+    truncation = leading_principal(t_sym, 2)
+    assert lu_product(*triple) == truncation
+    c, b, a = _lu_bands(*triple)
+    assert c.values == tuple(truncation.entry(i, i) for i in range(3))
+    assert b.values == tuple(truncation.entry(i, i - 1) for i in range(1, 3))
+    assert a.values == (truncation.entry(2, 0),)
 
 
 def test_gauss_borel_ones(t_ones):
     # all-ones alphas have unit U diagonal, so every leading minor is 1
-    gb = gauss_borel(t_ones, 3)
-    assert gb.delta == (F(1), F(1), F(1), F(1))
-    assert gb.u_diag == (F(1), F(1), F(1), F(1))
+    u, _, _ = gauss_borel(t_ones, 3)
+    assert _deltas(u) == [F(1), F(1), F(1), F(1)]
+    assert u == (F(1), F(1), F(1), F(1))
 
 
 def test_gauss_borel_singular_minor():
@@ -74,13 +85,14 @@ def test_delta_is_the_dense_leading_minor(case):
             gauss_borel(t, n)
         assert info.value.n == dets.index(0)
     else:
-        assert gauss_borel(t, n).delta == tuple(dets)
+        u, _, _ = gauss_borel(t, n)
+        assert _deltas(u) == dets
 
 
 def test_gauss_borel_order_vs_available_bands(t_sym):
-    gb = gauss_borel(t_sym, 2)
-    assert gb.order == 2
-    assert len(gb.m) == 2 and len(gb.ell) == 1
+    u, m, ell = gauss_borel(t_sym, 2)
+    assert len(u) == len(m) == len(ell) == 3
+    assert m[0] == ell[0] == ell[1] == 0
 
 
 # Frozen by running the refinement by hand on the symmetric reference:
@@ -124,27 +136,27 @@ def test_lu_product_reproduces_truncation(seed, n):
     rng = random.Random(seed)
     t = random_band_matrix(rng, n)
     try:
-        gb = gauss_borel(t, n)
+        triple = gauss_borel(t, n)
     except SingularLeadingMinor:
         return  # factorization legitimately absent
-    assert gb.lower_matrix().mul(gb.upper_matrix()) == leading_principal(t, n)
+    assert lu_product(*triple) == leading_principal(t, n)
 
 
-def test_lm_from_alphas_matches_gauss_borel(t_ones, ones_alphas):
-    """Dual route: m_k, l_k from alphas must equal the LU strands."""
-    n = 5
-    gb = gauss_borel(t_ones, n)
-    m, ell = lm_from_alphas(ones_alphas, n)
-    assert tuple(m) == gb.m
-    assert tuple(ell) == gb.ell
+def _alpha_triple(alphas, n):
+    """The factor triple of alpha_1 .. alpha_{3N+1}."""
+    return _factor_triple(*_split_alphas(alphas.prefix(3 * n + 1)))
+
+
+def test_gauss_borel_is_the_factor_triple_of_the_alphas(t_ones, ones_alphas):
+    """Dual route: u, m and l from the alphas must equal the LU strands."""
+    for n in (0, 1, 5):
+        assert gauss_borel(t_ones, n) == _alpha_triple(ones_alphas, n)
 
 
 @settings(max_examples=20, derandomize=True)
 @given(st.integers(min_value=0, max_value=300))
-def test_lm_from_alphas_matches_gauss_borel_random(seed):
+def test_gauss_borel_is_the_factor_triple_of_the_alphas_random(seed):
     alphas = pbf_corpus(seed, 1, count=19)[0]
     t = tetra_from_alphas(alphas)
     n = 6
-    gb = gauss_borel(t, n)
-    m, ell = lm_from_alphas(alphas, n)
-    assert tuple(m) == gb.m and tuple(ell) == gb.ell
+    assert gauss_borel(t, n) == _alpha_triple(alphas, n)

@@ -29,9 +29,8 @@ from tetrahess import (
     jp_matrix,
     jp_region,
     jp_sign_report,
-    lm_from_alphas,
 )
-from tetrahess.core import _banded, bands_from_alphas
+from tetrahess.core import _banded, _factor_triple, _split_alphas, bands_from_alphas
 
 
 # Closed-form values for (alpha, beta, gamma) = (0, -1/2, 0), first set.
@@ -128,7 +127,9 @@ def test_both_variants_induce_same_bands():
     assert jp_cross_consistency(p, 24) is None
     first, akv = (jp_alphas(p, v, 24) for v in (Variant.FIRST, Variant.AKV))
     assert [band.values for band in bands_from_alphas(first)] == [band.values for band in bands_from_alphas(akv)]
-    assert lm_from_alphas(first, 8) == lm_from_alphas(akv, 8)
+    # the subdiagonals m and l of L = L1 L2, from alpha_1 .. alpha_24
+    lower = [_factor_triple(*_split_alphas(v.prefix(24)))[1:] for v in (first, akv)]
+    assert lower[0] == lower[1]
 
 
 def test_prebuilt_variants_give_the_same_reports():
@@ -150,9 +151,9 @@ def test_cross_consistency_m_values():
     p = JPParams(F(0), F(-1, 2), F(0))
     for variant in (Variant.FIRST, Variant.AKV):
         alphas = jp_alphas(p, variant, 9)
-        m, _ = lm_from_alphas(alphas, 2)
-        assert m[0] == F(1, 6)
-        assert m[1] == F(19, 70)
+        _, m, _ = _factor_triple(*_split_alphas(alphas.prefix(7)))
+        assert m[1] == F(1, 6)
+        assert m[2] == F(19, 70)
 
 
 R3_POINT = JPParams(F(0), F(1, 2), F(0))
