@@ -34,38 +34,6 @@ from .poly import Poly, _make, _reduce
 from .scalars import exact_tuple, over_common_denominator
 
 
-class Band:
-    """One band of a semi-infinite matrix, held as the tuple of its first
-    rows: ``values[i]`` is the entry of row ``start + i``, an int or a
-    Fraction (anything else raises TypeError)."""
-
-    __slots__ = ("name", "start", "values")
-
-    def __init__(self, name, start, values):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "values", exact_tuple(values, f"band {name!r}"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Band is immutable")
-
-    @property
-    def last_index(self):
-        """Largest materializable row index (start - 1 for an empty band)."""
-        return self.start + len(self.values) - 1
-
-    def get(self, n):
-        if n < self.start:
-            raise IndexOutOfRange(f"band {self.name!r} starts at {self.start}, got {n}")
-        if n - self.start >= len(self.values):
-            raise BandExhausted(self.name, n, len(self.values))
-        return self.values[n - self.start]
-
-    def shifted(self, k):
-        """Same band of the matrix with its first k rows and columns removed."""
-        return Band(self.name, self.start, self.values[k:])
-
-
 class Classification(enum.Enum):
     """Sign classification of an alpha sequence prefix."""
 
@@ -119,55 +87,56 @@ class AlphaSequence:
         return f"AlphaSequence({list(self.values)!r})"
 
 
+#: The row at which each band starts: the fixed convention of the package.
+BAND_STARTS = {"a": 2, "b": 1, "c": 0}
+
+
 class TetraHessenberg:
     """Semi-infinite tetradiagonal lower Hessenberg matrix with unit
-    superdiagonal, held as three bands; every a_n is checked to be positive
-    when the matrix is built."""
+    superdiagonal, held as the tuples of its first rows in the three bands:
+    ``c_band[i]`` is c_i, ``b_band[i]`` is b_{i+1} and ``a_band[i]`` is
+    a_{i+2}, each an int or a Fraction (anything else raises TypeError).
+    Every a_n is checked to be positive when the matrix is built."""
 
     __slots__ = ("a_band", "b_band", "c_band")
 
-    def __init__(self, a: Band, b: Band, c: Band):
-        object.__setattr__(self, "a_band", a)
-        object.__setattr__(self, "b_band", b)
-        object.__setattr__(self, "c_band", c)
-        for i, v in enumerate(a.values):
+    def __init__(self, a, b, c):
+        object.__setattr__(self, "a_band", exact_tuple(a, "band 'a'"))
+        object.__setattr__(self, "b_band", exact_tuple(b, "band 'b'"))
+        object.__setattr__(self, "c_band", exact_tuple(c, "band 'c'"))
+        for i, v in enumerate(self.a_band):
             if not v > 0:
-                raise NonPositiveSubSubDiagonal(a.start + i, v)
+                raise NonPositiveSubSubDiagonal(2 + i, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("TetraHessenberg is immutable")
 
     def c(self, n):
-        return self.c_band.get(n)
+        return _read(self.c_band, "c", n)
 
     def b(self, n):
-        return self.b_band.get(n)
+        return _read(self.b_band, "b", n)
 
     def a(self, n):
-        return self.a_band.get(n)
+        return _read(self.a_band, "a", n)
 
     def materializable_n(self):
         """Largest N with leading_principal(self, N) available."""
-        return min(band.last_index for band in (self.a_band, self.b_band, self.c_band))
-
-    def entry(self, i, j):
-        if i < 0 or j < 0:
-            raise ValueError("negative matrix index")
-        if j == i + 1:
-            return Fraction(1)
-        if j == i:
-            return self.c(i)
-        if j == i - 1:
-            return self.b(i)
-        if j == i - 2:
-            return self.a(i)
-        return Fraction(0)
+        return min(len(self.c_band) - 1, len(self.b_band), len(self.a_band) + 1)
 
     def shifted(self, k):
         """Matrix with the first k rows and columns deleted (band shift)."""
-        return TetraHessenberg(
-            self.a_band.shifted(k), self.b_band.shifted(k), self.c_band.shifted(k)
-        )
+        return TetraHessenberg(self.a_band[k:], self.b_band[k:], self.c_band[k:])
+
+
+def _read(values, name, n):
+    """Row n of the band ``name``, whose values start at BAND_STARTS[name]."""
+    start = BAND_STARTS[name]
+    if n < start:
+        raise IndexOutOfRange(f"band {name!r} starts at {start}, got {n}")
+    if n - start >= len(values):
+        raise BandExhausted(name, n, len(values))
+    return values[n - start]
 
 
 class DenseMatrix:
@@ -334,12 +303,6 @@ def _banded(size, bands) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
-def tetra_from_bands(a, b, c) -> TetraHessenberg:
-    """Build a matrix from explicit band value sequences a (n >= 2),
-    b (n >= 1), c (n >= 0); a_n > 0 is enforced immediately."""
-    return TetraHessenberg(Band("a", 2, a), Band("b", 1, b), Band("c", 0, c))
-
-
 def _split_alphas(alpha):
     """The tuple (alpha_1, alpha_2, ...) split by residue mod 3 into the
     bidiagonal factors of T = L1 L2 U, indexed by row from 0: U has diagonal
@@ -366,17 +329,17 @@ def _factor_triple(u, p, q):
 
 
 def _lu_bands(u, m, ell):
-    """Bands (c, b, a) of L U for a factor triple indexed as _factor_triple
-    returns it,
+    """Bands (c, b, a) of L U, as tuples starting at rows 0, 1 and 2, for a
+    factor triple indexed as _factor_triple returns it,
 
         c_n = u_n + m_n,  b_n = l_n + m_n u_{n-1},  a_n = l_n u_{n-2},
 
     each down to the last row the three tuples determine (u_n1 is u_{n-1},
     u_n2 is u_{n-2})."""
-    c = [u_n + m_n for u_n, m_n in zip(u, m)]
-    b = [l_n + m_n * u_n1 for l_n, m_n, u_n1 in zip(ell[1:], m[1:], u)]
-    a = [l_n * u_n2 for l_n, u_n2 in zip(ell[2:], u)]
-    return Band("c", 0, c), Band("b", 1, b), Band("a", 2, a)
+    c = tuple(u_n + m_n for u_n, m_n in zip(u, m))
+    b = tuple(l_n + m_n * u_n1 for l_n, m_n, u_n1 in zip(ell[1:], m[1:], u))
+    a = tuple(l_n * u_n2 for l_n, u_n2 in zip(ell[2:], u))
+    return c, b, a
 
 
 def bands_from_alphas(alphas: AlphaSequence):

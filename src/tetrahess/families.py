@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, tetra_from_alphas
+from .core import BAND_STARTS, AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, tetra_from_alphas
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .scalars import exact_tuple, format_scalar, over_common_denominator
 
@@ -163,19 +163,19 @@ def jp_dense_truncation(p: JPParams, n: int):
     the raw band products so it exists in every region (outside the strip
     some a_n are negative and TetraHessenberg would refuse them).  Rows
     0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
-    are built.
+    are built, and fewer raise BandExhausted.
 
     The bands are formed over the integers, as in jp_cross_consistency:
     every alpha is multiplied by K, the lcm of their denominators, so c, b
     and a of the scaled alphas are K, K^2 and K^3 times the true ones, and
     each entry is one Fraction of that int over K^deg."""
-    scaled, k = over_common_denominator(jp_alphas(p, Variant.FIRST, 3 * n + 1).values)
+    scaled, k = over_common_denominator(jp_alphas(p, Variant.FIRST, 3 * n + 1).prefix(3 * n + 1))
     c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(scaled))))
     return _banded(n + 1, {
-        0: lambda i: Fraction(c.get(i), k),
+        0: lambda i: Fraction(c[i], k),
         1: lambda i: Fraction(1),
-        -1: lambda i: Fraction(b.get(i), k**2),
-        -2: lambda i: Fraction(a.get(i), k**3),
+        -1: lambda i: Fraction(b[i - 1], k**2),
+        -2: lambda i: Fraction(a[i - 2], k**3),
     })
 
 
@@ -266,8 +266,8 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     rows = count // 3 + 1
     _agree("m", 1, m_f[1:rows], m_a[1:rows], k)
     _agree("l", 2, l_f[2:rows], l_a[2:rows], k**2)
-    for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
-        _agree(f.name, f.start, f.values, a.values, k ** _DEGREE[f.name])
+    for name, f, a in zip("cba", _lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
+        _agree(name, BAND_STARTS[name], f, a, k ** _DEGREE[name])
 
 
 def _cubic(factors):

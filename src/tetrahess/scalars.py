@@ -5,11 +5,11 @@ Every scalar is exact: an ``int`` or a ``fractions.Fraction``, and every
 identity in this package is checked with ``==``.  Decimal literals parse to
 the rational they spell ("0.1" is 1/10), never to a float.
 
-Scalars are parsed and printed at any length.  The interpreter limits a
-single int/str conversion to 4300 digits by default (Python 3.11, and 3.10
-from 3.10.7), so longer digit runs are converted in pieces of at most
-_CHUNK digits, split in halves, and the process-wide limit is never
-changed.
+Scalars are parsed and printed at any length, with a decimal exponent of
+at most 10 000 in magnitude.  The interpreter limits a single int/str
+conversion to 4300 digits by default (Python 3.11, and 3.10 from 3.10.7),
+so longer digit runs are converted in pieces of at most _CHUNK digits,
+split in halves, and the process-wide limit is never changed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ from math import gcd, lcm
 #: limit of 4300.  _CHUNK_BITS bits hold fewer than _CHUNK digits.
 _CHUNK = 4000
 _CHUNK_BITS = 13000
+
+#: The largest decimal exponent magnitude parse_scalar accepts, so that the
+#: length of a literal bounds the work of reading it ("1e99999999" would
+#: otherwise ask for a number of 10^8 digits).
+_MAX_EXPONENT = 10_000
 
 #: The literals Fraction reads: "p/q", "p" or a decimal "p.d" with an
 #: optional exponent, each digit run with single underscores allowed, and
@@ -64,7 +69,8 @@ def parse_int(text: str) -> int:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q", "p" or a decimal literal into a Fraction, at any
-    length.  ValueError for anything else, ZeroDivisionError for q = 0."""
+    length.  ValueError for anything else, a decimal exponent beyond
+    ±_MAX_EXPONENT included, and ZeroDivisionError for q = 0."""
     m = re.match(_RATIONAL, text)
     if m is None:
         raise ValueError(f"invalid literal for a rational: {text!r}")
@@ -82,11 +88,13 @@ def parse_scalar(text: str) -> Fraction:
             den = 10 ** len(decimal)
             num = num * den + _int(decimal)
         if exp:
-            exp = int(exp)
-            if exp >= 0:
-                num *= 10**exp
+            power = _int(exp.lstrip("+-"))
+            if power > _MAX_EXPONENT:
+                raise ValueError(f"exponent of {text!r} is outside ±{_MAX_EXPONENT}")
+            if exp[0] == "-":
+                den *= 10**power
             else:
-                den *= 10**-exp
+                num *= 10**power
     return Fraction(-num if sign == "-" else num, den)
 
 

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import AlphaSequence, TetraHessenberg, tetra_from_alphas, tetra_from_bands
+from .core import BAND_STARTS, AlphaSequence, TetraHessenberg, tetra_from_alphas
 from .families import JPParams, Variant, jp_alphas
 from .scalars import format_scalar, parse_scalar
-
-BAND_STARTS = {"a": 2, "b": 1, "c": 0}
 
 #: Entries emitted when a generator payload omits "count".
 DEFAULT_GENERATOR_COUNT = 31
@@ -125,7 +123,7 @@ def load_matrix(payload: dict) -> TetraHessenberg:
     bands = {k: _scalar_array(payload, k) for k in ("a", "b", "c")}
     if not bands["c"]:
         raise ValueError("band c is empty")
-    return tetra_from_bands(a=bands["a"], b=bands["b"], c=bands["c"])
+    return TetraHessenberg(bands["a"], bands["b"], bands["c"])
 
 
 def dump_matrix(t: TetraHessenberg) -> dict:

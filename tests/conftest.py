@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tetrahess import AlphaSequence, tetra_from_alphas, tetra_from_bands
+from tetrahess import AlphaSequence, TetraHessenberg, tetra_from_alphas
 from tetrahess.core import _banded
 
 
@@ -24,7 +24,7 @@ def random_band_matrix(rng, n):
     c = [rational_in(rng, 1, 5) for _ in range(n + 1)]
     b = [rational_in(rng, 1, 5) for _ in range(n)]
     a = [rational_in(rng, 1, 5) for _ in range(n - 1)]
-    return tetra_from_bands(a=a, b=b, c=c)
+    return TetraHessenberg(a=a, b=b, c=c)
 
 
 def random_pbf_alphas(rng, count=31):
@@ -83,4 +83,4 @@ def t_ones(ones_alphas):
 @pytest.fixture(scope="session")
 def t_sym():
     # symmetric 3x3 reference: bands a=(1), b=(1,1), c=(2,2,2)
-    return tetra_from_bands(a=[F(1)], b=[F(1), F(1)], c=[F(2), F(2), F(2)])
+    return TetraHessenberg(a=[F(1)], b=[F(1), F(1)], c=[F(2), F(2), F(2)])

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from oracle_point import _origin_system
-from tetrahess import AlphaSequence, tetra_from_alphas, tetra_from_bands
+from tetrahess import AlphaSequence, TetraHessenberg, tetra_from_alphas
 from tetrahess.darboux import _check_pbf, _forced_nu, _l_times, _times_l, _u_times
 from tetrahess.errors import IdentityViolation, TetraError, ZeroAtOrigin
 from tetrahess.polynomials import type1_sequences, type2_sequence
@@ -124,12 +124,12 @@ def comparison_cases(seed, count):
         if i % 4 == 1:
             alphas = AlphaSequence(tuple(values))
         if rng.random() < 0.15:
-            bands = {name: list(getattr(t, f"{name}_band").values) for name in "abc"}
+            bands = {name: list(getattr(t, f"{name}_band")) for name in "abc"}
             name = rng.choice("abc")
             j = rng.randrange(len(bands[name]))
             step = Fraction(rng.randint(1, 4), rng.randint(1, 3))
             bands[name][j] += step if name == "a" else rng.choice((-1, 1)) * step
-            t = tetra_from_bands(**bands)
+            t = TetraHessenberg(**bands)
         cases.append((t, alphas, n))
     return cases
 

@@ -157,8 +157,8 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     rows = count // 3 + 1
     _agree("m", 1, m_f[1:rows], m_a[1:rows])
     _agree("l", 2, l_f[2:rows], l_a[2:rows])
-    for f, a in zip(_lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
-        _agree(f.name, f.start, f.values, a.values)
+    for name, start, f, a in zip("cba", (0, 1, 2), _lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
+        _agree(name, start, f, a)
 
 
 def jp_dense_truncation(p: JPParams, n: int):
@@ -168,7 +168,7 @@ def jp_dense_truncation(p: JPParams, n: int):
     0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
     are built."""
     c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 1))
-    return _banded(n + 1, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})
+    return _banded(n + 1, {0: lambda i: c[i], 1: lambda i: Fraction(1), -1: lambda i: b[i - 1], -2: lambda i: a[i - 2]})
 
 
 def _point(rng):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from tetrahess import darboux, factorization, polynomials
 from tetrahess.cli import AKV_XS
-from tetrahess.core import AlphaSequence, TetraHessenberg, _interleave, tetra_from_alphas, tetra_from_bands
+from tetrahess.core import AlphaSequence, TetraHessenberg, _interleave, tetra_from_alphas
 from tetrahess.darboux import _AKV_DETS, AkvReport, _check_pbf, _forced_nu, _l_times, _u_times
 from tetrahess.errors import SignViolation, SingularLeadingMinor, TetraError, ZeroAtOrigin, ZeroNu
 from tetrahess.poly import Poly, constant_poly
@@ -242,7 +242,7 @@ def comparison_cases(seed, count):
             t = tetra_from_alphas(alphas)
         elif i % 3 == 1:
             c, b = ([rng.randint(-1, 1) for _ in range(n + 4)] for _ in "cb")
-            t = tetra_from_bands(a=[rng.randint(1, 2) for _ in range(n + 4)], b=b, c=c)
+            t = TetraHessenberg(a=[rng.randint(1, 2) for _ in range(n + 4)], b=b, c=c)
         else:
             t = tetra_from_alphas(_alphas(rng, 3 * n + rng.choice((-2, 1, 4, 7)), height))
         cases.append((t, alphas, n))

@@ -95,7 +95,7 @@ def _scalar(rng, lo):
 def _truncation(alphas, n):
     """The n x n tetradiagonal truncation of 3n - 2 alphas of any sign."""
     c, b, a = bands_from_alphas(AlphaSequence(values=tuple(alphas)))
-    return _banded(n, {0: c.get, 1: lambda i: Fraction(1), -1: b.get, -2: a.get})
+    return _banded(n, {0: lambda i: c[i], 1: lambda i: Fraction(1), -1: lambda i: b[i - 1], -2: lambda i: a[i - 2]})
 
 
 def tp_candidate(rng, kind, n):

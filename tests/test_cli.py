@@ -307,6 +307,23 @@ class TestDarboux:
         if hasattr(sys, "get_int_max_str_digits"):
             assert sys.get_int_max_str_digits() == 4300  # read exactly, limit untouched
 
+    @pytest.mark.parametrize("alpha_1, message", [
+        ('"1e-10001"', "alpha[0] = '1e-10001' is not a rational"),
+        ('"1e10001"', "alpha[0] = '1e10001' is not a rational"),
+        ("1e10001", "exponent of '1e10001' is outside ±10000"),  # a JSON number
+        ("1e-10001", "exponent of '1e-10001' is outside ±10000"),
+    ])
+    def test_an_exponent_past_the_bound_is_bad_input(self, tmp_path, alpha_1, message):
+        path = tmp_path / "huge.json"
+        path.write_text('{"alpha": [%s, "1"]}' % alpha_1)
+        assert run(["darboux", "--which", "hat", "--alphas", str(path)]) == (
+            65, "", f"input error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("x", ["1e10001", "1e-10001"])
+    def test_an_at_exponent_past_the_bound_is_a_usage_error(self, ones_file, x):
+        assert run(["polys", "--input", ones_file, "--n", "2", "--kind", "type2", "--at", x]) == (
+            64, "", f"usage error: --at: cannot parse '{x}'\n")
+
     def test_an_error_message_prints_a_long_value_in_full(self, tmp_path):
         """Messages print exact values past the int/str limit too: alpha_1 =
         -10^5000 makes a_2 = -10^5000 (bad input), a JP parameter of -10^5000

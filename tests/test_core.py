@@ -1,4 +1,4 @@
-"""Band containers, alpha sequences, and the dense exact-arithmetic kernel."""
+"""Band accessors, alpha sequences, and the dense exact-arithmetic kernel."""
 
 from fractions import Fraction as F
 
@@ -14,16 +14,16 @@ from tetrahess import (
     IndexOutOfRange,
     NonPositiveSubSubDiagonal,
     Poly,
+    TetraHessenberg,
     alpha_factor_matrices,
     bands_from_alphas,
     darboux_transforms,
     leading_principal,
     tetra_from_alphas,
-    tetra_from_bands,
     trailing_truncation,
     type2_sequence,
 )
-from tetrahess.core import Band, _interleave, _split_alphas
+from tetrahess.core import _interleave, _split_alphas
 
 import random
 
@@ -34,31 +34,38 @@ positive_rationals = st.fractions(min_value=F(1, 5), max_value=F(4), max_denomin
 
 
 class TestBand:
+    """The accessors c, b and a read the band tuples from rows 0, 1 and 2."""
+
     def test_explicit_values(self):
-        band = Band("c", 0, values=(F(2), F(3)))
-        assert band.get(0) == 2
-        assert band.get(1) == 3
-        assert band.last_index == 1
+        t = TetraHessenberg(a=(F(7),), b=(F(5), F(6)), c=(F(2), F(3), F(4)))
+        assert (t.c(0), t.c(1), t.c(2), t.b(1), t.b(2), t.a(2)) == (2, 3, 4, 5, 6, 7)
+        assert t.c_band == (F(2), F(3), F(4)) and type(t.c_band) is tuple
+        assert t.materializable_n() == 2
         with pytest.raises(BandExhausted):
-            band.get(2)
-        with pytest.raises(IndexOutOfRange):
-            band.get(-1)
+            t.c(3)
+        for read, start in ((t.c, 0), (t.b, 1), (t.a, 2)):
+            with pytest.raises(IndexOutOfRange) as info:
+                read(start - 1)
+            assert str(info.value) == f"band {read.__name__!r} starts at {start}, got {start - 1}"
 
     def test_band_exhausted_names_band_index_and_count(self):
-        band = Band("b", 1, (F(1), F(2), F(3)))
-        assert band.get(3) == 3
+        t = TetraHessenberg(a=(), b=(F(1), F(2), F(3)), c=(F(1),) * 5)
+        assert t.b(3) == 3
         with pytest.raises(BandExhausted) as info:
-            band.get(4)
+            t.b(4)
         assert (info.value.band, info.value.index, info.value.length) == ("b", 4, 3)
-        empty = Band("a", 2, ())
-        assert empty.last_index == 1
+        assert t.materializable_n() == 1  # an empty a holds rows up to 1
         with pytest.raises(BandExhausted) as info:
-            empty.get(2)
+            t.a(2)
         assert (info.value.band, info.value.index, info.value.length) == ("a", 2, 0)
+        assert str(info.value) == "band 'a' holds 0 entries; index 2 is out of range"
 
     def test_shifted_reindexes(self):
-        band = Band("c", 0, values=(F(1), F(2), F(3)))
-        assert band.shifted(2).get(0) == 3
+        t = TetraHessenberg(a=(F(7), F(8), F(9)), b=(F(4), F(5), F(6)), c=(F(1), F(2), F(3)))
+        shifted = t.shifted(1)
+        assert (shifted.c(0), shifted.c(1), shifted.b(1), shifted.b(2), shifted.a(2)) == (2, 3, 5, 6, 8)
+        assert (shifted.c_band, shifted.b_band, shifted.a_band) == ((F(2), F(3)), (F(5), F(6)), (F(8), F(9)))
+        assert t.shifted(2).c(0) == 3
 
 
 class TestAlphaSequence:
@@ -112,20 +119,20 @@ ONES_BANDS = {
 
 def test_bands_from_all_ones_alphas(ones_alphas):
     c, b, a = bands_from_alphas(ones_alphas)
-    assert (c.name, c.start, b.name, b.start, a.name, a.start) == ("c", 0, "b", 1, "a", 2)
-    assert c.values[:4] == ONES_BANDS["c"]
-    assert b.values[:3] == ONES_BANDS["b"]
-    assert a.values[:2] == ONES_BANDS["a"]
+    assert (type(c), type(b), type(a)) == (tuple, tuple, tuple)
+    assert c[:4] == ONES_BANDS["c"]
+    assert b[:3] == ONES_BANDS["b"]
+    assert a[:2] == ONES_BANDS["a"]
 
 
 def test_band_formulas_at_low_indices():
     # alpha_j = j keeps every product distinguishable
     alphas = AlphaSequence(values=range(1, 13))
     c, b, _ = bands_from_alphas(alphas)
-    assert c.get(0) == 1
-    assert c.get(1) == 4 + 3 + 2
-    assert b.get(1) == 3 * 1 + 2 * 1  # alpha_0 terms vanish
-    assert b.get(2) == 6 * 4 + 5 * 4 + 5 * 3
+    assert c[0] == 1
+    assert c[1] == 4 + 3 + 2
+    assert b[0] == 3 * 1 + 2 * 1  # b_1: alpha_0 terms vanish
+    assert b[1] == 6 * 4 + 5 * 4 + 5 * 3  # b_2
 
 
 def test_tetra_from_alphas_rejects_nonpositive_a():
@@ -133,15 +140,6 @@ def test_tetra_from_alphas_rejects_nonpositive_a():
     alphas = AlphaSequence(values=(F(1), F(1), F(1), F(1), F(0), F(1), F(1)))
     with pytest.raises(NonPositiveSubSubDiagonal):
         tetra_from_alphas(alphas)
-
-
-def test_entry_layout(t_ones):
-    assert t_ones.entry(0, 1) == 1  # unit superdiagonal
-    assert t_ones.entry(0, 2) == 0
-    assert t_ones.entry(3, 0) == 0  # below the second subdiagonal
-    assert t_ones.entry(2, 0) == t_ones.a(2)
-    assert t_ones.entry(2, 1) == t_ones.b(2)
-    assert t_ones.entry(2, 2) == t_ones.c(2)
 
 
 def test_leading_principal_matches_entries(t_ones):
@@ -154,7 +152,7 @@ def test_leading_principal_matches_entries(t_ones):
 
 
 def test_materializable_n_tracks_shortest_band():
-    t = tetra_from_bands(a=[F(1)], b=[F(1), F(1)], c=[F(1), F(1), F(1)])
+    t = TetraHessenberg(a=[F(1)], b=[F(1), F(1)], c=[F(1), F(1), F(1)])
     assert t.materializable_n() == 2
     with pytest.raises(BandExhausted):
         leading_principal(t, 3)
@@ -352,8 +350,8 @@ def test_interleave_inverts_the_split(k):
     assert _interleave(u, p, q).values == alphas.values
 
 
-def test_tetra_from_bands_band_budget():
-    t = tetra_from_bands(a=[F(1), F(2)], b=[F(1), F(1), F(1)], c=[F(1)] * 4)
+def test_tetrahessenberg_band_budget():
+    t = TetraHessenberg(a=[F(1), F(2)], b=[F(1), F(1), F(1)], c=[F(1)] * 4)
     assert t.a(3) == 2
     assert t.c(0) == 1
     with pytest.raises(BandExhausted):
@@ -389,21 +387,23 @@ def closed_form_bands(alpha, shift=0):
 
 
 def assert_bands(bands, want):
-    for band, name, start, values in zip(bands, "cba", (0, 1, 2), want):
-        assert (band.name, band.start, band.values) == (name, start, values)
-        past = start + len(values)
-        assert band.last_index == past - 1
-        with pytest.raises(BandExhausted) as info:
-            band.get(past)
-        assert (info.value.band, info.value.index, info.value.length) == (name, past, len(values))
+    """The band tuples (c, b, a) are exactly the wanted tuples."""
+    assert tuple(map(type, bands)) == (tuple, tuple, tuple)
+    assert tuple(bands) == want
 
 
 def assert_matrix(t, want):
+    """The matrix holds the wanted bands, reads each from its fixed start
+    and raises BandExhausted naming the band, the index and the count one
+    row past its end."""
     assert_bands((t.c_band, t.b_band, t.a_band), want)
     assert t.materializable_n() == len(want[0]) - 1
-    for read, band, start in ((t.c, want[0], 0), (t.b, want[1], 1), (t.a, want[2], 2)):
-        with pytest.raises(BandExhausted):
-            read(start + len(band))
+    for read, name, values, start in zip((t.c, t.b, t.a), "cba", want, (0, 1, 2)):
+        assert tuple(read(start + i) for i in range(len(values))) == values
+        past = start + len(values)
+        with pytest.raises(BandExhausted) as info:
+            read(past)
+        assert (info.value.band, info.value.index, info.value.length) == (name, past, len(values))
 
 
 def first_nonpositive(a_values):

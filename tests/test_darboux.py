@@ -15,6 +15,7 @@ from tetrahess import (
     Poly,
     SignViolation,
     TetraError,
+    TetraHessenberg,
     ZeroAtOrigin,
     akv_sign_checks,
     alpha_factor_matrices,
@@ -25,7 +26,6 @@ from tetrahess import (
     second_kind_sequences,
     sequence_values,
     tetra_from_alphas,
-    tetra_from_bands,
     trailing_truncation,
     transformed_char_polys,
     transformed_type1,
@@ -317,7 +317,7 @@ def test_alpha1_equals_c0_anchor(t_ones):
 
 
 def _constant_bands(a, b, c, length=8):
-    return tetra_from_bands(a=[F(a)] * length, b=[F(b)] * length, c=[F(c)] * length)
+    return TetraHessenberg(a=[F(a)] * length, b=[F(b)] * length, c=[F(c)] * length)
 
 
 def test_alphas_from_polynomials_refuses_a_zero_b_at_the_origin():
@@ -336,7 +336,7 @@ def test_alphas_from_polynomials_refuses_a_zero_a1_at_the_origin(alpha2):
     nu = -1/alpha_2, so c_0 = b_1 / alpha_2 makes p_2 undefined while every
     B value stays nonzero."""
     c = [F(3) / alpha2, F(5), F(7), F(11), F(13), F(17), F(19), F(23)]
-    t = tetra_from_bands(a=[F(2)] * 8, b=[F(3)] * 8, c=c)
+    t = TetraHessenberg(a=[F(2)] * 8, b=[F(3)] * 8, c=c)
     assert 0 not in sequence_values(t, "type2", 4, 0)["B"]
     with pytest.raises(ZeroAtOrigin) as err:
         alphas_from_polynomials(t, 3, alpha2)
@@ -351,7 +351,7 @@ def test_alphas_from_polynomials_refuses_a_zero_a1_at_the_origin(alpha2):
 def test_origin_system_determinant_is_a_b_value(c, b, a, nu):
     """det M_k = (-1)^(k+1) B_{k+1}(0) / (a_2 ... a_{k+2}) for every nu,
     so the 2x2 origin system is singular exactly when B_{k+1}(0) = 0."""
-    t = tetra_from_bands(a=a, b=b, c=c)
+    t = TetraHessenberg(a=a, b=b, c=c)
     n = 7
     b0 = sequence_values(t, "type2", n + 1, 0)["B"]
     origin = sequence_values(t, "type1", n + 2, 0, nu)
@@ -479,7 +479,7 @@ def test_akv_oracle_sees_a_violation(ones_alphas):
 def test_verify_christoffel_perturbed_band(ones_alphas):
     """Any band perturbation refutes the correspondence at the first
     (k, identity) it touches: b_1 enters A1_2, hence tildetilde_a1 at k = 0."""
-    tbad = tetra_from_bands(
+    tbad = TetraHessenberg(
         a=[F(1)] * 4, b=[F(5, 2)] + [F(3)] * 4, c=[F(1)] + [F(3)] * 5
     )
     with pytest.raises(IdentityViolation) as exc:
@@ -537,7 +537,7 @@ def _ones_bands_perturbed(t_ones, band, index):
         for name, start in starts.items()
     }
     bands[band][index - starts[band]] += F(1, 2)
-    return tetra_from_bands(**bands)
+    return TetraHessenberg(**bands)
 
 
 @pytest.mark.parametrize(
@@ -563,7 +563,7 @@ def test_verify_christoffel_reports_first_failure(t_ones, ones_alphas, band, ind
 #: matrix is not the one the alphas factor, and tildetilde_a1 fails at k = 0
 #: with residual x (the CI entry-point step runs the same pair).
 POLY_RESIDUAL_ALPHAS = AlphaSequence(tuple(map(F, ["1", "1", "2", "2/3", "2/3", "3", "1", "2/3"])))
-POLY_RESIDUAL_MATRIX = tetra_from_bands(
+POLY_RESIDUAL_MATRIX = TetraHessenberg(
     a=[F(2, 3), F(4, 3)], b=[F(2), F(28, 9), F(11, 3)], c=[F(1), F(8, 3), F(14, 3), F(8, 3)]
 )
 
@@ -663,13 +663,13 @@ def test_akv_sign_checks_requires_pbf(t_ones):
 def test_explicit_scalars_must_be_exact():
     # floats are refused where explicit values enter, so no operation sees one
     with pytest.raises(TypeError):
-        tetra_from_bands(a=[1.0], b=[F(1), F(1)], c=[F(2), F(2), F(2)])
+        TetraHessenberg(a=[1.0], b=[F(1), F(1)], c=[F(2), F(2), F(2)])
     with pytest.raises(TypeError):
-        tetra_from_bands(a=[F(1)], b=[F(1), F(1)], c=[F(2), 2.0, F(2)])
+        TetraHessenberg(a=[F(1)], b=[F(1), F(1)], c=[F(2), 2.0, F(2)])
     with pytest.raises(TypeError):
         AlphaSequence(values=(F(1), 0.5))
     # ints are exact, and int inputs give exact results
-    t = tetra_from_bands(a=[1], b=[1, 1], c=[2, 2, 2])
+    t = TetraHessenberg(a=[1], b=[1, 1], c=[2, 2, 2])
     alphas = AlphaSequence(values=(1,) * 10)
     a1, a2 = type1_sequences(t, 2, F(1))
     assert all(isinstance(c, (int, F)) for p in (*a1, *a2) for c in p.coeffs)

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from tetrahess import (
     Classification,
     SingularLeadingMinor,
+    TetraHessenberg,
     ZeroAlpha3n,
     bidiagonal_factor,
     gauss_borel,
     leading_principal,
     tetra_from_alphas,
-    tetra_from_bands,
 )
 from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
 
@@ -42,9 +42,9 @@ def test_gauss_borel_product(t_sym):
     truncation = leading_principal(t_sym, 2)
     assert lu_product(*triple) == truncation
     c, b, a = _lu_bands(*triple)
-    assert c.values == tuple(truncation.entry(i, i) for i in range(3))
-    assert b.values == tuple(truncation.entry(i, i - 1) for i in range(1, 3))
-    assert a.values == (truncation.entry(2, 0),)
+    assert c == tuple(truncation.entry(i, i) for i in range(3))
+    assert b == tuple(truncation.entry(i, i - 1) for i in range(1, 3))
+    assert a == (truncation.entry(2, 0),)
 
 
 def test_gauss_borel_ones(t_ones):
@@ -55,7 +55,7 @@ def test_gauss_borel_ones(t_ones):
 
 
 def test_gauss_borel_singular_minor():
-    t = tetra_from_bands(a=[F(1)], b=[F(1), F(1)], c=[F(0), F(1), F(1)])
+    t = TetraHessenberg(a=[F(1)], b=[F(1), F(1)], c=[F(0), F(1), F(1)])
     with pytest.raises(SingularLeadingMinor):
         gauss_borel(t, 2)
 
@@ -70,7 +70,7 @@ def signed_band_matrix(draw):
     b = draw(st.lists(entry, min_size=n, max_size=n))
     a = draw(st.lists(st.builds(F, st.integers(1, 3), st.integers(1, 3)),
                       min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
-    return tetra_from_bands(a=a, b=b, c=c), n
+    return TetraHessenberg(a=a, b=b, c=c), n
 
 
 @settings(max_examples=120, derandomize=True)

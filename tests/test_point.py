@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import oracle_point
 from oracle_point import akv_sign_checks as oracle_akv_sign_checks
 from oracle_point import sequence_values as oracle_sequence_values
-from tetrahess import (AlphaSequence, BandExhausted, SignViolation, ZeroNu, polynomials, tetra_from_alphas,
-                       tetra_from_bands)
+from tetrahess import (AlphaSequence, BandExhausted, SignViolation, TetraHessenberg, ZeroNu, polynomials,
+                       tetra_from_alphas)
 from tetrahess.cli import AKV_XS
 from tetrahess.darboux import akv_sign_checks
 from tetrahess.errors import SingularLeadingMinor, ZeroAtOrigin
@@ -60,7 +60,7 @@ def signed_bands(draw):
     c = draw(st.lists(entry, min_size=n + 3, max_size=n + 3))
     b = draw(st.lists(entry, min_size=n + 2, max_size=n + 2))
     a = draw(st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 7)), min_size=n + 1, max_size=n + 1))
-    return tetra_from_bands(a=a, b=b, c=c), n
+    return TetraHessenberg(a=a, b=b, c=c), n
 
 
 def _same_values(t, n, x, nu):
@@ -224,7 +224,7 @@ def test_akv_on_a_matrix_the_alphas_do_not_factor_matches_the_oracle(case, alpha
 
 def test_a_sign_violation_carries_the_reduced_fraction():
     """A fixed positive determinant, the one the Fraction loop reports."""
-    t = tetra_from_bands(a=[F(1)] * 6, b=[F(-3)] * 7, c=[F(5, 3)] * 8)
+    t = TetraHessenberg(a=[F(1)] * 6, b=[F(-3)] * 7, c=[F(5, 3)] * 8)
     alphas = AlphaSequence(values=(F(1),) * 30)
     got = _outcome(akv_sign_checks, t, alphas, 4, (F(0), F(1, 4)))
     assert got == _outcome(oracle_akv_sign_checks, t, alphas, 4, (F(0), F(1, 4)))

@@ -11,13 +11,13 @@ from tetrahess import (
     AlphaSequence,
     IndexOutOfRange,
     Poly,
+    TetraHessenberg,
     ZeroNu,
     char_poly_truncation,
     leading_principal,
     second_kind_sequences,
     sequence_values,
     tetra_from_alphas,
-    tetra_from_bands,
     trailing_truncation,
     type1_sequences,
     type2_sequence,
@@ -159,7 +159,7 @@ def test_char_poly_truncation_guards(t_ones):
 def test_char_poly_truncation_empty_reads_no_band_past_n():
     # the c band ends at N = 3, so finding the unit of the empty trailing
     # truncation must not read c_4
-    t = tetra_from_bands(a=[F(1), F(2)], b=[F(2), F(3), F(1)], c=[F(1), F(3), F(2), F(5)])
+    t = TetraHessenberg(a=[F(1), F(2)], b=[F(2), F(3), F(1)], c=[F(1), F(3), F(2), F(5)])
     assert char_poly_truncation(t, 3, 4) == Poly((F(1),))
     assert char_poly_truncation(t, 3, 3) == Poly((F(-5), F(1)))
 

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from tetrahess import (
     AlphaSequence,
+    TetraHessenberg,
     dump_alphas,
     dump_matrix,
     load_alphas,
     load_matrix,
-    tetra_from_bands,
 )
 from tetrahess.scalars import parse_scalar
 
@@ -85,7 +85,7 @@ def test_generator_unknown_name():
 
 
 def test_matrix_round_trip():
-    t = tetra_from_bands(
+    t = TetraHessenberg(
         a=[F(1), F(2)], b=[F(1, 3), F(1), F(1)], c=[F(2), F(2), F(5, 4), F(1)]
     )
     payload = dump_matrix(t)
@@ -241,4 +241,21 @@ def test_parse_scalar_fixed_literals(text, value):
 @pytest.mark.parametrize("text", ["1__0", "_1", "1_", "1 / 2", "1/-2", "1.5/2", "e5", "1e", "", "/2"])
 def test_parse_scalar_refuses(text):
     with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e10000", 10**10000), ("-1E-10000", F(-1, 10**10000)), ("2.5e+10_000", 25 * 10**9999),
+    ("1e" + "0" * 5000 + "7", 10**7),  # an exponent of 5001 digits, read in pieces
+], ids=["1e10000", "-1E-10000", "2.5e+10_000", "5001-digit-exponent"])
+def test_parse_scalar_reads_exponents_up_to_the_bound(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e10001", "1e-10001", "-0.5E+10001", "1e99999999999", "1e" + "9" * 5000],
+                         ids=["1e10001", "1e-10001", "-0.5E+10001", "1e99999999999", "5000-nines-exponent"])
+def test_parse_scalar_refuses_an_exponent_past_the_bound(text):
+    """An exponent beyond +-10000 is refused before any power of ten is
+    formed, so the length of a literal bounds the work of reading it."""
+    with pytest.raises(ValueError, match="^exponent of .* is outside ±10000$"):
         parse_scalar(text)

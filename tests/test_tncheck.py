@@ -187,7 +187,7 @@ def _alpha_truncation(alphas):
     negative a_n)."""
     n = (len(alphas) + 2) // 3
     c, b, a = bands_from_alphas(AlphaSequence(values=tuple(alphas)))
-    return _banded(n, {0: c.get, 1: lambda i: F(1), -1: b.get, -2: a.get})
+    return _banded(n, {0: lambda i: c[i], 1: lambda i: F(1), -1: lambda i: b[i - 1], -2: lambda i: a[i - 2]})
 
 
 def _random_matrix(seed, dims=(1, 5), kinds=_KINDS):
