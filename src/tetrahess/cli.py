@@ -23,7 +23,7 @@ import signal
 import sys
 from fractions import Fraction
 
-from .core import Classification, DenseMatrix, bands_from_alphas, leading_principal, tetra_from_alphas
+from .core import DenseMatrix, bands_from_alphas, leading_principal, tetra_from_alphas
 from .darboux import (
     CHRISTOFFEL_IDENTITIES,
     akv_sign_checks,
@@ -38,6 +38,7 @@ from .families import (
     JP_VERIFICATION_GRID,
     JPParams,
     Variant,
+    _jp_is_pbf,
     jp_alphas,
     jp_certificate,
     jp_dense_truncation,
@@ -164,8 +165,7 @@ def _cmd_jp_scan(args):
     lines = ["alpha,beta,region,pbf_flag,oscillatory_flag"]
     for alpha, beta in bases:
         params = JPParams(alpha=alpha, beta=beta, gamma=gamma)
-        akv = jp_alphas(params, Variant.AKV, 24)
-        pbf = akv.classify(24) is Classification.PBF
+        pbf = _jp_is_pbf(params, Variant.AKV, 24)
         osc = is_totally_nonnegative(jp_dense_truncation(params, 4)).is_oscillatory_gk
         lines.append(
             f"{format_scalar(alpha)},{format_scalar(beta)},{params.region},"
@@ -263,8 +263,10 @@ def _suite_charpoly(t, _alphas, n):
 
 def _suite_tn(t, _alphas, n):
     depth = min(n, POWER_ORACLE_CAP - 1)
+    # T^[k] is the leading (k + 1) x (k + 1) block of T^[depth]
+    rows = leading_principal(t, depth).rows
     for k in range(1, depth + 1):
-        m = leading_principal(t, k)
+        m = DenseMatrix(r[: k + 1] for r in rows[: k + 1])
         report = is_totally_nonnegative(m)
         # the power oracle, gated on the scan just made rather than a second one
         oracle = report.is_tn and _some_power_totally_positive(m)

@@ -167,7 +167,7 @@ class DenseMatrix:
 
     @staticmethod
     def identity(n):
-        return _banded(n, {0: lambda i: Fraction(1)})
+        return _banded(n, {0: _unit})
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.n != other.n:
@@ -289,13 +289,24 @@ class DenseMatrix:
 # -- constructors and truncations ----------------------------------------
 
 
+#: The zero and the unit every dense builder shares: a Fraction is
+#: immutable, so one instance serves every entry.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _unit(i):
+    """The entry of a unit band at any row i."""
+    return _ONE
+
+
 def _banded(size, bands) -> DenseMatrix:
     """size x size matrix holding bands[d](i) at (i, i + d) for each
     diagonal offset d and zero elsewhere; entries are evaluated row by row,
     in the order of ``bands`` within a row."""
     rows = []
     for i in range(size):
-        row = [Fraction(0)] * size
+        row = [_ZERO] * size
         for offset, entry in bands.items():
             if 0 <= i + offset < size:
                 row[i + offset] = entry(i)
@@ -307,10 +318,10 @@ def _split_alphas(alpha):
     """The tuple (alpha_1, alpha_2, ...) split by residue mod 3 into the
     bidiagonal factors of T = L1 L2 U, indexed by row from 0: U has diagonal
     u_n = alpha_{3n+1} and L1, L2 have subdiagonals p_n = alpha_{3n-1},
-    q_n = alpha_{3n} (p_0 = q_0 = 0).  Only this split and its inverse
+    q_n = alpha_{3n} (p_0 = q_0 = 0, an int, so int alphas give int factors
+    and Fraction alphas Fraction bands).  Only this split and its inverse
     _interleave know which alpha sits in which factor."""
-    zero = (Fraction(0),)
-    return alpha[0::3], zero + alpha[1::3], zero + alpha[2::3]
+    return alpha[0::3], (0,) + alpha[1::3], (0,) + alpha[2::3]
 
 
 def _interleave(u, p, q) -> AlphaSequence:
@@ -324,7 +335,7 @@ def _factor_triple(u, p, q):
     of _split_alphas: L = L1 L2 has subdiagonals m_n = p_n + q_n and
     l_n = p_n q_{n-1} (l_0 = 0), each down to the last row p and q fix."""
     m = tuple(p_n + q_n for p_n, q_n in zip(p, q))
-    ell = tuple(p_n * q_n1 for p_n, q_n1 in zip(p, (Fraction(0),) + q))
+    ell = tuple(p_n * q_n1 for p_n, q_n1 in zip(p, (0,) + q))
     return u, m, ell
 
 
@@ -371,7 +382,7 @@ def leading_principal(t: TetraHessenberg, n: int) -> DenseMatrix:
     """The (N+1) x (N+1) leading principal truncation T^[N]."""
     if n < 0:
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
-    return _banded(n + 1, {0: t.c, 1: lambda i: Fraction(1), -1: t.b, -2: t.a})
+    return _banded(n + 1, {0: t.c, 1: _unit, -1: t.b, -2: t.a})
 
 
 def trailing_truncation(t: TetraHessenberg, n: int, k: int) -> DenseMatrix:
@@ -399,12 +410,8 @@ def alpha_factor_matrices(alphas: AlphaSequence, n: int):
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
     u, p, q = _split_alphas(alphas.prefix(3 * n + 1))
     size = n + 1
-
-    def unit(i):
-        return Fraction(1)
-
     # entry functions take the row i; L1 and L2 carry p_i and q_i in row i
-    l1 = _banded(size, {0: unit, -1: p.__getitem__})
-    l2 = _banded(size, {0: unit, -1: q.__getitem__})
-    upper = _banded(size, {0: u.__getitem__, 1: unit})
+    l1 = _banded(size, {0: _unit, -1: p.__getitem__})
+    l2 = _banded(size, {0: _unit, -1: q.__getitem__})
+    upper = _banded(size, {0: u.__getitem__, 1: _unit})
     return l1, l2, upper

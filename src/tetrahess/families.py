@@ -9,10 +9,15 @@ alpha, beta, gamma > -1 and alpha - beta not an integer (the natural
 region R).  R splits by d = alpha - beta into
 R1: d > 1, R2: 0 < d < 1, R3: -1 < d < 0, R4: d < -1.
 
-The closed forms are evaluated over the integers: ``jp_alphas`` brings
-(alpha, beta, gamma) to one common denominator once, multiplies the three
-numerator and three denominator factors of each alpha_j as ints and builds
-one Fraction from them, so the only gcd paid per alpha is that Fraction's.
+The closed forms are evaluated over the integers, once: ``_jp_rows``
+brings (alpha, beta, gamma) to one common denominator and lists the int
+linear factors of each residue, and ``_jp_ratios`` multiplies the three
+numerator and three denominator factors of each alpha_j into an int pair
+(num, den), with no gcd.  Every reader starts from those pairs:
+``jp_alphas`` builds one Fraction from each, ``jp_dense_truncation``
+brings them to one denominator and forms the bands as ints, and the signs
+(``jp_certificate``, the ``jp-scan`` PBF flag of ``_jp_is_pbf``) are the
+signs of num * den.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import BAND_STARTS, AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, tetra_from_alphas
-from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
+from .core import (BAND_STARTS, AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, _unit,
+                   tetra_from_alphas)
+from .errors import BandExhausted, ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .scalars import exact_tuple, format_scalar, over_common_denominator
 
 
@@ -141,21 +148,31 @@ def _jp_rows(p: JPParams, variant: Variant):
     return [[(k * d, t * d + combos[s]) for k, t, s in numerators[r] + _JP_DENOMINATORS[r]] for r in range(1, 7)]
 
 
-def jp_alphas(p: JPParams, variant: Variant, count: int) -> AlphaSequence:
-    """First `count` entries of the chosen parametrization, exactly: each
-    one is a single Fraction of two integer products (see _jp_rows)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rows = _jp_rows(p, variant)
-    values = []
+def _jp_ratios(rows, count):
+    """alpha_1 .. alpha_count of one variant, from its rows (see _jp_rows),
+    each yielded as the int pair (num, den) of its three numerator and
+    three denominator factors, unreduced: alpha_j = num / den.  den is
+    nonzero but may be negative, so the sign of alpha_j is that of
+    num * den."""
     for i in range(count):
         n, r = divmod(i, 6)
         (u1, v1), (u2, v2), (u3, v3), (u4, v4), (u5, v5), (u6, v6) = rows[r]
-        values.append(Fraction(
-            (u1 * n + v1) * (u2 * n + v2) * (u3 * n + v3),
-            (u4 * n + v4) * (u5 * n + v5) * (u6 * n + v6),
-        ))
-    return AlphaSequence(values=tuple(values))
+        yield (u1 * n + v1) * (u2 * n + v2) * (u3 * n + v3), (u4 * n + v4) * (u5 * n + v5) * (u6 * n + v6)
+
+
+def jp_alphas(p: JPParams, variant: Variant, count: int) -> AlphaSequence:
+    """First `count` entries of the chosen parametrization, exactly: each
+    one is a single Fraction of two integer products (see _jp_ratios)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return AlphaSequence(values=tuple(Fraction(num, den) for num, den in _jp_ratios(_jp_rows(p, variant), count)))
+
+
+def _jp_is_pbf(p: JPParams, variant: Variant, count: int) -> bool:
+    """Is jp_alphas(p, variant, count).classify(count) PBF?  alpha_j =
+    num / den is positive exactly when num * den is, so the signs are read
+    off _jp_ratios and no Fraction is built."""
+    return all(num * den > 0 for num, den in _jp_ratios(_jp_rows(p, variant), count))
 
 
 def jp_dense_truncation(p: JPParams, n: int):
@@ -163,19 +180,24 @@ def jp_dense_truncation(p: JPParams, n: int):
     the raw band products so it exists in every region (outside the strip
     some a_n are negative and TetraHessenberg would refuse them).  Rows
     0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
-    are built, and fewer raise BandExhausted.
+    are read off _jp_ratios, and fewer raise BandExhausted.
 
     The bands are formed over the integers, as in jp_cross_consistency:
-    every alpha is multiplied by K, the lcm of their denominators, so c, b
-    and a of the scaled alphas are K, K^2 and K^3 times the true ones, and
-    each entry is one Fraction of that int over K^deg."""
-    scaled, k = over_common_denominator(jp_alphas(p, Variant.FIRST, 3 * n + 1).prefix(3 * n + 1))
-    c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(scaled))))
+    every alpha num / den is brought to K, the lcm of the dens, as the int
+    num (K / den), so c, b and a of those ints are K, K^2 and K^3 times the
+    true ones, and each entry is one Fraction of that int over K^deg."""
+    count = 3 * n + 1
+    ratios = list(_jp_ratios(_jp_rows(p, Variant.FIRST), count))
+    if len(ratios) < count:
+        raise BandExhausted("alpha", len(ratios) + 1, len(ratios))
+    k = lcm(*(den for _, den in ratios))
+    c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(num * (k // den) for num, den in ratios))))
+    k2, k3 = k * k, k**3
     return _banded(n + 1, {
         0: lambda i: Fraction(c[i], k),
-        1: lambda i: Fraction(1),
-        -1: lambda i: Fraction(b[i - 1], k**2),
-        -2: lambda i: Fraction(a[i - 2], k**3),
+        1: _unit,
+        -1: lambda i: Fraction(b[i - 1], k2),
+        -2: lambda i: Fraction(a[i - 2], k3),
     })
 
 
@@ -336,11 +358,11 @@ def jp_certificate(p: JPParams) -> None:
     those rows raises the ConsistencyViolation of its first failing entry.
 
     Signs.  Every factor u n + v of _jp_rows has u > 0, so it is positive
-    from row -v // u + 1 on.  In each residue, the rows up to the later of
-    the last with a factor <= 0 and the last the table lists an exception
-    at are read off the int factors; every later alpha of the residue is
-    positive, as the table says.  So an exception listed where the alpha
-    is positive fails too.
+    from row -v // u + 1 on.  The rows up to the later of the last with a
+    factor <= 0 and the last the table lists an exception at are read off
+    the int pairs of _jp_ratios, the sign of alpha_j being that of
+    num * den; every later alpha is positive, as the table says.  So an
+    exception listed where the alpha is positive fails too.
 
     The proof reads the closed forms of _jp_rows: a formula transcribed
     wrong in both variants alike is beyond it."""
@@ -351,24 +373,13 @@ def jp_certificate(p: JPParams) -> None:
     region = p.region
     for variant, rows in ((Variant.FIRST, first), (Variant.AKV, akv)):
         exceptions = _SIGN_EXCEPTIONS[(variant, region)]
-        starts = [0] * 6
-        for r, row in enumerate(rows):
-            for u, v in row:
-                if -v // u >= starts[r]:
-                    starts[r] = -v // u + 1
-        for j in exceptions:
-            n, r = divmod(j - 1, 6)
-            starts[r] = max(starts[r], n + 1)
-        for n in range(max(starts)):
-            for r, row in enumerate(rows):
-                if n < starts[r]:
-                    (u1, v1), (u2, v2), (u3, v3), (u4, v4), (u5, v5), (u6, v6) = row
-                    num = (u1 * n + v1) * (u2 * n + v2) * (u3 * n + v3)
-                    den = (u4 * n + v4) * (u5 * n + v5) * (u6 * n + v6)
-                    sign = (num > 0) - (num < 0) if den > 0 else (num < 0) - (num > 0)
-                    predicted = exceptions.get(6 * n + r + 1, 1)
-                    if sign != predicted:
-                        raise PredictionMismatch(6 * n + r + 1, str(variant), predicted, Fraction(num, den))
+        # from row ``read`` on every factor is positive and no exception listed
+        read = max(0, *(-v // u + 1 for row in rows for u, v in row), *((j - 1) // 6 + 1 for j in exceptions))
+        for j, (num, den) in enumerate(_jp_ratios(rows, 6 * read), start=1):
+            sign = (num * den > 0) - (num * den < 0)
+            predicted = exceptions.get(j, 1)
+            if sign != predicted:
+                raise PredictionMismatch(j, str(variant), predicted, Fraction(num, den))
 
 
 def jp_matrix(p: JPParams, variant: Variant = Variant.FIRST, count: int = 64):

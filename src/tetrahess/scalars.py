@@ -28,6 +28,11 @@ _CHUNK_BITS = 13000
 #: otherwise ask for a number of 10^8 digits).
 _MAX_EXPONENT = 10_000
 
+
+class ExponentOutOfRange(ValueError):
+    """A decimal literal whose exponent is beyond ±_MAX_EXPONENT."""
+
+
 #: The literals Fraction reads: "p/q", "p" or a decimal "p.d" with an
 #: optional exponent, each digit run with single underscores allowed, and
 #: optional surrounding whitespace.  Compiled on the first parse (and kept
@@ -69,8 +74,9 @@ def parse_int(text: str) -> int:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q", "p" or a decimal literal into a Fraction, at any
-    length.  ValueError for anything else, a decimal exponent beyond
-    ±_MAX_EXPONENT included, and ZeroDivisionError for q = 0."""
+    length.  ValueError for anything else, ExponentOutOfRange (a
+    ValueError) for a decimal exponent beyond ±_MAX_EXPONENT, and
+    ZeroDivisionError for q = 0."""
     m = re.match(_RATIONAL, text)
     if m is None:
         raise ValueError(f"invalid literal for a rational: {text!r}")
@@ -90,7 +96,7 @@ def parse_scalar(text: str) -> Fraction:
         if exp:
             power = _int(exp.lstrip("+-"))
             if power > _MAX_EXPONENT:
-                raise ValueError(f"exponent of {text!r} is outside ±{_MAX_EXPONENT}")
+                raise ExponentOutOfRange(f"exponent of {text!r} is outside ±{_MAX_EXPONENT}")
             if exp[0] == "-":
                 den *= 10**power
             else:

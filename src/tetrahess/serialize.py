@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import BAND_STARTS, AlphaSequence, TetraHessenberg, tetra_from_alphas
 from .families import JPParams, Variant, jp_alphas
-from .scalars import format_scalar, parse_scalar
+from .scalars import ExponentOutOfRange, format_scalar, parse_scalar
 
 #: Entries emitted when a generator payload omits "count".
 DEFAULT_GENERATOR_COUNT = 31
@@ -59,6 +59,9 @@ def _scalar(value, name):
         return Fraction(value)
     try:
         return parse_scalar(str(value))
+    except ExponentOutOfRange as exc:
+        # a string names the bound as the same JSON number does
+        raise ValueError(f"{name}: {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{name} = {str(value)!r} is not a rational") from None
 

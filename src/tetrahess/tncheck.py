@@ -110,8 +110,10 @@ def _check_cap(m: DenseMatrix, cap: int):
         raise DimensionCapExceeded(m.n, cap)
 
 
-def _neighbors_positive(m: DenseMatrix) -> bool:
-    return all(m.entry(i, i + 1) > 0 and m.entry(i + 1, i) > 0 for i in range(m.n - 1))
+def _neighbors_positive(rows) -> bool:
+    """Are the first super- and subdiagonal entries of the square ``rows``
+    all positive?  Read off _MinorTable's int rows, whose scales are > 0."""
+    return all(rows[i][i + 1] > 0 and rows[i + 1][i] > 0 for i in range(len(rows) - 1))
 
 
 def _full_scan(table: _MinorTable):
@@ -293,7 +295,7 @@ def is_totally_nonnegative(m: DenseMatrix) -> TNReport:
         witness=witness,
         minors_checked=checked,
         is_nonsingular=nonsingular,
-        is_oscillatory_gk=is_tn and nonsingular and _neighbors_positive(m),
+        is_oscillatory_gk=is_tn and nonsingular and _neighbors_positive(table.rows),
     )
 
 

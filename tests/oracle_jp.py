@@ -11,9 +11,12 @@ checks form the factor triples and bands of both variants as Fractions and
 compare them, and every sign, with Fraction comparisons.
 
 ``comparison_cases`` and ``compared`` are a differential set and the
-compared results of the integer forms and these oracles.  They need no
-pytest, so the comparison also runs as a script, on an interpreter
-without it:
+compared results of the integer forms and these oracles: the closed forms,
+the two checks, the truncations T^[0] .. T^[9] and the PBF flag that
+``jp-scan`` prints, each integer form read off the int pairs of
+``families._jp_ratios`` and each oracle off the Fraction closed forms
+below.  They need no pytest, so the comparison also runs as a script, on
+an interpreter without it:
 
     PYTHONPATH=src python tests/oracle_jp.py
 
@@ -31,7 +34,8 @@ from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 
 from tetrahess import families
-from tetrahess.core import AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, bands_from_alphas
+from tetrahess.core import (AlphaSequence, Classification, _banded, _factor_triple, _lu_bands, _split_alphas,
+                           bands_from_alphas)
 from tetrahess.errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch, TetraError
 from tetrahess.families import JP_VERIFICATION_GRID, JPParams, Region, Variant, jp_alphas
 
@@ -166,8 +170,8 @@ def jp_dense_truncation(p: JPParams, n: int):
     the raw band products so it exists in every region (outside the strip
     some a_n are negative and TetraHessenberg would refuse them).  Rows
     0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
-    are built."""
-    c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 1))
+    are built, by the Fraction closed forms."""
+    c, b, a = bands_from_alphas(AlphaSequence(oracle_jp_alphas(p, Variant.FIRST, 3 * n + 1)))
     return _banded(n + 1, {0: lambda i: c[i], 1: lambda i: Fraction(1), -1: lambda i: b[i - 1], -2: lambda i: a[i - 2]})
 
 
@@ -232,16 +236,31 @@ def _typed(values):
     return tuple((type(v), v) for v in values)
 
 
+#: The checks ``compared`` runs on a case's variants, each with its oracle.
+CHECKS = {"jp_sign_report": jp_sign_report, "jp_cross_consistency": jp_cross_consistency}
+
+#: The truncation orders N ``compared`` builds T^[N] at.
+TRUNCATION_ORDERS = range(10)
+
+
 def compared(case):
     """(what, got, want) for each integer form and its Fraction oracle on
     one case: both variants' closed forms (60 alphas, each value with its
-    type), the sign check and the cross-consistency check.  got == want is
+    type); the sign check and the cross-consistency check; the truncation
+    T^[N], N = 0..9, each entry with its type; and each variant's PBF flag
+    (the one jp-scan prints for AKV at count 24) at 24 and at the case's
+    count, against classify of the Fraction closed forms.  got == want is
     the differential check."""
     p, count, variants = case
     out = [(f"jp_alphas {v}", _typed(jp_alphas(p, v, 60).values), _typed(oracle_jp_alphas(p, v, 60)))
            for v in (Variant.FIRST, Variant.AKV)]
-    for name, oracle in (("jp_sign_report", jp_sign_report), ("jp_cross_consistency", jp_cross_consistency)):
+    for name, oracle in CHECKS.items():
         out.append((name, outcome(getattr(families, name), p, count, variants), outcome(oracle, p, count, variants)))
+    out += [(f"jp_dense_truncation {n}", tuple(map(_typed, families.jp_dense_truncation(p, n).rows)),
+             tuple(map(_typed, jp_dense_truncation(p, n).rows))) for n in TRUNCATION_ORDERS]
+    out += [(f"_jp_is_pbf {v}", (k, families._jp_is_pbf(p, v, k)),
+             (k, AlphaSequence(oracle_jp_alphas(p, v, k)).classify(k) is Classification.PBF))
+            for v in (Variant.FIRST, Variant.AKV) for k in (24, count)]
     return out
 
 
@@ -356,7 +375,7 @@ if __name__ == "__main__":
     cases = [case for seed in (1, 2, 3) for case in comparison_cases(seed, 200)]
     results = [(what, got, want) for case in cases for what, got, want in compared(case)]
     differ = sorted({what for what, got, want in results if got != want})
-    raised = sum(want is not None for what, _, want in results if not what.startswith("jp_alphas"))
+    raised = sum(want is not None for what, _, want in results if what in CHECKS)
     print(f"Python {sys.version.split()[0]}: {len(cases)} cases, {len(results)} comparisons "
           f"({raised} checks raise), {sum(got != want for _, got, want in results)} differ"
           f"{': ' + ', '.join(differ) if differ else ''}")

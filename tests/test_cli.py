@@ -107,6 +107,23 @@ class TestJPScan:
             assert osc == ("true" if region in ("R2", "R3") else "false")
             assert pbf == ("true" if region == "R3" else "false")
 
+    @pytest.mark.parametrize("gamma", ["0", "1/2", "3", "-1/2"])
+    def test_builds_no_fraction_alphas(self, monkeypatch, gamma):
+        """The PBF flags are read off the int pairs of the closed forms and
+        the truncations are built from them: neither jp-scan nor
+        jp_dense_truncation calls jp_alphas, and the table is the one
+        printed with it."""
+        expected = run(["jp-scan", "--gamma", gamma])
+
+        def no_alphas(*args):
+            raise AssertionError("jp_alphas was called")
+
+        monkeypatch.setattr(cli, "jp_alphas", no_alphas)
+        monkeypatch.setattr(families, "jp_alphas", no_alphas)
+        assert run(["jp-scan", "--gamma", gamma]) == expected
+        for p in tetrahess.JP_VERIFICATION_GRID:
+            families.jp_dense_truncation(p, 7)
+
     def test_float_mode_refused(self):
         # there is no float mode: the old flag is a usage error, never a scan
         code, out, err = run(["--mode", "float", "jp-scan"])
@@ -308,8 +325,8 @@ class TestDarboux:
             assert sys.get_int_max_str_digits() == 4300  # read exactly, limit untouched
 
     @pytest.mark.parametrize("alpha_1, message", [
-        ('"1e-10001"', "alpha[0] = '1e-10001' is not a rational"),
-        ('"1e10001"', "alpha[0] = '1e10001' is not a rational"),
+        ('"1e-10001"', "alpha[0]: exponent of '1e-10001' is outside ±10000"),  # a JSON string
+        ('"1e10001"', "alpha[0]: exponent of '1e10001' is outside ±10000"),
         ("1e10001", "exponent of '1e10001' is outside ±10000"),  # a JSON number
         ("1e-10001", "exponent of '1e-10001' is outside ±10000"),
     ])

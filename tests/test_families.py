@@ -479,26 +479,32 @@ def test_dense_truncation_allows_negative_bands():
 
 @pytest.mark.parametrize("n", [0, 1, 4, 7])
 def test_dense_truncation_builds_only_the_alphas_it_reads(monkeypatch, n):
-    """Rows 0..N read alpha_1 .. alpha_{3N+1}: exactly that many are built,
-    one fewer cannot form the truncation, and the truncation is the one
-    built from a longer prefix."""
+    """Rows 0..N read alpha_1 .. alpha_{3N+1}: exactly that many int pairs
+    are asked of and read off _jp_ratios, one fewer cannot form the
+    truncation, and the truncation is the one built from a longer
+    prefix."""
     p = JPParams(F(3, 2), F(0), F(1, 2))
-    counts = []
+    original = families._jp_ratios
+    counts, read = [], []
 
-    def counting_jp_alphas(params, variant, count):
+    def counting_jp_ratios(rows, count):
         counts.append(count)
-        return jp_alphas(params, variant, count)
+        for pair in original(rows, count):
+            read.append(pair)
+            yield pair
 
-    monkeypatch.setattr(families, "jp_alphas", counting_jp_alphas)
+    monkeypatch.setattr(families, "_jp_ratios", counting_jp_ratios)
     m = jp_dense_truncation(p, n)
     assert counts == [3 * n + 1]
+    assert len(read) == 3 * n + 1
 
-    def one_short_jp_alphas(params, variant, count):
-        return AlphaSequence(jp_alphas(params, variant, count).values[:-1])
+    def one_short_jp_ratios(rows, count):
+        return original(rows, count - 1)
 
-    monkeypatch.setattr(families, "jp_alphas", one_short_jp_alphas)
+    monkeypatch.setattr(families, "_jp_ratios", one_short_jp_ratios)
     with pytest.raises(BandExhausted):
         jp_dense_truncation(p, n)
+    monkeypatch.setattr(families, "_jp_ratios", original)
     c, b, a = bands_from_alphas(jp_alphas(p, Variant.FIRST, 3 * n + 10))
     assert m == _banded(n + 1, {0: lambda i: c[i], 1: lambda i: F(1), -1: lambda i: b[i - 1], -2: lambda i: a[i - 2]})
 
@@ -527,6 +533,56 @@ def test_dense_truncation_matches_the_fraction_oracle(alpha, beta, gamma, n):
     same_truncation_as_oracle(p, n)
 
 
+def int_classification(pairs):
+    """The sign classification of alphas given as int pairs (num, den),
+    read off the signs of num * den alone."""
+    signs = [(num * den > 0) - (num * den < 0) for num, den in pairs]
+    if -1 in signs:
+        return Classification.INDEFINITE
+    return Classification.TN if 0 in signs else Classification.PBF
+
+
+def same_signs_as_fractions(p, count):
+    """For both variants, the sign of each num * den of _jp_ratios is that
+    of the Fraction alpha_j, the classification read off those signs is
+    classify(count) of jp_alphas, and _jp_is_pbf, the jp-scan PBF flag, is
+    classify(count) is PBF."""
+    for variant in Variant:
+        pairs = list(families._jp_ratios(families._jp_rows(p, variant), count))
+        alphas = jp_alphas(p, variant, count)
+        assert len(pairs) == count
+        for j, ((num, den), v) in enumerate(zip(pairs, alphas.values), start=1):
+            assert (num * den > 0) - (num * den < 0) == (v > 0) - (v < 0), (p, variant, j)
+        assert int_classification(pairs) is alphas.classify(count), (p, variant)
+        pbf = families._jp_is_pbf(p, variant, count)
+        assert pbf == (alphas.classify(count) is Classification.PBF), (p, variant)
+
+
+def test_int_signs_match_the_fraction_signs_on_the_grid():
+    """On the grid, FIRST's alpha_2 = 0 makes it TN, never PBF, in every
+    region where no alpha is negative; AKV is PBF exactly in R3."""
+    for p in JP_VERIFICATION_GRID:
+        same_signs_as_fractions(p, 24)
+        first = list(families._jp_ratios(families._jp_rows(p, Variant.FIRST), 24))
+        assert first[1][0] == 0
+        assert int_classification(first) is (
+            Classification.TN if p.region in (Region.R2, Region.R3) else Classification.INDEFINITE)
+        assert families._jp_is_pbf(p, Variant.AKV, 24) == (p.region is Region.R3)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(jp_parameters, jp_parameters, jp_parameters, st.integers(min_value=1, max_value=60))
+def test_int_signs_match_the_fraction_signs(alpha, beta, gamma, count):
+    try:
+        p = JPParams(alpha, beta, gamma)
+    except OutsideNaturalRegion:
+        assume(False)
+    same_signs_as_fractions(p, count)
+    if count >= 2:
+        first = list(families._jp_ratios(families._jp_rows(p, Variant.FIRST), count))
+        assert int_classification(first) is not Classification.PBF
+
+
 def test_jp_matrix_is_positive_in_strip():
     t = jp_matrix(JPParams(F(0), F(1, 2), F(0)), count=24)
     assert t.a(2) > 0 and t.b(1) > 0 and t.c(0) > 0
@@ -553,6 +609,6 @@ def test_the_oracle_script_cases_match():
     for case in oracle_jp.comparison_cases(1, 200):
         for what, got, want in oracle_jp.compared(case):
             assert got == want, (what, case[:2])
-            if not what.startswith("jp_alphas"):
+            if what in oracle_jp.CHECKS:
                 outcomes.add(want if want is None else want[0])
     assert outcomes == {None, BandExhausted, ConsistencyViolation, PredictionMismatch}
