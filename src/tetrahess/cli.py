@@ -268,7 +268,7 @@ def _suite_tn(t, _alphas, n):
     for k in range(1, depth + 1):
         m = DenseMatrix(r[: k + 1] for r in rows[: k + 1])
         report = is_totally_nonnegative(m)
-        # the power oracle, gated on the scan just made rather than a second one
+        # the power oracle, gated on the TN check just made rather than a second one
         oracle = report.is_tn and _some_power_totally_positive(m)
         if report.is_oscillatory_gk != oracle:
             raise VerificationFailure(

@@ -8,6 +8,9 @@ structural zeros included, with a bit test per expansion term.
 Its total-positivity test (value <= 0) is the oracle of
 ``tncheck._initial_minors_positive``, the power oracle's test on initial
 minors; ``tp_candidate`` makes matrices on both sides of total positivity.
+Its TN verdict, with a nonzero determinant, is the oracle of
+``tncheck._neville_certifies``, the Neville elimination certificate, which
+must certify exactly the nonsingular TN matrices.
 
 ``comparison_cases`` and ``compared`` are a seeded differential set and
 the compared tests.  They need no pytest, so the comparison also runs as a
@@ -167,11 +170,15 @@ def compared(m):
     """(test, got, want) on ``m``: under "< 0", tncheck._full_scan against
     this scan, each the witness and the position or the count; under
     "<= 0", tncheck._initial_minors_positive against this scan finding no
-    minor <= 0."""
+    minor <= 0; under "neville", tncheck._neville_certifies against this
+    scan finding no minor < 0 on a matrix of nonzero determinant
+    (DenseMatrix.det)."""
     table = _MinorTable(m)
+    scan = _full_scan(table)
     return [
-        ("< 0", tncheck._full_scan(table), _full_scan(table)),
+        ("< 0", tncheck._full_scan(table), scan),
         ("<= 0", tncheck._initial_minors_positive(table.rows), _full_scan(table, lambda v: v <= 0)[0] is None),
+        ("neville", tncheck._neville_certifies(table.rows), scan[0] is None and m.det() != 0),
     ]
 
 
@@ -181,10 +188,11 @@ if __name__ == "__main__":
     cases = [m for seed in (1, 2, 3) for m in comparison_cases(seed, 200)]
     results = [row for m in cases for row in compared(m)]
     differ = sorted({name for name, got, want in results if got != want})
-    order_one = sum(witness is not None and len(witness[0]) == 1 for name, (witness, _), _ in results[::2])
-    positive = sum(want for _, _, want in results[1::2])
+    order_one = sum(witness is not None and len(witness[0]) == 1 for name, (witness, _), _ in results[::3])
+    positive = sum(want for _, _, want in results[1::3])
+    certified = sum(want for _, _, want in results[2::3])
     print(f"Python {sys.version.split()[0]}: {len(cases)} cases, {len(results)} comparisons "
-          f"({order_one} order-1 refutations under < 0, {positive} totally positive of "
-          f"{len(cases)} under <= 0), "
+          f"({order_one} order-1 refutations under < 0, {positive} totally positive under <= 0, "
+          f"{certified} nonsingular TN under neville, of {len(cases)}), "
           f"{sum(got != want for _, got, want in results)} differ{': ' + ', '.join(differ) if differ else ''}")
     sys.exit(1 if differ else 0)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,14 @@ from tetrahess import (
     AlphaSequence,
     DenseMatrix,
     DimensionCapExceeded,
+    JPParams,
     is_oscillatory,
     is_oscillatory_power_oracle,
     is_totally_nonnegative,
+    jp_dense_truncation,
     leading_principal,
     tetra_from_alphas,
+    tncheck,
 )
 from tetrahess.core import _banded, bands_from_alphas
 from tetrahess.tncheck import (
@@ -470,3 +474,52 @@ def test_plan_matches_its_definition_for_every_band_up_to_dim_6(n):
 @pytest.mark.parametrize("shape", [(8, 1, 2), (8, 7, 7)])
 def test_plan_matches_its_definition_at_dim_8(shape):
     assert _plan_as_terms(*shape) == _plan_from_definition(*shape)
+
+
+# -- the Neville certificate ---------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [
+    # certified without the transpose's pass: its rows eliminate cleanly,
+    # yet rows (1, 2) and columns (2, 3) give -1
+    [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
+    # certified if the 0 above the last 1 of column 1 is passed over, not
+    # refused: rows (2, 3) and columns (1, 2) give -1
+    [[1, 0, 0], [0, 1, 0], [1, 0, 1]],
+    # certified if a zero pivot is accepted: TN, but singular
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+], ids=["transpose-pass", "zero-above-nonzero", "zero-pivot"])
+def test_neville_certificate_refuses_what_its_conditions_refuse(rows):
+    _assert_matches_mask_loop(dense(rows))
+
+
+def test_certification_forms_no_minor(monkeypatch, t_ones):
+    """Neville elimination certifies PBF truncations at dims 1-8, the dim-8
+    JP truncation at (3/2, 1, 0) (R2, where the first parametrization is
+    TN) and the README's 923-minor example, with the scan, its plans and
+    the nonsingularity elimination all made to raise."""
+    def untouchable(*args):
+        raise AssertionError("a certified matrix reached the minor scan")
+
+    t = tetra_from_alphas(pbf_corpus(8, 1, count=25)[0])
+    certifiable = [leading_principal(t, d - 1) for d in range(1, 9)]
+    certifiable += [jp_dense_truncation(JPParams(F(3, 2), 1, 0), 7), leading_principal(t_ones, 5)]
+    for name in ("_full_scan", "_plan", "_nonsingular"):
+        monkeypatch.setattr(tncheck, name, untouchable)
+    for m in certifiable:
+        rep = is_totally_nonnegative(m)
+        assert (rep.is_tn, rep.witness, rep.minors_checked) == (True, None, comb(2 * m.n, m.n) - 1)
+        assert rep.is_nonsingular and rep.is_oscillatory_gk
+    assert rep.minors_checked == 923
+
+
+def test_the_scan_still_decides_refutations_and_singular_inputs():
+    """An R1 refutation keeps its order-1 witness and position, and a
+    singular TN matrix (alpha_1 = 0, so u_0 = 0 and det T = 0) keeps its
+    full count with is_nonsingular False."""
+    r1 = is_totally_nonnegative(jp_dense_truncation(JPParams(F(5, 2), 1, 0), 7))
+    assert (r1.is_tn, r1.witness, r1.minors_checked, r1.is_nonsingular) == (False, ((4,), (2,), F(-3, 3250)), 26, True)
+    singular = _alpha_truncation([F(0)] + [F(1)] * 18)
+    rep = is_totally_nonnegative(singular)
+    assert (rep.is_tn, rep.witness, rep.minors_checked) == (True, None, 3431)
+    assert rep.is_nonsingular is False and rep.is_oscillatory_gk is False
