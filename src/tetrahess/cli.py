@@ -159,11 +159,14 @@ def _cmd_jp(args):
     return EXIT_OK
 
 
+#: The (alpha, beta) of the verification grid, each once, in grid order.
+_JP_SCAN_BASES = tuple(dict.fromkeys((p.alpha, p.beta) for p in JP_VERIFICATION_GRID))
+
+
 def _cmd_jp_scan(args):
     gamma = _parse_flag_scalar(args.gamma, "--gamma")
-    bases = list(dict.fromkeys((p.alpha, p.beta) for p in JP_VERIFICATION_GRID))
     lines = ["alpha,beta,region,pbf_flag,oscillatory_flag"]
-    for alpha, beta in bases:
+    for alpha, beta in _JP_SCAN_BASES:
         params = JPParams(alpha=alpha, beta=beta, gamma=gamma)
         pbf = _jp_is_pbf(params, Variant.AKV, 24)
         osc = is_totally_nonnegative(jp_dense_truncation(params, 4)).is_oscillatory_gk
@@ -171,7 +174,7 @@ def _cmd_jp_scan(args):
             f"{format_scalar(alpha)},{format_scalar(beta)},{params.region},"
             f"{str(pbf).lower()},{str(osc).lower()}"
         )
-    _emit("\n".join(lines), args.out, f"jp-scan: {len(bases)} grid points at gamma = {args.gamma}")
+    _emit("\n".join(lines), args.out, f"jp-scan: {len(_JP_SCAN_BASES)} grid points at gamma = {args.gamma}")
     return EXIT_OK
 
 
@@ -250,8 +253,12 @@ def _suite_charpoly(t, _alphas, n):
             raise VerificationFailure(f"B_{k + 1} differs from the dense oracle")
     if n >= 1:
         b1, _, small = second_kind_sequences(t, n + 1, Fraction(-1))
-        # entry k of the first list is det(xI - T^[k,1]), of the second det(xI - T^[k+1,2])
-        dense1, dense2 = (DenseMatrix(r[k:] for r in m.rows[k:]).leading_char_polys() for k in (1, 2))
+        # entry k of the first list is det(xI - T^[k,1]), of the second det(xI - T^[k+1,2]);
+        # the blocks keep the row scales of T^[N]
+        ints, scales = m.scaled
+        dense1, dense2 = (
+            DenseMatrix._from_scaled(tuple(r[k:] for r in ints[k:]), scales[k:]).leading_char_polys() for k in (1, 2)
+        )
         for k in range(1, n + 1):
             if b1[k + 1] != dense1[k]:
                 raise VerificationFailure(f"B^(1)_{k + 1} differs from the k=1 trailing oracle")
@@ -263,10 +270,10 @@ def _suite_charpoly(t, _alphas, n):
 
 def _suite_tn(t, _alphas, n):
     depth = min(n, POWER_ORACLE_CAP - 1)
-    # T^[k] is the leading (k + 1) x (k + 1) block of T^[depth]
-    rows = leading_principal(t, depth).rows
+    # T^[k] is the leading (k + 1) x (k + 1) block of T^[depth], with its row scales
+    ints, scales = leading_principal(t, depth).scaled
     for k in range(1, depth + 1):
-        m = DenseMatrix(r[: k + 1] for r in rows[: k + 1])
+        m = DenseMatrix._from_scaled(tuple(r[: k + 1] for r in ints[: k + 1]), scales[: k + 1])
         report = is_totally_nonnegative(m)
         # the power oracle, gated on the TN check just made rather than a second one
         oracle = report.is_tn and _some_power_totally_positive(m)

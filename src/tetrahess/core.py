@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -141,23 +142,64 @@ def _read(values, name, n):
 
 class DenseMatrix:
     """Immutable square matrix of exact scalars: an int or Fraction entry,
-    anything else raises TypeError naming its row."""
+    anything else raises TypeError naming its row.
 
-    __slots__ = ("rows",)
+    It has two forms.  ``rows`` holds the entries; ``scaled`` is the pair
+    (ints, scales) of int rows and one int scale > 0 per row, with
+    rows[i][j] == ints[i][j] / scales[i].  A matrix is built in one form,
+    and the other is computed on first use and kept: ``scaled`` from
+    ``rows`` takes each row's scale as the lcm of its denominators, and
+    ``rows`` from ``scaled`` holds reduced Fractions, zeros as one shared
+    Fraction(0).  The band builders (leading_principal and the
+    Jacobi-Pineiro truncation) write the scaled form through _from_scaled,
+    so the TN check and the dense oracles read their int rows with no
+    Fraction formed.  ``n`` reads either form."""
+
+    __slots__ = ("_rows", "_scaled")
 
     def __init__(self, rows):
         rows = tuple(exact_tuple(r, f"DenseMatrix row {i}") for i, r in enumerate(rows))
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("DenseMatrix must be square")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_scaled", None)
+
+    @classmethod
+    def _from_scaled(cls, ints, scales):
+        """The matrix of rows ints[i][j] / scales[i], trusted: ``ints`` a
+        square tuple of int tuples and ``scales`` a tuple of ints > 0, one per
+        row, neither checked.  Any positive scales serve, not only the least."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_rows", None)
+        object.__setattr__(m, "_scaled", (ints, scales))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
 
     @property
+    def rows(self):
+        rows = self._rows
+        if rows is None:
+            ints, scales = self._scaled
+            rows = tuple(tuple(Fraction(v, d) if v else _ZERO for v in row) for row, d in zip(ints, scales))
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    @property
+    def scaled(self):
+        scaled = self._scaled
+        if scaled is None:
+            pairs = [over_common_denominator(row) for row in self._rows]
+            scaled = tuple(tuple(ints) for ints, _ in pairs), tuple(d for _, d in pairs)
+            object.__setattr__(self, "_scaled", scaled)
+        return scaled
+
+    @property
     def n(self) -> int:
-        return len(self.rows)
+        rows = self._rows
+        return len(rows if rows is not None else self._scaled[0])
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -244,17 +286,17 @@ class DenseMatrix:
         subdiagonal entry.  Raises ValueError if an entry above the
         superdiagonal is nonzero.
 
-        The recurrence runs over the integers: with D the lcm of every
-        denominator, q_k = det(yI - D M_k) has int coefficients, and
+        The recurrence runs over the integers: with D the lcm of the row
+        scales of ``scaled``, q_k = det(yI - D M_k) has int coefficients, and
         p_k(x) = D^-k q_k(D x), so coefficient i of p_k is q_ki D^i / D^k,
-        reduced once per polynomial."""
-        rows = self.rows
-        n = len(rows)
-        for k, row in enumerate(rows):
+        reduced once per polynomial.  Row k is brought to D on its entries
+        up to the superdiagonal only, the others being zero."""
+        ints, scales = self.scaled
+        for k, row in enumerate(ints):
             if any(row[k + 2 :]):
                 raise ValueError(f"row {k} has a nonzero entry above the superdiagonal")
-        entries, d = over_common_denominator([v for row in rows for v in row])
-        m = [entries[i * n : (i + 1) * n] for i in range(n)]
+        d = lcm(*scales)
+        m = [[v * f for v in row[: k + 2]] for k, (row, f) in enumerate(zip(ints, [d // s for s in scales]))]
         qs = [[1]]
         for k, row in enumerate(m):
             q, diagonal = qs[k], row[k]
@@ -379,10 +421,29 @@ def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:
 
 
 def leading_principal(t: TetraHessenberg, n: int) -> DenseMatrix:
-    """The (N+1) x (N+1) leading principal truncation T^[N]."""
+    """The (N+1) x (N+1) leading principal truncation T^[N], built in its
+    scaled form: row i holds c_i, b_i and a_i (those it has, read in that
+    order) and the unit superdiagonal, over the lcm of their denominators."""
     if n < 0:
         raise IndexOutOfRange(f"truncation order {n} must be >= 0")
-    return _banded(n + 1, {0: t.c, 1: _unit, -1: t.b, -2: t.a})
+    size = n + 1
+    ints, scales = [], []
+    for i in range(size):
+        # the entries of row i in columns i, i - 1 and i - 2
+        band = [t.c(i)]
+        if i >= 1:
+            band.append(t.b(i))
+            if i >= 2:
+                band.append(t.a(i))
+        d = lcm(*[v.denominator for v in band])
+        row = [0] * size
+        for j, v in enumerate(band):
+            row[i - j] = v.numerator * (d // v.denominator)
+        if i < n:
+            row[i + 1] = d
+        ints.append(tuple(row))
+        scales.append(d)
+    return DenseMatrix._from_scaled(tuple(ints), tuple(scales))
 
 
 def trailing_truncation(t: TetraHessenberg, n: int, k: int) -> DenseMatrix:

@@ -9,13 +9,14 @@ alpha, beta, gamma > -1 and alpha - beta not an integer (the natural
 region R).  R splits by d = alpha - beta into
 R1: d > 1, R2: 0 < d < 1, R3: -1 < d < 0, R4: d < -1.
 
-The closed forms are evaluated over the integers, once: ``_jp_rows``
-brings (alpha, beta, gamma) to one common denominator and lists the int
-linear factors of each residue, and ``_jp_ratios`` multiplies the three
-numerator and three denominator factors of each alpha_j into an int pair
-(num, den), with no gcd.  Every reader starts from those pairs:
-``jp_alphas`` builds one Fraction from each, ``jp_dense_truncation``
-brings them to one denominator and forms the bands as ints, and the signs
+The closed forms are evaluated over the integers, once: ``JPParams``
+brings (alpha, beta, gamma) to one common denominator when it is built,
+``_jp_rows`` lists the int linear factors of each residue, and
+``_jp_ratios`` multiplies the three numerator and three denominator
+factors of each alpha_j into an int pair (num, den), with no gcd.  Every
+reader starts from those pairs: ``jp_alphas`` builds one Fraction from
+each, ``jp_dense_truncation`` brings them to one denominator and forms
+the bands as ints, the int rows of its DenseMatrix, and the signs
 (``jp_certificate``, the ``jp-scan`` PBF flag of ``_jp_is_pbf``) are the
 signs of num * den.
 """
@@ -25,9 +26,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .core import (BAND_STARTS, AlphaSequence, _banded, _factor_triple, _lu_bands, _split_alphas, _unit,
+from .core import (BAND_STARTS, AlphaSequence, DenseMatrix, _factor_triple, _lu_bands, _split_alphas,
                    tetra_from_alphas)
 from .errors import BandExhausted, ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .scalars import exact_tuple, format_scalar, over_common_denominator
@@ -55,16 +56,22 @@ class Region(enum.Enum):
 def jp_region(alpha, beta) -> Region:
     """Strict-inequality region of (alpha, beta); boundaries (integer
     alpha - beta) and points outside alpha, beta > -1 return OUTSIDE."""
-    if not (alpha > -1 and beta > -1):
+    (a, b), d = over_common_denominator((alpha, beta))
+    return _region(a, b, d)
+
+
+def _region(a, b, d) -> Region:
+    """jp_region of (alpha, beta) = (a, b) / d, ints with d > 0."""
+    if not (a > -d and b > -d):
         return Region.OUTSIDE
-    d = alpha - beta
-    if d.denominator == 1:  # an integer alpha - beta is a region boundary
+    diff = a - b
+    if diff % d == 0:  # an integer alpha - beta is a region boundary
         return Region.OUTSIDE
-    if d > 1:
+    if diff > d:
         return Region.R1
-    if d > 0:
+    if diff > 0:
         return Region.R2
-    if d > -1:
+    if diff > -d:
         return Region.R3
     return Region.R4
 
@@ -72,29 +79,39 @@ def jp_region(alpha, beta) -> Region:
 @dataclass(frozen=True)
 class JPParams:
     """Validated parameter triple in the natural region with gamma > -1.
-    Each parameter is an int or a Fraction; anything else raises TypeError."""
+    Each parameter is an int or a Fraction; anything else raises TypeError.
+
+    The parameters are brought to one common denominator once, as the ints
+    (A, B, G) over D > 0; the checks, the region and the closed forms
+    (_jp_rows) read those ints."""
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
 
     def __post_init__(self):
-        a, b, g = exact_tuple((self.alpha, self.beta, self.gamma), "JPParams")
-        if not (a > -1 and b > -1):
-            raise OutsideNaturalRegion(f"alpha = {format_scalar(a)}, beta = {format_scalar(b)} must both exceed -1")
-        if not g > -1:
-            raise OutsideNaturalRegion(f"gamma = {format_scalar(g)} must exceed -1")
-        if (a - b).denominator == 1:
-            raise OutsideNaturalRegion(f"alpha - beta = {format_scalar(a - b)} is an integer")
+        (a, b, g), d = ints = over_common_denominator(
+            exact_tuple((self.alpha, self.beta, self.gamma), "JPParams")
+        )
+        if not (a > -d and b > -d):
+            raise OutsideNaturalRegion(
+                f"alpha = {format_scalar(self.alpha)}, beta = {format_scalar(self.beta)} must both exceed -1"
+            )
+        if not g > -d:
+            raise OutsideNaturalRegion(f"gamma = {format_scalar(self.gamma)} must exceed -1")
+        if (a - b) % d == 0:
+            raise OutsideNaturalRegion(f"alpha - beta = {format_scalar(self.alpha - self.beta)} is an integer")
         # the closed forms divide by (k + alpha + gamma) and (k + beta + gamma),
         # k >= 1; with parameters > -1 only k = 1 can vanish
-        if a + g == -1 or b + g == -1:
+        if a + g == -d or b + g == -d:
             raise OutsideNaturalRegion(
                 "alpha + gamma = -1 or beta + gamma = -1 degenerates the closed forms"
             )
-        # the parameters are frozen, so the region is classified once; it is
-        # not a field, so equality and repr are those of the three parameters
-        object.__setattr__(self, "_region", jp_region(a, b))
+        # the parameters are frozen, so the ints and the region are computed
+        # once; they are not fields, so equality and repr are those of the
+        # three parameters
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_region", _region(a, b, d))
 
     @property
     def region(self) -> Region:
@@ -142,7 +159,7 @@ def _jp_rows(p: JPParams, variant: Variant):
     the D^3 of the numerator cancels that of the denominator.  Row r - 1
     lists each of its six factors as (k D, t D + S), numerators first, so
     alpha_{6n+r} = prod(u n + v, numerators) / prod(u n + v, denominators)."""
-    (a, b, g), d = over_common_denominator((p.alpha, p.beta, p.gamma))
+    (a, b, g), d = p._ints
     combos = {"0": 0, "a": a, "b": b, "g": g, "a+g": a + g, "b+g": b + g, "a-b": a - b, "b-a": b - a}
     numerators = _JP_NUMERATORS[variant]
     return [[(k * d, t * d + combos[s]) for k, t, s in numerators[r] + _JP_DENOMINATORS[r]] for r in range(1, 7)]
@@ -175,7 +192,7 @@ def _jp_is_pbf(p: JPParams, variant: Variant, count: int) -> bool:
     return all(num * den > 0 for num, den in _jp_ratios(_jp_rows(p, variant), count))
 
 
-def jp_dense_truncation(p: JPParams, n: int):
+def jp_dense_truncation(p: JPParams, n: int) -> DenseMatrix:
     """(N+1) x (N+1) leading truncation of the recursion matrix, built from
     the raw band products so it exists in every region (outside the strip
     some a_n are negative and TetraHessenberg would refuse them).  Rows
@@ -185,7 +202,10 @@ def jp_dense_truncation(p: JPParams, n: int):
     The bands are formed over the integers, as in jp_cross_consistency:
     every alpha num / den is brought to K, the lcm of the dens, as the int
     num (K / den), so c, b and a of those ints are K, K^2 and K^3 times the
-    true ones, and each entry is one Fraction of that int over K^deg."""
+    true ones.  The matrix is built in its scaled form (DenseMatrix), with
+    no Fraction: row i holds c K^2, K^3 (the unit superdiagonal), b K and
+    a over the scale K^3, each divided by the gcd of the row and K^3, so
+    the scale is the lcm of the row's denominators."""
     count = 3 * n + 1
     ratios = list(_jp_ratios(_jp_rows(p, Variant.FIRST), count))
     if len(ratios) < count:
@@ -193,12 +213,21 @@ def jp_dense_truncation(p: JPParams, n: int):
     k = lcm(*(den for _, den in ratios))
     c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(num * (k // den) for num, den in ratios))))
     k2, k3 = k * k, k**3
-    return _banded(n + 1, {
-        0: lambda i: Fraction(c[i], k),
-        1: _unit,
-        -1: lambda i: Fraction(b[i - 1], k2),
-        -2: lambda i: Fraction(a[i - 2], k3),
-    })
+    size = n + 1
+    ints, scales = [], []
+    for i in range(size):
+        row = [0] * size
+        row[i] = c[i] * k2
+        if i < n:
+            row[i + 1] = k3
+        if i >= 1:
+            row[i - 1] = b[i - 1] * k
+        if i >= 2:
+            row[i - 2] = a[i - 2]
+        g = gcd(k3, *row)
+        ints.append(tuple([v // g for v in row]) if g > 1 else tuple(row))
+        scales.append(k3 // g)
+    return DenseMatrix._from_scaled(tuple(ints), tuple(scales))
 
 
 #: Region sign table: the alpha_j of each (variant, region) that are not

@@ -42,11 +42,16 @@ elimination of the scaled rows, O(n^3), not from the minors, so a
 refutation at order 1 builds no plan at all.
 
 The ring is the integers, not the rationals (fraction-free, as in Bareiss,
-Math. Comp. 1968).  Row i is scaled once by d_i > 0, the lcm of its
-denominators; a minor on rows R of the scaled matrix is then an int equal
-to prod(d_r, r in R) times the true minor.  The factor is positive, so
-every sign test (< 0 for TN, != 0 for nonsingularity) reads the
-same on the scaled minor, and no minor pays for a gcd.  A witness
+Math. Comp. 1968).  The check reads the matrix's scaled form
+(DenseMatrix.scaled): int rows and one scale d_i > 0 per row, row i being
+the true row times d_i.  The band builders (leading_principal and
+jp_dense_truncation) write it from their band formulas, so no Fraction
+matrix comes between them and the verdict; a matrix built from its
+entries takes d_i as the lcm of row i's denominators, on first use.  Any
+positive scales are valid: a minor on rows R of the scaled matrix is an
+int equal to prod(d_r, r in R) times the true minor.  The factor is
+positive, so every sign test (< 0 for TN, != 0 for nonsingularity) reads
+the same on the scaled minor, and no minor pays for a gcd.  A witness
 carries the true minor, Fraction(scaled, prod(d_r, r in R)).
 
 The Neville certificate.  Neville elimination clears column k bottom up,
@@ -77,12 +82,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .core import DenseMatrix
 from .errors import DimensionCapExceeded
-from .scalars import over_common_denominator
 
 DEFAULT_CAP = 8
 POWER_ORACLE_CAP = 6
@@ -108,17 +112,15 @@ class TNReport:
 
 
 class _MinorTable:
-    """One matrix scaled to integer rows, for the Neville certificate and
-    the minor scan.
+    """One matrix as integer rows, for the Neville certificate and the minor
+    scan: the scaled form of the DenseMatrix (DenseMatrix.scaled).
 
-    Row i is multiplied by d_i, the lcm of its denominators, so every minor
-    of ``rows`` is an int with the sign of the true minor; ``true_minor``
-    divides the row factors back out."""
+    Row i is the true row times its scale d_i > 0, so every minor of
+    ``rows`` is an int with the sign of the true minor; ``true_minor``
+    divides the row scales back out."""
 
     def __init__(self, m: DenseMatrix):
-        scaled = [over_common_denominator(row) for row in m.rows]
-        self.rows = tuple(ints for ints, _ in scaled)
-        self.scales = tuple(d for _, d in scaled)
+        self.rows, self.scales = m.scaled
 
     def true_minor(self, rows, scaled) -> Fraction:
         return Fraction(scaled, prod(self.scales[r] for r in rows))
@@ -391,13 +393,14 @@ def _some_power_totally_positive(m: DenseMatrix) -> bool:
     dim-1), totally positive?  For a caller that already holds the TN
     verdict of m (dim <= POWER_ORACLE_CAP).
 
-    The powers are taken of L m, L the common denominator of m, as int
-    rows; a minor of order r of (L m)^k is L^(k r) times that of m^k, so
-    the TP verdict is the same."""
+    The powers are taken of L m, L the lcm of the row scales of m's
+    scaled form, as int rows; a minor of order r of (L m)^k is L^(k r)
+    times that of m^k, so the TP verdict is the same."""
     _check_cap(m, POWER_ORACLE_CAP)
     n = m.n
-    entries, _ = over_common_denominator([v for row in m.rows for v in row])
-    base = [entries[i * n : (i + 1) * n] for i in range(n)]
+    ints, scales = m.scaled
+    big = lcm(*scales)
+    base = [[v * f for v in row] for row, f in zip(ints, [big // d for d in scales])]
     cols = list(zip(*base))
     power = base
     for _ in range(max(1, n - 1)):

@@ -10,7 +10,9 @@ Its total-positivity test (value <= 0) is the oracle of
 minors; ``tp_candidate`` makes matrices on both sides of total positivity.
 Its TN verdict, with a nonzero determinant, is the oracle of
 ``tncheck._neville_certifies``, the Neville elimination certificate, which
-must certify exactly the nonsingular TN matrices.
+must certify exactly the nonsingular TN matrices.  ``rescaled`` rebuilds a
+matrix over row scales that are not the least, which must change neither
+its TN report nor its power-oracle verdict.
 
 ``comparison_cases`` and ``compared`` are a seeded differential set and
 the compared tests.  They need no pytest, so the comparison also runs as a
@@ -166,19 +168,43 @@ def comparison_cases(seed, count, dims=(1, 7)):
     return [_matrix(rng, _KINDS[k % len(_KINDS)], rng.randint(*dims)) for k in range(count)]
 
 
-def compared(m):
+def rescaled(m, rng):
+    """``m`` rebuilt from its scaled rows, each row and its scale multiplied
+    by a random positive int: the same matrix, over scales that are not the
+    least, as the suites' blocks may hold them."""
+    ints, scales = m.scaled
+    factors = [rng.randint(1, 1000) for _ in scales]
+    return DenseMatrix._from_scaled(
+        tuple(tuple(v * f for v in row) for row, f in zip(ints, factors)),
+        tuple(d * f for d, f in zip(scales, factors)),
+    )
+
+
+def _power_oracle(m):
+    """The power oracle's verdict past its TN gate, which the TNReport
+    holds: is some power of ``m`` TP?  None past POWER_ORACLE_CAP."""
+    return tncheck._some_power_totally_positive(m) if m.n <= tncheck.POWER_ORACLE_CAP else None
+
+
+def compared(m, seed=0):
     """(test, got, want) on ``m``: under "< 0", tncheck._full_scan against
     this scan, each the witness and the position or the count; under
     "<= 0", tncheck._initial_minors_positive against this scan finding no
     minor <= 0; under "neville", tncheck._neville_certifies against this
     scan finding no minor < 0 on a matrix of nonzero determinant
-    (DenseMatrix.det)."""
+    (DenseMatrix.det); under "rescaled", the TNReport and (dims <=
+    POWER_ORACLE_CAP) the power oracle's verdict past its TN gate of
+    rescaled(m) against those of ``m``, the multipliers drawn from
+    ``seed``."""
     table = _MinorTable(m)
     scan = _full_scan(table)
+    other = rescaled(m, random.Random(seed))
     return [
         ("< 0", tncheck._full_scan(table), scan),
         ("<= 0", tncheck._initial_minors_positive(table.rows), _full_scan(table, lambda v: v <= 0)[0] is None),
         ("neville", tncheck._neville_certifies(table.rows), scan[0] is None and m.det() != 0),
+        ("rescaled", (tncheck.is_totally_nonnegative(other), _power_oracle(other)),
+         (tncheck.is_totally_nonnegative(m), _power_oracle(m))),
     ]
 
 
@@ -186,13 +212,14 @@ if __name__ == "__main__":
     import sys
 
     cases = [m for seed in (1, 2, 3) for m in comparison_cases(seed, 200)]
-    results = [row for m in cases for row in compared(m)]
+    results = [row for k, m in enumerate(cases) for row in compared(m, k)]
     differ = sorted({name for name, got, want in results if got != want})
-    order_one = sum(witness is not None and len(witness[0]) == 1 for name, (witness, _), _ in results[::3])
-    positive = sum(want for _, _, want in results[1::3])
-    certified = sum(want for _, _, want in results[2::3])
+    order_one = sum(witness is not None and len(witness[0]) == 1 for name, (witness, _), _ in results[::4])
+    positive = sum(want for _, _, want in results[1::4])
+    certified = sum(want for _, _, want in results[2::4])
+    refuted = sum(not report.is_tn for _, _, (report, _) in results[3::4])
     print(f"Python {sys.version.split()[0]}: {len(cases)} cases, {len(results)} comparisons "
           f"({order_one} order-1 refutations under < 0, {positive} totally positive under <= 0, "
-          f"{certified} nonsingular TN under neville, of {len(cases)}), "
+          f"{certified} nonsingular TN under neville, {refuted} refuted under rescaled, of {len(cases)}), "
           f"{sum(got != want for _, got, want in results)} differ{': ' + ', '.join(differ) if differ else ''}")
     sys.exit(1 if differ else 0)

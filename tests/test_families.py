@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_jp
@@ -31,6 +31,7 @@ from tetrahess import (
     jp_sign_report,
 )
 from tetrahess.core import _banded, _factor_triple, _split_alphas, bands_from_alphas
+from tetrahess.scalars import format_scalar
 
 
 # Closed-form values for (alpha, beta, gamma) = (0, -1/2, 0), first set.
@@ -112,6 +113,51 @@ def test_params_reject_outside():
         JPParams(F(-3, 2), F(0), F(0))  # alpha <= -1
     with pytest.raises(OutsideNaturalRegion):
         JPParams(F(0), F(-1, 2), F(-1))  # gamma = -1
+
+
+def fraction_region(alpha, beta):
+    """jp_region as Fraction comparisons, the int classification's oracle."""
+    if not (alpha > -1 and beta > -1):
+        return Region.OUTSIDE
+    d = alpha - beta
+    if d.denominator == 1:
+        return Region.OUTSIDE
+    return Region.R1 if d > 1 else Region.R2 if d > 0 else Region.R3 if d > -1 else Region.R4
+
+
+def fraction_params_outcome(alpha, beta, gamma):
+    """The region of JPParams(alpha, beta, gamma), or the message it raises,
+    from the checks written as Fraction comparisons."""
+    if not (alpha > -1 and beta > -1):
+        reason = f"alpha = {format_scalar(alpha)}, beta = {format_scalar(beta)} must both exceed -1"
+    elif not gamma > -1:
+        reason = f"gamma = {format_scalar(gamma)} must exceed -1"
+    elif (alpha - beta).denominator == 1:
+        reason = f"alpha - beta = {format_scalar(alpha - beta)} is an integer"
+    elif alpha + gamma == -1 or beta + gamma == -1:
+        reason = "alpha + gamma = -1 or beta + gamma = -1 degenerates the closed forms"
+    else:
+        return fraction_region(alpha, beta)
+    return str(OutsideNaturalRegion(reason))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(jp_parameters, jp_parameters, jp_parameters)
+@example(F(-1, 2), F(1, 4), F(-1, 2))
+@example(F(1, 4), F(-1, 2), F(-1, 2))
+@example(F(7, 3), F(1, 3), 0)
+@example(-1, F(1, 2), 0)
+@example(F(1, 2), 0, -1)
+@example(F(-1, 3), F(-2, 3), 4)
+def test_int_checks_match_the_fraction_checks(alpha, beta, gamma):
+    """JPParams decides on (alpha, beta, gamma) brought to ints over one
+    denominator: the same region and the same message, byte for byte."""
+    assert jp_region(alpha, beta) is fraction_region(alpha, beta)
+    try:
+        got = JPParams(alpha, beta, gamma).region
+    except OutsideNaturalRegion as exc:
+        got = str(exc)
+    assert got == fraction_params_outcome(alpha, beta, gamma)
 
 
 def test_params_reject_degenerate_gamma_sums():

@@ -10,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrahess import (
+    JP_VERIFICATION_GRID,
     AlphaSequence,
+    BandExhausted,
     DenseMatrix,
     DimensionCapExceeded,
     JPParams,
+    TetraHessenberg,
+    cli,
+    core,
     is_oscillatory,
     is_oscillatory_power_oracle,
     is_totally_nonnegative,
@@ -24,6 +29,7 @@ from tetrahess import (
 )
 from tetrahess.core import _banded, bands_from_alphas
 from tetrahess.tncheck import (
+    POWER_ORACLE_CAP,
     _band,
     _full_scan,
     _initial_minors_positive,
@@ -523,3 +529,117 @@ def test_the_scan_still_decides_refutations_and_singular_inputs():
     rep = is_totally_nonnegative(singular)
     assert (rep.is_tn, rep.witness, rep.minors_checked) == (True, None, 3431)
     assert rep.is_nonsingular is False and rep.is_oscillatory_gk is False
+
+
+# -- the scaled form the builders write --------------------------------------
+
+
+def _assert_same_as_twin(m, least_scales=True):
+    """m, built in its scaled form, against its Fraction-built twin
+    DenseMatrix(m.rows): equal, of equal hash, every entry a reduced
+    Fraction with every zero the one shared Fraction(0); the same TN report,
+    witness included, the same leading characteristic polynomials and (dims
+    <= POWER_ORACLE_CAP) the same power-oracle verdict.  With
+    ``least_scales`` the builder's scales are the lcm of each row's
+    denominators, the scales the twin computes."""
+    report = is_totally_nonnegative(m)
+    twin = DenseMatrix(m.rows)
+    assert m == twin and hash(m) == hash(twin)
+    assert all(type(v) is F for row in m.rows for v in row)
+    assert all(v is core._ZERO for row in m.rows for v in row if not v)
+    assert is_totally_nonnegative(twin) == report
+    assert m.leading_char_polys() == twin.leading_char_polys()
+    if m.n <= POWER_ORACLE_CAP:
+        assert _some_power_totally_positive(m) == _some_power_totally_positive(twin)
+    if least_scales:
+        assert m.scaled == twin.scaled
+
+
+def _signed_bands(rng, n, ints):
+    """Bands down to row n: c and b of any sign, a > 0, as ints or as
+    Fractions of mixed denominators."""
+    def value(lo):
+        return rng.randint(lo, 9) if ints else F(rng.randint(lo, 9), rng.choice((1, 2, 3, 5, 7)))
+
+    return TetraHessenberg(
+        [value(1) for _ in range(n - 1)], [value(-2) for _ in range(n)], [value(-2) for _ in range(n + 1)]
+    )
+
+
+@pytest.mark.parametrize("ints", [True, False], ids=["int-bands", "fraction-bands"])
+def test_leading_principal_matches_its_fraction_twin(ints):
+    """On int and Fraction bands, signed and PBF, at dims 1-8: the twin,
+    and the entries of the banded layout read off the bands."""
+    rng = random.Random(5)
+    int_alphas = AlphaSequence([rng.randint(1, 9) for _ in range(25)])
+    matrices = [tetra_from_alphas(int_alphas if ints else pbf_corpus(8, 1, count=25)[0])]
+    matrices += [_signed_bands(rng, 7, ints) for _ in range(6)]
+    for t in matrices:
+        for n in range(8):
+            m = leading_principal(t, n)
+            assert m == _banded(n + 1, {0: t.c, 1: lambda i: F(1), -1: t.b, -2: t.a})
+            _assert_same_as_twin(m)
+
+
+@pytest.mark.parametrize("short", ["a", "b", "c", "ab", "ac", "bc", "abc"])
+def test_leading_principal_reads_the_bands_in_the_banded_order(short):
+    """Bands that each end one row short of T^[5] raise the BandExhausted
+    of the banded layout, which reads row 5 as c, b, a."""
+    bands = {name: [F(1)] * (4 + k - (name in short)) for k, name in enumerate("abc")}
+    t = TetraHessenberg(**bands)
+    with pytest.raises(BandExhausted) as got:
+        leading_principal(t, 5)
+    with pytest.raises(BandExhausted) as want:
+        _banded(6, {0: t.c, 1: lambda i: F(1), -1: t.b, -2: t.a})
+    assert (got.value.args, str(got.value)) == (want.value.args, str(want.value))
+
+
+def test_jp_dense_truncation_matches_its_fraction_twin():
+    for p in JP_VERIFICATION_GRID:
+        for n in range(8):
+            _assert_same_as_twin(jp_dense_truncation(p, n))
+
+
+def test_the_suite_blocks_match_their_fraction_twins(monkeypatch, t_ones):
+    """Every matrix the tn and charpoly suites build in scaled form: T^[N]
+    and the blocks cut from it, which keep its row scales.  A charpoly
+    block drops entries of its first rows, so its scales need not be the
+    least."""
+    built = []
+    build = DenseMatrix._from_scaled.__func__
+
+    def recording(cls, ints, scales):
+        built.append(build(cls, ints, scales))
+        return built[-1]
+
+    monkeypatch.setattr(DenseMatrix, "_from_scaled", classmethod(recording))
+    rng = random.Random(6)
+    matrices = [t_ones, tetra_from_alphas(pbf_corpus(9, 1, count=25)[0])]
+    for t in matrices + [_signed_bands(rng, 7, False) for _ in range(4)]:
+        for check in (cli._suite_tn, cli._suite_charpoly):
+            check(t, None, 6)
+    assert len(built) == 6 * (6 + 3)
+    assert any(m.scaled != DenseMatrix(m.rows).scaled for m in built)
+    for m in built:
+        _assert_same_as_twin(m, least_scales=False)
+
+
+def test_builders_never_build_rows(monkeypatch, t_ones):
+    """n, the TN check, the power oracle and the leading characteristic
+    polynomials of a builder-made matrix, and the tn and charpoly suites,
+    read its scaled form alone."""
+    def unbuilt(self):
+        raise AssertionError("the rows of a builder-made matrix were built")
+
+    monkeypatch.setattr(DenseMatrix, "rows", property(unbuilt))
+    t = tetra_from_alphas(pbf_corpus(8, 1, count=25)[0])
+    matrices = [leading_principal(t, n) for n in range(8)]
+    matrices += [jp_dense_truncation(p, n) for p in JP_VERIFICATION_GRID[::2] for n in (0, 4, 7)]
+    for m in matrices:
+        assert m.n == len(m.scaled[0])
+        is_totally_nonnegative(m)
+        if m.n <= POWER_ORACLE_CAP:
+            _some_power_totally_positive(m)
+        m.leading_char_polys()
+    for check in (cli._suite_tn, cli._suite_charpoly):
+        check(t_ones, None, 6)
