@@ -43,7 +43,7 @@ from .families import (
     jp_certificate,
     jp_dense_truncation,
 )
-from .polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
+from .polynomials import _KINDS, _runs, second_kind_sequences, type1_sequences, type2_sequence
 from .scalars import format_ratio, format_scalar, parse_int, parse_scalar
 from .serialize import DEFAULT_GENERATOR_COUNT, dump_alphas, dump_matrix, load_alphas, load_matrix
 from .tncheck import POWER_ORACLE_CAP, _some_power_totally_positive, is_totally_nonnegative
@@ -95,7 +95,7 @@ def _write(payload: str, out_path):
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+                print(payload, file=fh)
         except OSError as exc:
             raise OutputError(f"{out_path}: {exc.strerror or exc}") from exc
     else:
@@ -195,6 +195,33 @@ def _cmd_factor(args):
     return {"PBF": 0, "TN": 1, "INDEFINITE": 2}[str(cls)]
 
 
+def _polys_json(body) -> str:
+    """json.dumps(body, indent=2), byte for byte, for a polys body: each
+    name maps to a nonempty list of values (strings) or of coefficient
+    lists (lists of strings, [] for the zero polynomial).  The strings are
+    format_ratio's digits, "-" and "/", which JSON escapes not at all.
+
+    The pure-Python encoder that indent=2 selects walks every string; here
+    each list of strings is one join and the text one more, with no
+    per-string concatenation."""
+    parts = []
+    for name, items in body.items():
+        parts += (",\n  " if parts else "{\n  ", json.dumps(name), ": [\n    ")
+        if isinstance(items[0], str):
+            parts += ('"', '",\n    "'.join(items), '"')
+        else:
+            for i, coeffs in enumerate(items):
+                if i:
+                    parts.append(",\n    ")
+                if coeffs:
+                    parts += ('[\n      "', '",\n      "'.join(coeffs), '"\n    ]')
+                else:
+                    parts.append("[]")
+        parts.append("\n  ]")
+    parts.append("\n}")
+    return "".join(parts)
+
+
 def _cmd_polys(args):
     t = _load_file(load_matrix, args.input)
     if args.n < 0:
@@ -207,28 +234,26 @@ def _cmd_polys(args):
             raise UsageError("--nu must be nonzero")
     elif args.kind != "type2":
         raise UsageError(f"--kind {args.kind} requires --nu")
+    names = _KINDS[args.kind]
     if args.at is not None:
         try:
             x = _parse_flag_scalar(args.at, "--at")
         except UsageError:
             # --n past the rows supplied is reported before a bad --at
-            sequence_values(t, args.kind, args.n, 0, nu)
+            _runs(t, args.n, names, nu, (0,))
             raise
-        values = sequence_values(t, args.kind, args.n, x, nu)
-        body = {k: [format_scalar(v) for v in vals] for k, vals in values.items()}
+        # each value as sequence_values gives it, printed from its int pair
+        [runs] = _runs(t, args.n, names, nu, (x,))
+        body = {k: [format_ratio(v, d) for v, d in zip(*run)] for k, run in runs.items()}
     else:
         if args.kind == "type2":
-            named = {"B": type2_sequence(t, args.n)}
+            seqs = [type2_sequence(t, args.n)]
         elif args.kind == "type1":
-            named = dict(zip(("A1", "A2"), type1_sequences(t, args.n, nu)))
+            seqs = type1_sequences(t, args.n, nu)
         else:
-            named = dict(zip(("B1", "B2", "b1"), second_kind_sequences(t, args.n, nu)))
-        body = {k: [[format_ratio(v, p.den) for v in p.num] for p in seq] for k, seq in named.items()}
-    _emit(
-        json.dumps(body, indent=2),
-        args.out,
-        f"polys: kind {args.kind}, indices 0..{args.n}",
-    )
+            seqs = second_kind_sequences(t, args.n, nu)
+        body = {k: [[format_ratio(v, p.den) for v in p.num] for p in seq] for k, seq in zip(names, seqs)}
+    _emit(_polys_json(body), args.out, f"polys: kind {args.kind}, indices 0..{args.n}")
     return EXIT_OK
 
 

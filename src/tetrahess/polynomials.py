@@ -23,9 +23,10 @@ each step table once per call, whatever the points and names, and gives
 per point the int numerators of every sequence asked for over one
 positive denominator; b1 is formed only when it is asked for.
 ``sequence_values`` is the public edge: it turns each value into one
-reduced Fraction over the denominator the recurrence held it at.  It is
-the only entry keyed by kind (_KINDS); every other entry asks ``_runs``
-for its sequences by name.
+reduced Fraction over the denominator the recurrence held it at.  It and
+the CLI's ``polys --at``, which prints each value from its int pair with
+no Fraction, are the entries keyed by kind (_KINDS); every other entry
+asks ``_runs`` for its sequences by name.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ _SEEDS = {
     "B1": (False, lambda nu: (1, 0, 0)),
     "B2": (False, lambda nu: (-1 - nu, 1, 0)),
 }
-#: The names of each kind, for sequence_values.
+#: The names of each kind, in the order sequence_values and polys give them.
 _KINDS = {"type2": ("B",), "type1": ("A1", "A2"), "second": ("B1", "B2", "b1")}
 
 

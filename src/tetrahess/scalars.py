@@ -10,6 +10,10 @@ at most 10 000 in magnitude.  The interpreter limits a single int/str
 conversion to 4300 digits by default (Python 3.11, and 3.10 from 3.10.7),
 so longer digit runs are converted in pieces of at most _CHUNK digits,
 split in halves, and the process-wide limit is never changed.
+
+The literal pattern is compiled once, on the first parse, and kept in a
+module global, so importing the package compiles nothing and no later
+parse pays the re module's cache lookup.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ class ExponentOutOfRange(ValueError):
 
 #: The literals Fraction reads: "p/q", "p" or a decimal "p.d" with an
 #: optional exponent, each digit run with single underscores allowed, and
-#: optional surrounding whitespace.  Compiled on the first parse (and kept
-#: in the re module's cache), so importing the package compiles nothing.
+#: optional surrounding whitespace.  parse_scalar compiles it into
+#: _rational on its first call.
 _RATIONAL = r"""(?xi)
     \A\s*(?P<sign>[-+]?)(?=\d|\.\d)
     (?P<num>(?:\d+(?:_\d+)*)?)
@@ -44,6 +48,7 @@ _RATIONAL = r"""(?xi)
       |(?:\.(?P<decimal>(?:\d+(?:_\d+)*)?))?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)
     \s*\Z
 """
+_rational = None
 
 
 def _int(digits: str) -> int:
@@ -77,7 +82,10 @@ def parse_scalar(text: str) -> Fraction:
     length.  ValueError for anything else, ExponentOutOfRange (a
     ValueError) for a decimal exponent beyond ±_MAX_EXPONENT, and
     ZeroDivisionError for q = 0."""
-    m = re.match(_RATIONAL, text)
+    global _rational
+    if _rational is None:
+        _rational = re.compile(_RATIONAL)
+    m = _rational.match(text)
     if m is None:
         raise ValueError(f"invalid literal for a rational: {text!r}")
     sign, num, den, decimal, exp = m.groups()
@@ -113,7 +121,9 @@ def format_scalar(value) -> str:
 
 def format_ratio(num: int, den: int) -> str:
     """format_scalar(Fraction(num, den)) for ints num and den > 0, with one
-    gcd and no Fraction built (the coefficients of a Poly are printed so)."""
+    gcd and no Fraction built.  ``polys`` prints through it every
+    coefficient (num over its Poly's den) and every ``--at`` value (num
+    over the denominator the recurrence held it at)."""
     g = gcd(num, den)
     if g == den:
         return _str(num // den)

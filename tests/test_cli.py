@@ -19,8 +19,8 @@ from tetrahess import cli, families, tncheck
 from tetrahess.cli import main
 from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
 from tetrahess.poly import Poly
-from tetrahess.polynomials import second_kind_sequences, type1_sequences, type2_sequence
-from tetrahess.scalars import format_scalar
+from tetrahess.polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
+from tetrahess.scalars import format_scalar, parse_scalar
 from tetrahess.serialize import DEFAULT_GENERATOR_COUNT, load_alphas, load_matrix
 
 
@@ -180,6 +180,37 @@ class TestFactor:
         assert run(["factor", "--input", str(path), "--n", n, "--alpha2", "1"]) == (code, "", message)
 
 
+#: c_0, c_1 and b_1 past 4300 digits, so every kind prints coefficients
+#: through scalars._str's pieces
+LONG_BANDS = {"c": ["1" + "3" * 4400 + "/7", "-" + "8" * 4400, "-1", "5"], "b": ["-" + "9" * 4500, "5", "1/3"],
+              "a": ["2/" + "7" * 4400, "1"]}
+
+
+def _polys_reference(path, kind, n, nu):
+    """The polys body of the matrix file at path, from each Poly's Fraction
+    coefficients."""
+    with open(path, encoding="utf-8") as fh:
+        t = load_matrix(json.load(fh))
+    if kind == "type2":
+        named = {"B": type2_sequence(t, n)}
+    elif kind == "type1":
+        named = dict(zip(("A1", "A2"), type1_sequences(t, n, Fraction(nu))))
+    else:
+        named = dict(zip(("B1", "B2", "b1"), second_kind_sequences(t, n, Fraction(nu))))
+    return {k: [[format_scalar(c) for c in p.coeffs] for p in seq] for k, seq in named.items()}
+
+
+def _check_polys_bytes(tmp_path, argv, body):
+    """polys writes its JSON itself: stdout, and an --out file, must be
+    byte for byte json.dumps(body, indent=2) and a newline."""
+    want = json.dumps(body, indent=2) + "\n"
+    code, out, err = run(argv)
+    assert (code, out) == (0, want), err
+    dest = tmp_path / "out.json"
+    assert run(argv + ["--out", str(dest)]) == (0, "", err)
+    assert dest.read_bytes() == want.encode()
+
+
 class TestPolys:
     def test_type2_coefficients(self, ones_file):
         code, out, _ = run(["polys", "--input", ones_file, "--n", "3",
@@ -190,23 +221,40 @@ class TestPolys:
         assert body["B"][3] == ["-1", "10", "-7", "1"]
 
     @pytest.mark.parametrize("kind", ["type2", "type1", "second"])
-    def test_coefficients_print_as_their_fractions(self, jp_r3_file, kind):
+    def test_coefficients_print_as_their_fractions(self, tmp_path, jp_r3_file, kind):
         """Coefficients formatted from (num, den) read as format_scalar
-        prints each Fraction coefficient."""
-        code, out, err = run(["polys", "--input", jp_r3_file, "--n", "12",
-                              "--kind", kind, "--nu", "-3/2"])
-        assert code == 0, err
+        prints each Fraction coefficient, laid out byte for byte as
+        json.dumps(indent=2) lays them out, with [] for B1_0 and A2_0."""
+        body = _polys_reference(jp_r3_file, kind, 12, "-3/2")
+        argv = ["polys", "--input", jp_r3_file, "--n", "12", "--kind", kind, "--nu", "-3/2"]
+        _check_polys_bytes(tmp_path, argv, body)
+        assert any("/" in c for seq in body.values() for p in seq for c in p)
+        zero = {"type2": None, "type1": "A2", "second": "B1"}[kind]
+        assert zero is None or body[zero][0] == []
+
+    @pytest.mark.parametrize("kind, nu", [("type2", []), ("type1", ["--nu", "2"]), ("second", ["--nu", "2"])])
+    @pytest.mark.parametrize("bands, n", [(None, 0), (LONG_BANDS, 3)], ids=["jp-r3", "past-4300-digits"])
+    def test_coefficients_at_n_0_and_past_4300_digits(self, tmp_path, jp_r3_file, kind, nu, bands, n):
+        path = jp_r3_file
+        if bands:
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps(bands))
+        body = _polys_reference(path, kind, n, "2")
+        assert bands is None or max(len(c) for seq in body.values() for p in seq for c in p) > 4300
+        _check_polys_bytes(tmp_path, ["polys", "--input", str(path), "--n", str(n), "--kind", kind] + nu, body)
+
+    @pytest.mark.parametrize("kind, nu", [("type2", None), ("type1", "-1"), ("second", "2/3")])
+    @pytest.mark.parametrize("x, n", [("0", 12), ("-3/7", 12), ("1/" + "7" * 4400, 3)],
+                             ids=["0", "-3/7", "4400-digit-den"])
+    def test_values_print_as_sequence_values(self, tmp_path, jp_r3_file, kind, nu, x, n):
+        """--at prints format_scalar of each sequence_values Fraction, from
+        the int pair, laid out as json.dumps(indent=2) lays it out."""
         with open(jp_r3_file, encoding="utf-8") as fh:
             t = load_matrix(json.load(fh))
-        if kind == "type2":
-            seqs = [type2_sequence(t, 12)]
-        elif kind == "type1":
-            seqs = type1_sequences(t, 12, Fraction(-3, 2))
-        else:
-            seqs = second_kind_sequences(t, 12, Fraction(-3, 2))
-        want = [[[format_scalar(c) for c in p.coeffs] for p in seq] for seq in seqs]
-        assert list(json.loads(out).values()) == want
-        assert any("/" in c for seq in want for p in seq for c in p)
+        values = sequence_values(t, kind, n, parse_scalar(x), nu and Fraction(nu))
+        body = {k: [format_scalar(v) for v in vals] for k, vals in values.items()}
+        argv = ["polys", "--input", jp_r3_file, "--n", str(n), "--kind", kind, "--at", x]
+        _check_polys_bytes(tmp_path, argv + (["--nu", nu] if nu else []), body)
 
     def test_type1_needs_nu(self, ones_file):
         code, _, _ = run(["polys", "--input", ones_file, "--n", "3",

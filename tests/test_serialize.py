@@ -259,3 +259,44 @@ def test_parse_scalar_refuses_an_exponent_past_the_bound(text):
     formed, so the length of a literal bounds the work of reading it."""
     with pytest.raises(ValueError, match="^exponent of .* is outside ±10000$"):
         parse_scalar(text)
+
+
+# run with -E -s, so the package path comes in through sys.path alone
+_COMPILE_ONCE = r"""
+import re, sys
+from fractions import Fraction
+sys.path[:0] = PATHS
+import tetrahess.cli
+from tetrahess import scalars
+assert scalars._rational is None, "importing the package compiled the literal pattern"
+try:
+    scalars.parse_scalar("1e10001")
+except scalars.ExponentOutOfRange as exc:
+    assert str(exc) == "exponent of '1e10001' is outside ±10000", exc
+else:
+    raise AssertionError("1e10001 was read")
+compiled = scalars._rational
+assert isinstance(compiled, re.Pattern) and compiled.pattern == scalars._RATIONAL
+for text, value in [("1", 1), ("-3/4", Fraction(-3, 4)), (" 0.125 ", Fraction(1, 8)), ("+.5E2", 50),
+                    ("1_0.2_5e1_0", Fraction(1025, 100) * 10**10), ("-2_0/3_0", Fraction(-2, 3))]:
+    assert scalars.parse_scalar(text) == value, text
+for text, error in [("1__0", "invalid literal for a rational: '1__0'"), ("1/0", "'1/0' has denominator 0")]:
+    try:
+        scalars.parse_scalar(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        assert str(exc) == error, exc
+    else:
+        raise AssertionError(f"{text} was read")
+assert scalars._rational is compiled, "the literal pattern was compiled twice"
+print("ok")
+"""
+
+
+def test_the_literal_pattern_is_compiled_once_on_the_first_parse():
+    """Importing the CLI compiles nothing; the first parse_scalar call, here
+    one that raises, compiles the pattern, and every later call reuses it
+    with the same results and messages."""
+    paths = [p for p in sys.path if p]
+    code = _COMPILE_ONCE.replace("PATHS", repr(paths))
+    done = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
