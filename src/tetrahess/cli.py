@@ -3,7 +3,10 @@
 Subcommands: ``jp`` (generate Jacobi-Pineiro alphas), ``jp-scan`` (CSV region
 scan), ``factor`` (bidiagonal factorization of a matrix file), ``polys``
 (recursion polynomials), ``darboux`` (transformed matrices), ``verify``
-(exact identity suites).  Machine-readable JSON goes to stdout (or --out);
+(exact identity suites).  ``jp-scan`` reads both its flags off the signs of
+the closed forms: the oscillation flag of T^[4] through the signs of its
+bidiagonal factors, with the dense TN check only where those signs cannot
+tell.  Machine-readable JSON goes to stdout (or --out);
 one-line human summaries go to stderr.  Identical argv and input files give
 byte-identical output.
 
@@ -39,9 +42,9 @@ from .families import (
     JPParams,
     Variant,
     _jp_is_pbf,
+    _jp_oscillatory,
     jp_alphas,
     jp_certificate,
-    jp_dense_truncation,
 )
 from .polynomials import _KINDS, _runs, second_kind_sequences, type1_sequences, type2_sequence
 from .scalars import format_ratio, format_scalar, parse_int, parse_scalar
@@ -169,7 +172,7 @@ def _cmd_jp_scan(args):
     for alpha, beta in _JP_SCAN_BASES:
         params = JPParams(alpha=alpha, beta=beta, gamma=gamma)
         pbf = _jp_is_pbf(params, Variant.AKV, 24)
-        osc = is_totally_nonnegative(jp_dense_truncation(params, 4)).is_oscillatory_gk
+        osc = _jp_oscillatory(params, 4)
         lines.append(
             f"{format_scalar(alpha)},{format_scalar(beta)},{params.region},"
             f"{str(pbf).lower()},{str(osc).lower()}"

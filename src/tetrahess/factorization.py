@@ -18,13 +18,18 @@ by one free value alpha_2; everything else is forced:
     alpha_{3n+2} + alpha_{3n+3} = m_{n+1}
 
 where m_n, l_n are the two subdiagonals of the unit lower factor L.
+
+The signs of the factors alone can decide whether T^[N] is oscillatory
+(``_factor_sign_verdict``): nonnegative bidiagonal factors with a positive
+U diagonal make it a nonsingular totally nonnegative matrix
+(Loewner-Whitney), and a negative entry a_n refutes it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import AlphaSequence, TetraHessenberg, _interleave
+from .core import AlphaSequence, TetraHessenberg, _interleave, _split_alphas
 from .errors import SingularLeadingMinor, ZeroAlpha3n
 from .polynomials import _values
 
@@ -74,3 +79,25 @@ def bidiagonal_factor(t: TetraHessenberg, n: int, alpha2) -> AlphaSequence:
         p.append(p_k)
         q.append(m[k] - p_k)
     return _interleave(u, p, q)
+
+
+def _factor_sign_verdict(signs, n):
+    """Is T^[N] oscillatory, read off the tuple of the signs (-1, 0 or 1)
+    of alpha_1 .. alpha_{3N+1} alone?  True, False, or None when the signs cannot tell.
+
+    True when every u_k > 0 and every p_k, q_k >= 0 (core._split_alphas)
+    with p_k > 0 or q_k > 0 for k = 1..N.  Then T^[N] = L1 L2 U is a
+    product of nonnegative bidiagonals, so it is totally nonnegative; its
+    determinant u_0 ... u_N is positive; its superdiagonal is 1 and
+    b_k = p_k q_{k-1} + (p_k + q_k) u_{k-1} > 0.  By Gantmacher-Krein it is
+    oscillatory.
+
+    False when some a_k = p_k q_{k-1} u_{k-2}, 2 <= k <= N, is negative: a
+    negative entry is a negative 1 x 1 minor."""
+    u, p, q = _split_alphas(signs)
+    if (all(s > 0 for s in u) and all(s >= 0 for s in p + q)
+            and all(p[k] > 0 or q[k] > 0 for k in range(1, n + 1))):
+        return True
+    if any(p[k] * q[k - 1] * u[k - 2] < 0 for k in range(2, n + 1)):
+        return False
+    return None

@@ -19,6 +19,13 @@ each, ``jp_dense_truncation`` brings them to one denominator and forms
 the bands as ints, the int rows of its DenseMatrix, and the signs
 (``jp_certificate``, the ``jp-scan`` PBF flag of ``_jp_is_pbf``) are the
 signs of num * den.
+
+The ``jp-scan`` oscillation flag (``_jp_oscillatory``) is read off those
+signs too, as the signs of the bidiagonal factors of T^[N] = L1 L2 U
+(``factorization._factor_sign_verdict``): nonnegative factors with a
+positive U diagonal make T^[N] oscillatory, a negative a_n refutes it, and
+only where the signs decide neither is the dense truncation built and put
+through ``is_totally_nonnegative``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ from math import gcd, lcm
 from .core import (BAND_STARTS, AlphaSequence, DenseMatrix, _factor_triple, _lu_bands, _split_alphas,
                    tetra_from_alphas)
 from .errors import BandExhausted, ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
+from .factorization import _factor_sign_verdict
 from .scalars import exact_tuple, format_scalar, over_common_denominator
+from .tncheck import is_totally_nonnegative
 
 
 class Variant(enum.Enum):
@@ -205,29 +214,52 @@ def jp_dense_truncation(p: JPParams, n: int) -> DenseMatrix:
     true ones.  The matrix is built in its scaled form (DenseMatrix), with
     no Fraction: row i holds c K^2, K^3 (the unit superdiagonal), b K and
     a over the scale K^3, each divided by the gcd of the row and K^3, so
-    the scale is the lcm of the row's denominators."""
+    the scale is the lcm of the row's denominators.  Each row is written
+    in one pass from the factors p_i, q_i, u_i of core._split_alphas,
+
+        c_i = u_i + p_i + q_i,  b_i = l_i + (p_i + q_i) u_{i-1},
+        a_i = l_i u_{i-2},  l_i = p_i q_{i-1}."""
     count = 3 * n + 1
     ratios = list(_jp_ratios(_jp_rows(p, Variant.FIRST), count))
     if len(ratios) < count:
         raise BandExhausted("alpha", len(ratios) + 1, len(ratios))
     k = lcm(*(den for _, den in ratios))
-    c, b, a = _lu_bands(*_factor_triple(*_split_alphas(tuple(num * (k // den) for num, den in ratios))))
+    # p_0 = q_0 = 0 lead, so row i reads p_i, q_i, u_i at 3i, 3i + 1, 3i + 2
+    scaled = [0, 0] + [num * (k // den) for num, den in ratios]
     k2, k3 = k * k, k**3
     size = n + 1
     ints, scales = [], []
+    q1 = u1 = u2 = 0  # q_{i-1}, u_{i-1}, u_{i-2}
     for i in range(size):
+        p_i, q_i, u_i = scaled[3 * i : 3 * i + 3]
         row = [0] * size
-        row[i] = c[i] * k2
+        row[i] = (u_i + p_i + q_i) * k2
         if i < n:
             row[i + 1] = k3
         if i >= 1:
-            row[i - 1] = b[i - 1] * k
-        if i >= 2:
-            row[i - 2] = a[i - 2]
+            ell = p_i * q1
+            row[i - 1] = (ell + (p_i + q_i) * u1) * k
+            if i >= 2:
+                row[i - 2] = ell * u2
         g = gcd(k3, *row)
         ints.append(tuple([v // g for v in row]) if g > 1 else tuple(row))
         scales.append(k3 // g)
+        q1, u2, u1 = q_i, u1, u_i
     return DenseMatrix._from_scaled(tuple(ints), tuple(scales))
+
+
+def _jp_oscillatory(p: JPParams, n: int) -> bool:
+    """Is jp_dense_truncation(p, n) oscillatory?  The verdict is read off
+    the signs of FIRST's alpha_1 .. alpha_{3N+1}, the signs of num * den of
+    _jp_ratios, by factorization._factor_sign_verdict; only where those
+    signs cannot tell is the truncation built and checked by
+    is_totally_nonnegative."""
+    ratios = _jp_ratios(_jp_rows(p, Variant.FIRST), 3 * n + 1)
+    signs = tuple((num * den > 0) - (num * den < 0) for num, den in ratios)
+    verdict = _factor_sign_verdict(signs, n)
+    if verdict is None:
+        return is_totally_nonnegative(jp_dense_truncation(p, n)).is_oscillatory_gk
+    return verdict
 
 
 #: Region sign table: the alpha_j of each (variant, region) that are not

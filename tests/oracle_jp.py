@@ -25,6 +25,11 @@ j <= 24.  ``certificate_compared`` holds it to the sampled pair, as the
 ``jp-consistency`` suite ran it, and ``numerator_mutations``,
 ``late_mutations`` and ``sign_table_mutations`` are the wrong tables it
 must refuse; the script runs those too.
+
+``oscillation_compared`` holds the oscillation flag ``jp-scan`` prints,
+read off the signs of the bidiagonal factors where they decide it, to the
+dense check of the Fraction-built truncation at every point of the scan
+at four gammas; the script runs that too.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from tetrahess.core import (AlphaSequence, Classification, _banded, _factor_trip
                            bands_from_alphas)
 from tetrahess.errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch, TetraError
 from tetrahess.families import JP_VERIFICATION_GRID, JPParams, Region, Variant, jp_alphas
+from tetrahess.tncheck import is_totally_nonnegative
 
 
 def jp_value(p: JPParams, variant: Variant, j: int):
@@ -369,6 +375,21 @@ def _mismatched_j(p):
         return error.j
 
 
+#: The gammas ``oscillation_compared`` scans at.
+SCAN_GAMMAS = (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-1, 2))
+
+
+def oscillation_compared():
+    """(what, got, want) for the oscillation verdict of T^[N], N = 0..7,
+    at every (alpha, beta) of the grid at each gamma of SCAN_GAMMAS: got
+    from ``families._jp_oscillatory``, want the Gantmacher-Krein verdict of
+    the dense check on the truncation built by the Fraction closed forms."""
+    bases = dict.fromkeys((p.alpha, p.beta) for p in JP_VERIFICATION_GRID)
+    points = [JPParams(a, b, g) for g in SCAN_GAMMAS for a, b in bases]
+    return [(f"oscillatory {p} N = {n}", families._jp_oscillatory(p, n),
+             is_totally_nonnegative(jp_dense_truncation(p, n)).is_oscillatory_gk) for p in points for n in range(8)]
+
+
 if __name__ == "__main__":
     import sys
 
@@ -387,4 +408,8 @@ if __name__ == "__main__":
           f"{len(late_mutations())} late and {len(sign_table_mutations())} sign-table mutations), "
           f"{len(wrong)} kinds differ, "
           f"{unrefused} mutated cases pass{': ' + ', '.join(wrong) if wrong else ''}")
-    sys.exit(1 if differ or wrong or unrefused else 0)
+    verdicts = oscillation_compared()
+    disagree = [what for what, got, want in verdicts if got != want]
+    print(f"oscillation: {len(verdicts)} verdicts at gamma in {{{', '.join(map(str, SCAN_GAMMAS))}}}, "
+          f"{len(disagree)} differ from the dense check{': ' + ', '.join(disagree) if disagree else ''}")
+    sys.exit(1 if differ or wrong or unrefused or disagree else 0)

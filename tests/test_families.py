@@ -31,7 +31,9 @@ from tetrahess import (
     jp_sign_report,
 )
 from tetrahess.core import _banded, _factor_triple, _split_alphas, bands_from_alphas
+from tetrahess.factorization import _factor_sign_verdict
 from tetrahess.scalars import format_scalar
+from tetrahess.tncheck import is_totally_nonnegative
 
 
 # Closed-form values for (alpha, beta, gamma) = (0, -1/2, 0), first set.
@@ -579,6 +581,57 @@ def test_dense_truncation_matches_the_fraction_oracle(alpha, beta, gamma, n):
     same_truncation_as_oracle(p, n)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(jp_parameters, jp_parameters, jp_parameters, st.integers(min_value=0, max_value=7))
+@example(F(3, 2), F(0), F(0), 2)  # R1 at N = 2: the signs cannot tell
+@example(F(11, 2), F(1, 3), F(1, 2), 7)  # alpha - beta > 2
+@example(F(0), F(9, 2), F(-1, 2), 7)  # alpha - beta < -2
+def test_sign_verdict_is_the_dense_verdict(alpha, beta, gamma, n):
+    """The oscillation flag jp-scan prints, read off the signs of the
+    factors where they decide it, is the dense check's verdict on T^[N],
+    far from the diagonal too."""
+    try:
+        p = JPParams(alpha, beta, gamma)
+    except OutsideNaturalRegion:
+        assume(False)
+    assert families._jp_oscillatory(p, n) == is_totally_nonnegative(jp_dense_truncation(p, n)).is_oscillatory_gk
+
+
+@pytest.mark.parametrize("signs, n, verdict", [
+    ((1,), 0, True),
+    ((0,), 0, None),  # u_0 = 0: singular
+    ((-1,), 0, None),
+    ((1, 0, 1, 1), 1, True),  # p_1 = 0, as in FIRST
+    ((1, 1, 1, 0), 1, None),  # u_1 = 0: singular
+    ((1, 0, 0, 1), 1, None),  # p_1 = q_1 = 0: b_1 = 0
+    ((1, 0, 1, 1, 1, -1, 1), 2, None),  # q_2 < 0 but a_2 > 0, as FIRST in R1
+    ((1, 0, 1, 1, 1, -1, 1, 1, 1, 1), 3, False),  # a_3 = p_3 q_2 u_1 < 0
+    ((1, 0, 1, 1, -1, 1, 1), 2, False),  # a_2 = p_2 q_1 u_0 < 0, as FIRST in R4
+    ((1, 1, -1, -1, 1, 1, 1), 2, False),  # a_2 < 0 with u_1 < 0
+    ((-1, 1, -1, 1, 1, 1, 1), 2, None),  # a_2 > 0 with u_0 < 0
+])
+def test_sign_verdict_branches(signs, n, verdict):
+    """Each answer of the sign verdict on hand-written signs, and where it
+    answers, the dense check's verdict on T^[N] of alphas with those
+    signs."""
+    assert _factor_sign_verdict(signs, n) is verdict
+    if verdict is not None:
+        c, b, a = bands_from_alphas(AlphaSequence(signs))
+        m = _banded(n + 1, {0: lambda i: c[i], 1: lambda i: F(1), -1: lambda i: b[i - 1], -2: lambda i: a[i - 2]})
+        assert is_totally_nonnegative(m).is_oscillatory_gk is verdict
+
+
+@pytest.mark.parametrize("gamma", [F(0), F(1, 2), F(3), F(-1, 2), F(-999, 1000), F(10**5)])
+def test_jp_scan_points_need_no_dense_check(monkeypatch, gamma):
+    """At every point jp-scan prints, the signs decide T^[4]: oscillatory
+    in R2 and R3, refuted by a negative a_k in R1 and R4.  The grid's alpha
+    and beta are >= 0, so no sign depends on gamma."""
+    monkeypatch.setattr(families, "is_totally_nonnegative", None)
+    for p in JP_VERIFICATION_GRID[::2]:
+        p = JPParams(p.alpha, p.beta, gamma)
+        assert families._jp_oscillatory(p, 4) is (p.region in (Region.R2, Region.R3))
+
+
 def int_classification(pairs):
     """The sign classification of alphas given as int pairs (num, den),
     read off the signs of num * den alone."""
@@ -658,3 +711,10 @@ def test_the_oracle_script_cases_match():
             if what in oracle_jp.CHECKS:
                 outcomes.add(want if want is None else want[0])
     assert outcomes == {None, BandExhausted, ConsistencyViolation, PredictionMismatch}
+
+
+def test_the_oracle_script_oscillation_verdicts_match():
+    """The oscillation flag against the dense check at every scanned point
+    at four gammas, as ``tests/oracle_jp.py`` runs it."""
+    for what, got, want in oracle_jp.oscillation_compared():
+        assert got == want, what
