@@ -23,8 +23,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import chain
-from math import lcm
-from operator import mul
+from math import gcd, lcm
 
 from .errors import (
     BandExhausted,
@@ -286,34 +285,39 @@ class DenseMatrix:
         subdiagonal entry.  Raises ValueError if an entry above the
         superdiagonal is nonzero.
 
-        The recurrence runs over the integers: with D the lcm of the row
-        scales of ``scaled``, q_k = det(yI - D M_k) has int coefficients, and
-        p_k(x) = D^-k q_k(D x), so coefficient i of p_k is q_ki D^i / D^k,
-        reduced once per polynomial.  Row k is brought to D on its entries
-        up to the superdiagonal only, the others being zero."""
+        Each p_k is held canonical, as int coefficients over its own
+        denominator, and row k keeps its own scale s_k from ``scaled``, so
+        m_kj = ints_kj / s_k.  With the chain an int ratio cn / cd, p_{k+1}
+        is formed over L s_k, L the lcm of den(p_k) and every cd den(p_j),
+        and reduced by one gcd (fraction-free, as in Bareiss, Math. Comp.
+        1968): no coefficient carries a scale shared across polynomials."""
         ints, scales = self.scaled
         for k, row in enumerate(ints):
             if any(row[k + 2 :]):
                 raise ValueError(f"row {k} has a nonzero entry above the superdiagonal")
-        d = lcm(*scales)
-        m = [[v * f for v in row[: k + 2]] for k, (row, f) in enumerate(zip(ints, [d // s for s in scales]))]
-        qs = [[1]]
-        for k, row in enumerate(m):
-            q, diagonal = qs[k], row[k]
-            new = [u - diagonal * v for u, v in zip([0] + q, q + [0])]  # (y - m_kk) q_k
+        polys = [_make((1,), 1)]
+        for k, (row, s) in enumerate(zip(ints, scales)):
+            p = polys[k]
             lowest = next((j for j in range(k) if row[j]), k)
-            chain = 1  # m_{j,j+1} ... m_{k-1,k}
+            big, terms = p.den, []
+            cn = cd = 1  # m_{j,j+1} ... m_{k-1,k} = cn / cd
             for j in range(k - 1, lowest - 1, -1):
-                chain *= m[j][j + 1]
+                cn *= ints[j][j + 1]
+                cd *= scales[j]
+                g = gcd(cn, cd)
+                cn, cd = cn // g, cd // g
                 if row[j]:
-                    scale = row[j] * chain
-                    for i, v in enumerate(qs[j]):
-                        new[i] -= scale * v
-            qs.append(new)
-        polys, powers = [_make((1,), 1)], [1]  # powers of D: 1, D, ..., D^k
-        for q in qs[1:]:
-            powers.append(powers[-1] * d)
-            polys.append(_make(*_reduce(list(map(mul, q, powers)), powers[-1])))
+                    e = cd * polys[j].den
+                    big = lcm(big, e)
+                    terms.append((row[j] * cn, e, polys[j].num))
+            f = big // p.den
+            sf, df = s * f, row[k] * f
+            new = [sf * u - df * v for u, v in zip((0, *p.num), (*p.num, 0))]  # (s x - ints_kk) p_k
+            for c, e, num in terms:
+                c *= big // e
+                for i, v in enumerate(num):
+                    new[i] -= c * v
+            polys.append(_make(*_reduce(new, big * s)))
         return polys
 
     def __eq__(self, other):

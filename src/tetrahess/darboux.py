@@ -391,10 +391,11 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     on those ints with ``one`` = K, so B, hat and hathat sit over d, d K^2
     and d K.  A determinant's int numerator, over the product of its two
     families' denominators, decides its sign, and the running maximum is
-    compared by cross-multiplication.  Only the reported max_value, and the
-    value a SignViolation carries, become Fractions, each equal to the
-    determinant it stands for.  A positive value raises, so a report has
-    checked all of them: 12 (N + 1) per sample point.
+    compared by cross-multiplication until it reaches 0, which no later
+    value can exceed.  Only the reported max_value, and the value a
+    SignViolation carries, become Fractions, each equal to the determinant
+    it stands for.  A positive value raises, so a report has checked all
+    of them: 12 (N + 1) per sample point.
     """
     xs = tuple(xs)
     if not xs:
@@ -422,7 +423,7 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
                     raise SignViolation(det_id, k, x, Fraction(num, den))
                 if num == 0 and x == 0:
                     zeros_at_origin += 1
-                if mnum is None or num * mden > mnum * den:
+                if mnum is None or mnum and num * mden > mnum * den:
                     mnum, mden, max_location = num, den, (det_id, k, x)
     return AkvReport(
         checked=len(_AKV_DETS) * len(xs) * (n + 1),

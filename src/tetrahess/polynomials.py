@@ -13,10 +13,11 @@ All sequences come from one four-term recurrence touching only the three
 bands (type I from its transpose).  ``_steps`` alone reads the bands and
 knows the boundary coefficients: it writes each step as int coefficients
 over a positive int denominator.  ``_recur`` runs a table of steps on a
-window of three int numerators over one common denominator, reduced by one
-gcd per step.  Without x the window holds int coefficient lists, and each
-result becomes a canonical Poly once; at x = p/q it holds three ints, and
-no polynomial is built.  Either way the cost is O(N) steps.
+window of three values.  Without x they are canonical Polys, each over its
+own denominator, and a step reduces only the polynomial it makes, by one
+gcd; at x = p/q they are three int numerators over one common denominator,
+reduced by one gcd per step, and no polynomial is built.  Either way the
+cost is O(N) steps.
 
 At a point the values stay ints up to their readers.  ``_values`` builds
 each step table once per call, whatever the points and names, and gives
@@ -37,7 +38,7 @@ from math import gcd, lcm
 
 from .core import TetraHessenberg
 from .errors import IndexOutOfRange, ZeroNu
-from .poly import Poly, _make, _ratio, _reduce
+from .poly import Poly, _make, _ratio, _reduce, constant_poly
 from .scalars import over_common_denominator
 
 
@@ -82,14 +83,17 @@ def _recur(steps, seeds, point=None):
     y_m(xp/xq) of that list as two lists (nums, dens), y_m = nums[m] /
     dens[m] with dens[m] > 0, so a reduced Fraction costs one gcd.
 
-    The window is held as int numerators over one common denominator
-    d > 0: three int coefficient lists (index = power) without a point,
-    three ints at one, where x w_slot enters as xp w_slot over xq.  A step
-    puts the new numerator over d den (d den xq at a point), brings the
-    other two to that denominator and divides the window by one gcd; at a
-    point each value keeps the d of the step that made it."""
-    window, d = over_common_denominator(seeds)
+    At a point the window is three ints over one common denominator d > 0,
+    and x w_slot enters as xp w_slot over xq: a step puts the new numerator
+    over d den xq, brings the other two to that denominator and divides the
+    window by one gcd, and each value keeps the d of the step that made it.
+    Without a point each polynomial is held canonical, over its own
+    denominator: a step brings the three window polynomials to the lcm L of
+    their denominators by folding L / d_i into the step's coefficients, so
+    no window list is rescaled, forms the new numerator over L den and
+    reduces that one list by one gcd (Bareiss, Math. Comp. 1968)."""
     if point is not None:
+        window, d = over_common_denominator(seeds)
         xp, xq = point
         w0, w1, w2 = window
         nums, dens = list(window), [d] * 3
@@ -102,20 +106,15 @@ def _recur(steps, seeds, point=None):
             nums.append(w2)
             dens.append(d)
         return nums, dens
-    window = [[v] if v else [] for v in window]
-    out = [(w, d) for w in window]
+    out = [constant_poly(v) for v in seeds]
     for slot, kx, k0, k1, k2, den in steps:
-        w0, w1, w2 = window
-        xw = [0, *(kx * v for v in window[slot])]
-        new = [k0 * u + k1 * v + k2 * w + z for u, v, w, z in zip_longest(w0, w1, w2, xw, fillvalue=0)]
-        if den != 1:
-            w1, w2, d = [v * den for v in w1], [v * den for v in w2], d * den
-        g = gcd(d, *new, *w1, *w2)
-        if g != 1:
-            w1, w2, new, d = [v // g for v in w1], [v // g for v in w2], [v // g for v in new], d // g
-        window = [w1, w2, new]
-        out.append((new, d))
-    return [_make(*_reduce(w, e)) for w, e in out]
+        p0, p1, p2 = out[-3:]
+        px = p2 if slot == 2 else p1
+        big = lcm(p0.den, p1.den, p2.den)
+        c0, c1, c2, cx = k0 * (big // p0.den), k1 * (big // p1.den), k2 * (big // p2.den), kx * (big // px.den)
+        terms = zip_longest(p0.num, p1.num, p2.num, (0, *px.num), fillvalue=0)
+        out.append(_make(*_reduce([c0 * u + c1 * v + c2 * w + cx * z for u, v, w, z in terms], big * den)))
+    return out
 
 
 #: The one table of seeds, by the names the CLI prints: whether the

@@ -12,12 +12,15 @@ from tetrahess import (
     Classification,
     DenseMatrix,
     IndexOutOfRange,
+    JPParams,
     NonPositiveSubSubDiagonal,
     Poly,
     TetraHessenberg,
+    Variant,
     alpha_factor_matrices,
     bands_from_alphas,
     darboux_transforms,
+    jp_alphas,
     leading_principal,
     tetra_from_alphas,
     trailing_truncation,
@@ -27,6 +30,7 @@ from tetrahess.core import _interleave, _split_alphas
 
 import random
 
+import oracle_charpoly
 from conftest import pbf_corpus, random_band_matrix
 
 rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=5)
@@ -314,6 +318,51 @@ class TestLeadingCharPolys:
     def test_tetradiagonal_truncations_give_type2(self, t_ones):
         polys = leading_principal(t_ones, 6).leading_char_polys()
         assert polys == type2_sequence(t_ones, 7)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)  # the first call imports sympy
+    @given(st.integers(0, 10**6), st.integers(0, 10), st.integers(1, 12))
+    def test_against_the_global_lcm_form_and_sympy(self, seed, n, height):
+        """Random banded lower Hessenberg matrices: rational entries of
+        height up to 12, a random lower bandwidth, zeros, and superdiagonal
+        entries that may be 0 or non-unit.  Every leading block's polynomial
+        is the one the global-lcm form gives, canonical (Poly equality
+        compares num and den), and the whole matrix's is sympy's.  Row
+        scales that are not the least, as the band builders may hand over,
+        give the same polynomials."""
+        rng = random.Random(seed)
+        width = rng.randint(0, n)
+
+        def entry(i, j):
+            if j > i + 1 or i - j > width or rng.random() < 0.2:
+                return F(0)
+            return F(rng.randint(-height, height), rng.randint(1, height))
+
+        m = DenseMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+        polys = m.leading_char_polys()
+        assert polys == oracle_charpoly.leading_char_polys(m)
+        ints, scales = m.scaled
+        factors = [rng.randint(1, 6) for _ in scales]
+        rescaled = DenseMatrix._from_scaled(
+            tuple(tuple(v * f for v in row) for row, f in zip(ints, factors)),
+            tuple(s * f for s, f in zip(scales, factors)),
+        )
+        assert rescaled.leading_char_polys() == polys
+        assert list(polys[-1].coeffs) == _sympy_char_poly(m)
+
+    @pytest.mark.parametrize("n", (0, 1, 5, 14, 20))
+    def test_ones_and_jp_r3_truncations(self, t_ones, n):
+        """The ones matrix and JP-R3 (the AKV alphas at (0, 1/2, 0)): T^[N]
+        and its two trailing blocks, as the charpoly suite takes them, against
+        the global-lcm form, and T^[N] against sympy up to N = 5."""
+        jp = tetra_from_alphas(jp_alphas(JPParams(0, F(1, 2), 0), Variant.AKV, 3 * n + 6))
+        for t in (t_ones, jp):
+            m = leading_principal(t, n)
+            ints, scales = m.scaled
+            for k in (0, 1, 2):
+                block = DenseMatrix._from_scaled(tuple(r[k:] for r in ints[k:]), scales[k:])
+                assert block.leading_char_polys() == oracle_charpoly.leading_char_polys(block), (t, n, k)
+            if n <= 5:
+                assert list(m.leading_char_polys()[-1].coeffs) == _sympy_char_poly(m)
 
     def test_rejects_entry_above_superdiagonal(self):
         m = DenseMatrix([[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]])

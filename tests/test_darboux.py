@@ -469,6 +469,23 @@ def test_akv_sign_checks_match_polynomial_oracle(alpha_values, other, n, xs):
         assert ("report", r.checked, r.max_value, r.max_location, r.zeros_at_origin) == want
 
 
+@settings(max_examples=15, derandomize=True)
+@given(st.lists(POSITIVE, min_size=32, max_size=32), st.integers(0, 7))
+def test_akv_running_maximum_away_from_the_origin(alpha_values, n):
+    """At x = 1 and 4 the running maximum is negative through determinants
+    #1 - #4, so each of their values is compared; it reaches 0 at #5, k = 0
+    (hat and hathat agree at k = 0, so that determinant vanishes
+    identically), after which no value can exceed it.  The reported
+    maximum and its place are the Fraction brute force's."""
+    alphas = AlphaSequence(values=tuple(alpha_values))
+    t = tetra_from_alphas(alphas)
+    xs = (F(1), F(4))
+    want = _akv_oracle(t, alphas, n, xs)
+    r = akv_sign_checks(t, alphas, n, xs)
+    assert ("report", r.checked, r.max_value, r.max_location, r.zeros_at_origin) == want
+    assert (r.max_value, r.max_location) == (0, (5, 0, F(1)))
+
+
 def test_akv_oracle_sees_a_violation(ones_alphas):
     # the mismatched-matrix branch of the test above is not vacuous
     alphas = pbf_corpus(3, 1, count=28)[0]

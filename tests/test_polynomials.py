@@ -1,7 +1,9 @@
 """Recursion polynomials of both types, second-kind solutions, and the
 characteristic-polynomial oracles they must reproduce."""
 
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from tetrahess import (
 )
 
 from conftest import matrix_corpus, pbf_corpus
+from oracle_poly import FractionPoly
 
 
 # Hand-expanded determinants of the all-ones truncations.
@@ -235,3 +238,63 @@ def test_sequence_values_guards(t_ones):
     for kind in ("type1", "second"):
         with pytest.raises(ZeroNu):
             sequence_values(t_ones, kind, 2, F(1), F(0))
+
+
+def _fraction_sequences(a, b, c, n, nu):
+    """B, A1, A2, B1, B2 and b1 at indices 0..N by the four-term recurrence
+    over FractionPoly, one Fraction per coefficient operation, from the
+    band lists a = (a_2, ...), b = (b_1, ...) and c = (c_0, ...)."""
+    x = FractionPoly((0, 1))
+
+    def rows(seeds):  # seeds at indices -2, -1, 0
+        y = [FractionPoly((s,)) for s in seeds]
+        for m in range(n):
+            bm, am = b[m - 1] if m >= 1 else -1, a[m - 2] if m >= 2 else -1
+            y.append((x - FractionPoly((c[m],))) * y[-1] - y[-2].scale(bm) - y[-3].scale(am))
+        return y[2:]
+
+    def columns(seeds):  # seeds at indices -1, 0, 1
+        y = [FractionPoly((s,)) for s in seeds]
+        for m in range(1, n):
+            y.append(((x - FractionPoly((c[m - 1],))) * y[-2] - y[-1].scale(b[m - 1]) - y[-3]).scale(1 / a[m - 1]))
+        return y[1 : n + 2]
+
+    b1, b2 = rows((1, 0, 0)), rows((-1 - nu, 1, 0))
+    return {
+        "B": rows((0, 0, 1)),
+        "A1": columns((0, 1, nu)),
+        "A2": columns((0, 0, 1)),
+        "B1": b1,
+        "B2": b2,
+        "b1": [q + p.scale(nu) for p, q in zip(b1, b2)],
+    }
+
+
+def _canonical(p):
+    return p.den > 0 and gcd(p.den, *p.num) == 1 and not (p.num and p.num[-1] == 0)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.integers(0, 40))
+def test_recurrence_matches_fraction_reference_and_is_canonical(seed, height, n):
+    """Every polynomial the three builders return is the FractionPoly
+    recurrence's, and is held canonical over its own denominator: den > 0,
+    no factor shared by den and every coefficient, no trailing zero."""
+    rng = random.Random(seed)
+
+    def rational(lo):
+        return F(rng.randint(lo, height), rng.randint(1, height))
+
+    c = [rational(-height) for _ in range(n + 2)]
+    b = [rational(-height) for _ in range(n + 2)]
+    a = [rational(1) for _ in range(n + 2)]
+    nu = rational(-height) or F(1)
+    t = TetraHessenberg(a=a, b=b, c=c)
+    built = {"B": type2_sequence(t, n)}
+    built["A1"], built["A2"] = type1_sequences(t, n, nu)
+    built["B1"], built["B2"], built["b1"] = second_kind_sequences(t, n, nu)
+    for name, want in _fraction_sequences(a, b, c, n, nu).items():
+        got = built[name]
+        assert len(got) == n + 1, name
+        assert [p.coeffs for p in got] == [r.coeffs for r in want], name
+        assert all(_canonical(p) for p in got), name
