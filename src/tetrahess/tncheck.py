@@ -10,36 +10,12 @@ the TN check is guarded by a fixed dimension cap (DEFAULT_CAP), and the
 power oracle by a lower one (POWER_ORACLE_CAP); a larger matrix raises
 DimensionCapExceeded.
 
-Structural zeros.  Let every nonzero entry (i, j) of the matrix satisfy
--lower <= j - i <= upper; a tetradiagonal truncation is lower Hessenberg,
-upper = 1 and lower = 2.  Take a minor on sorted rows r_1 < ... < r_k and
-sorted columns c_1 < ... < c_k.  If c_i > r_i + upper for some i, rows
-r_1 .. r_i have all their nonzero entries in columns c_1 .. c_(i-1), so
-those i rows are dependent and the minor is 0; if c_i < r_i - lower, the
-same holds for columns c_1 .. c_i.  At dimension 8 this fixes 6156 of the
-12 869 minors of a tetradiagonal truncation at 0 before any arithmetic.
-
-The plan.  The band (upper, lower) is read off the scaled rows once the
-entries have passed.  A plan lists the minors of orders 2..n that the band
-does not force to zero, in enumeration order, with the full-enumeration
-position, the packed row and column bitmasks and the first-row expansion
-terms of each; a term whose sub-minor the band forces to zero is dropped.
-It depends only on (n, upper, lower), so it is built once per shape and
-held in a functools.cache, as flat arrays of ints.  The cap bounds the
-keys: a plan takes at most about 0.7 MB (the full band at dimension 8),
-every shape up to the cap together about 26 MB, and a scan of
-tetradiagonal truncations of dimensions 5 to 8 keeps about 0.2 MB.  The
-scan runs the plan over one compact list of minors, forming the products
-by map over the arrays.
-
-Skipped minors are exactly 0.  The TN test (value < 0) never fires on 0,
-so the first negative minor of the plan is the first of the full
-enumeration, reported at its full position; a certificate, from the scan or
-from Neville elimination, reports every minor, C(2n, n) - 1.
-
-Past the certificate, nonsingularity comes from one fraction-free
-elimination of the scaled rows, O(n^3), not from the minors, so a
-refutation at order 1 builds no plan at all.
+The scan expands each minor along its first row from the minors of the
+order below, over the nonzero entries of that row only, and stops at the
+first negative minor; a certificate, from the scan or from Neville
+elimination, reports every minor, C(2n, n) - 1.  Past the certificate,
+nonsingularity comes from one fraction-free elimination of the scaled
+rows, O(n^3), not from the minors.
 
 The ring is the integers, not the rationals (fraction-free, as in Bareiss,
 Math. Comp. 1968).  The check reads the matrix's scaled form
@@ -77,10 +53,8 @@ read off one fraction-free elimination (_initial_minors_positive).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb, gcd, lcm, prod
 from operator import mul
@@ -144,121 +118,51 @@ def _full_scan(table: _MinorTable):
     ascending, then row subsets lexicographic, then columns.
 
     Order-1 minors are read off the rows; entry (i, j) is minor i n + j + 1.
-    Past order 1 the scan runs the plan of the matrix's band (_plan), which
-    lists only the minors the band does not force to zero; the others are 0
-    and not negative (see the module docstring).  A witness reports its
-    position in the full enumeration, and a certificate every minor,
-    C(2n, n) - 1 of them."""
+    Past order 1 the minors fill one flat list, order by order, at index
+    (row bitmask << n) | column bitmask.  The minor on rows R and columns C
+    expands along the first row r of R: each nonzero entry of row r in a
+    column c of C contributes (-1)^p times the entry times the minor on
+    R - {r}, C - {c}, filled one order below, p the number of columns of C
+    left of c.  A certificate counts every minor, C(2n, n) - 1."""
     n = len(table.rows)
     for i, row in enumerate(table.rows):
         for j, value in enumerate(row):
             if value < 0:
                 return ((i + 1,), (j + 1,), table.true_minor((i,), value)), i * n + j + 1
-    # slot i n + j of ``values`` holds the entry (i, j) and each order of the
-    # plan appends its minors; ``signed`` holds the entries, then their
-    # negatives
-    values = [v for row in table.rows for v in row]
-    signed = values + [-v for v in values]
-    for positions, masks, entries, slots, targets, extra_entries, extra_slots in _plan(n, *_band(table.rows)):
-        minors = list(map(mul, map(signed.__getitem__, entries), map(values.__getitem__, slots)))
-        extra = map(mul, map(signed.__getitem__, extra_entries), map(values.__getitem__, extra_slots))
-        for k, term in zip(targets, extra):
-            minors[k] += term
-        if min(minors) < 0:
-            k = next(k for k, value in enumerate(minors) if value < 0)
-            rows, cols = _members(masks[k] >> n), _members(masks[k] & (1 << n) - 1)
-            witness = (
-                tuple(i + 1 for i in rows),
-                tuple(j + 1 for j in cols),
-                table.true_minor(rows, minors[k]),
-            )
-            return witness, positions[k]
-        values += minors
-    return None, comb(2 * n, n) - 1
-
-
-def _band(rows):
-    """(upper, lower) of the square ``rows``: every nonzero entry (i, j) has
-    -lower <= j - i <= upper, and both bounds are attained; (-n, -n), an
-    empty band, when every entry is zero."""
-    upper = lower = -len(rows)
-    for i, row in enumerate(rows):
-        nonzero = [j for j, v in enumerate(row) if v]
-        if nonzero:
-            upper = max(upper, nonzero[-1] - i)
-            lower = max(lower, i - nonzero[0])
-    return upper, lower
-
-
-@cache
-def _plan(n, upper, lower):
-    """The minors of orders 2..n of an n x n matrix of band (upper, lower)
-    that the band does not force to zero, in enumeration order, one tuple
-    of parallel arrays per order up to the last order that lists any:
-
-        (positions, masks, entries, slots, targets, extra_entries, extra_slots)
-
-    Entry k of an order is the minor on rows R and columns C.  It sits at
-    slot s0 + k of _full_scan's ``values``, s0 the slots of the entries and
-    the lower orders.  positions[k] is its 1-based place in the full
-    enumeration, and masks[k] is (row bitmask << n) | column bitmask.  It
-    expands along the first row r of R.  Each column c of C in the band of
-    row r gives the term (-1)^p a_rc times the minor on R - {r}, C - {c},
-    p the number of columns of C left of c, if that sub-minor is listed one
-    order below; a sub-minor the band forces to zero gives no term.  The
-    term of the first column of C is never dropped.  It is (entries[k],
-    slots[k]): the index of a_rc in ``signed`` (-a_rc sits n^2 further on)
-    and the slot of the sub-minor.  Each other term t is (extra_entries[t],
-    extra_slots[t]), added to entry targets[t].
-
-    The listed column subsets of rows R are (c,) + C' for each c in the
-    band of the first row r of R and each listed column subset C' of
-    R - {r} with c < min C', in lexicographic order; the first term's
-    sub-minor is (R - {r}, C').  The other terms come from walking the later
-    columns of C while they are <= r + upper.  A position comes from the
-    lexicographic ranks of R and C.  The cache hands every caller the same
-    arrays; nothing writes to them once they are built."""
-    square = n * n
-
-    def band(r):
-        return range(max(r - lower, 0), min(r + upper, n - 1) + 1)
-
-    # the slot of each listed minor of the order below, by rows, then
-    # columns; order 1 lists the entries in the band
-    listed = {(r,): {(c,): r * n + c for c in band(r)} for r in range(n)}
-    slot = offset = square
-    orders = []
-    for size in range(2, n + 1):
-        subsets = list(combinations(range(n), size))
-        rank = {cols: k for k, cols in enumerate(subsets)}
-        bits = {cols: sum(1 << c for c in cols) for cols in subsets}
-        below, listed = listed, {}
-        order = tuple(array("I") for _ in range(7))
-        positions, masks, entries, slots, targets, extra_entries, extra_slots = order
-        for i, rows in enumerate(subsets):
-            r, subs = rows[0], below[rows[1:]]
-            pairs = [((c,) + cols, sub) for c in band(r) for cols, sub in subs.items() if c < cols[0]]
-            base, rmask, last = offset + i * len(subsets) + 1, bits[rows] << n, r + upper
-            for k, (cols, _) in enumerate(pairs, len(masks)):
-                p = 1
-                while p < size and cols[p] <= last:
-                    other = subs.get(cols[:p] + cols[p + 1 :])
-                    if other is not None:
-                        targets.append(k)
-                        extra_entries.append(r * n + cols[p] + (square if p & 1 else 0))
-                        extra_slots.append(other)
-                    p += 1
-            positions.extend([base + rank[cols] for cols, _ in pairs])
-            masks.extend([rmask | bits[cols] for cols, _ in pairs])
-            entries.extend([r * n + cols[0] for cols, _ in pairs])
-            slots.extend([sub for _, sub in pairs])
-            listed[rows] = {cols: slot + j for j, (cols, _) in enumerate(pairs)}
-            slot += len(pairs)
-        if not masks:
-            break
-        orders.append(order)
-        offset += len(subsets) ** 2
-    return tuple(orders)
+    minors = [0] * (1 << 2 * n)
+    # the nonzero (column bit, entry) pairs of each row: at most 4 in a
+    # tetradiagonal truncation
+    terms = []
+    for i, row in enumerate(table.rows):
+        terms.append(tuple((1 << j, v) for j, v in enumerate(row) if v))
+        for bit, v in terms[-1]:
+            minors[1 << i + n | bit] = v
+    checked = n * n
+    for order in range(2, n + 1):
+        masks = [sum(1 << i for i in subset) for subset in combinations(range(n), order)]
+        for rmask in masks:
+            first = rmask & -rmask
+            expansion = terms[first.bit_length() - 1]
+            below = (rmask ^ first) << n
+            for cmask in masks:
+                value = 0
+                for bit, entry in expansion:
+                    if cmask & bit:
+                        if (cmask & (bit - 1)).bit_count() & 1:
+                            value -= entry * minors[below | cmask ^ bit]
+                        else:
+                            value += entry * minors[below | cmask ^ bit]
+                minors[rmask << n | cmask] = value
+                checked += 1
+                if value < 0:
+                    rows, cols = _members(rmask), _members(cmask)
+                    witness = (
+                        tuple(i + 1 for i in rows),
+                        tuple(j + 1 for j in cols),
+                        table.true_minor(rows, value),
+                    )
+                    return witness, checked
+    return None, checked
 
 
 def _members(mask):

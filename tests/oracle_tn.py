@@ -1,14 +1,16 @@
-"""The mask-loop minor scan that ``tetrahess.tncheck._full_scan`` replaced,
-kept unchanged as the oracle of the differential tests in test_tncheck.py.
+"""An independent reference for ``tetrahess.tncheck``, the oracle of the
+differential tests in test_tncheck.py.
 
-It fills one flat list of 4^n integer minors, order by order, at index
-(row bitmask << n) | column bitmask, and visits every minor, the band's
-structural zeros included, with a bit test per expansion term.
-
-Its total-positivity test (value <= 0) is the oracle of
-``tncheck._initial_minors_positive``, the power oracle's test on initial
-minors; ``tp_candidate`` makes matrices on both sides of total positivity.
-Its TN verdict, with a nonzero determinant, is the oracle of
+``reference_scan`` visits every minor in the enumeration order of
+``tncheck._full_scan`` (minor order, then row subsets, then column subsets,
+each lexicographic, by ``itertools.combinations``) and takes each as the
+fraction-free determinant of its own int submatrix (Bareiss, Math. Comp.
+1968), sharing no minor with any other.  Under its default test (value <
+0) it is the oracle of ``tncheck._full_scan``: the same witness and the
+same position or count.  Its total-positivity test (value <= 0) is the
+oracle of ``tncheck._initial_minors_positive``, the power oracle's test on
+initial minors; ``tp_candidate`` makes matrices on both sides of total
+positivity.  Its TN verdict, with a nonzero determinant, is the oracle of
 ``tncheck._neville_certifies``, the Neville elimination certificate, which
 must certify exactly the nonsingular TN matrices.  ``rescaled`` rebuilds a
 matrix over row scales that are not the least, which must change neither
@@ -29,60 +31,56 @@ from itertools import combinations
 
 from tetrahess import tncheck
 from tetrahess.core import AlphaSequence, DenseMatrix, _banded, bands_from_alphas
-from tetrahess.tncheck import _MinorTable, _members
+from tetrahess.tncheck import _MinorTable
 
 
-def _full_scan(table: _MinorTable, violates=lambda value: value < 0):
-    """(first witness of a minor that ``violates``, or None; minors checked).
-    The default test finds negative minors; ``value <= 0`` tests total
+def bareiss_det(work):
+    """The determinant of the square int matrix ``work``, a list of lists it
+    overwrites: fraction-free elimination (Bareiss, Math. Comp. 1968), a
+    row exchange and a sign change wherever the pivot is 0.  After step k
+    every entry below the pivot rows is a minor of order k + 2 of the
+    row-permuted matrix, so each division is exact."""
+    n = len(work)
+    sign, previous = 1, 1
+    for k in range(n):
+        if not work[k][k]:
+            for i in range(k + 1, n):
+                if work[i][k]:
+                    work[k], work[i] = work[i], work[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = work[k]
+        pivot, rest = top[k], top[k + 1 :]
+        for row in work[k + 1 :]:
+            factor = row[k]
+            if factor:
+                row[k + 1 :] = [(v * pivot - factor * t) // previous for v, t in zip(row[k + 1 :], rest)]
+            elif pivot != previous:
+                # the same update with factor = 0
+                row[k + 1 :] = [v * pivot // previous for v in row[k + 1 :]]
+        previous = pivot
+    return sign * previous
+
+
+def reference_scan(table: _MinorTable, violates=lambda value: value < 0):
+    """(first witness of a minor that ``violates``, or None; minors checked),
+    each minor bareiss_det of its own submatrix of the scaled rows.  The
+    default test finds negative minors; ``value <= 0`` tests total
     positivity.  ``violates`` sees the scaled minor, which has the sign of
-    the true one; the witness carries the true minor.  Enumeration order:
-    minor order ascending, then row subsets lexicographic, then columns.
-
-    Order-1 minors are read off the rows.  Past order 1 the minors fill one
-    flat list, order by order, at index (row bitmask << n) | column bitmask.
-    The minor on rows R and columns C expands along the first row r of R:
-    each nonzero entry of row r in a column c of C contributes (-1)^p times
-    the entry times the minor on R - {r}, C - {c}, filled one order below,
-    with p the number of columns of C left of c."""
+    the true one; the witness carries the true minor."""
     n = len(table.rows)
     checked = 0
-    for i, row in enumerate(table.rows):
-        for j, value in enumerate(row):
-            checked += 1
-            if violates(value):
-                return ((i + 1,), (j + 1,), table.true_minor((i,), value)), checked
-    minors = [0] * (1 << 2 * n)
-    # the nonzero (column bit, entry) pairs of each row: at most 4 in a
-    # tetradiagonal truncation
-    terms = []
-    for i, row in enumerate(table.rows):
-        terms.append(tuple((1 << j, v) for j, v in enumerate(row) if v != 0))
-        for bit, v in terms[-1]:
-            minors[1 << i + n | bit] = v
-    for order in range(2, n + 1):
-        masks = [sum(1 << i for i in subset) for subset in combinations(range(n), order)]
-        for rmask in masks:
-            first = rmask & -rmask
-            expansion = terms[first.bit_length() - 1]
-            below = (rmask ^ first) << n
-            for cmask in masks:
-                value = 0
-                for bit, entry in expansion:
-                    if cmask & bit:
-                        if (cmask & (bit - 1)).bit_count() & 1:
-                            value -= entry * minors[below | cmask ^ bit]
-                        else:
-                            value += entry * minors[below | cmask ^ bit]
-                minors[rmask << n | cmask] = value
+    for order in range(1, n + 1):
+        subsets = list(combinations(range(n), order))
+        for rows in subsets:
+            chosen = [table.rows[r] for r in rows]
+            for cols in subsets:
                 checked += 1
+                value = bareiss_det([[row[c] for c in cols] for row in chosen])
                 if violates(value):
-                    rows, cols = _members(rmask), _members(cmask)
-                    witness = (
-                        tuple(i + 1 for i in rows),
-                        tuple(j + 1 for j in cols),
-                        table.true_minor(rows, value),
-                    )
+                    witness = (tuple(i + 1 for i in rows), tuple(j + 1 for j in cols), table.true_minor(rows, value))
                     return witness, checked
     return None, checked
 
@@ -188,20 +186,20 @@ def _power_oracle(m):
 
 def compared(m, seed=0):
     """(test, got, want) on ``m``: under "< 0", tncheck._full_scan against
-    this scan, each the witness and the position or the count; under
-    "<= 0", tncheck._initial_minors_positive against this scan finding no
-    minor <= 0; under "neville", tncheck._neville_certifies against this
-    scan finding no minor < 0 on a matrix of nonzero determinant
+    reference_scan, each the witness and the position or the count; under
+    "<= 0", tncheck._initial_minors_positive against reference_scan finding
+    no minor <= 0; under "neville", tncheck._neville_certifies against
+    reference_scan finding no minor < 0 on a matrix of nonzero determinant
     (DenseMatrix.det); under "rescaled", the TNReport and (dims <=
     POWER_ORACLE_CAP) the power oracle's verdict past its TN gate of
     rescaled(m) against those of ``m``, the multipliers drawn from
     ``seed``."""
     table = _MinorTable(m)
-    scan = _full_scan(table)
+    scan = reference_scan(table)
     other = rescaled(m, random.Random(seed))
     return [
         ("< 0", tncheck._full_scan(table), scan),
-        ("<= 0", tncheck._initial_minors_positive(table.rows), _full_scan(table, lambda v: v <= 0)[0] is None),
+        ("<= 0", tncheck._initial_minors_positive(table.rows), reference_scan(table, lambda v: v <= 0)[0] is None),
         ("neville", tncheck._neville_certifies(table.rows), scan[0] is None and m.det() != 0),
         ("rescaled", (tncheck.is_totally_nonnegative(other), _power_oracle(other)),
          (tncheck.is_totally_nonnegative(m), _power_oracle(m))),

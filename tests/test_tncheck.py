@@ -30,11 +30,8 @@ from tetrahess import (
 from tetrahess.core import _banded, bands_from_alphas
 from tetrahess.tncheck import (
     POWER_ORACLE_CAP,
-    _band,
-    _full_scan,
     _initial_minors_positive,
     _MinorTable,
-    _plan,
     _some_power_totally_positive,
 )
 
@@ -77,7 +74,7 @@ def test_negative_entry_is_order_one_witness():
             )
             rep = is_totally_nonnegative(negative)
             assert (rep.is_tn, rep.witness, rep.minors_checked) == (False, (*cell, F(-2, 3)), position)
-            assert oracle_tn._full_scan(_MinorTable(zero), lambda v: v <= 0) == ((*cell, F(0)), position)
+            assert oracle_tn.reference_scan(_MinorTable(zero), lambda v: v <= 0) == ((*cell, F(0)), position)
             assert _initial_minors_positive(_MinorTable(zero).rows) is False
 
 
@@ -301,7 +298,7 @@ def test_integer_scan_matches_fraction_oracle_at_dims_6_to_8(seed):
     _assert_matches_oracle(_random_matrix(seed, dims=(6, 8), kinds=("signed", "perturbed")))
 
 
-# -- the band plan against the mask-loop scan it replaced -------------------
+# -- the scan against the per-minor reference --------------------------------
 
 _BAND_KINDS = ("pbf", "signed", "zero-alpha", "widened", "dense", "power")
 
@@ -344,142 +341,62 @@ def _band_matrix(seed, kind, n):
     return m
 
 
-def _mask_loop_some_power_tp(m):
-    """_some_power_totally_positive, each power scanned by the mask loop."""
+def _reference_some_power_tp(m):
+    """_some_power_totally_positive, each power scanned by the reference."""
     power = m
     for _ in range(max(1, m.n - 1)):
-        if oracle_tn._full_scan(_MinorTable(power), violates=lambda value: value <= 0)[0] is None:
+        if oracle_tn.reference_scan(_MinorTable(power), violates=lambda value: value <= 0)[0] is None:
             return True
         power = power.mul(m)
     return False
 
 
-def _assert_matches_mask_loop(m):
+def _assert_matches_reference(m):
     """Witness and count, the total-positivity verdict, the report, and
     (dims <= 6) the power oracle and the elimination oracle agree with the
-    mask loop."""
+    per-minor reference (oracle_tn.reference_scan)."""
     table = _MinorTable(m)
     for test, got, want in oracle_tn.compared(m):
         assert got == want, test
     rep = is_totally_nonnegative(m)
-    witness, checked = oracle_tn._full_scan(table)
+    witness, checked = oracle_tn.reference_scan(table)
     assert (rep.witness, rep.minors_checked) == (witness, checked)
     assert rep.is_nonsingular == (m.det() != 0)
     if m.n <= 6:
         assert (witness, checked) == _oracle_scan(m, lambda v: v < 0)
-        assert _some_power_totally_positive(m) == _mask_loop_some_power_tp(m)
+        assert _some_power_totally_positive(m) == _reference_some_power_tp(m)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_BAND_KINDS),
        st.integers(min_value=0, max_value=8))
-def test_band_plan_matches_the_mask_loop(seed, kind, n):
-    _assert_matches_mask_loop(_band_matrix(seed, kind, n))
+def test_the_scan_matches_the_reference(seed, kind, n):
+    _assert_matches_reference(_band_matrix(seed, kind, n))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(oracle_tn.TP_KINDS),
        st.integers(min_value=0, max_value=6))
 def test_initial_minors_decide_total_positivity(seed, kind, n):
-    """_initial_minors_positive against the mask loop's scan of every minor
+    """_initial_minors_positive against the reference's scan of every minor
     for one <= 0, on TP matrices and on TP matrices with one initial minor
     moved to 0, to half its value or to its negative."""
     table = _MinorTable(oracle_tn.tp_candidate(random.Random(seed), kind, n))
-    assert _initial_minors_positive(table.rows) == (oracle_tn._full_scan(table, lambda v: v <= 0)[0] is None)
+    assert _initial_minors_positive(table.rows) == (oracle_tn.reference_scan(table, lambda v: v <= 0)[0] is None)
 
 
-def test_the_plan_is_keyed_by_both_band_widths():
-    """Two shapes at n = 6 scanned in turn.  The PBF truncation has band
-    (1, 2); with a_03 > 0 added the band is (3, 2), and the first negative
-    minor, rows (1, 2) and columns (1, 4), is one that band (1, 2) forces
-    to zero, so a plan looked up by n and lower alone would miss it."""
-    tetra = _alpha_truncation([F(k % 4 + 1, k % 3 + 1) for k in range(16)])
-    rows = [list(r) for r in tetra.rows]
+def test_an_entry_above_the_band_gives_the_first_negative_minor():
+    """A PBF truncation at n = 6 with entry (1, 4) set to 1/2, above its
+    superdiagonal: the first negative minor is on rows (1, 2) and columns
+    (1, 4), the 39th, after the 36 entries and three minors on rows
+    (1, 2)."""
+    rows = [list(r) for r in _alpha_truncation([F(k % 4 + 1, k % 3 + 1) for k in range(16)]).rows]
     rows[0][3] = F(1, 2)
     wide = DenseMatrix(rows)
-    assert (_band(tetra.rows), _band(wide.rows)) == ((1, 2), (3, 2))
-    for m in (tetra, wide, tetra, wide):
-        _assert_matches_mask_loop(m)
-    assert is_totally_nonnegative(tetra).is_tn
+    _assert_matches_reference(wide)
     rep = is_totally_nonnegative(wide)
     assert rep.witness[:2] == ((1, 2), (1, 4))
-    assert rep.minors_checked == 36 + 3
-    # (1, 2) skips it: c_2 = 3 (0-based) > r_2 + 1 = 2
-    assert all(0b11 << 6 | 0b1001 not in masks for _, masks, *_ in _plan(6, 1, 2))
-
-
-def test_dim8_tetradiagonal_plan_lists_the_minors_the_band_allows():
-    """At dim 8 band (1, 2) forces 6156 of the 12 869 minors to zero; the
-    plan lists the other 6713 but the 28 entries in the band (order 1 is
-    read off the rows), each at its place in the full enumeration."""
-    plan = _plan(8, 1, 2)
-    listed = [position for positions, *_ in plan for position in positions]
-    assert len(listed) == 12869 - 6156 - 28
-    assert listed == sorted(listed) and listed[0] > 64 and listed[-1] == 12869
-
-
-def _plan_from_definition(n, upper, lower):
-    """The plan of shape (n, upper, lower) rebuilt from its definition
-    alone: walk every (R, C) of orders 2..n in full-enumeration order and
-    keep it iff r_i - lower <= c_i <= r_i + upper for every i.  A kept minor
-    records its position, its packed masks and its first-row expansion
-    terms whose entry is in the band and whose sub-minor is kept, each as
-    (index of the signed entry, slot of the sub-minor)."""
-    def kept(rows, cols):
-        return all(r - lower <= c <= r + upper for r, c in zip(rows, cols))
-
-    slot_of = {((r,), (c,)): r * n + c for r in range(n) for c in range(n) if kept((r,), (c,))}
-    slot, position, orders = n * n, n * n, []
-    for size in range(2, n + 1):
-        order = []
-        for rows in combinations(range(n), size):
-            for cols in combinations(range(n), size):
-                position += 1
-                if not kept(rows, cols):
-                    continue
-                r, rest = rows[0], rows[1:]
-                terms = [
-                    (r * n + c + (n * n if p % 2 else 0), slot_of[rest, cols[:p] + cols[p + 1 :]])
-                    for p, c in enumerate(cols)
-                    if c <= r + upper and (rest, cols[:p] + cols[p + 1 :]) in slot_of
-                ]
-                mask = sum(1 << i for i in rows) << n | sum(1 << j for j in cols)
-                order.append((position, mask, terms))
-                slot_of[rows, cols] = slot
-                slot += 1
-        if not order:
-            break
-        orders.append(order)
-    return orders
-
-
-def _plan_as_terms(n, upper, lower):
-    """_plan(n, upper, lower) read back into the form of
-    _plan_from_definition, checking that every array is unsigned int."""
-    orders = []
-    for order in _plan(n, upper, lower):
-        assert [column.typecode for column in order] == ["I"] * 7
-        positions, masks, entries, slots, targets, extra_entries, extra_slots = order
-        terms = [[(entry, slot)] for entry, slot in zip(entries, slots)]
-        for k, entry, slot in zip(targets, extra_entries, extra_slots):
-            terms[k].append((entry, slot))
-        orders.append(list(zip(positions, masks, terms)))
-    return orders
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_plan_matches_its_definition_for_every_band_up_to_dim_6(n):
-    """Every band, an empty one and upper < 0 included; the mask-loop
-    differentials reach only the bands that random matrices happen to
-    have."""
-    for upper in range(-n, n):
-        for lower in range(-n, n):
-            assert _plan_as_terms(n, upper, lower) == _plan_from_definition(n, upper, lower), (upper, lower)
-
-
-@pytest.mark.parametrize("shape", [(8, 1, 2), (8, 7, 7)])
-def test_plan_matches_its_definition_at_dim_8(shape):
-    assert _plan_as_terms(*shape) == _plan_from_definition(*shape)
+    assert rep.minors_checked == 39
 
 
 # -- the Neville certificate ---------------------------------------------------
@@ -496,21 +413,21 @@ def test_plan_matches_its_definition_at_dim_8(shape):
     [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
 ], ids=["transpose-pass", "zero-above-nonzero", "zero-pivot"])
 def test_neville_certificate_refuses_what_its_conditions_refuse(rows):
-    _assert_matches_mask_loop(dense(rows))
+    _assert_matches_reference(dense(rows))
 
 
 def test_certification_forms_no_minor(monkeypatch, t_ones):
     """Neville elimination certifies PBF truncations at dims 1-8, the dim-8
     JP truncation at (3/2, 1, 0) (R2, where the first parametrization is
-    TN) and the README's 923-minor example, with the scan, its plans and
-    the nonsingularity elimination all made to raise."""
+    TN) and the README's 923-minor example, with the scan and the
+    nonsingularity elimination both made to raise."""
     def untouchable(*args):
         raise AssertionError("a certified matrix reached the minor scan")
 
     t = tetra_from_alphas(pbf_corpus(8, 1, count=25)[0])
     certifiable = [leading_principal(t, d - 1) for d in range(1, 9)]
     certifiable += [jp_dense_truncation(JPParams(F(3, 2), 1, 0), 7), leading_principal(t_ones, 5)]
-    for name in ("_full_scan", "_plan", "_nonsingular"):
+    for name in ("_full_scan", "_nonsingular"):
         monkeypatch.setattr(tncheck, name, untouchable)
     for m in certifiable:
         rep = is_totally_nonnegative(m)
@@ -522,13 +439,16 @@ def test_certification_forms_no_minor(monkeypatch, t_ones):
 def test_the_scan_still_decides_refutations_and_singular_inputs():
     """An R1 refutation keeps its order-1 witness and position, and a
     singular TN matrix (alpha_1 = 0, so u_0 = 0 and det T = 0) keeps its
-    full count with is_nonsingular False."""
+    full count with is_nonsingular False, at dim 7 and at the cap, where
+    the per-minor reference agrees."""
     r1 = is_totally_nonnegative(jp_dense_truncation(JPParams(F(5, 2), 1, 0), 7))
     assert (r1.is_tn, r1.witness, r1.minors_checked, r1.is_nonsingular) == (False, ((4,), (2,), F(-3, 3250)), 26, True)
-    singular = _alpha_truncation([F(0)] + [F(1)] * 18)
-    rep = is_totally_nonnegative(singular)
-    assert (rep.is_tn, rep.witness, rep.minors_checked) == (True, None, 3431)
-    assert rep.is_nonsingular is False and rep.is_oscillatory_gk is False
+    for n, count in ((7, 3431), (8, 12869)):
+        singular = _alpha_truncation([F(0)] + [F(1)] * (3 * n - 3))
+        rep = is_totally_nonnegative(singular)
+        assert (rep.is_tn, rep.witness, rep.minors_checked) == (True, None, count)
+        assert rep.is_nonsingular is False and rep.is_oscillatory_gk is False
+    assert oracle_tn.reference_scan(_MinorTable(singular)) == (None, 12869)
 
 
 # -- the scaled form the builders write --------------------------------------
