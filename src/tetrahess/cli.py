@@ -26,7 +26,7 @@ import signal
 import sys
 from fractions import Fraction
 
-from .core import DenseMatrix, bands_from_alphas, leading_principal, tetra_from_alphas
+from .core import bands_from_alphas, leading_principal, tetra_from_alphas
 from .darboux import (
     CHRISTOFFEL_IDENTITIES,
     akv_sign_checks,
@@ -281,12 +281,8 @@ def _suite_charpoly(t, _alphas, n):
             raise VerificationFailure(f"B_{k + 1} differs from the dense oracle")
     if n >= 1:
         b1, _, small = second_kind_sequences(t, n + 1, Fraction(-1))
-        # entry k of the first list is det(xI - T^[k,1]), of the second det(xI - T^[k+1,2]);
-        # the blocks keep the row scales of T^[N]
-        ints, scales = m.scaled
-        dense1, dense2 = (
-            DenseMatrix._from_scaled(tuple(r[k:] for r in ints[k:]), scales[k:]).leading_char_polys() for k in (1, 2)
-        )
+        # entry k of the first list is det(xI - T^[k,1]), of the second det(xI - T^[k+1,2])
+        dense1, dense2 = (m.principal_block(k, m.n).leading_char_polys() for k in (1, 2))
         for k in range(1, n + 1):
             if b1[k + 1] != dense1[k]:
                 raise VerificationFailure(f"B^(1)_{k + 1} differs from the k=1 trailing oracle")
@@ -298,10 +294,10 @@ def _suite_charpoly(t, _alphas, n):
 
 def _suite_tn(t, _alphas, n):
     depth = min(n, POWER_ORACLE_CAP - 1)
-    # T^[k] is the leading (k + 1) x (k + 1) block of T^[depth], with its row scales
-    ints, scales = leading_principal(t, depth).scaled
+    # T^[k] is the leading (k + 1) x (k + 1) block of T^[depth]
+    whole = leading_principal(t, depth)
     for k in range(1, depth + 1):
-        m = DenseMatrix._from_scaled(tuple(r[: k + 1] for r in ints[: k + 1]), scales[: k + 1])
+        m = whole.principal_block(0, k + 1)
         report = is_totally_nonnegative(m)
         # the power oracle, gated on the TN check just made rather than a second one
         oracle = report.is_tn and _some_power_totally_positive(m)

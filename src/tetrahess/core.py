@@ -200,6 +200,11 @@ class DenseMatrix:
         rows = self._rows
         return len(rows if rows is not None else self._scaled[0])
 
+    def principal_block(self, lo, hi) -> "DenseMatrix":
+        """Rows and columns lo .. hi - 1, scaled over this matrix's row scales."""
+        ints, scales = self.scaled
+        return self._from_scaled(tuple(r[lo:hi] for r in ints[lo:hi]), scales[lo:hi])
+
     def entry(self, i, j):
         return self.rows[i][j]
 

@@ -395,7 +395,9 @@ def akv_sign_checks(t: TetraHessenberg, alphas: AlphaSequence, n: int, xs) -> Ak
     value can exceed.  Only the reported max_value, and the value a
     SignViolation carries, become Fractions, each equal to the determinant
     it stands for.  A positive value raises, so a report has checked all
-    of them: 12 (N + 1) per sample point.
+    of them: 12 (N + 1) per sample point.  A passing report's max_value is
+    always 0, no margin: #5 and #6 put hathat over hat, and (L2 U v)_0 =
+    (U v)_0, so both vanish at k = 0.
     """
     xs = tuple(xs)
     if not xs:

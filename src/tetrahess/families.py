@@ -37,7 +37,7 @@ from math import gcd, lcm
 
 from .core import (BAND_STARTS, AlphaSequence, DenseMatrix, _factor_triple, _lu_bands, _split_alphas,
                    tetra_from_alphas)
-from .errors import BandExhausted, ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
+from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .factorization import _factor_sign_verdict
 from .scalars import exact_tuple, format_scalar, over_common_denominator
 from .tncheck import is_totally_nonnegative
@@ -206,7 +206,7 @@ def jp_dense_truncation(p: JPParams, n: int) -> DenseMatrix:
     the raw band products so it exists in every region (outside the strip
     some a_n are negative and TetraHessenberg would refuse them).  Rows
     0..N read alpha_1 .. alpha_{3N+1} (c_N is the last), so exactly those
-    are read off _jp_ratios, and fewer raise BandExhausted.
+    are read off _jp_ratios.
 
     The bands are formed over the integers, as in jp_cross_consistency:
     every alpha num / den is brought to K, the lcm of the dens, as the int
@@ -219,32 +219,24 @@ def jp_dense_truncation(p: JPParams, n: int) -> DenseMatrix:
 
         c_i = u_i + p_i + q_i,  b_i = l_i + (p_i + q_i) u_{i-1},
         a_i = l_i u_{i-2},  l_i = p_i q_{i-1}."""
-    count = 3 * n + 1
-    ratios = list(_jp_ratios(_jp_rows(p, Variant.FIRST), count))
-    if len(ratios) < count:
-        raise BandExhausted("alpha", len(ratios) + 1, len(ratios))
+    ratios = list(_jp_ratios(_jp_rows(p, Variant.FIRST), 3 * n + 1))
     k = lcm(*(den for _, den in ratios))
-    # p_0 = q_0 = 0 lead, so row i reads p_i, q_i, u_i at 3i, 3i + 1, 3i + 2
-    scaled = [0, 0] + [num * (k // den) for num, den in ratios]
+    u, ps, qs = _split_alphas(tuple(num * (k // den) for num, den in ratios))
     k2, k3 = k * k, k**3
-    size = n + 1
     ints, scales = [], []
-    q1 = u1 = u2 = 0  # q_{i-1}, u_{i-1}, u_{i-2}
-    for i in range(size):
-        p_i, q_i, u_i = scaled[3 * i : 3 * i + 3]
-        row = [0] * size
+    for i, (p_i, q_i, u_i) in enumerate(zip(ps, qs, u)):
+        row = [0] * (n + 1)
         row[i] = (u_i + p_i + q_i) * k2
         if i < n:
             row[i + 1] = k3
         if i >= 1:
-            ell = p_i * q1
-            row[i - 1] = (ell + (p_i + q_i) * u1) * k
+            ell = p_i * qs[i - 1]
+            row[i - 1] = (ell + (p_i + q_i) * u[i - 1]) * k
             if i >= 2:
-                row[i - 2] = ell * u2
+                row[i - 2] = ell * u[i - 2]
         g = gcd(k3, *row)
         ints.append(tuple([v // g for v in row]) if g > 1 else tuple(row))
         scales.append(k3 // g)
-        q1, u2, u1 = q_i, u1, u_i
     return DenseMatrix._from_scaled(tuple(ints), tuple(scales))
 
 

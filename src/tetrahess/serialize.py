@@ -7,8 +7,9 @@ JSON numbers, read exactly (0.1 is 1/10).  Writers add an explicit
 validate it when present, so the index conventions can never drift silently
 through a file.  Either payload may instead carry a "generator" field naming
 a built-in family ("ones", or a jacobi-pineiro object) in place of explicit
-arrays.  A payload of the wrong shape raises ValueError, KeyError or
-TypeError.
+arrays, not beside them, with only the keys that family reads; its
+start_index is validated too.  A payload of the wrong shape raises
+ValueError, KeyError or TypeError.
 """
 
 from __future__ import annotations
@@ -73,7 +74,13 @@ def _scalar_array(payload, key):
     return tuple(_scalar(v, f"{key}[{i}]") for i, v in enumerate(values))
 
 
-def _generator_alphas(spec):
+def _generator_alphas(payload, expected):
+    """The alphas of a generator payload; a start_index must be ``expected``."""
+    explicit = [key for key in ("alpha", "a", "b", "c") if key in payload]
+    if explicit:
+        raise ValueError(f"a generator payload cannot also carry {explicit}")
+    _check_start_index(payload, expected)
+    spec = payload["generator"]
     if isinstance(spec, str):
         spec = {"name": spec}
     _require_object(spec, "generator")
@@ -83,22 +90,26 @@ def _generator_alphas(spec):
         raise ValueError(f"generator count must be a JSON integer, got {_shown(count)}")
     if count < 1:
         raise ValueError(f"generator count must be >= 1, got {format_scalar(count)}")
+    keys = {"ones": ("name", "count"), "jacobi-pineiro": ("name", "count", "alpha", "beta", "gamma", "variant")}
+    if not isinstance(name, str) or name not in keys:
+        raise ValueError(f"unknown generator {name!r}")
+    unknown = [key for key in spec if key not in keys[name]]
+    if unknown:
+        raise ValueError(f"{name} generator has unknown key(s) {unknown}")
     if name == "ones":
         return AlphaSequence(values=(Fraction(1),) * count)
-    if name == "jacobi-pineiro":
-        values = []
-        for key in ("alpha", "beta", "gamma"):
-            if key not in spec:
-                raise ValueError(f"jacobi-pineiro generator lacks {key!r}")
-            values.append(_scalar(spec[key], f"generator {key}"))
-        return jp_alphas(JPParams(*values), Variant(spec.get("variant", "first")), count)
-    raise ValueError(f"unknown generator {name!r}")
+    values = []
+    for key in ("alpha", "beta", "gamma"):
+        if key not in spec:
+            raise ValueError(f"jacobi-pineiro generator lacks {key!r}")
+        values.append(_scalar(spec[key], f"generator {key}"))
+    return jp_alphas(JPParams(*values), Variant(spec.get("variant", "first")), count)
 
 
 def load_alphas(payload: dict) -> AlphaSequence:
     _require_object(payload, "alpha payload")
     if "generator" in payload:
-        return _generator_alphas(payload["generator"])
+        return _generator_alphas(payload, {"alpha": 1})
     if "alpha" not in payload:
         raise ValueError('alpha payload needs an "alpha" array or a "generator"')
     _check_start_index(payload, {"alpha": 1})
@@ -118,7 +129,7 @@ def dump_alphas(alphas: AlphaSequence) -> dict:
 def load_matrix(payload: dict) -> TetraHessenberg:
     _require_object(payload, "matrix payload")
     if "generator" in payload:
-        return tetra_from_alphas(_generator_alphas(payload["generator"]))
+        return tetra_from_alphas(_generator_alphas(payload, BAND_STARTS))
     missing = [k for k in ("a", "b", "c") if k not in payload]
     if missing:
         raise ValueError(f"matrix payload lacks band(s) {missing}")

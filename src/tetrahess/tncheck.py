@@ -85,21 +85,6 @@ class TNReport:
     is_oscillatory_gk: bool
 
 
-class _MinorTable:
-    """One matrix as integer rows, for the Neville certificate and the minor
-    scan: the scaled form of the DenseMatrix (DenseMatrix.scaled).
-
-    Row i is the true row times its scale d_i > 0, so every minor of
-    ``rows`` is an int with the sign of the true minor; ``true_minor``
-    divides the row scales back out."""
-
-    def __init__(self, m: DenseMatrix):
-        self.rows, self.scales = m.scaled
-
-    def true_minor(self, rows, scaled) -> Fraction:
-        return Fraction(scaled, prod(self.scales[r] for r in rows))
-
-
 def _check_cap(m: DenseMatrix, cap: int):
     if m.n > cap:
         raise DimensionCapExceeded(m.n, cap)
@@ -107,15 +92,16 @@ def _check_cap(m: DenseMatrix, cap: int):
 
 def _neighbors_positive(rows) -> bool:
     """Are the first super- and subdiagonal entries of the square ``rows``
-    all positive?  Read off _MinorTable's int rows, whose scales are > 0."""
+    all positive?  Read off the scaled int rows, whose scales are > 0."""
     return all(rows[i][i + 1] > 0 and rows[i + 1][i] > 0 for i in range(len(rows) - 1))
 
 
-def _full_scan(table: _MinorTable):
-    """(first witness of a negative minor, or None; minors checked).  The
-    test sees the scaled minor, which has the sign of the true one; the
-    witness carries the true minor.  Enumeration order: minor order
-    ascending, then row subsets lexicographic, then columns.
+def _full_scan(rows, scales):
+    """(first witness of a negative minor, or None; minors checked) of the
+    scaled form (rows, scales).  The test sees the scaled minor, which has
+    the sign of the true one; the witness carries the true minor, divided
+    by its rows' scales.  Enumeration order: minor order ascending, then
+    row subsets lexicographic, then columns.
 
     Order-1 minors are read off the rows; entry (i, j) is minor i n + j + 1.
     Past order 1 the minors fill one flat list, order by order, at index
@@ -124,16 +110,16 @@ def _full_scan(table: _MinorTable):
     column c of C contributes (-1)^p times the entry times the minor on
     R - {r}, C - {c}, filled one order below, p the number of columns of C
     left of c.  A certificate counts every minor, C(2n, n) - 1."""
-    n = len(table.rows)
-    for i, row in enumerate(table.rows):
+    n = len(rows)
+    for i, row in enumerate(rows):
         for j, value in enumerate(row):
             if value < 0:
-                return ((i + 1,), (j + 1,), table.true_minor((i,), value)), i * n + j + 1
+                return ((i + 1,), (j + 1,), Fraction(value, scales[i])), i * n + j + 1
     minors = [0] * (1 << 2 * n)
     # the nonzero (column bit, entry) pairs of each row: at most 4 in a
     # tetradiagonal truncation
     terms = []
-    for i, row in enumerate(table.rows):
+    for i, row in enumerate(rows):
         terms.append(tuple((1 << j, v) for j, v in enumerate(row) if v))
         for bit, v in terms[-1]:
             minors[1 << i + n | bit] = v
@@ -155,19 +141,10 @@ def _full_scan(table: _MinorTable):
                 minors[rmask << n | cmask] = value
                 checked += 1
                 if value < 0:
-                    rows, cols = _members(rmask), _members(cmask)
-                    witness = (
-                        tuple(i + 1 for i in rows),
-                        tuple(j + 1 for j in cols),
-                        table.true_minor(rows, value),
-                    )
-                    return witness, checked
+                    r, c = ([i for i in range(n) if mask >> i & 1] for mask in (rmask, cmask))
+                    true = Fraction(value, prod(scales[i] for i in r))
+                    return (tuple(i + 1 for i in r), tuple(j + 1 for j in c), true), checked
     return None, checked
-
-
-def _members(mask):
-    """The 0-based indices of the set bits of ``mask``, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _neville_certifies(rows) -> bool:
@@ -257,12 +234,12 @@ def is_totally_nonnegative(m: DenseMatrix) -> TNReport:
     sub/superdiagonal neighbours).
     """
     _check_cap(m, DEFAULT_CAP)
-    table = _MinorTable(m)
-    if _neville_certifies(table.rows):
+    rows, scales = m.scaled
+    if _neville_certifies(rows):
         witness, checked, nonsingular = None, comb(2 * m.n, m.n) - 1, True
     else:
-        witness, checked = _full_scan(table)
-        nonsingular = _nonsingular(table.rows)
+        witness, checked = _full_scan(rows, scales)
+        nonsingular = _nonsingular(rows)
     is_tn = witness is None
     return TNReport(
         is_tn=is_tn,
@@ -270,7 +247,7 @@ def is_totally_nonnegative(m: DenseMatrix) -> TNReport:
         witness=witness,
         minors_checked=checked,
         is_nonsingular=nonsingular,
-        is_oscillatory_gk=is_tn and nonsingular and _neighbors_positive(table.rows),
+        is_oscillatory_gk=is_tn and nonsingular and _neighbors_positive(rows),
     )
 
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from tetrahess import tncheck
 from tetrahess.core import AlphaSequence, DenseMatrix, _banded, bands_from_alphas
-from tetrahess.tncheck import _MinorTable
 
 
 def bareiss_det(work):
@@ -64,24 +64,26 @@ def bareiss_det(work):
     return sign * previous
 
 
-def reference_scan(table: _MinorTable, violates=lambda value: value < 0):
-    """(first witness of a minor that ``violates``, or None; minors checked),
-    each minor bareiss_det of its own submatrix of the scaled rows.  The
-    default test finds negative minors; ``value <= 0`` tests total
-    positivity.  ``violates`` sees the scaled minor, which has the sign of
-    the true one; the witness carries the true minor."""
-    n = len(table.rows)
+def reference_scan(ints, scales, violates=lambda value: value < 0):
+    """(first witness of a minor that ``violates``, or None; minors checked)
+    of the scaled form (ints, scales) of a matrix (DenseMatrix.scaled), each
+    minor bareiss_det of its own submatrix of the int rows.  The default
+    test finds negative minors; ``value <= 0`` tests total positivity.
+    ``violates`` sees the scaled minor, which has the sign of the true one;
+    the witness carries the true minor, the scaled one divided by the
+    scales of its rows."""
+    n = len(ints)
     checked = 0
     for order in range(1, n + 1):
         subsets = list(combinations(range(n), order))
         for rows in subsets:
-            chosen = [table.rows[r] for r in rows]
+            chosen = [ints[r] for r in rows]
             for cols in subsets:
                 checked += 1
                 value = bareiss_det([[row[c] for c in cols] for row in chosen])
                 if violates(value):
-                    witness = (tuple(i + 1 for i in rows), tuple(j + 1 for j in cols), table.true_minor(rows, value))
-                    return witness, checked
+                    true = Fraction(value, prod(scales[r] for r in rows))
+                    return (tuple(i + 1 for i in rows), tuple(j + 1 for j in cols), true), checked
     return None, checked
 
 
@@ -194,13 +196,13 @@ def compared(m, seed=0):
     POWER_ORACLE_CAP) the power oracle's verdict past its TN gate of
     rescaled(m) against those of ``m``, the multipliers drawn from
     ``seed``."""
-    table = _MinorTable(m)
-    scan = reference_scan(table)
+    ints, scales = m.scaled
+    scan = reference_scan(ints, scales)
     other = rescaled(m, random.Random(seed))
     return [
-        ("< 0", tncheck._full_scan(table), scan),
-        ("<= 0", tncheck._initial_minors_positive(table.rows), reference_scan(table, lambda v: v <= 0)[0] is None),
-        ("neville", tncheck._neville_certifies(table.rows), scan[0] is None and m.det() != 0),
+        ("< 0", tncheck._full_scan(ints, scales), scan),
+        ("<= 0", tncheck._initial_minors_positive(ints), reference_scan(ints, scales, lambda v: v <= 0)[0] is None),
+        ("neville", tncheck._neville_certifies(ints), scan[0] is None and m.det() != 0),
         ("rescaled", (tncheck.is_totally_nonnegative(other), _power_oracle(other)),
          (tncheck.is_totally_nonnegative(m), _power_oracle(m))),
     ]

@@ -817,6 +817,23 @@ class TestInputErrorEverySubcommand:
             code, out, err = run(argv + [str(path)])
             assert (code, out, err) == (65, "", f"input error: {path}: jacobi-pineiro generator lacks {field!r}\n")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"generator": "ones", "start_index": {"alpha": 0}},
+         "start_index {'alpha': 0} does not match the fixed convention {'alpha': 1}"),
+        ({"generator": {"name": "ones", "count": 10}, "alpha": ["x"]},
+         "a generator payload cannot also carry ['alpha']"),
+        ({"generator": {"name": "ones", "cuont": 10}}, "ones generator has unknown key(s) ['cuont']"),
+    ], ids=["start-index", "explicit-alpha", "misspelt-count"])
+    def test_generator_payload_is_checked_as_explicit_data_is(self, tmp_path, payload, message):
+        """A generator payload with a wrong start_index, with explicit data
+        beside it or with a key its family does not read is refused, not
+        read in part."""
+        path = tmp_path / "generator.json"
+        path.write_text(json.dumps(payload))
+        for argv in (["verify", "--suite", "akv", "--n", "2", "--alphas"],
+                     ["darboux", "--which", "hat", "--alphas"]):
+            assert run(argv + [str(path)]) == (65, "", f"input error: {path}: {message}\n")
+
     @pytest.mark.parametrize("payload, argv, message", [
         (NEGATIVE_A, ["polys", "--n", "2", "--kind", "type2", "--input"], "a_2 = -1"),
         (NEGATIVE_A, ["factor", "--n", "2", "--alpha2", "1", "--input"], "a_2 = -1"),

@@ -407,11 +407,10 @@ def test_akv_sign_checks_random_pbf(seed):
     assert report.zeros_at_origin >= 1
 
 
-def _akv_oracle(t, alphas, n, xs):
-    """The AKV evaluation with polynomials: B, B^(1), B^(2) and their hat and
-    hathat brackets built as polynomials, then evaluated by Horner at each x.
-    Returns the AkvReport fields, or the fields of the first positive
-    determinant."""
+def _akv_values(t, alphas, n, xs):
+    """(x, det_id, k, value) of every AKV determinant, in the order
+    akv_sign_checks visits them: B, B^(1), B^(2) and their hat and hathat
+    brackets built as polynomials, then evaluated by Horner at each x."""
     nu = F(-1) / alphas.at(2)
     b1, b2, _ = second_kind_sequences(t, n + 2, nu)
     base = (tuple(type2_sequence(t, n + 2)), tuple(b1), tuple(b2))
@@ -426,20 +425,44 @@ def _akv_oracle(t, alphas, n, xs):
         tuple(tuple(hat(v, k) for k in range(n + 2)) for v in base),
         tuple(tuple(v[k + 1] + v[k].scale(a(3 * k + 1)) for k in range(n + 2)) for v in base),
     )
-    best, checked, zeros = None, 0, 0
     for x in xs:
         vals = [[[p(x) for p in strand] for strand in family] for family in families]
         for det_id, (top, shift, bottom, comp) in enumerate(darboux._AKV_DETS, start=1):
             for k in range(n + 1):
-                value = (vals[top][0][k + shift] * vals[bottom][comp][k]
-                         - vals[top][comp][k + shift] * vals[bottom][0][k])
-                checked += 1
-                if value > 0:
-                    return ("violation", det_id, k, x, value)
-                zeros += x == 0 and value == 0
-                if best is None or value > best[0]:
-                    best = (value, (det_id, k, x))
+                yield x, det_id, k, (vals[top][0][k + shift] * vals[bottom][comp][k]
+                                     - vals[top][comp][k + shift] * vals[bottom][0][k])
+
+
+def _akv_oracle(t, alphas, n, xs):
+    """The AKV evaluation with polynomials (_akv_values).  Returns the
+    AkvReport fields, or the fields of the first positive determinant."""
+    best, checked, zeros = None, 0, 0
+    for x, det_id, k, value in _akv_values(t, alphas, n, xs):
+        checked += 1
+        if value > 0:
+            return ("violation", det_id, k, x, value)
+        zeros += x == 0 and value == 0
+        if best is None or value > best[0]:
+            best = (value, (det_id, k, x))
     return ("report", checked, best[0], best[1], zeros)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_akv_determinants_5_and_6_vanish_at_k_0(seed):
+    """#5 and #6 put hathat (U v) over hat (L2 U v), and row 0 of L2 is
+    (1, 0, ...), so (L2 U v)_0 = (U v)_0: at k = 0 both have two equal rows
+    and vanish for every input and every x, while the other ten do not.
+    So a passing report's max_value is always 0, reached at #5, k = 0,
+    which is no margin.  Seeded PBF alphas, with their own matrix and with
+    that of another PBF sequence, at x = 1/3 and 7."""
+    alphas, other = pbf_corpus(seed, 2, count=28)
+    xs = (F(1, 3), F(7))
+    for t in (tetra_from_alphas(alphas), tetra_from_alphas(other)):
+        at_0 = [(det_id, value) for _, det_id, k, value in _akv_values(t, alphas, 3, xs) if k == 0]
+        assert [value for det_id, value in at_0 if det_id in (5, 6)] == [0] * 4
+        assert all(value for det_id, value in at_0 if det_id not in (5, 6))
+    report = akv_sign_checks(tetra_from_alphas(alphas), alphas, 3, xs)
+    assert (report.max_value, report.max_location) == (0, (5, 0, xs[0]))
 
 
 POSITIVE = st.builds(F, st.integers(1, 9), st.integers(1, 9))

@@ -84,6 +84,30 @@ def test_generator_unknown_name():
         load_alphas({"generator": "fibonacci"})
 
 
+@pytest.mark.parametrize("load, convention", [
+    (load_alphas, {"alpha": 1}), (load_matrix, {"a": 2, "b": 1, "c": 0}),
+], ids=["alphas", "matrix"])
+def test_generator_payload_is_checked_as_explicit_data_is(load, convention):
+    """Each loader checks a generator payload's start_index against its own
+    convention, refuses explicit data beside the generator, and refuses a
+    generator key its family does not read."""
+    load({"generator": "ones", "start_index": convention})
+    with pytest.raises(ValueError) as info:
+        load({"generator": "ones", "start_index": {"alpha": 0}})
+    assert str(info.value) == f"start_index {{'alpha': 0}} does not match the fixed convention {convention}"
+    for keys in (["alpha"], ["a"], ["b", "c"], ["alpha", "a", "b", "c"]):
+        with pytest.raises(ValueError) as info:
+            load({"generator": {"name": "ones", "count": 10}, **{key: ["x"] for key in keys}})
+        assert str(info.value) == f"a generator payload cannot also carry {keys}"
+    jp = {"name": "jacobi-pineiro", "alpha": "0", "beta": "1/2", "gamma": "0", "variant": "akv", "count": 4}
+    for spec, unknown in (({"name": "ones", "cuont": 10}, ["cuont"]), ({"name": "ones", "alpha": "0"}, ["alpha"]),
+                          ({**jp, "delta": "1", "Count": 4}, ["delta", "Count"])):
+        with pytest.raises(ValueError) as info:
+            load({"generator": spec})
+        assert str(info.value) == f"{spec['name']} generator has unknown key(s) {unknown}"
+    load({"generator": jp})
+
+
 def test_matrix_round_trip():
     t = TetraHessenberg(
         a=[F(1), F(2)], b=[F(1, 3), F(1), F(1)], c=[F(2), F(2), F(5, 4), F(1)]

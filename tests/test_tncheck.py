@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -31,7 +30,6 @@ from tetrahess.core import _banded, bands_from_alphas
 from tetrahess.tncheck import (
     POWER_ORACLE_CAP,
     _initial_minors_positive,
-    _MinorTable,
     _some_power_totally_positive,
 )
 
@@ -74,8 +72,8 @@ def test_negative_entry_is_order_one_witness():
             )
             rep = is_totally_nonnegative(negative)
             assert (rep.is_tn, rep.witness, rep.minors_checked) == (False, (*cell, F(-2, 3)), position)
-            assert oracle_tn.reference_scan(_MinorTable(zero), lambda v: v <= 0) == ((*cell, F(0)), position)
-            assert _initial_minors_positive(_MinorTable(zero).rows) is False
+            assert oracle_tn.reference_scan(*zero.scaled, lambda v: v <= 0) == ((*cell, F(0)), position)
+            assert _initial_minors_positive(zero.scaled[0]) is False
 
 
 def test_symmetric_reference_witness(t_sym):
@@ -245,35 +243,25 @@ def _random_matrix(seed, dims=(1, 5), kinds=_KINDS):
     return m
 
 
-def _oracle_scan(m, violates):
-    """First minor that ``violates`` and its 1-based position, each minor an
-    elimination of its own submatrix (DenseMatrix.minor), in the documented
-    order: order, then row subsets, then column subsets, lexicographic."""
-    position = 0
-    for order in range(1, m.n + 1):
-        for rows in combinations(range(m.n), order):
-            for cols in combinations(range(m.n), order):
-                position += 1
-                value = m.minor(rows, cols)
-                if violates(value):
-                    return (tuple(i + 1 for i in rows), tuple(j + 1 for j in cols), value), position
-    return None, position
-
-
-def _oracle_some_power_tp(m):
+def _reference_some_power_tp(m):
+    """_some_power_totally_positive, each power scanned by the reference."""
     power = m
     for _ in range(max(1, m.n - 1)):
-        if _oracle_scan(power, lambda v: v <= 0)[0] is None:
+        if oracle_tn.reference_scan(*power.scaled, violates=lambda value: value <= 0)[0] is None:
             return True
         power = power.mul(m)
     return False
 
 
-def _assert_matches_oracle(m):
+def _assert_matches_oracle(m, scan=None):
+    """The report against the per-minor reference (oracle_tn.reference_scan,
+    or its result ``scan``): witness and count; the witness value against
+    the minor of the Fraction rows (DenseMatrix.minor) and nonsingularity
+    against their determinant, so the scaled form is held to the entries;
+    and (dims <= 6) the power oracle."""
     rep = is_totally_nonnegative(m)
-    witness, position = _oracle_scan(m, lambda v: v < 0)
-    assert rep.witness == witness
-    assert rep.minors_checked == position
+    witness, position = scan or oracle_tn.reference_scan(*m.scaled)
+    assert (rep.witness, rep.minors_checked) == (witness, position)
     if witness is not None:
         rows, cols, value = rep.witness
         assert isinstance(value, F)
@@ -281,7 +269,7 @@ def _assert_matches_oracle(m):
     assert rep.is_tn == (witness is None)
     assert rep.is_nonsingular == (m.det() != 0)
     if m.n <= 6:
-        assert _some_power_totally_positive(m) == _oracle_some_power_tp(m)
+        assert _some_power_totally_positive(m) == _reference_some_power_tp(m)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -291,8 +279,8 @@ def test_integer_scan_matches_fraction_oracle(seed):
 
 
 # dims 6-8 put minors on mask bits 5-7; the 40 seeds give witnesses of
-# orders 1 to 7 and certifications at dims 6, 7 and 8 (the oracle costs
-# about half a second per full dim-8 scan, so the seeds stay few)
+# orders 1 to 7 and certifications at dims 6, 7 and 8 (the reference
+# costs about a tenth of a second per full dim-8 scan, so the seeds stay few)
 @pytest.mark.parametrize("seed", range(40))
 def test_integer_scan_matches_fraction_oracle_at_dims_6_to_8(seed):
     _assert_matches_oracle(_random_matrix(seed, dims=(6, 8), kinds=("signed", "perturbed")))
@@ -341,30 +329,15 @@ def _band_matrix(seed, kind, n):
     return m
 
 
-def _reference_some_power_tp(m):
-    """_some_power_totally_positive, each power scanned by the reference."""
-    power = m
-    for _ in range(max(1, m.n - 1)):
-        if oracle_tn.reference_scan(_MinorTable(power), violates=lambda value: value <= 0)[0] is None:
-            return True
-        power = power.mul(m)
-    return False
-
-
 def _assert_matches_reference(m):
-    """Witness and count, the total-positivity verdict, the report, and
-    (dims <= 6) the power oracle and the elimination oracle agree with the
-    per-minor reference (oracle_tn.reference_scan)."""
-    table = _MinorTable(m)
-    for test, got, want in oracle_tn.compared(m):
+    """The comparisons of oracle_tn.compared (the scan, the total-positivity
+    test, the Neville certificate and the rescaled report), then the report
+    as _assert_matches_oracle holds it, against the reference scan that
+    the first comparison wants."""
+    results = oracle_tn.compared(m)
+    for test, got, want in results:
         assert got == want, test
-    rep = is_totally_nonnegative(m)
-    witness, checked = oracle_tn.reference_scan(table)
-    assert (rep.witness, rep.minors_checked) == (witness, checked)
-    assert rep.is_nonsingular == (m.det() != 0)
-    if m.n <= 6:
-        assert (witness, checked) == _oracle_scan(m, lambda v: v < 0)
-        assert _some_power_totally_positive(m) == _reference_some_power_tp(m)
+    _assert_matches_oracle(m, results[0][2])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -381,8 +354,8 @@ def test_initial_minors_decide_total_positivity(seed, kind, n):
     """_initial_minors_positive against the reference's scan of every minor
     for one <= 0, on TP matrices and on TP matrices with one initial minor
     moved to 0, to half its value or to its negative."""
-    table = _MinorTable(oracle_tn.tp_candidate(random.Random(seed), kind, n))
-    assert _initial_minors_positive(table.rows) == (oracle_tn.reference_scan(table, lambda v: v <= 0)[0] is None)
+    ints, scales = oracle_tn.tp_candidate(random.Random(seed), kind, n).scaled
+    assert _initial_minors_positive(ints) == (oracle_tn.reference_scan(ints, scales, lambda v: v <= 0)[0] is None)
 
 
 def test_an_entry_above_the_band_gives_the_first_negative_minor():
@@ -448,7 +421,7 @@ def test_the_scan_still_decides_refutations_and_singular_inputs():
         rep = is_totally_nonnegative(singular)
         assert (rep.is_tn, rep.witness, rep.minors_checked) == (True, None, count)
         assert rep.is_nonsingular is False and rep.is_oscillatory_gk is False
-    assert oracle_tn.reference_scan(_MinorTable(singular)) == (None, 12869)
+    assert oracle_tn.reference_scan(*singular.scaled) == (None, 12869)
 
 
 # -- the scaled form the builders write --------------------------------------
