@@ -65,9 +65,20 @@ from .polynomials import (
     type2_sequence,
 )
 from .serialize import dump_alphas, dump_matrix, load_alphas, load_matrix
-from .tncheck import TNReport, is_oscillatory, is_oscillatory_power_oracle, is_totally_nonnegative
 
 __version__ = "0.1.0"
+
+#: Served from tncheck on first use (PEP 562), so importing the package, or
+#: a command that runs no TN check, does not load the TN checker.
+_TNCHECK_NAMES = ("TNReport", "is_oscillatory", "is_oscillatory_power_oracle", "is_totally_nonnegative")
+
+
+def __getattr__(name):
+    if name in _TNCHECK_NAMES:
+        from . import tncheck
+        return getattr(tncheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlphaSequence",

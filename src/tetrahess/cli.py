@@ -49,7 +49,6 @@ from .families import (
 from .polynomials import _KINDS, _runs, second_kind_sequences, type1_sequences, type2_sequence
 from .scalars import format_ratio, format_scalar, parse_int, parse_scalar
 from .serialize import DEFAULT_GENERATOR_COUNT, dump_alphas, dump_matrix, load_alphas, load_matrix
-from .tncheck import POWER_ORACLE_CAP, _some_power_totally_positive, is_totally_nonnegative
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -112,11 +111,22 @@ def _emit(payload: str, out_path, summary: str):
     print(summary, file=sys.stderr)
 
 
+def _unique_keys(pairs):
+    """The members of one JSON object as a dict.  A key given twice is
+    refused (ValueError, bad input), not read as its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # numbers are read exactly at any length, as parse_scalar reads a string
-            return json.load(fh, parse_float=parse_scalar, parse_int=parse_int)
+            return json.load(fh, parse_float=parse_scalar, parse_int=parse_int, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -293,6 +303,9 @@ def _suite_charpoly(t, _alphas, n):
 
 
 def _suite_tn(t, _alphas, n):
+    # imported here, so no other command loads the TN checker
+    from .tncheck import POWER_ORACLE_CAP, _some_power_totally_positive, is_totally_nonnegative
+
     depth = min(n, POWER_ORACLE_CAP - 1)
     # T^[k] is the leading (k + 1) x (k + 1) block of T^[depth]
     whole = leading_principal(t, depth)

@@ -16,7 +16,6 @@ being exactly divisible by x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -47,12 +46,42 @@ from .scalars import over_common_denominator
 CHRISTOFFEL_IDENTITIES = ("tilde_b", "tildetilde_b", "hat_a1", "tilde_a2", "tildetilde_a1", "tildetilde_a2")
 
 
-@dataclass(frozen=True)
 class AkvReport:
-    checked: int
-    max_value: object
-    max_location: tuple  # (det_id, n, x)
-    zeros_at_origin: int
+    """What akv_sign_checks found: the number of determinants checked, the
+    largest value, where it was as (det_id, n, x), and how many vanished
+    at x = 0."""
+
+    __slots__ = ("checked", "max_value", "max_location", "zeros_at_origin")
+
+    def __init__(self, checked, max_value, max_location, zeros_at_origin):
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "max_value", max_value)
+        object.__setattr__(self, "max_location", max_location)
+        object.__setattr__(self, "zeros_at_origin", zeros_at_origin)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AkvReport is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AkvReport is immutable")
+
+    def _key(self):
+        return self.checked, self.max_value, self.max_location, self.zeros_at_origin
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"AkvReport(checked={self.checked!r}, max_value={self.max_value!r}, "
+                f"max_location={self.max_location!r}, zeros_at_origin={self.zeros_at_origin!r})")
+
+    def __reduce__(self):
+        return AkvReport, self._key()
 
 
 def _forced_nu(alpha2):

@@ -31,7 +31,6 @@ through ``is_totally_nonnegative``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -40,7 +39,6 @@ from .core import (BAND_STARTS, AlphaSequence, DenseMatrix, _factor_triple, _lu_
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .factorization import _factor_sign_verdict
 from .scalars import exact_tuple, format_scalar, over_common_denominator
-from .tncheck import is_totally_nonnegative
 
 
 class Variant(enum.Enum):
@@ -85,7 +83,6 @@ def _region(a, b, d) -> Region:
     return Region.R4
 
 
-@dataclass(frozen=True)
 class JPParams:
     """Validated parameter triple in the natural region with gamma > -1.
     Each parameter is an int or a Fraction; anything else raises TypeError.
@@ -94,33 +91,54 @@ class JPParams:
     (A, B, G) over D > 0; the checks, the region and the closed forms
     (_jp_rows) read those ints."""
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    __slots__ = ("alpha", "beta", "gamma", "_ints", "_region")
 
-    def __post_init__(self):
-        (a, b, g), d = ints = over_common_denominator(
-            exact_tuple((self.alpha, self.beta, self.gamma), "JPParams")
-        )
+    def __init__(self, alpha, beta, gamma):
+        (a, b, g), d = ints = over_common_denominator(exact_tuple((alpha, beta, gamma), "JPParams"))
         if not (a > -d and b > -d):
             raise OutsideNaturalRegion(
-                f"alpha = {format_scalar(self.alpha)}, beta = {format_scalar(self.beta)} must both exceed -1"
+                f"alpha = {format_scalar(alpha)}, beta = {format_scalar(beta)} must both exceed -1"
             )
         if not g > -d:
-            raise OutsideNaturalRegion(f"gamma = {format_scalar(self.gamma)} must exceed -1")
+            raise OutsideNaturalRegion(f"gamma = {format_scalar(gamma)} must exceed -1")
         if (a - b) % d == 0:
-            raise OutsideNaturalRegion(f"alpha - beta = {format_scalar(self.alpha - self.beta)} is an integer")
+            raise OutsideNaturalRegion(f"alpha - beta = {format_scalar(alpha - beta)} is an integer")
         # the closed forms divide by (k + alpha + gamma) and (k + beta + gamma),
         # k >= 1; with parameters > -1 only k = 1 can vanish
         if a + g == -d or b + g == -d:
             raise OutsideNaturalRegion(
                 "alpha + gamma = -1 or beta + gamma = -1 degenerates the closed forms"
             )
-        # the parameters are frozen, so the ints and the region are computed
-        # once; they are not fields, so equality and repr are those of the
-        # three parameters
+        # the ints and the region are computed once; equality, hashing and
+        # repr read the three parameters only
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_region", _region(a, b, d))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("JPParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("JPParams is immutable")
+
+    def _key(self):
+        return self.alpha, self.beta, self.gamma
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"JPParams(alpha={self.alpha!r}, beta={self.beta!r}, gamma={self.gamma!r})"
+
+    def __reduce__(self):
+        return JPParams, self._key()
 
     @property
     def region(self) -> Region:
@@ -250,6 +268,9 @@ def _jp_oscillatory(p: JPParams, n: int) -> bool:
     signs = tuple((num * den > 0) - (num * den < 0) for num, den in ratios)
     verdict = _factor_sign_verdict(signs, n)
     if verdict is None:
+        # imported here: no jp-scan grid point gets this far, so the command
+        # never loads the TN checker
+        from .tncheck import is_totally_nonnegative
         return is_totally_nonnegative(jp_dense_truncation(p, n)).is_oscillatory_gk
     return verdict
 

@@ -631,7 +631,7 @@ def test_roundtrip_fails_when_one_lu_entry_moves(monkeypatch, jp_r3_file, field,
 
 
 def test_verify_tn_disagreement_fails(monkeypatch, ones_file):
-    monkeypatch.setattr(cli, "_some_power_totally_positive", lambda m: False)
+    monkeypatch.setattr(tncheck, "_some_power_totally_positive", lambda m: False)
     code, out, err = run(["verify", "--suite", "tn", "--alphas", ones_file, "--n", "3"])
     assert code == 1
     error = "tn: GK verdict True disagrees with power oracle False at N=1"
@@ -647,7 +647,6 @@ def test_tn_suite_scans_each_truncation_once(monkeypatch, ones_file):
         dims.append(m.n)
         return original(m)
 
-    monkeypatch.setattr(cli, "is_totally_nonnegative", counting)
     monkeypatch.setattr(tncheck, "is_totally_nonnegative", counting)
     code, _, err = run(["verify", "--suite", "tn", "--alphas", ones_file, "--n", "5"])
     assert code == 0, err
@@ -847,6 +846,22 @@ class TestInputErrorEverySubcommand:
         code, out, err = run(argv + [str(path)])
         assert (code, out) == (65, "")
         assert err == f"input error: {path}: {message} must be positive\n"
+
+    @pytest.mark.parametrize("text, argv, key", [
+        ('{"alpha": ["1", "1", "1", "1", "1", "1", "1", "1", "1", "1"], '
+         '"alpha": ["2", "2", "2", "2", "2", "2", "2", "2", "2", "2"]}',
+         ["verify", "--suite", "akv", "--n", "1", "--alphas"], "alpha"),
+        ('{"a": ["1"], "b": ["1", "1"], "c": ["1", "1"], "c": ["5", "5"]}',
+         ["polys", "--n", "1", "--kind", "type2", "--input"], "c"),
+        ('{"generator": {"name": "ones", "count": 10, "count": 40}}',
+         ["darboux", "--which", "hat", "--alphas"], "count"),
+    ], ids=["alpha-file", "matrix-file", "nested-generator"])
+    def test_a_duplicate_key_is_refused(self, tmp_path, text, argv, key):
+        """A key given twice in one JSON object, at any depth, is bad input,
+        not read as its last value."""
+        path = tmp_path / "duplicate.json"
+        path.write_text(text)
+        assert run(argv + [str(path)]) == (65, "", f"input error: {path}: duplicate key {key!r}\n")
 
     def test_nonpositive_transformed_band_is_compute_error(self, tmp_path):
         # the R1 alphas are valid input; the hat transform built from them is
@@ -1119,3 +1134,57 @@ print(json.dumps(results))
     assert [c for c, _, _ in in_one_process] == [64, 0, 0, 0, 0, 0, 0, 64]
     for argv, got in zip(calls, in_one_process):
         assert tuple(got) == _fresh(["-m", "tetrahess", *argv]), argv
+
+
+_LOADED_BY = """
+import contextlib, io, json, sys
+sys.path.insert(0, SRC)
+WATCHED = ("dataclasses", "inspect", "tetrahess.tncheck")
+from tetrahess import cli
+loaded = [[m for m in WATCHED if m in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([code, "tetrahess.tncheck" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_tn_check_loads_the_tn_checker(ones_file):
+    """In a fresh interpreter without site, importing the CLI loads no
+    dataclass machinery and not the TN checker; every command that runs no
+    TN check leaves it unloaded, and verify --suite tn loads it."""
+    commands = _every_subcommand(ones_file)
+    calls = [commands[c] for c in ("jp", "jp-scan", "factor", "polys", "darboux")]
+    calls += [["verify", "--suite", s, "--alphas", ones_file, "--n", "2"] for s in ("akv", "tn")]
+    src = os.path.dirname(os.path.dirname(tetrahess.__file__))
+    code, out, err = _fresh(["-E", "-S", "-c", _LOADED_BY.replace("SRC", repr(src)), json.dumps(calls)])
+    assert (code, err) == (0, "")
+    at_import, *after = json.loads(out)
+    assert at_import == []
+    assert after == [[0, False]] * 6 + [[0, True]]
+
+
+def test_the_tn_names_load_from_the_package():
+    """The package serves its TN names from tncheck on first use: importing
+    it loads no TN checker, each name is tncheck's own, and TNReport is
+    still a dataclass."""
+    script = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(os.path.dirname(tetrahess.__file__))!r})
+import tetrahess
+assert "tetrahess.tncheck" not in sys.modules
+from tetrahess import TNReport, is_oscillatory, is_oscillatory_power_oracle, is_totally_nonnegative
+import dataclasses
+from tetrahess import tncheck
+assert dataclasses.is_dataclass(TNReport)
+for name in ("TNReport", "is_oscillatory", "is_oscillatory_power_oracle", "is_totally_nonnegative"):
+    assert getattr(tetrahess, name) is getattr(tncheck, name), name
+print("ok")
+"""
+    assert _fresh(["-E", "-S", "-c", script]) == (0, "ok\n", "")
+    namespace = {}
+    exec("from tetrahess import *", namespace)
+    assert set(tetrahess.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="module 'tetrahess' has no attribute 'tn_check'"):
+        tetrahess.tn_check

@@ -1,6 +1,7 @@
 """Darboux transformations: band formulas, transformed polynomial families,
 the Christoffel identity battery, and the sign-definite determinant checks."""
 
+import pickle
 from fractions import Fraction as F
 from math import prod
 
@@ -445,6 +446,24 @@ def _akv_oracle(t, alphas, n, xs):
         if best is None or value > best[0]:
             best = (value, (det_id, k, x))
     return ("report", checked, best[0], best[1], zeros)
+
+
+def test_akv_report_is_an_immutable_value():
+    """An AkvReport is equal to and hashed as its four fields, equal to no
+    other type, immutable, pickled as the same value, and printed as the
+    frozen dataclass it once was."""
+    alphas = AlphaSequence([1] * 40)
+    report = akv_sign_checks(tetra_from_alphas(alphas), alphas, 3, (F(0), F(1, 4)))
+    fields = (96, F(0), (2, 1, F(0)), 22)
+    assert report == darboux.AkvReport(*fields) == darboux.AkvReport(
+        checked=96, max_value=F(0), max_location=(2, 1, F(0)), zeros_at_origin=22)
+    assert hash(report) == hash(fields) and report != fields
+    assert repr(report) == (
+        "AkvReport(checked=96, max_value=Fraction(0, 1), max_location=(2, 1, Fraction(0, 1)), zeros_at_origin=22)")
+    for change in (lambda: setattr(report, "checked", 0), lambda: delattr(report, "max_value")):
+        with pytest.raises(AttributeError):
+            change()
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,6 +1,8 @@
 """Jacobi-Pineiro recurrence parameters: closed forms, regions, sign
 predictions, and the cross-variant band consistency."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracle_jp
 from oracle_jp import _moved, oracle_jp_alphas
-from tetrahess import families
+from tetrahess import families, tncheck
 from tetrahess import (
     AlphaSequence,
     BandExhausted,
@@ -91,6 +93,27 @@ def test_integer_kernel_matches_the_fraction_oracle(alpha, beta, gamma, count):
 def test_params_refuse_inexact_values(params):
     with pytest.raises(TypeError, match="JPParams entries must be int or Fraction"):
         JPParams(*params)
+
+
+def test_params_are_an_immutable_value():
+    """JPParams is built positionally or by keyword; it is equal to and
+    hashed as its three parameters (the common-denominator ints do not
+    count), equal to no other type, immutable, copied and pickled as the
+    same value, and printed as the frozen dataclass it once was."""
+    p = JPParams(F(3, 2), 1, 0)
+    q = JPParams(alpha=F(6, 4), beta=F(1), gamma=F(0))
+    assert (p.alpha, p.beta, p.gamma) == (F(3, 2), 1, 0)
+    assert p == q and hash(p) == hash(q) == hash((F(3, 2), 1, 0))
+    assert p != JPParams(F(3, 2), 1, F(1, 2)) and p != (F(3, 2), 1, 0)
+    assert repr(p) == "JPParams(alpha=Fraction(3, 2), beta=1, gamma=0)"
+    assert repr(JPParams(alpha=0, beta=F(1, 2), gamma=F(-1, 3))) == (
+        "JPParams(alpha=0, beta=Fraction(1, 2), gamma=Fraction(-1, 3))")
+    for change in (lambda: setattr(p, "alpha", 0), lambda: setattr(p, "other", 0), lambda: delattr(p, "gamma")):
+        with pytest.raises(AttributeError):
+            change()
+    assert p.gamma == 0
+    for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and twin.region is Region.R2 and twin._ints == p._ints
 
 
 def test_region_classification():
@@ -617,7 +640,10 @@ def test_jp_scan_points_need_no_dense_check(monkeypatch, gamma):
     """At every point jp-scan prints, the signs decide T^[4]: oscillatory
     in R2 and R3, refuted by a negative a_k in R1 and R4.  The grid's alpha
     and beta are >= 0, so no sign depends on gamma."""
-    monkeypatch.setattr(families, "is_totally_nonnegative", None)
+    def untouchable(m):
+        raise AssertionError("a jp-scan grid point reached the dense check")
+
+    monkeypatch.setattr(tncheck, "is_totally_nonnegative", untouchable)
     for p in JP_VERIFICATION_GRID[::2]:
         p = JPParams(p.alpha, p.beta, gamma)
         assert families._jp_oscillatory(p, 4) is (p.region in (Region.R2, Region.R3))
