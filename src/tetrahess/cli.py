@@ -48,7 +48,7 @@ from .families import (
 )
 from .polynomials import _KINDS, _runs, second_kind_sequences, type1_sequences, type2_sequence
 from .scalars import format_ratio, format_scalar, parse_int, parse_scalar
-from .serialize import DEFAULT_GENERATOR_COUNT, dump_alphas, dump_matrix, load_alphas, load_matrix
+from .serialize import DEFAULT_GENERATOR_COUNT, MAX_GENERATOR_COUNT, dump_alphas, dump_matrix, load_alphas, load_matrix
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -158,6 +158,8 @@ def _cmd_jp(args):
     )
     if args.count < 1:
         raise UsageError("--count must be >= 1")
+    if args.count > MAX_GENERATOR_COUNT:
+        raise UsageError(f"--count must be <= {MAX_GENERATOR_COUNT}")
     seq = jp_alphas(params, Variant(args.variant), args.count)
     values = [format_scalar(v) for v in seq.values]
     if args.out:

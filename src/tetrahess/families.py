@@ -192,13 +192,13 @@ def _jp_rows(p: JPParams, variant: Variant):
     return [[(k * d, t * d + combos[s]) for k, t, s in numerators[r] + _JP_DENOMINATORS[r]] for r in range(1, 7)]
 
 
-def _jp_ratios(rows, count):
-    """alpha_1 .. alpha_count of one variant, from its rows (see _jp_rows),
-    each yielded as the int pair (num, den) of its three numerator and
-    three denominator factors, unreduced: alpha_j = num / den.  den is
-    nonzero but may be negative, so the sign of alpha_j is that of
-    num * den."""
-    for i in range(count):
+def _jp_ratios(rows, count, start=0):
+    """``count`` alphas of one variant from alpha_{6 start + 1} on (from
+    alpha_1 by default), from its rows (see _jp_rows), each yielded as the
+    int pair (num, den) of its three numerator and three denominator
+    factors, unreduced: alpha_j = num / den.  den is nonzero but may be
+    negative, so the sign of alpha_j is that of num * den."""
+    for i in range(6 * start, 6 * start + count):
         n, r = divmod(i, 6)
         (u1, v1), (u2, v2), (u3, v3), (u4, v4), (u5, v5), (u6, v6) = rows[r]
         yield (u1 * n + v1) * (u2 * n + v2) * (u3 * n + v3), (u4 * n + v4) * (u5 * n + v5) * (u6 * n + v6)
@@ -366,33 +366,10 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
         _agree(name, BAND_STARTS[name], f, a, k ** _DEGREE[name])
 
 
-def _cubic(factors):
-    """Coefficients, constant first, of the product of three linear
-    factors u n + v."""
-    (u1, v1), (u2, v2), (u3, v3) = factors
-    s0, s1, s2 = v1 * v2, u1 * v2 + v1 * u2, u1 * u2
-    return s0 * v3, s0 * u3 + s1 * v3, s1 * u3 + s2 * v3, s2 * u3
-
-
-def _times(p, q):
-    """Coefficients of the product of two cubics."""
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    return (
-        p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0, p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
-        p1 * q3 + p2 * q2 + p3 * q1, p2 * q3 + p3 * q2, p3 * q3,
-    )
-
-
-def _plus(p, q):
-    """Coefficients of the sum of two polynomials of one degree."""
-    return tuple(x + y for x, y in zip(p, q))
-
-
-def _induced(rows, d):
-    """Numerators, as polynomials in n, of what a variant's rows (from
-    _jp_rows) induce in T = L U, over denominators made of the
-    denominator cubics d = (D_1, .., D_6) alone:
+def _induced(rows, n):
+    """The numerators at row n of what a variant's rows (from _jp_rows)
+    induce in T = L U, over denominators made of the denominator products
+    D_r alone:
 
         u_{2n} = alpha_{6n+1}, u_{2n+1} = alpha_{6n+4}:   N_1 / D_1, N_4 / D_4;
         m_{2n+1} = alpha_{6n+2} + alpha_{6n+3}:  (N_2 D_3 + N_3 D_2) / D_2 D_3;
@@ -400,14 +377,23 @@ def _induced(rows, d):
         l_{2n+2} = alpha_{6n+5} alpha_{6n+3}:    N_5 N_3 / D_5 D_3;
         l_{2n+3} = alpha_{6n+8} alpha_{6n+6}:    N_2(n + 1) N_6 / D_2(n + 1) D_6,
 
-    N_r being the numerator cubic of residue r.  Each has degree <= 6."""
-    n1, n2, n3, n4, n5, n6 = [_cubic(row[:3]) for row in rows]
-    # N_2 at n + 1: each factor u n + v becomes u n + (u + v)
-    n2_next = _cubic([(u, u + v) for u, v in rows[1][:3]])
-    return (
-        n1, n4, _plus(_times(n2, d[2]), _times(n3, d[1])), _plus(_times(n5, d[5]), _times(n6, d[4])),
-        _times(n5, n3), _times(n2_next, n6),
-    )
+    N_r / D_r being the int pair of _jp_ratios for alpha_{6n+r}, the
+    products of its three numerator and three denominator factors, and
+    N_2(n + 1) that of alpha_{6n+8}.  As polynomials in n each numerator
+    has degree <= 6 and int coefficients."""
+    (n1, _), (n2, d2), (n3, d3), (n4, _), (n5, d5), (n6, d6), _, (n2_next, _) = _jp_ratios(rows, 8, n)
+    return n1, n4, n2 * d3 + n3 * d2, n5 * d6 + n6 * d5, n5 * n3, n2_next * n6
+
+
+def _induce_alike(first, akv) -> bool:
+    """Do two variants' rows induce the numerators of _induced alike at
+    every row n?  With M the largest |u| + |v| of their factors (the n + 1
+    of N_2(n + 1) at most doubles it), the coefficients of each numerator
+    sum in absolute value to at most 8 M^6, so a difference has int
+    coefficients of absolute value <= 16 M^6 and, if nonzero, by Cauchy's
+    bound no root n >= 16 M^6 + 1: one evaluation there decides."""
+    n = 16 * max(abs(u) + abs(v) for row in first + akv for u, v in row) ** 6 + 1
+    return _induced(first, n) == _induced(akv, n)
 
 
 #: jp_cross_consistency at this count compares m_k and l_k for k <= 15 and
@@ -425,11 +411,11 @@ def jp_certificate(p: JPParams) -> None:
 
     Agreement.  _jp_rows takes the denominators of both variants from the
     one table _JP_DENOMINATORS, so u, m and l agree at every row exactly
-    when the numerator polynomials of _induced do, coefficient by
-    coefficient; the bands c, b and a are formed from u, m and l and so
-    agree too.  A failed identity is a nonzero polynomial of degree <= 6,
-    so it is nonzero at one of n = 0..6, and jp_cross_consistency over
-    those rows raises the ConsistencyViolation of its first failing entry.
+    when the numerator polynomials of _induced do, which _induce_alike
+    decides; the bands c, b and a are formed from u, m and l and so agree
+    too.  A failed identity is a nonzero polynomial of degree <= 6, so it
+    is nonzero at one of n = 0..6, and jp_cross_consistency over those
+    rows raises the ConsistencyViolation of its first failing entry.
 
     Signs.  Every factor u n + v of _jp_rows has u > 0, so it is positive
     from row -v // u + 1 on.  The rows up to the later of the last with a
@@ -441,8 +427,7 @@ def jp_certificate(p: JPParams) -> None:
     The proof reads the closed forms of _jp_rows: a formula transcribed
     wrong in both variants alike is beyond it."""
     first, akv = _jp_rows(p, Variant.FIRST), _jp_rows(p, Variant.AKV)
-    d = [_cubic(row[3:]) for row in first]
-    if _induced(first, d) != _induced(akv, d):
+    if not _induce_alike(first, akv):
         jp_cross_consistency(p, _WITNESS_COUNT)
     region = p.region
     for variant, rows in ((Variant.FIRST, first), (Variant.AKV, akv)):

@@ -22,7 +22,7 @@ cost is O(N) steps.
 At a point the values stay ints up to their readers.  ``_values`` builds
 each step table once per call, whatever the points and names, and gives
 per point the int numerators of every sequence asked for over one
-positive denominator; b1 is formed only when it is asked for.
+positive denominator.
 ``sequence_values`` is the public edge: it turns each value into one
 reduced Fraction over the denominator the recurrence held it at.  It and
 the CLI's ``polys --at``, which prints each value from its int pair with
@@ -124,39 +124,25 @@ def _recur(steps, seeds, point=None):
 #:     type2:  B  from (0, 0, 1)
 #:     type1:  A1 from (0, 1, nu), A2 from (0, 0, 1)
 #:     second: B1 from (1, 0, 0), B2 from (-1 - nu, 1, 0), and b1 = B2 + nu B1
+#:             from (-1 - nu, 1, 0) + nu (1, 0, 0) = (-1, 1, 0), by linearity
 _SEEDS = {
     "B": (False, lambda nu: (0, 0, 1)),
     "A1": (True, lambda nu: (0, 1, nu)),
     "A2": (True, lambda nu: (0, 0, 1)),
     "B1": (False, lambda nu: (1, 0, 0)),
     "B2": (False, lambda nu: (-1 - nu, 1, 0)),
+    "b1": (False, lambda nu: (-1, 1, 0)),
 }
 #: The names of each kind, in the order sequence_values and polys give them.
 _KINDS = {"type2": ("B",), "type1": ("A1", "A2"), "second": ("B1", "B2", "b1")}
-
-
-def _b1(b1, b2, nu, point):
-    """b1 = B2 + nu B1 from the runs of B1 and B2: Polys, or at a point
-    (nums, dens) pairs, each sum over the lcm of its two denominators
-    times that of nu (half or less the cost of a recurrence run for b1)."""
-    if point is None:
-        return [q + p * nu for p, q in zip(b1, b2)]
-    nn, nd = nu.numerator, nu.denominator
-    nums, dens = [], []
-    for w1, e1, w2, e2 in zip(*b1, *b2):
-        g = gcd(e1, e2)
-        nums.append(w2 * (e1 // g) * nd + nn * w1 * (e2 // g))
-        dens.append(e1 // g * e2 * nd)
-    return nums, dens
 
 
 def _runs(t: TetraHessenberg, n: int, names, nu, points) -> list:
     """For each of ``points`` (None stands for the polynomials themselves)
     a dict: name -> indices 0..N of that sequence, as Polys, or at a point
     as (nums, dens) of _recur.  The step table of each form is built once,
-    on first use, however many points and names read it; b1 is formed from
-    B1 and B2, which come before it in ``names``, only where it is asked
-    for.  nu and the points are checked before the first band is read."""
+    on first use, however many points and names read it.  nu and the
+    points are checked before the first band is read."""
     if n < 0:
         raise ValueError("sequence length must be >= 0")
     reads_nu = set(names) != {"B"}
@@ -169,9 +155,6 @@ def _runs(t: TetraHessenberg, n: int, names, nu, points) -> list:
     for point in points:
         runs = {}
         for name in names:
-            if name == "b1":
-                runs[name] = _b1(runs["B1"], runs["B2"], nu, point)
-                continue
             column, seeds = _SEEDS[name]
             if column not in tables:
                 tables[column] = _steps(t, 1, n, True) if column else _steps(t, 0, n)

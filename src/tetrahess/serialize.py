@@ -22,6 +22,8 @@ from .scalars import ExponentOutOfRange, format_scalar, parse_scalar
 
 #: Entries emitted when a generator payload omits "count".
 DEFAULT_GENERATOR_COUNT = 31
+#: The most entries a generator payload or ``jp --count`` may ask for.
+MAX_GENERATOR_COUNT = 10**6
 
 
 def _require_object(value, what):
@@ -90,6 +92,8 @@ def _generator_alphas(payload, expected):
         raise ValueError(f"generator count must be a JSON integer, got {_shown(count)}")
     if count < 1:
         raise ValueError(f"generator count must be >= 1, got {format_scalar(count)}")
+    if count > MAX_GENERATOR_COUNT:
+        raise ValueError(f"generator count must be <= {MAX_GENERATOR_COUNT}, got {format_scalar(count)}")
     keys = {"ones": ("name", "count"), "jacobi-pineiro": ("name", "count", "alpha", "beta", "gamma", "variant")}
     if not isinstance(name, str) or name not in keys:
         raise ValueError(f"unknown generator {name!r}")

@@ -21,7 +21,7 @@ from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
 from tetrahess.poly import Poly
 from tetrahess.polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
 from tetrahess.scalars import format_scalar, parse_scalar
-from tetrahess.serialize import DEFAULT_GENERATOR_COUNT, load_alphas, load_matrix
+from tetrahess.serialize import DEFAULT_GENERATOR_COUNT, MAX_GENERATOR_COUNT, load_alphas, load_matrix
 
 
 def run(argv):
@@ -76,6 +76,13 @@ class TestJP:
                                                "alpha": "0", "beta": "1/2", "gamma": "0"}})
         assert json.loads(out) == [format_scalar(v) for v in generated.values]
         assert len(generated.values) == DEFAULT_GENERATOR_COUNT == 31
+
+    @pytest.mark.parametrize("count", [10**21, MAX_GENERATOR_COUNT + 1], ids=["1e21", "bound+1"])
+    def test_a_count_past_the_bound_is_a_usage_error(self, count):
+        """--count is refused past MAX_GENERATOR_COUNT before any alpha is
+        formed: exit 64, nothing on stdout, the bound named."""
+        argv = ["jp", "--alpha", "0", "--beta", "1/2", "--gamma", "0", "--count", str(count)]
+        assert run(argv) == (64, "", f"usage error: --count must be <= {MAX_GENERATOR_COUNT}\n")
 
     def test_outside_region_is_input_error(self):
         code, _, err = run(["jp", "--alpha", "1", "--beta", "0", "--gamma", "0"])
@@ -832,6 +839,21 @@ class TestInputErrorEverySubcommand:
         for argv in (["verify", "--suite", "akv", "--n", "2", "--alphas"],
                      ["darboux", "--which", "hat", "--alphas"]):
             assert run(argv + [str(path)]) == (65, "", f"input error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("count", [10**21, MAX_GENERATOR_COUNT + 1], ids=["1e21", "bound+1"])
+    @pytest.mark.parametrize("name", ["ones", "jacobi-pineiro"])
+    def test_a_generator_count_past_the_bound_is_refused(self, tmp_path, name, count):
+        """A count past MAX_GENERATOR_COUNT is bad input, refused before any
+        alpha is formed (10^21 ones overflowed the tuple, and as many
+        jacobi-pineiro alphas ran without end)."""
+        spec = {"name": name, "count": count}
+        if name == "jacobi-pineiro":
+            spec.update(alpha="0", beta="1/2", gamma="0")
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"generator": spec}))
+        message = f"generator count must be <= {MAX_GENERATOR_COUNT}, got {count}"
+        assert run(["verify", "--suite", "akv", "--n", "2", "--alphas", str(path)]) == (
+            65, "", f"input error: {path}: {message}\n")
 
     @pytest.mark.parametrize("payload, argv, message", [
         (NEGATIVE_A, ["polys", "--n", "2", "--kind", "type2", "--input"], "a_2 = -1"),

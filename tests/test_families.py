@@ -3,8 +3,10 @@ predictions, and the cross-variant band consistency."""
 
 import copy
 import pickle
+import random
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -464,6 +466,76 @@ def test_the_witness_count_reaches_row_6_of_every_identity():
     with pytest.raises(ConsistencyViolation) as info:
         jp_cross_consistency(R3_POINT, count, (first, _moved(akv, (44, 1), (45, -1))))
     assert (info.value.band, info.value.n) == ("l", 15)
+
+
+def _sympy_induced(rows):
+    """The six numerators of families._induced as sympy polynomials in n,
+    expanded from the factors u n + v of ``rows``."""
+    sympy = pytest.importorskip("sympy")
+    n = sympy.Symbol("n")
+    num = [sympy.Mul(*(u * n + v for u, v in row[:3])) for row in rows]
+    den = [sympy.Mul(*(u * n + v for u, v in row[3:])) for row in rows]
+    quantities = (num[0], num[3], num[1] * den[2] + num[2] * den[1], num[4] * den[5] + num[5] * den[4],
+                  num[4] * num[2], num[1].subs(n, n + 1) * num[5])
+    return [sympy.Poly(sympy.expand(q), n) for q in quantities]
+
+
+def _edited(rows, edit, rng):
+    """``rows`` with one edit: none; the numerators and the denominators of
+    one row each in another order; a numerator and a denominator factor
+    traded; or one factor u n + v shifted by one, to u (n + 1) + v or to
+    u n + v + 1."""
+    rows = [list(row) for row in rows]
+    row = rows[rng.randrange(6)]
+    i, j = rng.randrange(3), rng.randrange(3, 6)
+    u, v = row[i]
+    if edit == "permuted":
+        row[:3], row[3:] = rng.sample(row[:3], 3), rng.sample(row[3:], 3)
+    elif edit == "traded":
+        row[i], row[j] = row[j], row[i]
+    elif edit == "n+1":
+        row[i] = (u, u + v)
+    elif edit == "t+1":
+        row[i] = (u, v + 1)
+    return [tuple(row) for row in rows]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["none", "permuted", "traded", "n+1", "t+1"]))
+def test_one_evaluation_past_the_root_bound_decides_agreement(seed, edit):
+    """For random rows and the rows one edit away, the one evaluation of
+    _induce_alike finds a difference exactly when the expanded numerator
+    polynomials differ, and _induced is those polynomials at every row
+    it is read at."""
+    rng = random.Random(seed)
+    first = [tuple((rng.randint(1, 4), rng.randint(-6, 6)) for _ in range(6)) for _ in range(6)]
+    akv = _edited(first, edit, rng)
+    expanded = [(rows, _sympy_induced(rows)) for rows in (first, akv)]
+    alike = expanded[0][1] == expanded[1][1]
+    assert families._induce_alike(first, akv) is alike
+    assert alike or edit not in ("none", "permuted")
+    bound = 16 * max(abs(u) + abs(v) for row in first + akv for u, v in row) ** 6 + 1
+    for rows, polys in expanded:
+        for n in (0, 1, 2, 6, bound):
+            assert families._induced(rows, n) == tuple(int(p.eval(n)) for p in polys), n
+
+
+def test_a_difference_that_vanishes_at_rows_0_to_5_is_found():
+    """AKV doubles FIRST's N_3 = n (n - 1) (n - 2), and N_5 = D_2 =
+    (n - 3) (n - 4) (n - 5), so m_{2n+1} and l_{2n+2} differ by
+    -n (n - 1) ... (n - 5): zero at rows 0..5, not zero at any other."""
+    rest = ((1, 1),) * 3
+    first = [rest + rest] * 6
+    first[1] = rest + ((1, -3), (1, -4), (1, -5))
+    first[2] = ((1, 0), (1, -1), (1, -2)) + rest
+    first[4] = ((1, -3), (1, -4), (1, -5)) + rest
+    akv = list(first)
+    akv[2] = ((2, 0),) + first[2][1:]
+    for n in range(12):
+        vanishing = -prod(n - k for k in range(6))
+        want = (0, 0, vanishing, 0, vanishing, 0)
+        assert tuple(f - a for f, a in zip(families._induced(first, n), families._induced(akv, n))) == want
+    assert not families._induce_alike(first, akv)
 
 
 @pytest.mark.parametrize("key, row, j", oracle_jp.sign_table_mutations(), ids=["added-akv-r3-50", "dropped-first-r1-6"])

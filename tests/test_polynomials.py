@@ -3,6 +3,7 @@ characteristic-polynomial oracles they must reproduce."""
 
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 
 import pytest
@@ -228,6 +229,17 @@ def test_sequence_values_are_the_polynomials_at_x(alphas, n, x, nu):
             assert at_x[name] == tuple(p(x) for p in seq), (kind, name)
             assert at_0[name] == tuple(p.constant for p in seq), (kind, name)
             assert all(type(v) is F for v in at_x[name] + at_0[name])
+
+
+@pytest.mark.parametrize("x", [F(0), F(-3), F(-7, 9), F(5, 2)], ids=["0", "-3", "-7/9", "5/2"])
+def test_b1_at_a_point_is_b2_plus_nu_b1(t_ones, x):
+    """b1 runs from its own seeds (-1, 1, 0); at x = 0, at a negative x and
+    at a non-integer x its values are B2 + nu B1 of the same call, on the
+    ones matrix and on random explicit bands, at integer and rational nu."""
+    cases = [(t_ones, 20)] + matrix_corpus(17, 6)
+    for (t, n), nu in product(cases, (F(-1), F(-2, 3), F(5))):
+        values = sequence_values(t, "second", n, x, nu)
+        assert values["b1"] == tuple(q + nu * p for p, q in zip(values["B1"], values["B2"])), (n, nu)
 
 
 def test_sequence_values_guards(t_ones):

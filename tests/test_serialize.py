@@ -19,6 +19,7 @@ from tetrahess import (
     load_matrix,
 )
 from tetrahess.scalars import parse_scalar
+from tetrahess.serialize import MAX_GENERATOR_COUNT
 
 from conftest import pbf_corpus
 
@@ -168,6 +169,18 @@ def test_generator_count_must_be_positive(count):
         assert str(info.value) == message
         with pytest.raises(ValueError):
             load_matrix({"generator": spec})
+
+
+def test_generator_count_is_bounded():
+    """ones at MAX_GENERATOR_COUNT loads; one more, or 10^21, is refused
+    for either family with a message naming the bound."""
+    assert load_alphas({"generator": {"name": "ones", "count": MAX_GENERATOR_COUNT}}).length == MAX_GENERATOR_COUNT
+    for count in (MAX_GENERATOR_COUNT + 1, 10**21):
+        for spec in ({"name": "ones"}, {"name": "jacobi-pineiro", "alpha": "0", "beta": "1/2", "gamma": "0"}):
+            for load in (load_alphas, load_matrix):
+                with pytest.raises(ValueError) as info:
+                    load({"generator": {**spec, "count": count}})
+                assert str(info.value) == f"generator count must be <= {MAX_GENERATOR_COUNT}, got {count}"
 
 
 def test_decimal_literals_stay_exact():

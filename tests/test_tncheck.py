@@ -274,11 +274,12 @@ def _assert_matches_oracle(m, scan=None):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_integer_scan_matches_fraction_oracle(seed):
+def test_integer_scan_matches_the_bareiss_reference_scan(seed):
     _assert_matches_oracle(_random_matrix(seed))
 
 
-# dims 6-8 put minors on mask bits 5-7; the 40 seeds give witnesses of
+# the same comparison against the Bareiss oracle_tn.reference_scan at dims
+# 6-8, which put minors on mask bits 5-7; the 40 seeds give witnesses of
 # orders 1 to 7 and certifications at dims 6, 7 and 8 (the reference
 # costs about a tenth of a second per full dim-8 scan, so the seeds stay few)
 @pytest.mark.parametrize("seed", range(40))
