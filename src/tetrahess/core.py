@@ -76,12 +76,16 @@ class AlphaSequence:
 
     def classify(self, count=None) -> Classification:
         """Sign classification of alpha_1 .. alpha_count (default: all).  A
-        negative entry gives INDEFINITE even when count runs past the end."""
+        negative entry gives INDEFINITE even when count runs past the end.
+        Each sign is read off the numerator (a Fraction's denominator is
+        positive), so no Fraction is compared."""
         if count is None:
             count = self.length
-        if any(v < 0 for v in self.values[: max(count, 0)]):
+        signs = [v.numerator for v in self.values[: max(count, 0)]]
+        if any(s < 0 for s in signs):
             return Classification.INDEFINITE
-        return Classification.TN if 0 in self.prefix(count) else Classification.PBF
+        self.prefix(count)  # BandExhausted once no entry is negative
+        return Classification.TN if 0 in signs else Classification.PBF
 
     def __repr__(self):
         return f"AlphaSequence({list(self.values)!r})"
@@ -96,7 +100,8 @@ class TetraHessenberg:
     superdiagonal, held as the tuples of its first rows in the three bands:
     ``c_band[i]`` is c_i, ``b_band[i]`` is b_{i+1} and ``a_band[i]`` is
     a_{i+2}, each an int or a Fraction (anything else raises TypeError).
-    Every a_n is checked to be positive when the matrix is built."""
+    Every a_n is checked to be positive, by its numerator, when the matrix
+    is built."""
 
     __slots__ = ("a_band", "b_band", "c_band")
 
@@ -105,7 +110,7 @@ class TetraHessenberg:
         object.__setattr__(self, "b_band", exact_tuple(b, "band 'b'"))
         object.__setattr__(self, "c_band", exact_tuple(c, "band 'c'"))
         for i, v in enumerate(self.a_band):
-            if not v > 0:
+            if v.numerator <= 0:
                 raise NonPositiveSubSubDiagonal(2 + i, v)
 
     def __setattr__(self, name, value):
@@ -369,9 +374,9 @@ def _split_alphas(alpha):
     """The tuple (alpha_1, alpha_2, ...) split by residue mod 3 into the
     bidiagonal factors of T = L1 L2 U, indexed by row from 0: U has diagonal
     u_n = alpha_{3n+1} and L1, L2 have subdiagonals p_n = alpha_{3n-1},
-    q_n = alpha_{3n} (p_0 = q_0 = 0, an int, so int alphas give int factors
-    and Fraction alphas Fraction bands).  Only this split and its inverse
-    _interleave know which alpha sits in which factor."""
+    q_n = alpha_{3n} (p_0 = q_0 = 0, an int, so int alphas give int
+    factors).  Only this split and its inverse _interleave know which alpha
+    sits in which factor."""
     return alpha[0::3], (0,) + alpha[1::3], (0,) + alpha[2::3]
 
 
@@ -381,38 +386,54 @@ def _interleave(u, p, q) -> AlphaSequence:
     return AlphaSequence((u[0], *chain.from_iterable(zip(p[1:], q[1:], u[1:]))))
 
 
-def _factor_triple(u, p, q):
-    """The factors (u, m, l) of T = L U from the bidiagonal factors (u, p, q)
-    of _split_alphas: L = L1 L2 has subdiagonals m_n = p_n + q_n and
-    l_n = p_n q_{n-1} (l_0 = 0), each down to the last row p and q fix."""
-    m = tuple(p_n + q_n for p_n, q_n in zip(p, q))
-    ell = tuple(p_n * q_n1 for p_n, q_n1 in zip(p, (0,) + q))
-    return u, m, ell
-
-
-def _lu_bands(u, m, ell):
-    """Bands (c, b, a) of L U, as tuples starting at rows 0, 1 and 2, for a
-    factor triple indexed as _factor_triple returns it,
+def _factor_bands(u, p, q):
+    """Bands (c, b, a) of L1 L2 U, as tuples starting at rows 0, 1 and 2,
+    for bidiagonal factors (u, p, q) laid out as _split_alphas returns them
+    (p_0 and q_0 may be nonzero: darboux_transform passes rotated factors),
 
         c_n = u_n + m_n,  b_n = l_n + m_n u_{n-1},  a_n = l_n u_{n-2},
 
-    each down to the last row the three tuples determine (u_n1 is u_{n-1},
-    u_n2 is u_{n-2})."""
-    c = tuple(u_n + m_n for u_n, m_n in zip(u, m))
-    b = tuple(l_n + m_n * u_n1 for l_n, m_n, u_n1 in zip(ell[1:], m[1:], u))
-    a = tuple(l_n * u_n2 for l_n, u_n2 in zip(ell[2:], u))
+    with L = L1 L2 of subdiagonals m_n = p_n + q_n and l_n = p_n q_{n-1},
+    each band down to the last row the three tuples determine.
+
+    Each entry is formed from the int numerators and denominators of the
+    factors it reads and reduced once, as one Fraction(num, den); with
+    x = xn / xd for x = u, p, q, a prime marking row n - 1 and m_n held as
+    the pair mn / md = (pn qd + qn pd) / (pd qd),
+
+        c_n = (un md + mn ud) / (ud md)
+        b_n = (pn qn' qd ud' + mn un' qd') / (md qd' ud')
+        a_n = pn qn' un'' / (pd qd' ud'').
+
+    So every entry is a Fraction, int factors included, and no Fraction
+    operation is done."""
+    un, ud = [v.numerator for v in u], [v.denominator for v in u]
+    pn, pd = [v.numerator for v in p], [v.denominator for v in p]
+    qn, qd = [v.numerator for v in q], [v.denominator for v in q]
+    mn = [pn_ * qd_ + qn_ * pd_ for pn_, pd_, qn_, qd_ in zip(pn, pd, qn, qd)]
+    md = [pd_ * qd_ for pd_, qd_ in zip(pd, qd)]
+    c = tuple(Fraction(un_ * md_ + mn_ * ud_, ud_ * md_) for un_, ud_, mn_, md_ in zip(un, ud, mn, md))
+    b = tuple(
+        Fraction(pn_ * qn1 * qd_ * ud1 + mn_ * un1 * qd1, md_ * qd1 * ud1)
+        for pn_, qd_, mn_, md_, qn1, qd1, un1, ud1 in zip(pn[1:], qd[1:], mn[1:], md[1:], qn, qd, un, ud)
+    )
+    a = tuple(
+        Fraction(pn_ * qn1 * un2, pd_ * qd1 * ud2)
+        for pn_, pd_, qn1, qd1, un2, ud2 in zip(pn[2:], pd[2:], qn[1:], qd[1:], un, ud)
+    )
     return c, b, a
 
 
 def bands_from_alphas(alphas: AlphaSequence):
-    """Bands (c, b, a) of L U for the factor triple of an alpha sequence,
-    every row its entries determine.
+    """Bands (c, b, a) of L1 L2 U for the factors of an alpha sequence,
+    every row its entries determine, each entry one Fraction formed as
+    _factor_bands forms it.
 
     No positivity is enforced here; this is the arithmetic layer used both
     by tetra_from_alphas and by sign studies of parameter families whose
     induced a_n may go negative.
     """
-    return _lu_bands(*_factor_triple(*_split_alphas(alphas.values)))
+    return _factor_bands(*_split_alphas(alphas.values))
 
 
 def tetra_from_alphas(alphas: AlphaSequence) -> TetraHessenberg:

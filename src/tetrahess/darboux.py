@@ -22,9 +22,8 @@ from .core import (
     AlphaSequence,
     Classification,
     TetraHessenberg,
-    _factor_triple,
+    _factor_bands,
     _interleave,
-    _lu_bands,
     _split_alphas,
     alpha_factor_matrices,
     leading_principal,
@@ -92,19 +91,20 @@ def _forced_nu(alpha2):
 
 
 def darboux_transform(alphas: AlphaSequence, which: str) -> TetraHessenberg:
-    """One Darboux transform, ``which`` = "hat" or "hathat": the L U bands
-    of the rotated factors.  With (u, p, q) the factors of T = L1 L2 U
-    (core._split_alphas), hat T = L2 U L1 has the factors (p shifted up one
-    row, q, u) and hathat T = U L1 L2 the factors (q shifted up one row, u,
-    p shifted up one row).  The transform holds every row its alphas
-    determine, and a_n > 0 is enforced as for any other TetraHessenberg
-    (guaranteed when the alphas are PBF).
+    """One Darboux transform, ``which`` = "hat" or "hathat": the bands of
+    the rotated factors, each entry one Fraction formed from their int
+    numerators and denominators (core._factor_bands).  With (u, p, q) the
+    factors of T = L1 L2 U (core._split_alphas), hat T = L2 U L1 has the
+    factors (p shifted up one row, q, u) and hathat T = U L1 L2 the factors
+    (q shifted up one row, u, p shifted up one row).  The transform holds
+    every row its alphas determine, and a_n > 0 is enforced as for any
+    other TetraHessenberg (guaranteed when the alphas are PBF).
     """
     if which not in ("hat", "hathat"):
         raise ValueError(f"unknown transform {which!r}")
     u, p, q = _split_alphas(alphas.values)
     rotated = (p[1:], q, u) if which == "hat" else (q[1:], u, p[1:])
-    c, b, a = _lu_bands(*_factor_triple(*rotated))
+    c, b, a = _factor_bands(*rotated)
     return TetraHessenberg(a, b, c)
 
 

@@ -34,8 +34,7 @@ import enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import (BAND_STARTS, AlphaSequence, DenseMatrix, _factor_triple, _lu_bands, _split_alphas,
-                   tetra_from_alphas)
+from .core import BAND_STARTS, AlphaSequence, DenseMatrix, _factor_bands, _split_alphas, tetra_from_alphas
 from .errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch
 from .factorization import _factor_sign_verdict
 from .scalars import exact_tuple, format_scalar, over_common_denominator
@@ -331,24 +330,33 @@ def _agree(name, start, first, akv, scale):
 _DEGREE = {"m": 1, "l": 2, "c": 1, "b": 2, "a": 3}
 
 
+def _l_subdiagonals(p, q):
+    """The subdiagonals m_n = p_n + q_n and l_n = p_n q_{n-1} (l_0 = 0) of
+    L = L1 L2, from the factors p and q of _split_alphas, each down to the
+    last row p and q fix."""
+    m = tuple(p_n + q_n for p_n, q_n in zip(p, q))
+    ell = tuple(p_n * q_n1 for p_n, q_n1 in zip(p, (0,) + q))
+    return m, ell
+
+
 def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     """Both parametrizations must induce identical L-subdiagonals
     (m_k = alpha_{3k-1}+alpha_{3k}, l_k = alpha_{3k-1} alpha_{3k-3},
     k <= count // 3) and identical Hessenberg bands, exactly; each variant's
-    factor triple is read once.  ``variants`` is the pair
+    factors are read once.  ``variants`` is the pair
     (jp_alphas(p, FIRST, count), jp_alphas(p, AKV, count)) when the caller
     has built it already.  A variant shorter than ``count`` raises
     BandExhausted at its first missing entry before anything is compared,
     FIRST before AKV.
 
     The comparison runs over the integers.  Every alpha of both variants is
-    multiplied by K, the lcm of all their denominators, and the factor
-    triples and bands are formed from those ints.  m and c are homogeneous
-    of degree 1 in the alphas, l and b of degree 2 and a of degree 3, so
-    each scaled quantity is K^deg times the true one; with one K > 0 for
-    both variants, two scaled entries agree exactly when the true entries
-    do.  A ConsistencyViolation divides its entries by K^deg, so it carries
-    the true values."""
+    multiplied by K, the lcm of all their denominators, and m, l and the
+    bands (core._factor_bands, Fractions of denominator 1 here) are formed
+    from those ints.  m and c are homogeneous of degree 1 in the alphas,
+    l and b of degree 2 and a of degree 3, so each scaled quantity is
+    K^deg times the true one; with one K > 0 for both variants, two scaled
+    entries agree exactly when the true entries do.  A ConsistencyViolation
+    divides its entries by K^deg, so it carries the true values."""
     if variants is None:
         variants = (jp_alphas(p, Variant.FIRST, count), jp_alphas(p, Variant.AKV, count))
     for seq in variants:
@@ -356,13 +364,12 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
             seq.at(seq.length + 1)
     first, akv = (seq.values for seq in variants)
     scaled, k = over_common_denominator(first + akv)
-    (u_f, m_f, l_f), (u_a, m_a, l_a) = (
-        _factor_triple(*_split_alphas(tuple(part))) for part in (scaled[: len(first)], scaled[len(first) :])
-    )
+    factors = [_split_alphas(tuple(part)) for part in (scaled[: len(first)], scaled[len(first) :])]
+    (m_f, l_f), (m_a, l_a) = (_l_subdiagonals(*f[1:]) for f in factors)
     rows = count // 3 + 1
     _agree("m", 1, m_f[1:rows], m_a[1:rows], k)
     _agree("l", 2, l_f[2:rows], l_a[2:rows], k**2)
-    for name, f, a in zip("cba", _lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
+    for name, f, a in zip("cba", *(_factor_bands(*f) for f in factors)):
         _agree(name, BAND_STARTS[name], f, a, k ** _DEGREE[name])
 
 

@@ -57,23 +57,26 @@ def _check_start_index(payload, expected):
         raise ValueError(f"start_index {_shown(declared)} does not match the fixed convention {_shown(expected)}")
 
 
-def _scalar(value, name):
+def _scalar(value, name, index=None):
+    """``value`` as a Fraction.  A refusal names it as ``name``, or as
+    name[index] when an index is given; that label is built only then."""
     if type(value) in (int, Fraction):  # a JSON number, already exact
         return Fraction(value)
     try:
         return parse_scalar(str(value))
     except ExponentOutOfRange as exc:
         # a string names the bound as the same JSON number does
-        raise ValueError(f"{name}: {exc}") from None
+        problem = f": {exc}"
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{name} = {str(value)!r} is not a rational") from None
+        problem = f" = {str(value)!r} is not a rational"
+    raise ValueError((name if index is None else f"{name}[{index}]") + problem)
 
 
 def _scalar_array(payload, key):
     values = payload[key]
     if not isinstance(values, list):
         raise ValueError(f"{key!r} must be a JSON array, got {type(values).__name__}")
-    return tuple(_scalar(v, f"{key}[{i}]") for i, v in enumerate(values))
+    return tuple(_scalar(v, key, i) for i, v in enumerate(values))
 
 
 def _generator_alphas(payload, expected):

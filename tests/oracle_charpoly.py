@@ -4,10 +4,17 @@ lcm of all its row scales, kept unchanged (as ``DenseMatrix`` held it, with
 ``self`` the matrix) as the oracle of the differential test in
 test_core.py.  Coefficient i of q_k carries D^(k-i), so its cost grows
 superlinearly in the bit size of D; it is for small matrices only.
+
+``compared`` runs the differential comparison without pytest, so it also
+runs as a script, on an interpreter without it:
+
+    PYTHONPATH=src python tests/oracle_charpoly.py
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -56,3 +63,43 @@ def leading_char_polys(self) -> list:
         powers.append(powers[-1] * d)
         polys.append(_make(*_reduce(list(map(mul, q, powers)), powers[-1])))
     return polys
+
+
+def comparison_matrices(seed, count):
+    """``count`` random n x n lower Hessenberg DenseMatrix inputs, n = 0..9,
+    reproducible from ``seed``, drawn as test_core.py draws them: rational
+    entries of height 3 or 12, a random lower bandwidth, zeros, and
+    superdiagonal entries that may be 0 or non-unit.  Every other one is
+    the same matrix over row scales that are not the least, as the band
+    builders may hand over."""
+    from tetrahess.core import DenseMatrix
+
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n, height = rng.randint(0, 9), rng.choice((3, 12))
+        width = rng.randint(0, n)
+
+        def entry(i, j):
+            if j > i + 1 or i - j > width or rng.random() < 0.2:
+                return Fraction(0)
+            return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+        m = DenseMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+        if i % 2:
+            ints, scales = m.scaled
+            factors = [rng.randint(1, 6) for _ in scales]
+            m = DenseMatrix._from_scaled(tuple(tuple(v * f for v in row) for row, f in zip(ints, factors)),
+                                         tuple(s * f for s, f in zip(scales, factors)))
+        out.append(m)
+    return out
+
+
+if __name__ == "__main__":
+    import sys
+
+    matrices = [m for seed in (1, 2, 3) for m in comparison_matrices(seed, 150)]
+    differ = sum(m.leading_char_polys() != leading_char_polys(m) for m in matrices)
+    print(f"Python {sys.version.split()[0]}: {len(matrices)} matrices, "
+          f"{sum(m.n + 1 for m in matrices)} polynomials, {differ} matrices differ")
+    sys.exit(1 if differ else 0)

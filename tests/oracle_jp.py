@@ -38,9 +38,9 @@ import random
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 
+from oracle_bands import factor_triple, lu_bands
 from tetrahess import families
-from tetrahess.core import (AlphaSequence, Classification, _banded, _factor_triple, _lu_bands, _split_alphas,
-                           bands_from_alphas)
+from tetrahess.core import AlphaSequence, Classification, _banded, _split_alphas, bands_from_alphas
 from tetrahess.errors import ConsistencyViolation, OutsideNaturalRegion, PredictionMismatch, TetraError
 from tetrahess.families import JP_VERIFICATION_GRID, JPParams, Region, Variant, jp_alphas
 from tetrahess.tncheck import is_totally_nonnegative
@@ -163,11 +163,11 @@ def jp_cross_consistency(p: JPParams, count: int, variants=None) -> None:
     for seq in variants:
         for j in range(1, count + 1):
             seq.at(j)
-    (u_f, m_f, l_f), (u_a, m_a, l_a) = (_factor_triple(*_split_alphas(v.values)) for v in variants)
+    (u_f, m_f, l_f), (u_a, m_a, l_a) = (factor_triple(*_split_alphas(v.values)) for v in variants)
     rows = count // 3 + 1
     _agree("m", 1, m_f[1:rows], m_a[1:rows])
     _agree("l", 2, l_f[2:rows], l_a[2:rows])
-    for name, start, f, a in zip("cba", (0, 1, 2), _lu_bands(u_f, m_f, l_f), _lu_bands(u_a, m_a, l_a)):
+    for name, start, f, a in zip("cba", (0, 1, 2), lu_bands(u_f, m_f, l_f), lu_bands(u_a, m_a, l_a)):
         _agree(name, start, f, a)
 
 

@@ -1,5 +1,9 @@
 """The tuple-of-Fractions polynomial that ``tetrahess.poly.Poly`` replaced,
 kept unchanged as the oracle of the differential tests in test_poly.py.
+``compared`` runs the same comparison without pytest, so it also runs as
+a script, on an interpreter without it:
+
+    PYTHONPATH=src python tests/oracle_poly.py
 
 Minimal dense polynomials in the monomial basis.
 
@@ -10,6 +14,7 @@ is -1 for it.  Coefficients are exact: ints or Fractions.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from tetrahess.errors import InexactDivision
@@ -116,3 +121,62 @@ class FractionPoly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
+
+
+def _shown(p):
+    """What must agree between a Poly and a FractionPoly: coefficients (as
+    Fractions), repr, degree, constant, leading term and zero test."""
+    return (tuple(map(Fraction, p.coeffs)), repr(p), p.degree, p.constant, p.leading, p.is_zero())
+
+
+def _divided(p):
+    """p.exact_div_x() as _shown, or the InexactDivision it raises."""
+    try:
+        return _shown(p.exact_div_x(context="ctx"))
+    except InexactDivision as e:
+        return str(e), e.constant
+
+
+def compared(seed, count):
+    """(what, got, want) for ``count`` random pairs of polynomials of
+    degree < 7, reproducible from ``seed``: mixed denominators, signs,
+    zeros (trailing ones too) and plain ints, as test_poly.py draws them.
+    Every ring operation, scaling, evaluation and division by x of
+    tetrahess.poly.Poly against FractionPoly; got == want is the check."""
+    from tetrahess.poly import Poly
+
+    rng = random.Random(seed)
+
+    def scalar():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-40, 40)
+        return Fraction(rng.randint(-30 * 36, 30 * 36), rng.randint(1, 36))
+
+    out = []
+    for _ in range(count):
+        p, q = ([scalar() for _ in range(rng.randrange(8))] for _ in "pq")
+        s = scalar()
+        (a, b), (a_old, b_old) = (Poly(c) for c in (p, q)), (FractionPoly([Fraction(v) for v in c]) for c in (p, q))
+        pairs = [("poly", a, a_old), ("+", a + b, a_old + b_old), ("-", a - b, a_old - b_old), ("neg", -a, -a_old),
+                 ("*", a * b, a_old * b_old), ("times_x", a.times_x(), a_old.times_x())]
+        for k in (s, 0, -1, 3, Fraction(-2, 7)):
+            pairs += [(f"scale {k}", a.scale(k), a_old.scale(Fraction(k))), (f"* {k}", a * k, a_old * Fraction(k)),
+                      (f"{k} *", k * a, Fraction(k) * a_old)]
+        out += [(what, _shown(new), _shown(old)) for what, new, old in pairs]
+        out.append(("call", (a(s), type(a(s))), (a_old(Fraction(s)), Fraction)))
+        out.append(("exact_div_x", _divided(a), _divided(a_old)))
+        out.append(("==", a == b, a_old == b_old))
+    return out
+
+
+if __name__ == "__main__":
+    import sys
+
+    results = [row for seed in (1, 2, 3) for row in compared(seed, 200)]
+    differ = sorted({what for what, got, want in results if got != want})
+    print(f"Python {sys.version.split()[0]}: {len(results)} comparisons, "
+          f"{sum(got != want for _, got, want in results)} differ{': ' + ', '.join(differ) if differ else ''}")
+    sys.exit(1 if differ else 0)

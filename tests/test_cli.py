@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 import tetrahess
 from tetrahess import cli, families, tncheck
 from tetrahess.cli import main
-from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
+from tetrahess.core import _split_alphas
 from tetrahess.poly import Poly
 from tetrahess.polynomials import second_kind_sequences, sequence_values, type1_sequences, type2_sequence
 from tetrahess.scalars import format_scalar, parse_scalar
 from tetrahess.serialize import DEFAULT_GENERATOR_COUNT, MAX_GENERATOR_COUNT, load_alphas, load_matrix
+
+from oracle_bands import factor_triple, lu_bands
 
 
 def run(argv):
@@ -391,6 +393,28 @@ class TestDarboux:
         assert run(["darboux", "--which", "hat", "--alphas", str(path)]) == (
             65, "", f"input error: {path}: {message}\n")
 
+    @pytest.mark.parametrize("key, text, message", [
+        ("alpha", "x", "alpha[3] = 'x' is not a rational"),
+        ("a", "1/0", "a[3] = '1/0' is not a rational"),
+        ("b", "2..5", "b[3] = '2..5' is not a rational"),
+        ("c", "{x}", "c[3] = '{x}' is not a rational"),
+        ("alpha", "1e10001", "alpha[3]: exponent of '1e10001' is outside ±10000"),
+        ("c", "-1e-10001", "c[3]: exponent of '-1e-10001' is outside ±10000"),
+    ], ids=["alpha", "a", "b", "c", "alpha-exponent", "c-exponent"])
+    def test_a_bad_entry_is_named_by_its_index(self, tmp_path, key, text, message):
+        """Entry 3 of an alpha file (read by darboux) or of one band of a
+        matrix file (read by polys) is refused as bad input, named by its
+        array and index, with nothing on stdout."""
+        path = tmp_path / "bad.json"
+        entries = ["1", "1", "1", text, "1"]
+        if key == "alpha":
+            path.write_text(json.dumps({"alpha": entries}))
+            argv = ["darboux", "--which", "hat", "--alphas", str(path)]
+        else:
+            path.write_text(json.dumps({**{band: ["1"] * 5 for band in "abc"}, key: entries}))
+            argv = ["polys", "--n", "1", "--kind", "type2", "--input", str(path)]
+        assert run(argv) == (65, "", f"input error: {path}: {message}\n")
+
     @pytest.mark.parametrize("x", ["1e10001", "1e-10001"])
     def test_an_at_exponent_past_the_bound_is_a_usage_error(self, ones_file, x):
         assert run(["polys", "--input", ones_file, "--n", "2", "--kind", "type2", "--at", x]) == (
@@ -625,10 +649,10 @@ def test_roundtrip_fails_when_one_lu_entry_moves(monkeypatch, jp_r3_file, field,
     the moved factor triple."""
 
     def moved(alphas):
-        triple = [list(f) for f in _factor_triple(*_split_alphas(alphas.values))]
+        triple = [list(f) for f in factor_triple(*_split_alphas(alphas.values))]
         which = ("u_diag", "m", "ell").index(field)
         triple[which][position + which if position >= 0 else position] += Fraction(1, 7)
-        return _lu_bands(*triple)
+        return lu_bands(*triple)
 
     monkeypatch.setattr(cli, "bands_from_alphas", moved)
     code, out, err = run(["verify", "--suite", "roundtrip", "--alphas", jp_r3_file, "--n", "6"])

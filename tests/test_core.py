@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetrahess import (
@@ -26,10 +26,12 @@ from tetrahess import (
     trailing_truncation,
     type2_sequence,
 )
-from tetrahess.core import _interleave, _split_alphas
+from tetrahess.core import _factor_bands, _interleave, _split_alphas
+from tetrahess.scalars import format_scalar
 
 import random
 
+import oracle_bands
 import oracle_charpoly
 from conftest import pbf_corpus, random_band_matrix
 
@@ -459,10 +461,17 @@ def first_nonpositive(a_values):
     return next(((n, v) for n, v in enumerate(a_values, start=2) if not v > 0), None)
 
 
-@settings(max_examples=150, derandomize=True)
+@settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.lists(alpha_values, max_size=40))
+@example([F(1, 2), -3, 0, F(-4, 5), 2, F(7, 3)] * 5)
+@example([F(1, 2), -3, 0, F(-4, 5), 2, F(7, 3)] * 5 + [F(5, 3)])
+@example([F(1, 2), -3, 0, F(-4, 5), 2, F(7, 3)] * 5 + [F(5, 3), -1])
 def test_bands_from_alphas_are_the_closed_forms(alpha):
+    """Ints, Fractions, zeros and negative alphas (bands_from_alphas serves
+    sign studies), with an example of each length residue mod 3; the bands
+    of T and of both Darboux transforms are also the Fraction reference's."""
     assert_bands(bands_from_alphas(AlphaSequence(values=alpha)), closed_form_bands(alpha))
+    assert_reference_bands(AlphaSequence(values=alpha))
 
 
 @settings(max_examples=100, derandomize=True)
@@ -497,3 +506,43 @@ def test_darboux_transforms_are_the_shifted_closed_forms(alpha):
     got_hat, got_hathat = darboux_transforms(AlphaSequence(values=alpha))
     assert_matrix(got_hat, hat)
     assert_matrix(got_hathat, hathat)
+
+
+# -- the int-pair band builder against its Fraction reference ---------------
+
+ROTATIONS = (None, "hat", "hathat")
+
+
+def assert_reference_bands(alphas):
+    """_factor_bands on the factors of T and of both Darboux transforms
+    gives the bands that term-by-term Fraction arithmetic gives
+    (oracle_bands), every entry a Fraction that prints as the reference
+    entry does; bands_from_alphas is the unrotated one."""
+    for which in ROTATIONS:
+        got = _factor_bands(*oracle_bands.rotated(alphas, which))
+        want = oracle_bands.bands(alphas, which)
+        assert got == want, which
+        assert all(type(v) is F for band in got for v in band)
+        assert [list(map(format_scalar, band)) for band in got] == [[format_scalar(v) for v in band] for band in want]
+    assert bands_from_alphas(alphas) == _factor_bands(*oracle_bands.rotated(alphas, None))
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_factor_bands_are_the_fraction_reference_at_5000_digits(j):
+    """alpha_j of 5000 digits over 3^40 (negative at even j), among alphas
+    with distinct small denominators, so that each band entry reading it
+    carries a 5000-digit numerator or denominator."""
+    alpha = [F(i + 2, 2 * i + 3) for i in range(9)]
+    alpha[j - 1] = oracle_bands.BIG if j % 2 else -oracle_bands.BIG
+    assert_reference_bands(AlphaSequence(values=alpha))
+
+
+def test_int_alphas_give_fraction_bands_equal_to_the_int_products():
+    """All-int alphas give Fraction band entries: equal to the int products
+    by ==, and printed the same."""
+    alphas = AlphaSequence(values=range(1, 14))
+    c, b, a = bands_from_alphas(alphas)
+    want = oracle_bands.bands(alphas)
+    assert (c, b, a) == want and all(type(v) is int for band in want for v in band)
+    assert all(type(v) is F and v.denominator == 1 for v in c + b + a)
+    assert [str(v) for v in c + b + a] == [str(v) for band in want for v in band]

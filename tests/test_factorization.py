@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tetrahess import (
     Classification,
+    NonPositiveSubSubDiagonal,
     SingularLeadingMinor,
     TetraHessenberg,
     ZeroAlpha3n,
@@ -18,9 +19,11 @@ from tetrahess import (
     leading_principal,
     tetra_from_alphas,
 )
-from tetrahess.core import _factor_triple, _lu_bands, _split_alphas
+from tetrahess.core import _split_alphas
 
+import oracle_bands
 from conftest import lu_product, pbf_corpus, random_band_matrix
+from oracle_bands import factor_triple, lu_bands
 
 
 def _deltas(u):
@@ -41,7 +44,7 @@ def test_gauss_borel_product(t_sym):
     triple = gauss_borel(t_sym, 2)
     truncation = leading_principal(t_sym, 2)
     assert lu_product(*triple) == truncation
-    c, b, a = _lu_bands(*triple)
+    c, b, a = lu_bands(*triple)
     assert c == tuple(truncation.entry(i, i) for i in range(3))
     assert b == tuple(truncation.entry(i, i - 1) for i in range(1, 3))
     assert a == (truncation.entry(2, 0),)
@@ -144,7 +147,7 @@ def test_lu_product_reproduces_truncation(seed, n):
 
 def _alpha_triple(alphas, n):
     """The factor triple of alpha_1 .. alpha_{3N+1}."""
-    return _factor_triple(*_split_alphas(alphas.prefix(3 * n + 1)))
+    return factor_triple(*_split_alphas(alphas.prefix(3 * n + 1)))
 
 
 def test_gauss_borel_is_the_factor_triple_of_the_alphas(t_ones, ones_alphas):
@@ -160,3 +163,24 @@ def test_gauss_borel_is_the_factor_triple_of_the_alphas_random(seed):
     t = tetra_from_alphas(alphas)
     n = 6
     assert gauss_borel(t, n) == _alpha_triple(alphas, n)
+
+
+# -- the int-pair forms against their Fraction oracles ----------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_int_pair_forms_match_the_fraction_oracles(seed):
+    """The comparison set of oracle_bands: the bands of signed, int and
+    Fraction alphas of every length residue, one in eight with a
+    5000-digit entry, and the factorization of PBF matrices and of signed
+    int bands at the matrix's alpha_2 or another one.  Every band entry
+    prints as the Fraction reference's, and gauss_borel and
+    bidiagonal_factor give the same values, scalar types included, or the
+    same errors; the set reaches each error they raise."""
+    errors = set()
+    for case in oracle_bands.comparison_cases(seed, 200):
+        for what, got, want in oracle_bands.compared(case):
+            assert got == want, what
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                errors.add(want[0])
+    assert {NonPositiveSubSubDiagonal, SingularLeadingMinor, ZeroAlpha3n} <= errors

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_jp
+from oracle_bands import factor_triple
 from oracle_jp import _moved, oracle_jp_alphas
 from tetrahess import families, tncheck
 from tetrahess import (
@@ -34,7 +35,7 @@ from tetrahess import (
     jp_region,
     jp_sign_report,
 )
-from tetrahess.core import _banded, _factor_triple, _split_alphas, bands_from_alphas
+from tetrahess.core import _banded, _split_alphas, bands_from_alphas
 from tetrahess.factorization import _factor_sign_verdict
 from tetrahess.scalars import format_scalar
 from tetrahess.tncheck import is_totally_nonnegative
@@ -201,7 +202,7 @@ def test_both_variants_induce_same_bands():
     first, akv = (jp_alphas(p, v, 24) for v in (Variant.FIRST, Variant.AKV))
     assert bands_from_alphas(first) == bands_from_alphas(akv)
     # the subdiagonals m and l of L = L1 L2, from alpha_1 .. alpha_24
-    lower = [_factor_triple(*_split_alphas(v.prefix(24)))[1:] for v in (first, akv)]
+    lower = [factor_triple(*_split_alphas(v.prefix(24)))[1:] for v in (first, akv)]
     assert lower[0] == lower[1]
 
 
@@ -224,7 +225,7 @@ def test_cross_consistency_m_values():
     p = JPParams(F(0), F(-1, 2), F(0))
     for variant in (Variant.FIRST, Variant.AKV):
         alphas = jp_alphas(p, variant, 9)
-        _, m, _ = _factor_triple(*_split_alphas(alphas.prefix(7)))
+        _, m, _ = factor_triple(*_split_alphas(alphas.prefix(7)))
         assert m[1] == F(1, 6)
         assert m[2] == F(19, 70)
 
