@@ -8,8 +8,12 @@ validate it when present, so the index conventions can never drift silently
 through a file.  Either payload may instead carry a "generator" field naming
 a built-in family ("ones", or a jacobi-pineiro object) in place of explicit
 arrays, not beside them, with only the keys that family reads; its
-start_index is validated too.  A payload of the wrong shape raises
-ValueError, KeyError or TypeError.
+start_index is validated too.  Each payload holds only its own top-level
+keys: "a", "b", "c" and "start_index" for a matrix, "alpha", "start_index"
+and "classification" (which ``factor`` writes, and reading ignores) for
+alphas, "generator" and "start_index" for a generator.  A payload of the
+wrong shape, or with any other key, raises ValueError, KeyError or
+TypeError.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ def _shown(value):
     if type(value) is list:
         return "[" + ", ".join(map(_shown, value)) + "]"
     return repr(value)
+
+
+def _refuse_other_keys(payload, allowed, message):
+    """Refuse a top-level key outside ``allowed``: ``message`` and the list
+    of such keys, in payload order."""
+    other = [key for key in payload if key not in allowed]
+    if other:
+        raise ValueError(f"{message} {other}")
 
 
 def _check_start_index(payload, expected):
@@ -81,9 +93,7 @@ def _scalar_array(payload, key):
 
 def _generator_alphas(payload, expected):
     """The alphas of a generator payload; a start_index must be ``expected``."""
-    explicit = [key for key in ("alpha", "a", "b", "c") if key in payload]
-    if explicit:
-        raise ValueError(f"a generator payload cannot also carry {explicit}")
+    _refuse_other_keys(payload, ("generator", "start_index"), "a generator payload cannot also carry")
     _check_start_index(payload, expected)
     spec = payload["generator"]
     if isinstance(spec, str):
@@ -119,6 +129,7 @@ def load_alphas(payload: dict) -> AlphaSequence:
         return _generator_alphas(payload, {"alpha": 1})
     if "alpha" not in payload:
         raise ValueError('alpha payload needs an "alpha" array or a "generator"')
+    _refuse_other_keys(payload, ("alpha", "start_index", "classification"), "alpha payload has unknown key(s)")
     _check_start_index(payload, {"alpha": 1})
     values = _scalar_array(payload, "alpha")
     if not values:
@@ -140,6 +151,7 @@ def load_matrix(payload: dict) -> TetraHessenberg:
     missing = [k for k in ("a", "b", "c") if k not in payload]
     if missing:
         raise ValueError(f"matrix payload lacks band(s) {missing}")
+    _refuse_other_keys(payload, ("a", "b", "c", "start_index"), "matrix payload has unknown key(s)")
     _check_start_index(payload, BAND_STARTS)
     bands = {k: _scalar_array(payload, k) for k in ("a", "b", "c")}
     if not bands["c"]:

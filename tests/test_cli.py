@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tetrahess
-from tetrahess import cli, families, tncheck
+from tetrahess import AlphaSequence, JPParams, TetraHessenberg, cli, families, tncheck
 from tetrahess.cli import main
 from tetrahess.core import _split_alphas
 from tetrahess.poly import Poly
@@ -23,6 +24,7 @@ from tetrahess.polynomials import second_kind_sequences, sequence_values, type1_
 from tetrahess.scalars import format_scalar, parse_scalar
 from tetrahess.serialize import DEFAULT_GENERATOR_COUNT, MAX_GENERATOR_COUNT, load_alphas, load_matrix
 
+import oracle_bands
 from oracle_bands import factor_triple, lu_bands
 
 
@@ -40,13 +42,25 @@ def ones_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def jp_r3_file(tmp_path):
-    path = tmp_path / "jp.json"
+def _jp_r3(directory, count):
+    """A JP-R3 generator file of ``count`` alphas in ``directory``."""
+    path = directory / f"jp{count}.json"
     path.write_text(json.dumps({"generator": {
         "name": "jacobi-pineiro", "variant": "akv",
-        "alpha": "0", "beta": "1/2", "gamma": "0", "count": 70}}))
+        "alpha": "0", "beta": "1/2", "gamma": "0", "count": count}}))
     return str(path)
+
+
+@pytest.fixture()
+def jp_r3_file(tmp_path):
+    return _jp_r3(tmp_path, 70)
+
+
+@pytest.fixture(scope="module")
+def jp_r3_606(tmp_path_factory):
+    """606 JP-R3 alphas: rows 0..201 with non-integer bands, enough for
+    christoffel (3N + 5 alphas) at N = 200."""
+    return _jp_r3(tmp_path_factory.mktemp("jp606"), 606)
 
 
 @pytest.fixture()
@@ -85,6 +99,13 @@ class TestJP:
         formed: exit 64, nothing on stdout, the bound named."""
         argv = ["jp", "--alpha", "0", "--beta", "1/2", "--gamma", "0", "--count", str(count)]
         assert run(argv) == (64, "", f"usage error: --count must be <= {MAX_GENERATOR_COUNT}\n")
+
+    def test_the_tetra_mode_variable_changes_nothing(self):
+        """Every scalar is exact: TETRA_MODE=float, set before the process
+        starts, leaves the output as it is."""
+        argv = ["-m", "tetrahess", "jp", "--alpha", "0", "--beta", "-1/2", "--gamma", "0", "--count", "6"]
+        code, out, _ = _fresh(argv, env={"TETRA_MODE": "float"})
+        assert (code, out) == (0, '["1/2","0","1/6","2/15","1/5","1/14"]\n')
 
     def test_outside_region_is_input_error(self):
         code, _, err = run(["jp", "--alpha", "1", "--beta", "0", "--gamma", "0"])
@@ -133,6 +154,23 @@ class TestJPScan:
         for p in tetrahess.JP_VERIFICATION_GRID:
             families.jp_dense_truncation(p, 7)
 
+    @pytest.mark.parametrize("gamma", ["0", "1/2", "3", "-1/2"])
+    def test_each_row_is_the_dense_verdict(self, gamma):
+        """The region follows from alpha - beta; the AKV alphas are PBF
+        exactly in R3, and each oscillation flag, read off the factor
+        signs, is the dense check's verdict on the 5 x 5 truncation."""
+        code, out, _ = run(["jp-scan", "--gamma", gamma])
+        header, *rows = out.splitlines()
+        assert (code, header, len(rows)) == (0, "alpha,beta,region,pbf_flag,oscillatory_flag", 8)
+        for row in rows:
+            alpha, beta, region, pbf, osc = row.split(",")
+            d = Fraction(alpha) - Fraction(beta)
+            want = "R1" if d > 1 else "R2" if d > 0 else "R3" if d > -1 else "R4"
+            assert [region, pbf, osc] == [want, str(want == "R3").lower(), str(want in ("R2", "R3")).lower()]
+            p = JPParams(Fraction(alpha), Fraction(beta), Fraction(gamma))
+            dense = tncheck.is_totally_nonnegative(families.jp_dense_truncation(p, 4)).is_oscillatory_gk
+            assert osc == str(dense).lower(), row
+
     def test_float_mode_refused(self):
         # there is no float mode: the old flag is a usage error, never a scan
         code, out, err = run(["--mode", "float", "jp-scan"])
@@ -157,6 +195,30 @@ class TestJPScan:
 
 
 class TestFactor:
+    def test_606_jp_r3_alphas_match_the_fraction_forms(self, jp_r3_606):
+        """darboux and factor form each band entry and alpha as one Fraction
+        of ints: on rows 0..201 of JP-R3 (non-integer bands) both transforms
+        print the bands of oracle_bands, and factor --n 200 at alpha_2
+        prints the alphas back, as oracle_bands.bidiagonal_factor gives
+        them."""
+        code, out, _ = run(["jp", "--alpha", "0", "--beta", "1/2", "--gamma", "0", "--variant", "akv",
+                            "--count", "606"])
+        assert code == 0
+        alphas = AlphaSequence(tuple(Fraction(v) for v in json.loads(out)))
+        for which in ("hat", "hathat"):
+            c, b, a = oracle_bands.bands(alphas, which)
+            rows = min(len(c) - 1, len(b), len(a) + 1)
+            want = {"c": c[:rows + 1], "b": b[:rows], "a": a[:rows - 1]}
+            code, out, _ = run(["darboux", "--alphas", jp_r3_606, "--which", which])
+            body = json.loads(out)
+            assert (code, rows) == (0, 201)
+            assert {key: body[key] for key in "cba"} == {key: [str(v) for v in want[key]] for key in "cba"}, which
+        code, out, _ = run(["factor", "--input", jp_r3_606, "--n", "200", "--alpha2", str(alphas.at(2))])
+        t = TetraHessenberg(*reversed(oracle_bands.bands(alphas)))
+        want = [str(v) for v in oracle_bands.bidiagonal_factor(t, 200, alphas.at(2)).values]
+        assert (code, json.loads(out)["alpha"]) == (0, want)
+        assert want == [str(v) for v in alphas.prefix(601)]
+
     def test_indefinite_exit_code(self, tsym_file):
         code, out, _ = run(["factor", "--input", tsym_file, "--n", "2",
                             "--alpha2", "0"])
@@ -308,15 +370,34 @@ class TestPolys:
         assert body["B1"][2] == ["-3", "1"]
 
 
+    def test_b1_is_b2_plus_nu_b1_as_printed(self, jp_r3_file):
+        """b1 runs from its own seed row, yet the printed b1 is B2 + nu B1,
+        on the coefficient lists and on the values at x = 3/7."""
+        nu = Fraction(-2, 3)
+        argv = ["polys", "--input", jp_r3_file, "--n", "20", "--kind", "second", "--nu", "-2/3"]
+        coeffs, values = (json.loads(run(argv + at)[1]) for at in ([], ["--at", "3/7"]))
+        cap_b1, cap_b2 = ([Poly([Fraction(c) for c in p]) for p in coeffs[name]] for name in ("B1", "B2"))
+        assert coeffs["b1"] == [[str(c) for c in (q + nu * p).coeffs] for p, q in zip(cap_b1, cap_b2)]
+        cap_b1, cap_b2 = ([Fraction(v) for v in values[name]] for name in ("B1", "B2"))
+        assert values["b1"] == [str(q + nu * p) for p, q in zip(cap_b1, cap_b2)]
+        assert len(coeffs["b1"]) == len(values["b1"]) == 21
+
     @pytest.mark.parametrize("kind, nu", [
         ("type2", []), ("type1", ["--nu", "-1"]), ("second", ["--nu", "2/3"])])
-    @pytest.mark.parametrize("x", ["1/3", "-7/2", "0"])
-    def test_at_is_the_coefficients_evaluated(self, jp_r3_file, kind, nu, x):
+    @pytest.mark.parametrize("count, n, x", [
+        pytest.param(None, 12, "1/3", id="1/3"), pytest.param(None, 12, "-7/2", id="-7/2"),
+        pytest.param(None, 12, "0", id="0"), pytest.param(None, 20, "-7/9", id="jp-r3-at--7/9"),
+        # integer bands, far down
+        pytest.param(130, 40, "1/3", id="ones130-at-1/3"), pytest.param(130, 40, "-7/9", id="ones130-at--7/9"),
+    ])
+    def test_at_is_the_coefficients_evaluated(self, tmp_path, jp_r3_file, kind, nu, count, n, x):
         """--at runs the recurrence at x and builds no polynomial; its stdout
-        is byte for byte the coefficient output evaluated at x."""
-        argv = ["polys", "--input", jp_r3_file, "--n", "12", "--kind", kind] + nu
+        is byte for byte the coefficient output evaluated at x, on JP-R3
+        (count None) or on ``count`` ones alphas."""
+        path = jp_r3_file if count is None else _ones_file(tmp_path, count)
+        argv = ["polys", "--input", path, "--n", str(n), "--kind", kind] + nu
         code, coeffs, err = run(argv)
-        assert code == 0
+        assert (code, coeffs) == (0, json.dumps(json.loads(coeffs), indent=2) + "\n")
         point = Fraction(x)
         want = {}
         for name, polys in json.loads(coeffs).items():
@@ -369,7 +450,7 @@ class TestDarboux:
         ('"1e5000"', "1" + "0" * 4999 + "1"),  # 10^5000 + 1
         ("9" * 5001, "1" + "0" * 5001),  # a JSON number: 10^5001 - 1 + 1
         ('"' + "9" * 5001 + '"', "1" + "0" * 5001),
-    ])
+    ], ids=["1e5000-string", "5001-nines-number", "5001-nines-string"])
     def test_rationals_past_4300_digits_are_exact(self, tmp_path, alpha_1, c_0):
         """c_0 of hat is alpha_1 + alpha_2, read and printed in full past
         the interpreter's default int/str digit limit."""
@@ -488,7 +569,32 @@ class TestDarboux:
             assert (code, out, err) == (70, "", f"error: {error} must be positive\n")
 
 
+#: The suites' reports of verify --suite all --n 20 on JP-R3: 12 x 21 x 5
+#: AKV determinants, none positive, 124 of them 0 at x = 0.
+_REPORTS_AT_20_ON_JP_R3 = [
+    {"suite": "tn", "checked": 5},
+    {"suite": "christoffel", "n": 20, "checked": 126},
+    {"suite": "akv", "n": 20, "checked": 1260, "max_value": "0", "zeros_at_origin": 124},
+    {"suite": "roundtrip", "n": 20, "recovered": 61},
+    {"suite": "charpoly", "checked": 61},
+    {"suite": "jp-consistency", "points": 16},
+]
+
+
 class TestVerify:
+    def test_the_report_at_n_20_on_jp_r3(self, jp_r3_file):
+        """The whole report, byte for byte."""
+        code, out, err = run(["verify", "--suite", "all", "--alphas", jp_r3_file, "--n", "20"])
+        want = json.dumps({"status": "pass", "n": 20, "suites": _REPORTS_AT_20_ON_JP_R3}, indent=2) + "\n"
+        assert (code, out) == (0, want), err
+
+    def test_all_suites_pass_at_n_200_within_a_minute(self, jp_r3_606):
+        """verify scales in N: the whole suite at n = 200 on 606 JP-R3 alphas."""
+        start = time.perf_counter()
+        code, out, err = run(["verify", "--suite", "all", "--alphas", jp_r3_606, "--n", "200"])
+        assert (code, json.loads(out)["status"]) == (0, "pass"), err
+        assert time.perf_counter() - start < 60
+
     def test_all_suites_pass_on_ones(self, ones_file):
         code, out, err = run(["verify", "--suite", "all", "--alphas", ones_file,
                               "--n", "6"])
@@ -772,6 +878,29 @@ class TestVerifyDataShortfall:
         assert (code, out) == (70, "")
         assert err.startswith(f"error: {suite}: ")
 
+    @pytest.mark.parametrize("suite, n, alphas, matrix, error", [
+        # the matrix of the alphas 3/4 3/4 4/3 2 3 3/2 3 2/3 3 1/4 4 3 2 1/3 1 1 1/4 1
+        ("akv", "4", ["1", "3/4", "1", "4/3", "1", "1", "2", "1", "4", "1/2", "1/3", "1/3", "1", "1", "2", "3",
+                      "1/2", "2"],
+         {"a": ["3", "2", "36", "1/4"], "b": ["25/16", "13", "12", "55/4", "11/3"],
+          "c": ["3/4", "49/12", "15/2", "47/12", "9", "7/3"]},
+         "akv: determinant #5 at n = 1, x = 0 is 19/16 > 0"),
+        # the suite reads origin values, and builds polynomials only to
+        # report a failure: tildetilde_a1 fails at n = 0 with the residual x
+        ("christoffel", "1", ["1", "1", "2", "2/3", "2/3", "3", "1", "2/3"],
+         {"a": ["2/3", "4/3"], "b": ["2", "28/9", "11/3"], "c": ["1", "8/3", "14/3", "8/3"]},
+         "christoffel: identity 'tildetilde_a1' fails at n = 0: residual Poly([Fraction(0, 1), Fraction(1, 1)])"),
+    ], ids=["akv", "christoffel"])
+    def test_alphas_that_do_not_factor_the_matrix_fail(self, tmp_path, suite, n, alphas, matrix, error):
+        """A matrix the alphas do not factor fails the suite (exit 1) with
+        one line on stderr, naming what failed."""
+        alphas_file, matrix_file = tmp_path / "alphas.json", tmp_path / "matrix.json"
+        alphas_file.write_text(json.dumps({"alpha": alphas}))
+        matrix_file.write_text(json.dumps(matrix))
+        argv = ["verify", "--suite", suite, "--alphas", str(alphas_file), "--input", str(matrix_file), "--n", n]
+        assert run(argv) == (1, json.dumps({"status": "fail", "error": error}, indent=2) + "\n",
+                             f"verification failure: {error}\n")
+
     def test_identity_failure_still_exits_1(self, tmp_path, ones_file):
         # an unrelated matrix against the ones alphas breaks a Christoffel identity
         other = tmp_path / "other.json"
@@ -908,6 +1037,30 @@ class TestInputErrorEverySubcommand:
         path = tmp_path / "duplicate.json"
         path.write_text(text)
         assert run(argv + [str(path)]) == (65, "", f"input error: {path}: duplicate key {key!r}\n")
+
+    @pytest.mark.parametrize("payload, argv, message", [
+        # a misspelt start_index that declares the wrong convention
+        ({"alpha": ["1"] * 31, "start_idx": {"alpha": 0}}, ["verify", "--suite", "roundtrip", "--n", "2", "--alphas"],
+         "alpha payload has unknown key(s) ['start_idx']"),
+        ({"a": ["1"], "b": ["1", "1"], "c": ["2", "2", "2"], "alpha": ["-1", 1]},
+         ["verify", "--suite", "tn", "--n", "2", "--input"],
+         "matrix payload has unknown key(s) ['alpha']"),
+    ], ids=["alpha-file", "matrix-file"])
+    def test_an_unknown_key_is_refused(self, tmp_path, payload, argv, message):
+        """Each payload holds only its own keys: any other is bad input,
+        named, not ignored."""
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(payload))
+        assert run(argv + [str(path)]) == (65, "", f"input error: {path}: {message}\n")
+
+    def test_a_factor_output_reads_back_as_alphas(self, tmp_path, ones_file):
+        """factor --out writes "classification" beside the alphas; the file
+        still loads as an alpha payload."""
+        dest = tmp_path / "factor.json"
+        assert run(["factor", "--input", ones_file, "--n", "3", "--alpha2", "1", "--out", str(dest)])[:2] == (0, "")
+        assert json.loads(dest.read_text())["classification"] == "PBF"
+        code, out, err = run(["verify", "--suite", "roundtrip", "--n", "2", "--alphas", str(dest)])
+        assert (code, json.loads(out)["status"]) == (0, "pass"), err
 
     def test_nonpositive_transformed_band_is_compute_error(self, tmp_path):
         # the R1 alphas are valid input; the hat transform built from them is
@@ -1108,10 +1261,11 @@ def test_structurally_wrong_payload_is_input_error(tmp_path_factory, case):
         assert (code, out) == (65, ""), (payload, argv, err)
 
 
-def _fresh(argv, **kwargs):
-    """``python -m tetrahess argv`` in a new process: (exit code, stdout, stderr)."""
+def _fresh(argv, env=(), **kwargs):
+    """``python argv`` in a new process, with the variables ``env`` added to
+    its environment: (exit code, stdout, stderr)."""
     src = os.path.dirname(os.path.dirname(tetrahess.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **dict(env))
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=env, timeout=300, **kwargs)
     return proc.returncode, proc.stdout, proc.stderr
@@ -1191,7 +1345,7 @@ loaded = [[m for m in WATCHED if m in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    loaded.append([code, "tetrahess.tncheck" in sys.modules])
+    loaded.append([code, [m for m in WATCHED if m in sys.modules]])
 print(json.dumps(loaded))
 """
 
@@ -1199,7 +1353,7 @@ print(json.dumps(loaded))
 def test_only_a_tn_check_loads_the_tn_checker(ones_file):
     """In a fresh interpreter without site, importing the CLI loads no
     dataclass machinery and not the TN checker; every command that runs no
-    TN check leaves it unloaded, and verify --suite tn loads it."""
+    TN check leaves both unloaded, and verify --suite tn loads them."""
     commands = _every_subcommand(ones_file)
     calls = [commands[c] for c in ("jp", "jp-scan", "factor", "polys", "darboux")]
     calls += [["verify", "--suite", s, "--alphas", ones_file, "--n", "2"] for s in ("akv", "tn")]
@@ -1208,7 +1362,7 @@ def test_only_a_tn_check_loads_the_tn_checker(ones_file):
     assert (code, err) == (0, "")
     at_import, *after = json.loads(out)
     assert at_import == []
-    assert after == [[0, False]] * 6 + [[0, True]]
+    assert after == [[0, []]] * 6 + [[0, ["dataclasses", "inspect", "tetrahess.tncheck"]]]
 
 
 def test_the_tn_names_load_from_the_package():

@@ -82,6 +82,7 @@ jp_parameters = st.one_of(
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(jp_parameters, jp_parameters, jp_parameters, st.integers(min_value=1, max_value=60))
+@example(F(1, 3), F(-2, 7), F(3, 5), 30)  # off the grid, at mixed denominators
 def test_integer_kernel_matches_the_fraction_oracle(alpha, beta, gamma, count):
     try:
         p = JPParams(alpha, beta, gamma)
@@ -422,6 +423,7 @@ def test_certificate_and_sampled_pair_pass_on_the_grid():
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(jp_parameters, jp_parameters,
        st.fractions(min_value=F(-2), max_value=F(2), max_denominator=40).filter(lambda d: d.denominator > 1))
+@example(F(1, 3), F(3, 5), F(13, 21))  # (1/3, -2/7, 3/5)
 def test_certificate_and_sampled_pair_pass_near_the_diagonal(alpha, gamma, difference):
     """Every valid point with |alpha - beta| < 2, where the sign table is
     pinned, passes both."""
